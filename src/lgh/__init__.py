@@ -61,8 +61,10 @@ from .harness import RunConfig, run_suite
 from .jets import (
     BasisCurves,
     CurvePoint,
+    FrameOperators,
     Jet2,
     entry_jet,
+    frame_operators,
     jet_add,
     jet_div,
     jet_mul,
@@ -105,6 +107,7 @@ from .morphisms import (
     power_constants,
     power_family,
     quotient_morphism,
+    quotient_operators,
     random_morphism,
     verify_harmonic_morphism,
     verify_quotient_condition,

@@ -101,6 +101,20 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _reject_suite_fields(args, cfg: RunConfig):
+    """The suite runs a fixed check matrix and reads only seed and tol; any
+    other field, set by a flag or by a config file, is an error."""
+    default = RunConfig()
+    for key, value in cfg.to_dict().items():
+        if key in ("seed", "tol"):
+            continue
+        if getattr(args, key, None) is not None or value != getattr(default, key):
+            raise ConfigError(
+                f"lgh suite runs a fixed sample matrix and takes only seed and tol, not {key}",
+                field=key,
+            )
+
+
 def _emit(document: dict, out: str | None):
     text = json.dumps(document, indent=2, sort_keys=True)
     if out:
@@ -115,6 +129,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "suite":
             cfg = _config_from_args(args)
+            _reject_suite_fields(args, cfg)
             document = run_suite(seed=cfg.seed, tol=cfg.tol)
             _emit(document, args.out)
             return 0 if document["passed"] else 1

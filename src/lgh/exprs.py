@@ -9,6 +9,7 @@ nodes.
 from __future__ import annotations
 
 import numbers
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,10 @@ def _as_expr(obj) -> "Expr":
     if isinstance(obj, numbers.Number):
         return Const(obj)
     raise TypeError(f"cannot treat {obj!r} as an expression")
+
+
+def _lowered(expo: tuple, a: int) -> tuple:
+    return expo[:a] + (expo[a] - 1,) + expo[a + 1 :]
 
 
 def _pow_value(v, k: int):
@@ -130,12 +135,13 @@ class LinearTrace(Expr):
     def eval_point(self, x):
         if x.shape != self.matrix.shape:
             raise ValidationError("dimension mismatch in LinearTrace")
-        return complex(np.einsum("ij,ij->", self.matrix, x))
+        # the same contraction as the jet walk, so values agree bitwise
+        return complex(np.einsum("ij,...ij->...", self.matrix, x))
 
     def eval_jet(self, curve):
         a = self.matrix
         return Jet2(
-            np.einsum("ij,ij->", a, curve.base),
+            np.einsum("ij,...ij->...", a, curve.base),
             np.einsum("ij,...ij->...", a, curve.m1),
             np.einsum("ij,...ij->...", a, curve.m2),
         )
@@ -311,8 +317,50 @@ class HomPoly(Expr):
     def children(self):
         return tuple(self.args)
 
-    def coefficient_vector(self) -> np.ndarray:
-        return np.array([self.coeffs[e] for e in self._order], dtype=complex)
+    @cached_property
+    def _derivative_tables(self):
+        """Exponent tables with coefficients of the polynomial, its gradient
+        and its Hessian, each a sum of monomials in the arguments."""
+        m = len(self.args)
+        grad: dict = {}
+        hess: dict = {}
+        for expo in self._order:
+            c = self.coeffs[expo]
+            for a in range(m):
+                if not expo[a]:
+                    continue
+                da = _lowered(expo, a)
+                grad.setdefault(da, np.zeros(m, dtype=complex))[a] += expo[a] * c
+                for b in range(m):
+                    if da[b]:
+                        term = hess.setdefault(_lowered(da, b), np.zeros((m, m), dtype=complex))
+                        term[a, b] += expo[a] * da[b] * c
+
+        def table(entries, shape):
+            keys = sorted(entries)
+            expos = np.array(keys, dtype=np.intp).reshape(len(keys), m)
+            coeffs = np.array([entries[k] for k in keys], dtype=complex).reshape((len(keys),) + shape)
+            return expos, coeffs
+
+        return table(self.coeffs, ()), table(grad, (m,)), table(hess, (m, m))
+
+    def derivatives(self, values):
+        """Value (S,), gradient (S, m) and Hessian (S, m, m) of the polynomial
+        in its m arguments, at stacked argument values of shape (S, m)."""
+        values = np.asarray(values, dtype=complex)
+        count, m = values.shape
+        powers = np.empty((count, m, self.degree + 1), dtype=complex)
+        powers[..., 0] = 1.0
+        for k in range(1, self.degree + 1):
+            powers[..., k] = powers[..., k - 1] * values
+        index = np.arange(m)
+
+        def monomials(expos):
+            return powers[:, index, expos].prod(axis=-1)
+
+        (e0, c0), (e1, c1), (e2, c2) = self._derivative_tables
+        hess = np.einsum("sk,kab->sab", monomials(e2), c2)
+        return monomials(e0) @ c0, monomials(e1) @ c1, hess
 
     def to_dict(self):
         return {

@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .exprs import Expr, LinearTrace
-from .jets import BasisCurves
+from .jets import BasisCurves, curve_blocks, frame_operators, stack_samples
 from .matrices import GroupId, SignedBasis, compact_basis
 from .report import VerificationReport, timed_report
-from .sampling import SampleSet, sample_compact
+from .sampling import SampleSet, _maxabs
 
 # (lambda, mu) for the linear coordinate families, per compact family.
 # SU values follow from removing the trace direction i I/sqrt(n) from the
@@ -174,20 +174,6 @@ def sp_family(n: int, p) -> Eigenfamily:
 # verification
 # ---------------------------------------------------------------------------
 
-def _member_tables(members, curves: BasisCurves):
-    """Stack member jets: values (m,), first/second derivatives (m, B)."""
-    b = len(curves.signs)
-    f0 = np.empty(len(members), dtype=complex)
-    f1 = np.empty((len(members), b), dtype=complex)
-    f2 = np.empty((len(members), b), dtype=complex)
-    for k, member in enumerate(members):
-        jet = member.eval_jet(curves)
-        f0[k] = complex(jet.f0)
-        f1[k] = np.broadcast_to(np.asarray(jet.f1, dtype=complex), (b,))
-        f2[k] = np.broadcast_to(np.asarray(jet.f2, dtype=complex), (b,))
-    return f0, f1, f2
-
-
 def verify_eigenfamily(
     fam: Eigenfamily,
     basis: SignedBasis,
@@ -196,26 +182,20 @@ def verify_eigenfamily(
     check_name: str = "eigenfamily",
 ) -> VerificationReport:
     """Measure max |tau(phi) - lambda phi| and |kappa(phi, psi) - mu phi psi|
-    over all samples and all ordered member pairs (diagonal included)."""
+    over all samples and all ordered member pairs (diagonal included).
+
+    ``samples`` are group points or a :func:`frame_operators` table of the
+    family members on ``basis``.
+    """
     if basis.group != fam.group:
         raise ValidationError(
             f"basis of {basis.group} does not match family on {fam.group}"
         )
     with timed_report() as clock:
-        tau_res = 0.0
-        kappa_res = 0.0
-        signs = basis.signs
-        count = 0
-        for x in samples:
-            curves = BasisCurves(x, basis)
-            f0, f1, f2 = _member_tables(fam.members, curves)
-            tau_vals = f2 @ signs
-            tau_res = max(tau_res, float(np.max(np.abs(tau_vals - fam.lam * f0))))
-            kap = (f1 * signs) @ f1.T
-            kappa_res = max(
-                kappa_res, float(np.max(np.abs(kap - fam.mu * np.outer(f0, f0))))
-            )
-            count += 1
+        ops = frame_operators(fam.members, samples, basis)
+        tau_res = _maxabs(ops.tau - fam.lam * ops.values)
+        outer = ops.values[:, :, None] * ops.values[:, None, :]
+        kappa_res = _maxabs(ops.kappa - fam.mu * outer)
     notes = {"lambda": [fam.lam.real, fam.lam.imag], "mu": [fam.mu.real, fam.mu.imag]}
     if isinstance(samples, SampleSet):
         notes["max_group_defect"] = samples.max_defect
@@ -229,19 +209,26 @@ def verify_eigenfamily(
         },
         residuals={"tau": tau_res, "kappa": kappa_res},
         tol=tol,
-        samples_used=count,
+        samples_used=len(ops),
         wall_time=clock.elapsed,
         notes=notes,
     )
 
 
-def _coordinate_tables(x, basis: SignedBasis):
-    """tau table T_ij = sum_b eps (x Z_b^2)_ij and kappa 4-tensor
-    K[i,j,k,l] = sum_b eps (x Z_b)_ij (x Z_b)_kl."""
-    curves = BasisCurves(x, basis)
-    t = np.einsum("b,bij->ij", basis.signs, curves.m2)
-    k4 = np.einsum("b,bij,bkl->ijkl", basis.signs, curves.m1, curves.m1)
-    return t, k4
+def _coordinate_tables(curves: BasisCurves):
+    """tau table T[s,i,j] = sum_b eps (x_s Z_b^2)_ij and kappa 4-tensor
+    K[s,i,j,k,l] = sum_b eps (x_s Z_b)_ij (x_s Z_b)_kl over a block."""
+    signs = curves.signs
+    t = np.einsum("b,bsij->sij", signs, curves.m2)
+    b, s, n, _ = curves.m1.shape
+    flat = curves.m1.reshape(b, s, n * n)
+    k4 = (flat.transpose(1, 2, 0) * signs) @ flat.transpose(1, 0, 2)
+    return t, k4.reshape(s, n, n, n, n)
+
+
+def _cross(a, b) -> np.ndarray:
+    """The 4-tensor a_il b_kj at every sample of a block."""
+    return np.einsum("sil,skj->sijkl", a, b)
 
 
 def verify_coordinate_lemmas(
@@ -249,52 +236,43 @@ def verify_coordinate_lemmas(
 ) -> VerificationReport:
     """Check every stated tau/kappa relation of the coordinate functions on
     SO(n), U(n) or Sp(n), for all index combinations at every sample."""
+    if group.family not in ("SO", "U", "Sp"):
+        raise ValidationError(f"no coordinate relations for {group.family!r}")
     basis = compact_basis(group)
     n = group.n
     eye = np.eye(n)
     res: dict[str, float] = {}
 
     def bump(key, val):
-        res[key] = max(res.get(key, 0.0), float(np.max(np.abs(val))))
+        res[key] = max(res.get(key, 0.0), _maxabs(val))
 
     with timed_report() as clock:
-        count = 0
-        for x in samples:
-            t, k4 = _coordinate_tables(x, basis)
+        stack = stack_samples(samples, basis)
+        for rows, curves in curve_blocks(stack, basis):
+            x = stack[rows]
+            t, k4 = _coordinate_tables(curves)
             if group.family == "SO":
                 bump("tau", t + (n - 1) / 2.0 * x)
-                gram = x @ x.T
-                general = -0.5 * (
-                    np.einsum("il,kj->ijkl", x, x)
-                    - np.einsum("ik,jl->ijkl", gram, eye)
-                )
+                gram = x @ x.transpose(0, 2, 1)
+                general = -0.5 * (_cross(x, x) - np.einsum("sik,jl->sijkl", gram, eye))
                 bump("kappa_general", k4 - general)
-                on_group = 0.5 * (
-                    np.einsum("ik,jl->ijkl", eye, eye)
-                    - np.einsum("il,kj->ijkl", x, x)
-                )
+                on_group = 0.5 * (np.einsum("ik,jl->ijkl", eye, eye) - _cross(x, x))
                 bump("kappa_on_group", k4 - on_group)
             elif group.family == "U":
                 bump("tau", t + n * x)
-                bump("kappa", k4 + np.einsum("il,kj->ijkl", x, x))
-            elif group.family == "Sp":
-                zb = x[:n, :n]
-                wb = x[:n, n:]
-                lam = (2 * n + 1) / 2.0
-                bump("tau_z", t[:n, :n] + lam * zb)
-                bump("tau_w", t[:n, n:] + lam * wb)
-                bump("kappa_zz", k4[:n, :n, :n, :n] + 0.5 * np.einsum("il,kj->ijkl", zb, zb))
-                bump("kappa_ww", k4[:n, n:, :n, n:] + 0.5 * np.einsum("il,kj->ijkl", wb, wb))
-                anti = zb @ wb.T - wb @ zb.T
-                target = -0.5 * (
-                    np.einsum("il,kj->ijkl", wb, zb)
-                    - np.einsum("ik,jl->ijkl", anti, eye)
-                )
-                bump("kappa_zw", k4[:n, :n, :n, n:] - target)
-                bump("zw_antisymmetry", anti)
+                bump("kappa", k4 + _cross(x, x))
             else:
-                raise ValidationError(f"no coordinate relations for {group.family!r}")
-            count += 1
+                zb = x[:, :n, :n]
+                wb = x[:, :n, n:]
+                lam = (2 * n + 1) / 2.0
+                bump("tau_z", t[:, :n, :n] + lam * zb)
+                bump("tau_w", t[:, :n, n:] + lam * wb)
+                bump("kappa_zz", k4[:, :n, :n, :n, :n] + 0.5 * _cross(zb, zb))
+                bump("kappa_ww", k4[:, :n, n:, :n, n:] + 0.5 * _cross(wb, wb))
+                anti = zb @ wb.transpose(0, 2, 1) - wb @ zb.transpose(0, 2, 1)
+                target = -0.5 * (_cross(wb, zb) - np.einsum("sik,jl->sijkl", anti, eye))
+                bump("kappa_zw", k4[:, :n, :n, :n, n:] - target)
+                bump("zw_antisymmetry", anti)
     notes = {}
     if isinstance(samples, SampleSet):
         notes["max_group_defect"] = samples.max_defect
@@ -304,7 +282,7 @@ def verify_coordinate_lemmas(
         params={"n": n, "basis_size": len(basis)},
         residuals=res,
         tol=tol,
-        samples_used=count,
+        samples_used=len(stack),
         wall_time=clock.elapsed,
         notes=notes,
     )
@@ -317,21 +295,14 @@ def measure_constants_residual(
 
     Returns max |tau(phi)/phi - lambda| and |kappa(phi,phi)/phi^2 - mu| over
     members and samples, skipping points where |phi| <= value_floor.
+    ``samples`` may be a :func:`frame_operators` table, as for
+    :func:`verify_eigenfamily`.
     """
-    signs = basis.signs
-    lam_dev = 0.0
-    mu_dev = 0.0
-    for x in samples:
-        curves = BasisCurves(x, basis)
-        f0, f1, f2 = _member_tables(fam.members, curves)
-        tau_vals = f2 @ signs
-        kap_diag = np.einsum("mb,b,mb->m", f1, signs, f1)
-        mask = np.abs(f0) > value_floor
-        if np.any(mask):
-            lam_dev = max(lam_dev, float(np.max(np.abs(tau_vals[mask] / f0[mask] - fam.lam))))
-            mu_dev = max(mu_dev, float(np.max(np.abs(kap_diag[mask] / (f0[mask] * f0[mask]) - fam.mu))))
-    return {"lambda_measurement": lam_dev, "mu_measurement": mu_dev}
-
-
-def default_samples(group: GroupId, count: int, radius: float = 0.5, seed: int = 42) -> SampleSet:
-    return sample_compact(group, count, radius, seed)
+    ops = frame_operators(fam.members, samples, basis)
+    mask = np.abs(ops.values) > value_floor
+    f0 = ops.values[mask]
+    kappa_diag = np.diagonal(ops.kappa, axis1=1, axis2=2)[mask]
+    return {
+        "lambda_measurement": _maxabs(ops.tau[mask] / f0 - fam.lam),
+        "mu_measurement": _maxabs(kappa_diag / (f0 * f0) - fam.mu),
+    }

@@ -10,8 +10,6 @@ run-dependent output.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,7 +19,7 @@ from . import families as fa
 from . import morphisms as mo
 from .errors import ConfigError, ValidationError
 from .exprs import HomPoly
-from .jets import BasisCurves
+from .jets import frame_operators
 from .matrices import GroupId, compact_basis, verify_matrix_identities
 from .report import VerificationReport, timed_report
 from .sampling import SplitMix64, compact_sampler
@@ -406,23 +404,29 @@ HOPF_TOL = 1e-9
 
 def _check_morphism_factory(fam: fa.Eigenfamily, seed: int, pairs: int = 20, min_samples: int = 50):
     """Random same-degree (P, Q) quotients must all verify; the quotient
-    condition triple equality is measured on the same instances."""
+    condition triple equality is measured on the same instances.
+
+    The member frame table of the base samples is measured once and shared
+    by every quotient and the quotient-condition check.  Samples come from
+    ``seed``, the polynomials from ``seed ^ 0xFAC7041``; both are recorded.
+    """
     basis = compact_basis(fam.group)
-    rng = SplitMix64(seed ^ 0xFAC7041)
+    rng_seed = seed ^ 0xFAC7041
+    rng = SplitMix64(rng_seed)
     factory_res = {"tau": 0.0, "kappa": 0.0}
     triple_res: dict = {}
     used = 0
     discarded = 0
     with timed_report() as clock:
         sampler = compact_sampler(fam.group, 0.5, seed)
-        base_samples = sampler.take(min_samples)
+        base = frame_operators(fam.members, sampler.take(min_samples), basis)
         for _ in range(pairs):
             degree = 1 + (rng.next_u64() % 3)
             morph = mo.random_morphism(fam, int(degree), rng, floor=FACTORY_FLOOR)
             rep = mo.verify_harmonic_morphism(
                 morph,
                 basis,
-                base_samples,
+                base,
                 tol=FACTORY_TOL,
                 min_samples=min_samples,
                 sampler=lambda k: sampler.take(k).points,
@@ -432,14 +436,15 @@ def _check_morphism_factory(fam: fa.Eigenfamily, seed: int, pairs: int = 20, min
             used += rep.samples_used
             discarded += rep.samples_discarded
             qrep = mo.verify_quotient_condition(
-                fam, morph.numerator, morph.denominator, basis, base_samples, tol=FACTORY_TOL
+                fam, morph.numerator, morph.denominator, basis, base, tol=FACTORY_TOL
             )
             for key, val in qrep.residuals.items():
                 triple_res[key] = max(triple_res.get(key, 0.0), val)
+    seeds = {"sampler_seed": seed, "rng_seed": rng_seed}
     factory = VerificationReport(
         check="morphism-factory",
         target=str(fam.group),
-        params={"pairs": pairs, "floor": FACTORY_FLOOR, "provenance": fam.provenance},
+        params={"pairs": pairs, "floor": FACTORY_FLOOR, "provenance": fam.provenance, **seeds},
         residuals=factory_res,
         tol=FACTORY_TOL,
         samples_used=used,
@@ -449,10 +454,10 @@ def _check_morphism_factory(fam: fa.Eigenfamily, seed: int, pairs: int = 20, min
     triple = VerificationReport(
         check="quotient-condition",
         target=str(fam.group),
-        params={"pairs": pairs, "provenance": fam.provenance},
+        params={"pairs": pairs, "provenance": fam.provenance, **seeds},
         residuals=triple_res,
         tol=FACTORY_TOL,
-        samples_used=len(base_samples),
+        samples_used=len(base),
     )
     return factory, triple
 
@@ -482,15 +487,10 @@ def _check_morphism_negative_control(seed: int, tol: float) -> VerificationRepor
     member = fa.u_family(2, _unit(2)).members[0]
     with timed_report() as clock:
         samples = compact_sampler(gid, 0.5, seed).take(100)
-        signs = basis.signs
-        tau_res = 0.0
-        kappa_res = 0.0
-        peak = 0.0
-        for x in samples:
-            jet = member.eval_jet(BasisCurves(x, basis))
-            tau_res = max(tau_res, abs(complex(np.sum(signs * jet.f2))))
-            kappa_res = max(kappa_res, abs(complex(np.sum(signs * jet.f1 * jet.f1))))
-            peak = max(peak, abs(complex(jet.f0)))
+        ops = frame_operators([member], samples, basis)
+        tau_res = float(np.max(np.abs(ops.tau)))
+        kappa_res = float(np.max(np.abs(ops.kappa)))
+        peak = float(np.max(np.abs(ops.values)))
         dev_tau = abs(tau_res - 2.0 * peak)
         dev_kappa = abs(kappa_res - peak * peak)
         must_fail = 0.0 if tau_res > tol and kappa_res > tol else 1.0
@@ -516,8 +516,9 @@ def _check_power_family(fam: fa.Eigenfamily, k: int, seed: int, tol: float) -> V
     basis = compact_basis(fam.group)
     with timed_report() as clock:
         samples = compact_sampler(fam.group, 0.5, seed).take(100)
-        rep = fa.verify_eigenfamily(pfam, basis, samples, tol=tol)
-        measured = fa.measure_constants_residual(pfam, basis, samples, value_floor=0.1)
+        table = frame_operators(pfam.members, samples, basis)
+        rep = fa.verify_eigenfamily(pfam, basis, table, tol=tol)
+        measured = fa.measure_constants_residual(pfam, basis, table, value_floor=0.1)
         res = dict(rep.residuals)
         res.update(measured)
     return VerificationReport(
@@ -601,35 +602,15 @@ def suite_checks(seed: int = DEFAULT_SEED, tol: float = 1e-8):
     return checks
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LGH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(seed: int = DEFAULT_SEED, tol: float = 1e-8) -> dict:
     """Run the whole acceptance matrix; an aggregate JSON-ready document.
 
-    Checks are independent; LGH_THREADS > 1 runs them on a thread pool.
-    Results are ordered by the check list, never by completion time.
+    Results are ordered by the check list.
     """
-    checks = suite_checks(seed, tol)
-
-    def run_one(item):
-        name, thunk = item
+    flat = []
+    for _, thunk in suite_checks(seed, tol):
         result = thunk()
-        reports = result if isinstance(result, tuple) else (result,)
-        return [(name, rep) for rep in reports]
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            grouped = list(pool.map(run_one, checks))
-    else:
-        grouped = [run_one(item) for item in checks]
-    flat = [rep for group in grouped for _, rep in group]
+        flat.extend(result if isinstance(result, tuple) else (result,))
     return {
         "suite": "lgh",
         "seed": seed,

@@ -10,6 +10,10 @@ The components may be scalars or numpy arrays; :class:`BasisCurves` stacks
 the seeds of a whole signed frame so one expression walk differentiates
 along every frame vector at once.  The tension field tau and the
 conformality operator kappa are then signed sums over that frame.
+
+:func:`frame_operators` is the batched kernel on top: one walk per member
+and block of samples gives the member values, their tau and their signed
+kappa Gram at every sample.
 """
 
 from __future__ import annotations
@@ -20,6 +24,14 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .matrices import SignedBasis, SignedBasisVector
+
+# Samples per block of a batched walk.  A block's seeds hold
+# 2 * SAMPLE_BLOCK * B * n^2 complex entries and a coordinate kappa table
+# SAMPLE_BLOCK * n^4, each under 0.2 MB on the suite's largest groups
+# (Sp(3), SO(6)), so transient memory does not grow with the sample count.
+# At 16 the coordinate-lemma temporaries on SO(6) already raised peak RSS
+# by about 2 MB; 8 keeps it within 0.5 MB and runs no slower.
+SAMPLE_BLOCK = 8
 
 
 @dataclass
@@ -101,26 +113,30 @@ class CurvePoint:
 
 
 class BasisCurves:
-    """Curves along every vector of a signed basis at one base point.
+    """Curves along every vector of a signed basis at one base point, or at
+    a stack of base points.
 
     Seeds are stacked over the leading axis, so an expression jet evaluated
     here carries the derivatives along the whole frame in its components.
+    A stacked base of shape (S, n, n) adds a sample axis after the basis
+    axis: jet values then have shape (S,) and derivatives (B, S).
     """
 
     def __init__(self, base: np.ndarray, basis: SignedBasis):
         base = np.asarray(base, dtype=complex)
         zs = basis.matrices
-        if zs.shape[0] and base.shape != zs.shape[1:]:
+        if base.shape[-2:] != zs.shape[1:]:
             raise ValidationError("base point and basis have different dimensions")
+        zs = zs.reshape(zs.shape[:1] + (1,) * (base.ndim - 2) + zs.shape[1:])
         self.base = base
         self.basis = basis
-        self.m1 = base @ zs if zs.shape[0] else zs
-        self.m2 = self.m1 @ zs if zs.shape[0] else zs
+        self.m1 = base @ zs
+        self.m2 = self.m1 @ zs
         self.signs = basis.signs
 
     @property
     def dim(self) -> int:
-        return self.base.shape[0]
+        return self.base.shape[-1]
 
 
 def entry_jet(curve, i: int, j: int) -> Jet2:
@@ -128,8 +144,10 @@ def entry_jet(curve, i: int, j: int) -> Jet2:
     n = curve.dim
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValidationError(f"entry ({i},{j}) out of range for dimension {n}")
+    # [()] keeps the value of a single base point a numpy scalar, not a 0-d
+    # array, so its arithmetic matches point evaluation bit for bit
     return Jet2(
-        curve.base[i - 1, j - 1],
+        curve.base[..., i - 1, j - 1][()],
         curve.m1[..., i - 1, j - 1],
         curve.m2[..., i - 1, j - 1],
     )
@@ -154,3 +172,99 @@ def kappa(f, g, x: np.ndarray, basis: SignedBasis) -> complex:
     jf = f.eval_jet(curves)
     jg = g.eval_jet(curves) if g is not f else jf
     return _signed_sum(basis.signs, jf.f1 * jg.f1)
+
+
+@dataclass
+class FrameOperators:
+    """Values, tau and signed kappa Gram of a member list at stacked samples.
+
+    ``kappa[s, a, c]`` is kappa(phi_a, phi_c) at sample s.  The table records
+    the members and the frame it was measured with, so a verifier handed a
+    table can check that it describes its own members.
+    """
+
+    members: tuple
+    basis: SignedBasis
+    values: np.ndarray  # (S, m)
+    tau: np.ndarray  # (S, m)
+    kappa: np.ndarray  # (S, m, m)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def rows(self, index) -> "FrameOperators":
+        return FrameOperators(
+            self.members, self.basis, self.values[index], self.tau[index], self.kappa[index]
+        )
+
+    @staticmethod
+    def concat(tables: list) -> "FrameOperators":
+        first = tables[0]
+        return FrameOperators(
+            first.members,
+            first.basis,
+            np.concatenate([t.values for t in tables]),
+            np.concatenate([t.tau for t in tables]),
+            np.concatenate([t.kappa for t in tables]),
+        )
+
+    def describes(self, members, basis: SignedBasis) -> bool:
+        """True when the table holds exactly these members on this frame."""
+        same_members = len(members) == len(self.members) and all(
+            a is b for a, b in zip(members, self.members)
+        )
+        same_frame = basis is self.basis or (
+            np.array_equal(basis.matrices, self.basis.matrices)
+            and np.array_equal(basis.signs, self.basis.signs)
+        )
+        return same_members and same_frame
+
+
+def stack_samples(xs, basis: SignedBasis) -> np.ndarray:
+    """Samples (a sequence of points or an array) as an (S, n, n) stack."""
+    n = basis.matrices.shape[-1]
+    stack = np.asarray(xs if isinstance(xs, np.ndarray) else list(xs), dtype=complex)
+    if not stack.size:
+        return np.empty((0, n, n), dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (n, n):
+        raise ValidationError(f"samples of shape {stack.shape} do not stack to (S, {n}, {n})")
+    return stack
+
+
+def curve_blocks(stack: np.ndarray, basis: SignedBasis):
+    """Yield ``(rows, curves)`` over an (S, n, n) stack: a slice of
+    SAMPLE_BLOCK samples and the frame curves seeded at them."""
+    for lo in range(0, stack.shape[0], SAMPLE_BLOCK):
+        rows = slice(lo, lo + SAMPLE_BLOCK)
+        yield rows, BasisCurves(stack[rows], basis)
+
+
+def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
+    """Member values (S, m), tau (S, m) and signed kappa Gram (S, m, m) at
+    the samples ``xs`` (a sequence of points or an (S, n, n) stack).
+
+    Each member's jet is walked once per block of SAMPLE_BLOCK samples, on
+    curves seeded for the whole block.  ``xs`` may also be a table this
+    function returned for the same members and frame; it is passed through.
+    """
+    members = tuple(members)
+    if isinstance(xs, FrameOperators):
+        if not xs.describes(members, basis):
+            raise ValidationError("frame table was measured for other members or another frame")
+        return xs
+    stack = stack_samples(xs, basis)
+    count, m, b = stack.shape[0], len(members), len(basis)
+    signs = basis.signs
+    values = np.empty((count, m), dtype=complex)
+    tau_vals = np.empty((count, m), dtype=complex)
+    gram = np.empty((count, m, m), dtype=complex)
+    for rows, curves in curve_blocks(stack, basis):
+        size = curves.base.shape[0]
+        f1 = np.empty((size, m, b), dtype=complex)
+        for a, member in enumerate(members):
+            jet = member.eval_jet(curves)
+            values[rows, a] = jet.f0
+            f1[:, a] = np.broadcast_to(jet.f1, (b, size)).T
+            tau_vals[rows, a] = signs @ np.broadcast_to(jet.f2, (b, size))
+        gram[rows] = (f1 * signs) @ f1.transpose(0, 2, 1)
+    return FrameOperators(members, basis, values, tau_vals, gram)

@@ -5,6 +5,23 @@ in the members of one eigenfamily is harmonic and horizontally conformal
 wherever Q does not vanish: tau(P/Q) = 0 and kappa(P/Q, P/Q) = 0.  Power
 families supply the constants of the degree-d polynomials, and orthogonal
 families (lambda = mu = 0) stay closed under polynomial composition.
+
+The verifiers work at the operator level.  The frame-operator kernel
+measures the member values phi_a, tau(phi_a) and kappa(phi_a, phi_b) once
+per sample; a polynomial F in the members then follows from the
+composition rules
+
+    tau(F(phi))            = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a, phi_b)
+    kappa(F(phi), G(phi))  = sum_ab F_a G_b kappa(phi_a, phi_b)
+
+with F_a, F_ab the gradient and Hessian of F at the member values, and the
+quotient from the quotient rule
+
+    tau(P/Q)            = tau P/Q - P tau Q/Q^2 - 2 kappa(P,Q)/Q^2 + 2P kappa(Q,Q)/Q^3
+    kappa(P/Q, P/Q)     = kappa(P,P)/Q^2 - 2P kappa(P,Q)/Q^3 + P^2 kappa(Q,Q)/Q^4.
+
+The member tau and kappa are measured, never taken from the family's stated
+(lambda, mu), so a wrong member list shows up as a failing residual.
 """
 
 from __future__ import annotations
@@ -17,7 +34,7 @@ import numpy as np
 from .errors import DomainError, InconclusiveError, ValidationError
 from .exprs import Const, Expr, HomPoly, Quotient, Sum
 from .families import Eigenfamily, verify_eigenfamily
-from .jets import BasisCurves
+from .jets import FrameOperators, frame_operators
 from .matrices import SignedBasis
 from .report import VerificationReport, timed_report
 from .sampling import SampleSet, SplitMix64
@@ -135,25 +152,100 @@ def mobius_transform(m: RationalMorphism, a, b, c, d) -> RationalMorphism:
 
 
 # ---------------------------------------------------------------------------
+# chain-rule operators
+# ---------------------------------------------------------------------------
+
+def polynomial_operators(poly: HomPoly, table: FrameOperators):
+    """Value (S,), gradient in the members (S, m) and tau (S,) of a
+    polynomial in the table's members, by the composition rule."""
+    if not table.describes(poly.args, table.basis):
+        raise ValidationError("polynomial arguments are not the members of the frame table")
+    value, grad, hess = poly.derivatives(table.values)
+    tau = np.einsum("sa,sa->s", grad, table.tau) + np.einsum("sab,sab->s", hess, table.kappa)
+    return value, grad, tau
+
+
+def _kappa(grad_f, grad_g, table: FrameOperators) -> np.ndarray:
+    return np.einsum("sa,sab,sb->s", grad_f, table.kappa, grad_g)
+
+
+@dataclass
+class QuotientOperators:
+    """P, Q and their five frame operators at stacked samples; ``tau`` and
+    ``kappa`` give those of P/Q by the quotient rule."""
+
+    p: np.ndarray
+    q: np.ndarray
+    tau_p: np.ndarray
+    tau_q: np.ndarray
+    kappa_pp: np.ndarray
+    kappa_pq: np.ndarray
+    kappa_qq: np.ndarray
+
+    @property
+    def tau(self) -> np.ndarray:
+        p, q = self.p, self.q
+        q2 = q * q
+        return (
+            self.tau_p / q
+            - (p * self.tau_q + 2.0 * self.kappa_pq) / q2
+            + 2.0 * p * self.kappa_qq / (q2 * q)
+        )
+
+    @property
+    def kappa(self) -> np.ndarray:
+        p, q = self.p, self.q
+        q2 = q * q
+        return (
+            self.kappa_pp / q2
+            - 2.0 * p * self.kappa_pq / (q2 * q)
+            + p * p * self.kappa_qq / (q2 * q2)
+        )
+
+
+def quotient_operators(P: HomPoly, Q: HomPoly, table: FrameOperators) -> QuotientOperators:
+    p, grad_p, tau_p = polynomial_operators(P, table)
+    q, grad_q, tau_q = polynomial_operators(Q, table)
+    return QuotientOperators(
+        p,
+        q,
+        tau_p,
+        tau_q,
+        _kappa(grad_p, grad_p, table),
+        _kappa(grad_p, grad_q, table),
+        _kappa(grad_q, grad_q, table),
+    )
+
+
+# ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
 
-def _collect_in_domain(in_domain, samples, sampler, min_samples):
-    points = list(samples)
-    target = min_samples if min_samples is not None else len(points)
-    kept = [x for x in points if in_domain(x)]
-    discarded = len(points) - len(kept)
-    drawn = len(points)
+def _collect_in_domain(screen, samples, sampler, min_samples):
+    """Screen ``samples``, then draw only the shortfall from ``sampler`` until
+    the target count is in domain or ten times the target has been drawn.
+
+    ``screen(batch)`` returns the frame table of a batch's in-domain points.
+    """
+    tables = [screen(samples)]
+    kept = len(tables[0])
+    drawn = len(samples)
+    target = min_samples if min_samples is not None else drawn
     budget = max(10 * max(target, 1), drawn)
-    while sampler is not None and len(kept) < target and drawn < budget:
-        batch = sampler(min(target, budget - drawn))
+    while sampler is not None and kept < target and drawn < budget:
+        batch = sampler(min(target - kept, budget - drawn))
         drawn += len(batch)
-        for x in batch:
-            if in_domain(x):
-                kept.append(x)
-            else:
-                discarded += 1
-    return kept, discarded
+        tables.append(screen(batch))
+        kept += len(tables[-1])
+    return FrameOperators.concat(tables), drawn - kept
+
+
+def _point_in_domain(expr: Expr, x) -> bool:
+    try:
+        expr.eval_point(np.asarray(x, dtype=complex))
+    except DomainError:
+        return False
+    return True
 
 
 def verify_harmonic_morphism(
@@ -167,49 +259,58 @@ def verify_harmonic_morphism(
 ) -> VerificationReport:
     """Measure max |tau(m)| and |kappa(m, m)| over in-domain samples.
 
-    ``m`` is a :class:`RationalMorphism` or any expression.  Samples where a
-    denominator falls below its domain floor are discarded; when a
-    ``sampler(count)`` callable is supplied the verifier draws replacements,
-    up to ten times the requested count, before declaring the run
-    inconclusive.
+    ``m`` is a :class:`RationalMorphism` or any expression.  A morphism is
+    verified by the quotient rule over its family members' frame table, and
+    ``samples`` may then already be that table (see :func:`frame_operators`);
+    any other expression is walked as one jet.  Samples where a denominator
+    falls below its domain floor are discarded; when a ``sampler(count)``
+    callable is supplied the verifier draws the shortfall again, up to ten
+    times the requested count in all, before declaring the run inconclusive.
     """
     if isinstance(m, RationalMorphism):
-        expr = m.expr
-        in_domain = m.in_domain
-        target = str(m.family.group)
-        params = {"degree": m.degree, "floor": m.floor, "members": len(m.family.members)}
-    else:
-        expr = m
+        members = m.family.members
 
-        def in_domain(x):
-            try:
-                expr.eval_point(np.asarray(x, dtype=complex))
-            except DomainError:
-                return False
-            return True
+        def screen(batch):
+            table = frame_operators(members, batch, basis)
+            q = m.denominator.derivatives(table.values)[0]
+            return table.rows(np.abs(q) > m.floor)
+
+        def operators(table):
+            ops = quotient_operators(m.numerator, m.denominator, table)
+            return ops.tau, ops.kappa
+
+        target = str(m.family.group)
+        params = {"degree": m.degree, "floor": m.floor, "members": len(members)}
+    else:
+        if isinstance(samples, FrameOperators):
+            raise ValidationError("a frame table can only verify a RationalMorphism")
+
+        def screen(batch):
+            return frame_operators([m], [x for x in batch if _point_in_domain(m, x)], basis)
+
+        def operators(table):
+            return table.tau[:, 0], table.kappa[:, 0, 0]
 
         target = str(basis.group)
         params = {}
+    if not isinstance(samples, (FrameOperators, np.ndarray)):
+        samples = list(samples)
     with timed_report() as clock:
-        kept, discarded = _collect_in_domain(in_domain, samples, sampler, min_samples)
-        if not kept:
+        table, discarded = _collect_in_domain(screen, samples, sampler, min_samples)
+        if not len(table):
             raise InconclusiveError(
                 "no sample cleared the domain floor; cannot verify the morphism"
             )
-        signs = basis.signs
-        tau_res = 0.0
-        kappa_res = 0.0
-        for x in kept:
-            jet = expr.eval_jet(BasisCurves(x, basis))
-            tau_res = max(tau_res, abs(complex(np.sum(signs * jet.f2))))
-            kappa_res = max(kappa_res, abs(complex(np.sum(signs * jet.f1 * jet.f1))))
+        tau, kappa = operators(table)
+        tau_res = float(np.max(np.abs(tau)))
+        kappa_res = float(np.max(np.abs(kappa)))
     return VerificationReport(
         check=check_name,
         target=target,
         params=params,
         residuals={"tau": tau_res, "kappa": kappa_res},
         tol=tol,
-        samples_used=len(kept),
+        samples_used=len(table),
         samples_discarded=discarded,
         wall_time=clock.elapsed,
     )
@@ -226,38 +327,30 @@ def verify_quotient_condition(
 ) -> VerificationReport:
     """Check Q^2 kappa(P,P) = PQ kappa(P,Q) = P^2 kappa(Q,Q) at each sample,
     plus the eigen-equations tau(P) = lambda_d P and tau(Q) = lambda_d Q with
-    the degree-d power constants."""
+    the degree-d power constants.  ``samples`` may be the family members'
+    frame table."""
     pn = _as_hompoly(P, fam.members)
     qn = _as_hompoly(Q, fam.members)
     lam_p, _ = power_constants(fam.lam, fam.mu, pn.degree)
     lam_q, _ = power_constants(fam.lam, fam.mu, qn.degree)
-    signs = basis.signs
-    res = {"triple_left": 0.0, "triple_right": 0.0, "tau_numerator": 0.0, "tau_denominator": 0.0}
     with timed_report() as clock:
-        count = 0
-        for x in samples:
-            curves = BasisCurves(x, basis)
-            jp = pn.eval_jet(curves)
-            jq = qn.eval_jet(curves)
-            p0 = complex(jp.f0)
-            q0 = complex(jq.f0)
-            kpp = complex(np.sum(signs * jp.f1 * jp.f1))
-            kpq = complex(np.sum(signs * jp.f1 * jq.f1))
-            kqq = complex(np.sum(signs * jq.f1 * jq.f1))
-            tp = complex(np.sum(signs * jp.f2))
-            tq = complex(np.sum(signs * jq.f2))
-            res["triple_left"] = max(res["triple_left"], abs(q0 * q0 * kpp - p0 * q0 * kpq))
-            res["triple_right"] = max(res["triple_right"], abs(p0 * p0 * kqq - p0 * q0 * kpq))
-            res["tau_numerator"] = max(res["tau_numerator"], abs(tp - lam_p * p0))
-            res["tau_denominator"] = max(res["tau_denominator"], abs(tq - lam_q * q0))
-            count += 1
+        table = frame_operators(fam.members, samples, basis)
+        ops = quotient_operators(pn, qn, table)
+        p0, q0 = ops.p, ops.q
+        res = {
+            "triple_left": np.abs(q0 * q0 * ops.kappa_pp - p0 * q0 * ops.kappa_pq),
+            "triple_right": np.abs(p0 * p0 * ops.kappa_qq - p0 * q0 * ops.kappa_pq),
+            "tau_numerator": np.abs(ops.tau_p - lam_p * p0),
+            "tau_denominator": np.abs(ops.tau_q - lam_q * q0),
+        }
+        res = {key: float(np.max(val, initial=0.0)) for key, val in res.items()}
     return VerificationReport(
         check=check_name,
         target=str(fam.group),
         params={"degree_P": pn.degree, "degree_Q": qn.degree},
         residuals=res,
         tol=tol,
-        samples_used=count,
+        samples_used=len(table),
         wall_time=clock.elapsed,
     )
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ValidationError
-from .matrices import GroupId, SignedBasis, symplectic_matrix
+from .matrices import GroupId, symplectic_matrix
 
 _MASK64 = (1 << 64) - 1
 
@@ -148,12 +148,3 @@ def sample_compact(group: GroupId, count: int, radius: float = 0.5, seed: int = 
     """Draw ``count`` seeded points of a compact group."""
     return compact_sampler(group, radius, seed).take(count)
 
-
-def basis_sampler(
-    label: str,
-    basis: SignedBasis,
-    radius: float = 0.5,
-    seed: int = 42,
-    defect_fn=None,
-) -> GroupSampler:
-    return GroupSampler(label, basis.matrices, radius, seed, defect_fn)

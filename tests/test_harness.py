@@ -206,3 +206,59 @@ def test_report_pass_iff_residuals_below_tol():
     assert rep2.passed
     nan = VerificationReport("x", "y", {}, {"a": float("nan")}, tol=1e-8)
     assert not nan.passed
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--samples", "3", "--radius", "1.0", "--floor", "0.9"], "samples"),
+        (["--radius", "0.5"], "radius"),
+        (["--floor", "0.001"], "floor"),
+    ],
+)
+def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
+    assert main(["suite"] + flags) == 2
+    assert f"field: {field}" in capsys.readouterr().err
+
+
+def test_cli_suite_reads_seed_tol_and_out(tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    assert main(["suite", "--seed", "3", "--tol", "1e-8", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["seed"], doc["tol"], doc["passed"]) == (3, 1e-8, True)
+
+
+def test_cli_suite_rejects_config_fields_it_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"seed": 3, "samples": 7}))
+    assert main(["suite", "--config", str(cfg)]) == 2
+    assert "field: samples" in capsys.readouterr().err
+
+
+def test_factory_check_replays_from_its_recorded_seeds():
+    from lgh import morphisms as mo
+    from lgh.jets import frame_operators
+    from lgh.matrices import compact_basis
+    from lgh.sampling import SplitMix64, compact_sampler
+
+    index, fam = 4, H._factory_families()[4]
+    factory, triple = H._check_morphism_factory(fam, H.DEFAULT_SEED + index)
+    params = factory.params
+    assert params["sampler_seed"] == H.DEFAULT_SEED + index
+    assert params["rng_seed"] == params["sampler_seed"] ^ 0xFAC7041
+    assert triple.params["rng_seed"] == params["rng_seed"]
+    # replay with the public API and the recorded seeds alone
+    basis = compact_basis(fam.group)
+    sampler = compact_sampler(fam.group, 0.5, params["sampler_seed"])
+    rng = SplitMix64(params["rng_seed"])
+    table = frame_operators(fam.members, sampler.take(50), basis)
+    tau = kappa = 0.0
+    for _ in range(params["pairs"]):
+        morph = mo.random_morphism(fam, 1 + rng.next_u64() % 3, rng, floor=params["floor"])
+        rep = mo.verify_harmonic_morphism(
+            morph, basis, table, tol=factory.tol, min_samples=50,
+            sampler=lambda k: sampler.take(k).points,
+        )
+        tau = max(tau, rep.residuals["tau"])
+        kappa = max(kappa, rep.residuals["kappa"])
+    assert (tau, kappa) == (factory.residuals["tau"], factory.residuals["kappa"])

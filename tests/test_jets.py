@@ -206,3 +206,56 @@ def test_basis_curves_match_single_curves():
         single = f.eval_jet(CurvePoint(x, vec))
         assert abs(batched.f1[b] - single.f1) < 1e-14
         assert abs(batched.f2[b] - single.f2) < 1e-14
+
+
+def _frame_cases():
+    from lgh import duality as du
+    from lgh import families as fa
+    from lgh import morphisms as mo
+
+    fam = fa.u_family(2, np.array([1.0, 0.5j]))
+    members = fam.members + mo.power_family(fam, 2).members
+    yield "U(2)+powers", members, M.compact_basis(fam.group), sample_compact(fam.group, 40, 0.5, 21)
+    pair = du.dual_pair(M.su_pq(1, 2))
+    dfam = du.default_compact_family(pair)
+    members = dfam.members + mo.power_family(dfam, 2).members[:3]
+    yield "SU(1,2) frame", members, pair.frame, du.sample_noncompact(pair, 40, 0.5, 22)
+
+
+@pytest.mark.parametrize("case", list(_frame_cases()), ids=lambda c: c[0])
+def test_frame_operators_match_per_sample_tau_and_kappa(case):
+    from lgh.jets import SAMPLE_BLOCK, frame_operators
+
+    _, members, basis, samples = case
+    assert len(samples) > 2 * SAMPLE_BLOCK  # crosses block boundaries
+    ops = frame_operators(members, samples, basis)
+    m = len(members)
+    assert ops.values.shape == (len(samples), m)
+    assert ops.tau.shape == (len(samples), m)
+    assert ops.kappa.shape == (len(samples), m, m)
+    for s, x in enumerate(samples):
+        for a, f in enumerate(members):
+            assert abs(ops.values[s, a] - f.eval_point(x)) <= 1e-12
+            assert abs(ops.tau[s, a] - tau(f, x, basis)) <= 1e-12
+            for c, g in enumerate(members):
+                assert abs(ops.kappa[s, a, c] - kappa(f, g, x, basis)) <= 1e-12
+
+
+def test_frame_operators_pass_their_own_table_through_only():
+    from lgh import families as fa
+    from lgh.errors import ValidationError
+    from lgh.jets import frame_operators
+
+    fam = fa.u_family(2, np.array([1.0, 0.0]))
+    basis = M.compact_basis(fam.group)
+    samples = sample_compact(fam.group, 5, 0.5, 3)
+    table = frame_operators(fam.members, samples, basis)
+    assert frame_operators(fam.members, table, basis) is table
+    with pytest.raises(ValidationError):
+        frame_operators(fam.members[:1], table, basis)
+    with pytest.raises(ValidationError):
+        frame_operators(fam.members, table, M.compact_basis(M.SU(2)))
+    with pytest.raises(ValidationError):
+        frame_operators(fam.members, [np.eye(3)], basis)
+    empty = frame_operators(fam.members, [], basis)
+    assert empty.values.shape == (0, 2) and empty.kappa.shape == (0, 2, 2)

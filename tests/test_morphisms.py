@@ -240,3 +240,103 @@ def test_compose_orthogonal_rejects_bad_exponents():
     orth, _ = _shared_denominator_orthogonal_family()
     with pytest.raises(ValidationError):
         mo.compose_orthogonal(orth, {(1, 0, 0): 1.0})
+
+
+# ---------------------------------------------------------------------------
+# the chain-rule layer against the full-jet walk
+# ---------------------------------------------------------------------------
+
+def _oracle_cases():
+    su2 = fa.su_family(2, _e(2))
+    yield "hopf-SU(2)", su2, HomPoly({(1, 0): 1.0}, su2.members), HomPoly({(0, 1): 1.0}, su2.members)
+    families = {
+        "U(2)": fa.u_family(2, _e(2)),
+        "SO(4)-point": fa.so_family_special(4, fa.so4_deformation(0.0, 0.0)),
+        "Sp(1)": fa.sp_family(1, _e(1)),
+    }
+    for name, fam in families.items():
+        rng = SplitMix64(7)
+        for degree in (1, 2, 3):
+            m = mo.random_morphism(fam, degree, rng)
+            yield f"{name}-degree-{degree}", fam, m.numerator, m.denominator
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_chain_rule_matches_full_jet_walk(case):
+    from lgh.jets import BasisCurves, frame_operators
+
+    _, fam, P, Q = case
+    basis = M.compact_basis(fam.group)
+    signs = basis.signs
+    samples = sample_compact(fam.group, 30, 0.5, 11)
+    ops = mo.quotient_operators(P, Q, frame_operators(fam.members, samples, basis))
+    checked = 0
+    for s, x in enumerate(samples):
+        curves = BasisCurves(x, basis)
+        jp = P.eval_jet(curves)
+        jq = Q.eval_jet(curves)
+        walked = {
+            "p": jp.f0,
+            "q": jq.f0,
+            "tau_p": np.sum(signs * jp.f2),
+            "tau_q": np.sum(signs * jq.f2),
+            "kappa_pp": np.sum(signs * jp.f1 * jp.f1),
+            "kappa_pq": np.sum(signs * jp.f1 * jq.f1),
+            "kappa_qq": np.sum(signs * jq.f1 * jq.f1),
+        }
+        for key, value in walked.items():
+            assert abs(getattr(ops, key)[s] - value) <= 1e-12, key
+        if abs(jq.f0) > 0.2:
+            jet = Quotient(P, Q, 0.2).eval_jet(curves)
+            assert abs(ops.tau[s] - np.sum(signs * jet.f2)) <= 1e-12
+            assert abs(ops.kappa[s] - np.sum(signs * jet.f1 * jet.f1)) <= 1e-12
+            checked += 1
+    assert checked >= 10
+
+
+def test_morphism_layer_reads_measured_not_stated_constants():
+    from lgh import harness as H
+    from lgh.exprs import Entry
+
+    fam = fa.so_family_V(4, _e(4), fa.maximal_isotropic_basis(4))
+    wrong = fa.Eigenfamily(fam.group, fam.members, fam.lam + 3.0, fam.mu - 2.0, "wrong-constants")
+    factory, _ = H._check_morphism_factory(wrong, 42, pairs=6)
+    assert factory.passed, factory.residuals
+    # a non-member in the member list breaks the eigenfamily, and with it
+    # every quotient built from it
+    broken = fa.Eigenfamily(fam.group, [fam.members[0], Entry(1, 1)], fam.lam, fam.mu, "non-member")
+    factory, _ = H._check_morphism_factory(broken, 42, pairs=6)
+    assert max(factory.residuals.values()) > 1e-3
+
+
+def test_resampling_draws_only_the_shortfall():
+    fam = fa.su_family(2, _e(2))
+    m = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0}, floor=0.4)
+    basis = M.compact_basis(fam.group)
+    sampler = compact_sampler(fam.group, 0.5, 42)
+    first = sampler.take(40)
+    kept_first = sum(m.in_domain(x) for x in first)
+    requests = []
+
+    def draw(k):
+        requests.append(k)
+        return sampler.take(k).points
+
+    rep = mo.verify_harmonic_morphism(m, basis, first, tol=1e-8, min_samples=40, sampler=draw)
+    assert rep.samples_used == 40
+    assert requests[0] == 40 - kept_first
+    assert sum(requests) == 40 + rep.samples_discarded - len(first)
+
+
+def test_frame_table_must_describe_the_family_members():
+    from lgh.jets import frame_operators
+
+    fam = fa.u_family(2, _e(2))
+    other = fa.u_family(2, _e(2, 1))
+    basis = M.compact_basis(fam.group)
+    table = frame_operators(other.members, sample_compact(fam.group, 10, 0.5, 42), basis)
+    m = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0})
+    with pytest.raises(ValidationError):
+        mo.verify_harmonic_morphism(m, basis, table)
+    with pytest.raises(ValidationError):
+        mo.verify_harmonic_morphism(m.expr, basis, table)
