@@ -30,6 +30,7 @@ from .families import (
     su_family,
     verify_eigenfamily,
 )
+from .jets import stack_samples
 from .matrices import (
     GroupId,
     SignedBasis,
@@ -41,7 +42,7 @@ from .matrices import (
     trace_form,
 )
 from .report import VerificationReport, timed_report
-from .sampling import GroupSampler, SampleSet
+from .sampling import GroupSampler, SampleSet, _det_defect, _maxabs_rows, _worst
 
 
 @dataclass
@@ -227,39 +228,37 @@ def continue_function(f: Expr) -> Expr:
 # sampling the non-compact side
 # ---------------------------------------------------------------------------
 
-def _maxabs(m) -> float:
-    return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
-
-
-def aligned_defect(pair: DualPair, x: np.ndarray) -> float:
-    """Violation of the invariants of the aligned real form at a point."""
+def aligned_defect(pair: DualPair, xs: np.ndarray) -> np.ndarray:
+    """Violation of the invariants of the aligned real form at each point of
+    an (S, n, n) stack."""
     f = pair.noncompact.family
-    n = x.shape[0]
-    eye = np.eye(n)
+    xs = np.asarray(xs)
+    n = xs.shape[-1]
+    xt = np.swapaxes(xs, -1, -2)
     if f == "SLR":
-        return max(_maxabs(x.imag), abs(np.linalg.det(x) - 1.0))
+        return _worst(_maxabs_rows(xs.imag), _det_defect(xs))
     if f == "SUstar":
         j = symplectic_matrix(n // 2)
-        return max(_maxabs(j @ x.conj() @ (-j) - x), abs(np.linalg.det(x) - 1.0))
+        return _worst(_maxabs_rows(j @ xs.conj() @ (-j) - xs), _det_defect(xs))
     if f == "SpR":
         j = symplectic_matrix(n // 2)
-        return max(_maxabs(x.imag), _maxabs(x @ j @ x.T - j))
+        return _worst(_maxabs_rows(xs.imag), _maxabs_rows(xs @ j @ xt - j))
     if f == "SOstar":
         j = symplectic_matrix(n // 2)
-        return max(_maxabs(x @ x.T - eye), _maxabs(x @ j @ x.conj().T - j))
+        return _worst(_maxabs_rows(xs @ xt - np.eye(n)), _maxabs_rows(xs @ j @ xt.conj() - j))
     if f == "SOpq":
-        return max(_maxabs(x @ x.T - eye), abs(np.linalg.det(x) - 1.0))
+        return _worst(_maxabs_rows(xs @ xt - np.eye(n)), _det_defect(xs))
     if f == "SUpq":
         ipq = signature_matrix(pair.noncompact.p, pair.noncompact.q)
-        return max(_maxabs(x @ ipq @ x.conj().T - ipq), abs(np.linalg.det(x) - 1.0))
+        return _worst(_maxabs_rows(xs @ ipq @ xt.conj() - ipq), _det_defect(xs))
     if f == "Sppq":
         j = symplectic_matrix(n // 2)
         k = np.kron(np.eye(2), signature_matrix(pair.noncompact.p, pair.noncompact.q))
-        return max(_maxabs(x @ j @ x.T - j), _maxabs(x @ k @ x.conj().T - k))
+        return _worst(_maxabs_rows(xs @ j @ xt - j), _maxabs_rows(xs @ k @ xt.conj() - k))
     # identity pair: the compact group itself
     from .sampling import compact_defect
 
-    return compact_defect(pair.noncompact, x)
+    return compact_defect(pair.noncompact, xs)
 
 
 def aligned_sampler(pair: DualPair, radius: float = 0.5, seed: int = 42) -> GroupSampler:
@@ -268,7 +267,7 @@ def aligned_sampler(pair: DualPair, radius: float = 0.5, seed: int = 42) -> Grou
         pair.frame.matrices,
         radius,
         seed,
-        defect_fn=lambda x: aligned_defect(pair, x),
+        defect_fn=lambda xs: aligned_defect(pair, xs),
     )
 
 
@@ -350,8 +349,8 @@ def probe_noncontinuable(
         provenance=fam.provenance + "-probe",
     )
     with timed_report() as clock:
-        points = list(samples)
-        if points:
+        points = stack_samples(samples, pair.frame)
+        if len(points):
             rep = verify_eigenfamily(target, pair.frame, points, tol=np.inf, check_name="probe")
             residuals = rep.residuals
         else:

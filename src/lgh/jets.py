@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .matrices import SignedBasis, SignedBasisVector
+from .sampling import SampleSet
 
 # Samples per block of a batched walk.  A block's seeds hold
 # 2 * SAMPLE_BLOCK * B * n^2 complex entries and a coordinate kappa table
@@ -221,8 +222,11 @@ class FrameOperators:
 
 
 def stack_samples(xs, basis: SignedBasis) -> np.ndarray:
-    """Samples (a sequence of points or an array) as an (S, n, n) stack."""
+    """Samples (a :class:`SampleSet`, a sequence of points or an array) as
+    an (S, n, n) stack."""
     n = basis.matrices.shape[-1]
+    if isinstance(xs, SampleSet):
+        xs = xs.points
     stack = np.asarray(xs if isinstance(xs, np.ndarray) else list(xs), dtype=complex)
     if not stack.size:
         return np.empty((0, n, n), dtype=complex)

@@ -293,7 +293,7 @@ def verify_harmonic_morphism(
 
         target = str(basis.group)
         params = {}
-    if not isinstance(samples, (FrameOperators, np.ndarray)):
+    if not isinstance(samples, (FrameOperators, SampleSet, np.ndarray)):
         samples = list(samples)
     with timed_report() as clock:
         table, discarded = _collect_in_domain(screen, samples, sampler, min_samples)
