@@ -60,15 +60,10 @@ from .families import (
 from .harness import RunConfig, run_suite
 from .jets import (
     BasisCurves,
-    CurvePoint,
     FrameOperators,
     Jet2,
     entry_jet,
     frame_operators,
-    jet_add,
-    jet_div,
-    jet_mul,
-    jet_scale,
     kappa,
     tau,
 )
@@ -84,7 +79,6 @@ from .matrices import (
     generator,
     glc_split_basis,
     gram_schmidt_indefinite,
-    hermitian_form,
     quaternion_embed,
     signature_matrix,
     sl_r,

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .errors import ConfigError, InconclusiveError, ValidationError
-from .harness import COMMANDS, DEFAULT_SEED, RunConfig, load_config, run_suite
+from .harness import DEFAULT_SEED, RunConfig, load_config, run, run_suite
 
 
 def _add_common(sub):
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("verify-identities", help="generator summation identities")
-    s.add_argument("--n", type=int, default=5)
+    s.add_argument("--n", type=int, help="matrix size (default 5)")
     _add_common(s)
 
     s = sub.add_parser("verify-lemma", help="coordinate-function tau/kappa relations")
@@ -127,14 +127,13 @@ def _emit(document: dict, out: str | None):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        cfg = _config_from_args(args)
         if args.command == "suite":
-            cfg = _config_from_args(args)
             _reject_suite_fields(args, cfg)
             document = run_suite(seed=cfg.seed, tol=cfg.tol)
             _emit(document, args.out)
             return 0 if document["passed"] else 1
-        cfg = _config_from_args(args)
-        report = COMMANDS[args.command](cfg)
+        report = run(args.command, cfg)
         _emit(report.to_dict(), args.out)
         return 0 if report.passed else 1
     except ConfigError as exc:

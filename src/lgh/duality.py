@@ -34,12 +34,10 @@ from .jets import stack_samples
 from .matrices import (
     GroupId,
     SignedBasis,
-    SignedBasisVector,
     compact_basis,
     gram_schmidt_indefinite,
     signature_matrix,
     symplectic_matrix,
-    trace_form,
 )
 from .report import VerificationReport, timed_report
 from .sampling import GroupSampler, SampleSet, _det_defect, _maxabs_rows, _worst
@@ -103,22 +101,15 @@ def _involution(gid: GroupId):
     raise ValidationError(f"no Cartan involution for family {f!r}")
 
 
-def _bracket(a, b):
-    return a @ b - b @ a
-
-
 def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis) -> dict:
     zs = base.matrices
     res = {}
     res["involution"] = float(np.max(np.abs(theta(theta(zs)) - zs))) if len(base) else 0.0
-    # automorphism on compact basis pairs: theta[Z, W] = [theta Z, theta W]
-    auto = 0.0
+    # automorphism on all compact basis pairs: theta[Z, W] = [theta Z, theta W]
     tz = theta(zs)
-    for a in range(len(base)):
-        lhs = theta(_bracket(zs[a], zs))
-        rhs = _bracket(tz[a], tz)
-        auto = max(auto, float(np.max(np.abs(lhs - rhs))))
-    res["automorphism"] = auto
+    brackets = zs[:, None] @ zs - zs @ zs[:, None]
+    theta_brackets = tz[:, None] @ tz - tz @ tz[:, None]
+    res["automorphism"] = float(np.max(np.abs(theta(brackets) - theta_brackets), initial=0.0))
 
     def wrong_component(brackets, wrong: SignedBasis) -> float:
         if not len(wrong) or not brackets.size:
@@ -141,17 +132,12 @@ def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis) ->
         closure = max(closure, wrong_component(pp, p))
     res["bracket_closure"] = closure
 
-    sign_dev = 0.0
-    for v in list(k.vectors) + list(p.vectors):
-        sign_dev = max(sign_dev, abs(trace_form(v.matrix, v.matrix) - v.sign))
-    res["sign_normalization"] = sign_dev
-
-    ortho = 0.0
-    frame = list(k.vectors) + list(p.vectors)
-    for a in range(len(frame)):
-        for b in range(a + 1, len(frame)):
-            ortho = max(ortho, abs(trace_form(frame[a].matrix, frame[b].matrix)))
-    res["orthogonality"] = ortho
+    # Gram matrix of Re trace(Z W) over the frame k then p
+    frame = np.concatenate([km, pm])
+    gram = np.einsum("aij,bji->ab", frame, frame).real
+    signs = np.concatenate([k.signs, p.signs])
+    res["sign_normalization"] = float(np.max(np.abs(np.diagonal(gram) - signs), initial=0.0))
+    res["orthogonality"] = float(np.max(np.abs(np.triu(gram, 1)), initial=0.0))
     return res
 
 
@@ -262,13 +248,7 @@ def aligned_defect(pair: DualPair, xs: np.ndarray) -> np.ndarray:
 
 
 def aligned_sampler(pair: DualPair, radius: float = 0.5, seed: int = 42) -> GroupSampler:
-    return GroupSampler(
-        str(pair.noncompact),
-        pair.frame.matrices,
-        radius,
-        seed,
-        defect_fn=lambda xs: aligned_defect(pair, xs),
-    )
+    return GroupSampler(pair.frame.matrices, radius, seed, defect_fn=lambda xs: aligned_defect(pair, xs))
 
 
 def sample_noncompact(pair: DualPair, count: int, radius: float = 0.5, seed: int = 42) -> SampleSet:
@@ -308,12 +288,11 @@ def verify_dual_eigenfamily(
     fam: Eigenfamily,
     samples,
     tol: float = 1e-8,
-    check_name: str = "dual-eigenfamily",
 ) -> VerificationReport:
     """Verify the continued family on non-compact samples with the signed
     frame: tau and kappa must hit the negated compact constants."""
     dfam = dual_family(pair, fam)
-    rep = verify_eigenfamily(dfam, pair.frame, samples, tol=tol, check_name=check_name)
+    rep = verify_eigenfamily(dfam, pair.frame, samples, tol=tol, check_name="dual-eigenfamily")
     rep.target = f"{pair.noncompact} ~ {pair.compact}"
     rep.notes["compact_lambda"] = [fam.lam.real, fam.lam.imag]
     rep.notes["compact_mu"] = [fam.mu.real, fam.mu.imag]

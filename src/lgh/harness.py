@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from . import duality as du
 from . import families as fa
 from . import morphisms as mo
 from .errors import ConfigError, ValidationError
-from .exprs import HomPoly
 from .jets import frame_operators
 from .matrices import GroupId, compact_basis, verify_matrix_identities
 from .report import VerificationReport, timed_report
@@ -237,6 +237,7 @@ def run_duality(cfg: RunConfig) -> VerificationReport:
     samples = du.sample_noncompact(pair, cfg.samples, cfg.radius, cfg.seed)
     rep = du.verify_dual_eigenfamily(pair, fam, samples, tol=cfg.tol)
     rep.residuals.update({f"frame_{k}": v for k, v in pair.residuals.items()})
+    rep.notes["max_aligned_defect"] = rep.notes["max_group_defect"]
     return rep
 
 
@@ -273,42 +274,40 @@ COMMANDS = {
 }
 
 
+def run(command: str, cfg: RunConfig) -> VerificationReport:
+    """One ``lgh`` subcommand on a config, as the CLI and the suite run it;
+    ``cfg.check``, when set, names the report."""
+    report = COMMANDS[command](cfg)
+    if cfg.check is not None:
+        report.check = cfg.check
+    return report
+
+
 # ---------------------------------------------------------------------------
 # the full suite
 # ---------------------------------------------------------------------------
 
-def _unit(n: int, k: int = 0) -> np.ndarray:
-    e = np.zeros(n, dtype=complex)
-    e[k] = 1.0
-    return e
+# The linear eigenfamilies of the suite as family specs: the SO(n)
+# isotropic-subspace families, U(n), SU(n) and Sp(n) from e_1.
+FAMILY_SPECS = (
+    *({"group": {"family": "so", "n": n}, "V": "standard"} for n in (4, 5, 6)),
+    *({"group": {"family": g, "n": n}} for n in (2, 3) for g in ("u", "su")),
+    *({"group": {"family": "sp", "n": n}} for n in (1, 2)),
+)
+U2_SPEC = {"group": {"family": "u", "n": 2}}
+SO4_POINT_SPEC = {"group": {"family": "so", "n": 4}, "deformation": {}}
 
-
-def _criterion5_families():
-    """The eigenfamily verification matrix: (name, family) pairs."""
-    out = []
-    for n in (4, 5, 6):
-        out.append(
-            (f"eigenfamily-SO({n})-subspace", fa.so_family_V(n, _unit(n), fa.maximal_isotropic_basis(n)))
-        )
-    for n in (2, 3):
-        out.append((f"eigenfamily-U({n})", fa.u_family(n, _unit(n))))
-        out.append((f"eigenfamily-SU({n})", fa.su_family(n, _unit(n))))
-    for n in (1, 2):
-        out.append((f"eigenfamily-Sp({n})", fa.sp_family(n, _unit(n))))
-    return out
+# The Hopf map z/w on SU(2), in the coordinates of the SU(2) family.
+HOPF_SPEC = {
+    "P": [{"exponents": [1, 0], "coeff": [1.0, 0.0]}],
+    "Q": [{"exponents": [0, 1], "coeff": [1.0, 0.0]}],
+}
 
 
 def _factory_families():
-    fams = []
-    for n in (4, 5, 6):
-        fams.append(fa.so_family_V(n, _unit(n), fa.maximal_isotropic_basis(n)))
-    fams.append(fa.so_family_special(4, fa.so4_deformation(0.0, 0.0)))
-    for n in (2, 3):
-        fams.append(fa.u_family(n, _unit(n)))
-        fams.append(fa.su_family(n, _unit(n)))
-    for n in (1, 2):
-        fams.append(fa.sp_family(n, _unit(n)))
-    return fams
+    """The linear families plus the isotropic-point family on SO(4)."""
+    specs = FAMILY_SPECS[:3] + (SO4_POINT_SPEC,) + FAMILY_SPECS[3:]
+    return [family_from_spec(spec) for spec in specs]
 
 
 DUALITY_PAIRS = (
@@ -373,15 +372,14 @@ def _check_constants_crosscheck(tol: float) -> VerificationReport:
 
 def _check_family_negative_control(seed: int, tol: float) -> VerificationReport:
     """A wrong lambda must be detected with residual |dlambda| * max|phi|."""
-    fam = fa.u_family(2, _unit(2))
+    fam = family_from_spec(U2_SPEC)
     broken = fa.Eigenfamily(fam.group, fam.members, fam.lam + 0.1, fam.mu, "control")
     basis = compact_basis(fam.group)
     with timed_report() as clock:
         samples = compact_sampler(fam.group, 0.5, seed).take(100)
-        rep = fa.verify_eigenfamily(broken, basis, samples, tol=tol)
-        peak = max(
-            abs(m.eval_point(x)) for x in samples for m in fam.members
-        )
+        table = frame_operators(fam.members, samples, basis)
+        rep = fa.verify_eigenfamily(broken, basis, table, tol=tol)
+        peak = float(np.max(np.abs(table.values)))
         predicted = 0.1 * peak
         deviation = abs(rep.residuals["tau"] - predicted)
         failed_as_expected = 0.0 if rep.residuals["tau"] > tol else 1.0
@@ -391,7 +389,7 @@ def _check_family_negative_control(seed: int, tol: float) -> VerificationReport:
         params={"lambda_shift": 0.1},
         residuals={"deviation_from_prediction": deviation, "control_must_fail": failed_as_expected},
         tol=max(tol, 1e-10),
-        samples_used=len(samples),
+        samples_used=len(table),
         wall_time=clock.elapsed,
         notes={"observed_tau_residual": rep.residuals["tau"], "predicted": predicted},
     )
@@ -462,29 +460,12 @@ def _check_morphism_factory(fam: fa.Eigenfamily, seed: int, pairs: int = 20, min
     return factory, triple
 
 
-def _check_hopf(seed: int) -> VerificationReport:
-    fam = fa.su_family(2, _unit(2))
-    morph = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0}, floor=0.1)
-    basis = compact_basis(fam.group)
-    sampler = compact_sampler(fam.group, 0.5, seed)
-    rep = mo.verify_harmonic_morphism(
-        morph,
-        basis,
-        sampler.take(100),
-        tol=HOPF_TOL,
-        min_samples=100,
-        sampler=lambda k: sampler.take(k).points,
-        check_name="morphism-hopf",
-    )
-    return rep
-
-
 def _check_morphism_negative_control(seed: int, tol: float) -> VerificationReport:
     """tau(z_11) = -2 z_11 on U(2), so the 'quotient' z_11/1 must fail with
     tau residual 2 max|z_11| and kappa residual max|z_11|^2."""
     gid = GroupId("U", 2)
     basis = compact_basis(gid)
-    member = fa.u_family(2, _unit(2)).members[0]
+    member = family_from_spec(U2_SPEC).members[0]
     with timed_report() as clock:
         samples = compact_sampler(gid, 0.5, seed).take(100)
         ops = frame_operators([member], samples, basis)
@@ -537,69 +518,52 @@ def _check_power_family(fam: fa.Eigenfamily, k: int, seed: int, tol: float) -> V
     )
 
 
-def _check_duality(alias: str, params: dict, seed: int, tol: float) -> VerificationReport:
-    spec = {"family": alias, **params}
-    pair = pair_from_spec(spec)
-    fam = du.default_compact_family(pair)
-    samples = du.sample_noncompact(pair, 100, 0.5, seed)
-    rep = du.verify_dual_eigenfamily(pair, fam, samples, tol=tol, check_name="duality")
-    rep.residuals.update({f"frame_{k}": v for k, v in pair.residuals.items()})
-    rep.notes["max_aligned_defect"] = samples.max_defect
-    return rep
-
-
-def _check_probe(seed: int) -> VerificationReport:
-    pair = du.dual_pair(GroupId("SOpq", p=2, q=2))
-    fam = fa.so_family_special(4, fa.so4_deformation(0.0, 0.0))
-    samples = du.sample_noncompact(pair, 100, 0.5, seed)
-    return du.probe_noncontinuable(pair, fam, samples)
-
-
 def suite_checks(seed: int = DEFAULT_SEED, tol: float = 1e-8):
-    """The acceptance matrix as (name, thunk) pairs."""
-    checks = []
-    for n in range(2, 11):
-        checks.append((f"identities-n{n}", lambda n=n: verify_matrix_identities(n, tol=min(tol, 1e-12))))
-    for n in range(2, 7):
-        cfg = RunConfig(group={"family": "so", "n": n}, samples=200, seed=seed, tol=tol)
-        checks.append((f"coordinate-lemmas-SO({n})", lambda c=cfg: run_lemma(c)))
-    for n in range(2, 5):
-        cfg = RunConfig(group={"family": "u", "n": n}, samples=200, seed=seed, tol=tol)
-        checks.append((f"coordinate-lemmas-U({n})", lambda c=cfg: run_lemma(c)))
-    for n in range(1, 4):
-        cfg = RunConfig(group={"family": "sp", "n": n}, samples=200, seed=seed, tol=tol)
-        checks.append((f"coordinate-lemmas-Sp({n})", lambda c=cfg: run_lemma(c)))
+    """The acceptance matrix as (label, command, config) rows, in report order.
 
-    for name, fam in _criterion5_families():
-        def thunk(f=fam):
-            basis = compact_basis(f.group)
-            samples = compact_sampler(f.group, 0.5, seed).take(100)
-            return fa.verify_eigenfamily(f, basis, samples, tol=tol)
+    Where ``command`` is an ``lgh`` subcommand, the row's report is what
+    ``lgh <command> --config`` gives for ``config``, wall time aside.  The
+    suite-only checks carry a callable instead, and no config.
+    """
 
-        checks.append((name, thunk))
-    checks.append(("eigenfamily-deformations", lambda: _check_deformed_families(seed, tol)))
-    checks.append(("constants-crosscheck", lambda: _check_constants_crosscheck(tol)))
-    checks.append(("family-negative-control", lambda: _check_family_negative_control(seed, tol)))
+    def cli(label, command, **fields):
+        return label, command, RunConfig(**{"seed": seed, "tol": tol, **fields})
 
+    rows = [cli(f"identities-n{n}", "verify-identities", n=n) for n in range(2, 11)]
+    for alias, sizes in (("so", range(2, 7)), ("u", range(2, 5)), ("sp", range(1, 4))):
+        for n in sizes:
+            group = {"family": alias, "n": n}
+            rows.append(cli(f"coordinate-lemmas-{group_from_spec(group)}", "verify-lemma", group=group, samples=200))
+    for spec in FAMILY_SPECS:
+        rows.append(cli(f"eigenfamily-{group_from_spec(spec['group'])}", "verify-family", family=spec))
+    rows += [
+        ("eigenfamily-deformations", partial(_check_deformed_families, seed, tol), None),
+        ("constants-crosscheck", partial(_check_constants_crosscheck, tol), None),
+        ("family-negative-control", partial(_check_family_negative_control, seed, tol), None),
+    ]
     for i, fam in enumerate(_factory_families()):
-        def thunk(f=fam, off=i):
-            return _check_morphism_factory(f, seed + off)
-
-        checks.append((f"morphism-factory[{fam.provenance}-{fam.group}]", thunk))
-    checks.append(("morphism-hopf", lambda: _check_hopf(seed)))
-    checks.append(("morphism-negative-control", lambda: _check_morphism_negative_control(seed, tol)))
-
-    for fam_name, fam in (("U(2)", fa.u_family(2, _unit(2))), ("SO(4)", fa.so_family_V(4, _unit(4), fa.maximal_isotropic_basis(4)))):
+        rows.append((f"morphism-factory[{fam.provenance}-{fam.group}]", partial(_check_morphism_factory, fam, seed + i), None))
+    rows.append(
+        cli(
+            "morphism-hopf",
+            "verify-morphism",
+            check="morphism-hopf",
+            family={"group": {"family": "su", "n": 2}},
+            morphism=HOPF_SPEC,
+            floor=0.1,
+            tol=HOPF_TOL,
+        )
+    )
+    rows.append(("morphism-negative-control", partial(_check_morphism_negative_control, seed, tol), None))
+    for spec in (U2_SPEC, FAMILY_SPECS[0]):
+        fam = family_from_spec(spec)
         for k in (2, 3):
-            checks.append(
-                (f"power-family-{fam_name}-k{k}", lambda f=fam, kk=k: _check_power_family(f, kk, seed, tol))
-            )
-
+            rows.append((f"power-family-{fam.group}-k{k}", partial(_check_power_family, fam, k, seed, tol), None))
     for alias, params in DUALITY_PAIRS:
-        label = "duality-" + str(group_from_spec({"family": alias, **params}))
-        checks.append((label, lambda a=alias, p=params: _check_duality(a, p, seed, tol)))
-    checks.append(("probe-noncontinuable-SO(2,2)", lambda: _check_probe(seed)))
-    return checks
+        pair = {"family": alias, **params}
+        rows.append(cli(f"duality-{group_from_spec(pair)}", "verify-duality", check="duality", pair=pair))
+    rows.append(cli("probe-noncontinuable-SO(2,2)", "probe-duality", pair={"family": "so_pq", "p": 2, "q": 2}))
+    return rows
 
 
 def run_suite(seed: int = DEFAULT_SEED, tol: float = 1e-8) -> dict:
@@ -608,8 +572,8 @@ def run_suite(seed: int = DEFAULT_SEED, tol: float = 1e-8) -> dict:
     Results are ordered by the check list.
     """
     flat = []
-    for _, thunk in suite_checks(seed, tol):
-        result = thunk()
+    for _, command, cfg in suite_checks(seed, tol):
+        result = command() if cfg is None else run(command, cfg)
         flat.extend(result if isinstance(result, tuple) else (result,))
     return {
         "suite": "lgh",

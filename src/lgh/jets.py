@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .matrices import SignedBasis, SignedBasisVector
+from .matrices import SignedBasis
 from .sampling import SampleSet
 
 # Samples per block of a batched walk.  A block's seeds hold
@@ -68,49 +68,9 @@ class Jet2:
         num2 = h0 * h0 * f2 - 2.0 * h0 * f1 * h1 + 2.0 * f0 * h1 * h1 - f0 * h0 * h2
         return Jet2(f0 / h0, num1 / (h0 * h0), num2 / (h0 * h0 * h0))
 
-    def scaled(self, c) -> "Jet2":
-        return Jet2(c * self.f0, c * self.f1, c * self.f2)
-
-
-def jet_add(a: Jet2, b: Jet2) -> Jet2:
-    return a + b
-
-
-def jet_mul(a: Jet2, b: Jet2) -> Jet2:
-    return a * b
-
-
-def jet_div(a: Jet2, b: Jet2) -> Jet2:
-    return a / b
-
-
-def jet_scale(a: Jet2, c) -> Jet2:
-    return a.scaled(c)
-
 
 def constant_jet(value) -> Jet2:
     return Jet2(complex(value), 0.0, 0.0)
-
-
-class CurvePoint:
-    """Base point x and direction (Z, sign): the curve s -> x exp(sZ).
-
-    Caches x Z and x Z^2, the seeds of every entry jet along the curve.
-    """
-
-    def __init__(self, base: np.ndarray, direction: SignedBasisVector):
-        base = np.asarray(base, dtype=complex)
-        z = direction.matrix
-        if base.shape != z.shape:
-            raise ValidationError("base point and direction have different dimensions")
-        self.base = base
-        self.direction = direction
-        self.m1 = base @ z
-        self.m2 = self.m1 @ z
-
-    @property
-    def dim(self) -> int:
-        return self.base.shape[0]
 
 
 class BasisCurves:

@@ -191,11 +191,6 @@ def trace_form(z: np.ndarray, w: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", z, w).real)
 
 
-def hermitian_form(z: np.ndarray, w: np.ndarray) -> float:
-    """Riemannian form Re trace(Z W*)."""
-    return float(np.einsum("ij,ij->", z, w.conj()).real)
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

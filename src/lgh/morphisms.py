@@ -255,7 +255,6 @@ def verify_harmonic_morphism(
     tol: float = 1e-8,
     min_samples: int | None = None,
     sampler=None,
-    check_name: str = "harmonic-morphism",
 ) -> VerificationReport:
     """Measure max |tau(m)| and |kappa(m, m)| over in-domain samples.
 
@@ -305,7 +304,7 @@ def verify_harmonic_morphism(
         tau_res = float(np.max(np.abs(tau)))
         kappa_res = float(np.max(np.abs(kappa)))
     return VerificationReport(
-        check=check_name,
+        check="harmonic-morphism",
         target=target,
         params=params,
         residuals={"tau": tau_res, "kappa": kappa_res},

@@ -75,7 +75,6 @@ class SampleSet:
     """Group points, an (S, n, n) stack, plus the structural defect (S,) of
     each point."""
 
-    label: str
     points: np.ndarray
     defects: np.ndarray
 
@@ -151,10 +150,9 @@ class GroupSampler:
     points to their (S,) structural defects.
     """
 
-    def __init__(self, label: str, basis_matrices: np.ndarray, radius: float, seed: int, defect_fn=None):
+    def __init__(self, basis_matrices: np.ndarray, radius: float, seed: int, defect_fn=None):
         if radius < 0:
             raise ValidationError("radius must be nonnegative")
-        self.label = label
         self._mats = np.asarray(basis_matrices, dtype=complex)
         self.radius = float(radius)
         self._rng = SplitMix64(seed)
@@ -173,20 +171,14 @@ class GroupSampler:
         factors = expm(gens)
         points = factors[:, 0] @ factors[:, 1]
         defects = self._defect_fn(points) if self._defect_fn else np.zeros(count)
-        return SampleSet(self.label, points, defects)
+        return SampleSet(points, defects)
 
 
 def compact_sampler(group: GroupId, radius: float = 0.5, seed: int = 42) -> GroupSampler:
     from .matrices import compact_basis  # local import keeps module load light
 
     basis = compact_basis(group)
-    return GroupSampler(
-        str(group),
-        basis.matrices,
-        radius,
-        seed,
-        defect_fn=lambda xs: compact_defect(group, xs),
-    )
+    return GroupSampler(basis.matrices, radius, seed, defect_fn=lambda xs: compact_defect(group, xs))
 
 
 def sample_compact(group: GroupId, count: int, radius: float = 0.5, seed: int = 42) -> SampleSet:

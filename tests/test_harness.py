@@ -1,7 +1,8 @@
 """Config round-trips, CLI exit codes, report format, determinism basics."""
 
 import json
-import os
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,27 @@ def test_cli_verify_identities_exit_zero(capsys):
     assert doc["passed"] is True
     assert len(doc["residuals"]) == 6
     assert all(v < 1e-12 for v in doc["residuals"].values())
+
+
+def test_cli_verify_identities_reads_n_from_config(tmp_path, capsys):
+    cfg = tmp_path / "identities.json"
+    cfg.write_text(json.dumps({"n": 3}))
+    assert main(["verify-identities", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == "gl(3)"
+    assert main(["verify-identities", "--config", str(cfg), "--n", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == "gl(4)"
+    assert main(["verify-identities"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == "gl(5)"
+
+
+def test_config_check_names_the_report(tmp_path, capsys):
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps({"pair": {"family": "sl_r", "n": 2}, "samples": 10}))
+    assert main(["verify-duality", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["check"] == "dual-eigenfamily"
+    cfg.write_text(json.dumps({"check": "duality", "pair": {"family": "sl_r", "n": 2}, "samples": 10}))
+    assert main(["verify-duality", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["check"] == "duality"
 
 
 def test_cli_verify_lemma_exit_zero(capsys):
@@ -173,24 +195,11 @@ def test_cli_reports_are_deterministic(capsys):
 
 
 def test_suite_subset_thread_pool_matches_sequential():
-    checks = H.suite_checks(seed=42, tol=1e-8)[:6]
-    sequential = []
-    for _, thunk in checks:
-        rep = thunk()
-        reports = rep if isinstance(rep, tuple) else (rep,)
-        sequential.extend(r.to_dict() for r in reports)
-    os.environ["LGH_THREADS"] = "4"
-    try:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            grouped = list(pool.map(lambda item: item[1](), checks))
-    finally:
-        del os.environ["LGH_THREADS"]
-    threaded = []
-    for rep in grouped:
-        reports = rep if isinstance(rep, tuple) else (rep,)
-        threaded.extend(r.to_dict() for r in reports)
+    rows = H.suite_checks(seed=42, tol=1e-8)[:6]
+    sequential = [H.run(command, cfg).to_dict() for _, command, cfg in rows]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = [rep.to_dict() for rep in pool.map(lambda row: H.run(*row[1:]), rows)]
+    assert len(threaded) == len(sequential) == 6
     for a, b in zip(sequential, threaded):
         a.pop("wall_time")
         b.pop("wall_time")
@@ -262,3 +271,30 @@ def test_factory_check_replays_from_its_recorded_seeds():
         tau = max(tau, rep.residuals["tau"])
         kappa = max(kappa, rep.residuals["kappa"])
     assert (tau, kappa) == (factory.residuals["tau"], factory.residuals["kappa"])
+
+
+@pytest.fixture(scope="module")
+def suite_reports():
+    """The seed-42 suite report as the CLI would print it, wall times dropped."""
+    doc = json.loads(json.dumps(H.run_suite(seed=42, tol=1e-8)))
+    return [{k: v for k, v in c.items() if k != "wall_time"} for c in doc["checks"]]
+
+
+def test_every_cli_suite_row_replays_through_the_cli(suite_reports, tmp_path):
+    """``lgh <command> --config`` of each CLI-backed row gives the suite's
+    report for that row."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
+    rows = [row for row in H.suite_checks(seed=42, tol=1e-8) if row[2] is not None]
+    assert len(rows) == 42
+    assert {command for _, command, _ in rows} == set(H.COMMANDS)
+    for i, (label, command, cfg) in enumerate(rows):
+        config = {k: v for k, v in cfg.to_dict().items() if v is not None}
+        jsonschema.validate(config, schema)
+        path, out = tmp_path / f"row{i}.json", tmp_path / f"report{i}.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0, label
+        report = json.loads(out.read_text())
+        report.pop("wall_time")
+        same = [c for c in suite_reports if (c["check"], c["target"]) == (report["check"], report["target"])]
+        assert same == [report], label
