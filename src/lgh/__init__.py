@@ -38,7 +38,6 @@ from .exprs import (
     Product,
     Quotient,
     Sum,
-    expr_from_dict,
     scale_action_check,
     w_entry,
     z_entry,

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration or
-validation error (the diagnostic names the offending field).
+validation error (the diagnostic names the offending field).  A flag or
+config field the command does not read (``harness.READS``) is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import sys
 
 from .errors import ConfigError, InconclusiveError, ValidationError
-from .harness import DEFAULT_SEED, RunConfig, load_config, run, run_suite
+from .harness import DEFAULT_SEED, READS, RunConfig, load_config, run, run_suite
 
 
 def _add_common(sub):
@@ -71,48 +73,51 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    for key in ("samples", "seed", "radius", "tol", "floor"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "n", None) is not None:
-        cfg.n = args.n
+    """The config file overridden by the flags.
+
+    A field the command does not read, set by a flag or off its default in
+    the config file, is an error; so is a flag that refines --group, --pair
+    or --p given without it.
+    """
     command = args.command
+    cfg = load_config(args.config) if args.config else RunConfig()
+    flagged = [key for key in ("samples", "seed", "radius", "tol", "floor")
+               if getattr(args, key) is not None]
+    for key in flagged:
+        setattr(cfg, key, getattr(args, key))
+    refining = {key: getattr(args, key, None) for key in ("n", "p", "q", "special")}
+    refining = {key: val for key, val in refining.items() if val not in (None, False)}
+    if command == "verify-identities" and "n" in refining:
+        cfg.n = refining.pop("n")
+        flagged.append("n")
     if command == "verify-lemma" and args.group:
-        cfg.group = {"family": args.group, "n": args.n or (cfg.group or {}).get("n")}
+        cfg.group = {"family": args.group, "n": refining.pop("n", None) or (cfg.group or {}).get("n")}
     if command == "verify-family" and args.group:
-        spec: dict = {"group": {"family": args.group, "n": args.n}}
-        if args.group == "so" and not args.special:
+        n = refining.pop("n", None)
+        spec: dict = {"group": {"family": args.group, "n": n}}
+        if args.group == "so" and refining.pop("special", False):
+            spec["p"] = [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0]] * ((n or 2) - 2)
+        elif args.group == "so":
             spec["V"] = "standard"
-        elif args.group == "so" and args.special:
-            spec["p"] = [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0]] * ((args.n or 2) - 2)
         cfg.family = spec
     if command == "verify-duality" and args.pair:
         pair: dict = {"family": args.pair}
-        if args.pair in ("so_pq", "su_pq", "sp_pq"):
-            pair["p"], pair["q"] = args.p, args.q
-        else:
-            pair["n"] = args.n
+        for key in ("p", "q") if args.pair in ("so_pq", "su_pq", "sp_pq") else ("n",):
+            pair[key] = refining.pop(key, None)
         cfg.pair = pair
-    if command == "probe-duality" and args.p is not None:
-        cfg.pair = {"family": "so_pq", "p": args.p, "q": args.q}
-    cfg.validate()
-    return cfg
-
-
-def _reject_suite_fields(args, cfg: RunConfig):
-    """The suite runs a fixed check matrix and reads only seed and tol; any
-    other field, set by a flag or by a config file, is an error."""
+    if command == "probe-duality" and "p" in refining:
+        cfg.pair = {"family": "so_pq", "p": refining.pop("p"), "q": refining.pop("q", None)}
+    for key in refining:
+        raise ConfigError(
+            f"lgh {command} does not read --{key} here: it only refines --group, --pair or --p",
+            field=key,
+        )
+    reads = READS[command]
     default = RunConfig()
     for key, value in cfg.to_dict().items():
-        if key in ("seed", "tol"):
-            continue
-        if getattr(args, key, None) is not None or value != getattr(default, key):
-            raise ConfigError(
-                f"lgh suite runs a fixed sample matrix and takes only seed and tol, not {key}",
-                field=key,
-            )
+        if key not in reads and (key in flagged or value != getattr(default, key)):
+            raise ConfigError(f"lgh {command} reads only {', '.join(reads)}, not {key}", field=key)
+    return cfg.validate()
 
 
 def _emit(document: dict, out: str | None):
@@ -129,7 +134,6 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         if args.command == "suite":
-            _reject_suite_fields(args, cfg)
             document = run_suite(seed=cfg.seed, tol=cfg.tol)
             _emit(document, args.out)
             return 0 if document["passed"] else 1

@@ -292,7 +292,8 @@ def verify_dual_eigenfamily(
     """Verify the continued family on non-compact samples with the signed
     frame: tau and kappa must hit the negated compact constants."""
     dfam = dual_family(pair, fam)
-    rep = verify_eigenfamily(dfam, pair.frame, samples, tol=tol, check_name="dual-eigenfamily")
+    rep = verify_eigenfamily(dfam, pair.frame, samples, tol=tol)
+    rep.check = "dual-eigenfamily"
     rep.target = f"{pair.noncompact} ~ {pair.compact}"
     rep.notes["compact_lambda"] = [fam.lam.real, fam.lam.imag]
     rep.notes["compact_mu"] = [fam.mu.real, fam.mu.imag]
@@ -330,7 +331,7 @@ def probe_noncontinuable(
     with timed_report() as clock:
         points = stack_samples(samples, pair.frame)
         if len(points):
-            rep = verify_eigenfamily(target, pair.frame, points, tol=np.inf, check_name="probe")
+            rep = verify_eigenfamily(target, pair.frame, points, tol=np.inf)
             residuals = rep.residuals
         else:
             residuals = {}

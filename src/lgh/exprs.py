@@ -1,9 +1,9 @@
 """Expression trees over matrix-entry coordinates.
 
-Nodes evaluate on points (complex value) and on curves (second-order jet);
-both walks perform the same arithmetic in the same order, so the value
-component of a jet agrees bitwise with point evaluation for polynomial
-nodes.
+A node has one evaluation, the second-order jet along curves
+(:meth:`Expr.eval_jet`).  The value at a point is the value part of the jet
+there on an empty frame, so point values and the values of a batched
+frame walk come from the same arithmetic.
 """
 
 from __future__ import annotations
@@ -14,13 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .jets import Jet2, constant_jet, entry_jet
-from .serialize import (
-    complex_to_pair,
-    matrix_from_json,
-    matrix_to_json,
-    pair_to_complex,
-)
+from .jets import BasisCurves, Jet2, constant_jet, entry_jet
+from .matrices import GroupId, SignedBasis
 
 
 def _as_expr(obj) -> "Expr":
@@ -35,28 +30,27 @@ def _lowered(expo: tuple, a: int) -> tuple:
     return expo[:a] + (expo[a] - 1,) + expo[a + 1 :]
 
 
-def _pow_value(v, k: int):
-    # repeated multiplication, mirrored by the jet walk for bitwise agreement
-    out = v
-    for _ in range(k - 1):
-        out = out * v
-    return out
-
-
 class Expr:
     """Base expression node."""
-
-    def eval_point(self, x: np.ndarray) -> complex:
-        raise NotImplementedError
 
     def eval_jet(self, curve) -> Jet2:
         raise NotImplementedError
 
+    def eval_point(self, x: np.ndarray) -> complex:
+        """The value at the point x: the jet's value part on an empty frame.
+
+        x is walked as a one-sample stack, as :func:`frame_operators` walks
+        its samples, so the two agree bit for bit (numpy rounds complex
+        products of arrays and of scalars differently).
+        """
+        x = np.asarray(x, dtype=complex)
+        if x.ndim != 2:
+            raise ValidationError(f"eval_point takes one matrix, not shape {x.shape}")
+        frame = SignedBasis(GroupId("GLC-split", x.shape[-1]))
+        return complex(np.ravel(self.eval_jet(BasisCurves(x[None], frame)).f0)[0])
+
     def children(self) -> tuple:
         return ()
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
 
     def __add__(self, other):
         return Sum([self, _as_expr(other)])
@@ -84,14 +78,8 @@ class Const(Expr):
     def __init__(self, value):
         self.value = complex(value)
 
-    def eval_point(self, x):
-        return self.value
-
     def eval_jet(self, curve):
         return constant_jet(self.value)
-
-    def to_dict(self):
-        return {"type": "const", "value": complex_to_pair(self.value)}
 
     def __repr__(self):
         return f"Const({self.value})"
@@ -106,17 +94,8 @@ class Entry(Expr):
         self.i = int(i)
         self.j = int(j)
 
-    def eval_point(self, x):
-        n = x.shape[0]
-        if self.i > n or self.j > n:
-            raise ValidationError(f"entry ({self.i},{self.j}) out of range for dimension {n}")
-        return complex(x[self.i - 1, self.j - 1])
-
     def eval_jet(self, curve):
         return entry_jet(curve, self.i, self.j)
-
-    def to_dict(self):
-        return {"type": "entry", "i": self.i, "j": self.j}
 
     def __repr__(self):
         return f"Entry({self.i},{self.j})"
@@ -132,22 +111,15 @@ class LinearTrace(Expr):
         a.setflags(write=False)
         self.matrix = a
 
-    def eval_point(self, x):
-        if x.shape != self.matrix.shape:
-            raise ValidationError("dimension mismatch in LinearTrace")
-        # the same contraction as the jet walk, so values agree bitwise
-        return complex(np.einsum("ij,...ij->...", self.matrix, x))
-
     def eval_jet(self, curve):
         a = self.matrix
+        if curve.base.shape[-2:] != a.shape:
+            raise ValidationError("dimension mismatch in LinearTrace")
         return Jet2(
             np.einsum("ij,...ij->...", a, curve.base),
             np.einsum("ij,...ij->...", a, curve.m1),
             np.einsum("ij,...ij->...", a, curve.m2),
         )
-
-    def to_dict(self):
-        return {"type": "linear_trace", "matrix": matrix_to_json(self.matrix)}
 
     def __repr__(self):
         return f"LinearTrace({self.matrix.shape[0]}x{self.matrix.shape[0]})"
@@ -159,12 +131,6 @@ class Sum(Expr):
         if not self.terms:
             raise ValidationError("empty sum")
 
-    def eval_point(self, x):
-        total = self.terms[0].eval_point(x)
-        for t in self.terms[1:]:
-            total = total + t.eval_point(x)
-        return total
-
     def eval_jet(self, curve):
         total = self.terms[0].eval_jet(curve)
         for t in self.terms[1:]:
@@ -174,21 +140,12 @@ class Sum(Expr):
     def children(self):
         return tuple(self.terms)
 
-    def to_dict(self):
-        return {"type": "sum", "terms": [t.to_dict() for t in self.terms]}
-
 
 class Product(Expr):
     def __init__(self, factors):
         self.factors = [_as_expr(f) for f in factors]
         if not self.factors:
             raise ValidationError("empty product")
-
-    def eval_point(self, x):
-        total = self.factors[0].eval_point(x)
-        for f in self.factors[1:]:
-            total = total * f.eval_point(x)
-        return total
 
     def eval_jet(self, curve):
         total = self.factors[0].eval_jet(curve)
@@ -199,9 +156,6 @@ class Product(Expr):
     def children(self):
         return tuple(self.factors)
 
-    def to_dict(self):
-        return {"type": "product", "factors": [f.to_dict() for f in self.factors]}
-
 
 class Power(Expr):
     def __init__(self, base, k: int):
@@ -210,17 +164,14 @@ class Power(Expr):
         self.base = _as_expr(base)
         self.k = k
 
-    def eval_point(self, x):
-        return _pow_value(self.base.eval_point(x), self.k)
-
     def eval_jet(self, curve):
-        return _pow_value(self.base.eval_jet(curve), self.k)
+        base = out = self.base.eval_jet(curve)
+        for _ in range(self.k - 1):
+            out = out * base
+        return out
 
     def children(self):
         return (self.base,)
-
-    def to_dict(self):
-        return {"type": "power", "base": self.base.to_dict(), "k": self.k}
 
 
 class Quotient(Expr):
@@ -230,16 +181,6 @@ class Quotient(Expr):
         self.num = _as_expr(num)
         self.den = _as_expr(den)
         self.floor = float(floor)
-
-    def eval_point(self, x):
-        d = self.den.eval_point(x)
-        if abs(d) <= self.floor:
-            raise DomainError(
-                f"denominator {abs(d):.3e} below domain floor {self.floor:.1e}",
-                node=self,
-                value=d,
-            )
-        return self.num.eval_point(x) / d
 
     def eval_jet(self, curve):
         jd = self.den.eval_jet(curve)
@@ -253,14 +194,6 @@ class Quotient(Expr):
 
     def children(self):
         return (self.num, self.den)
-
-    def to_dict(self):
-        return {
-            "type": "quotient",
-            "numerator": self.num.to_dict(),
-            "denominator": self.den.to_dict(),
-            "floor": self.floor,
-        }
 
 
 class HomPoly(Expr):
@@ -296,23 +229,19 @@ class HomPoly(Expr):
         self.coeffs = items
         self._order = sorted(items)
 
-    def _fold(self, values, one):
+    def _fold(self, values):
         total = None
         for expo in self._order:
-            term = one(self.coeffs[expo])
+            term = constant_jet(self.coeffs[expo])
             for v, e in zip(values, expo):
                 for _ in range(e):
                     term = term * v
             total = term if total is None else total + term
         return total
 
-    def eval_point(self, x):
-        vals = [a.eval_point(x) for a in self.args]
-        return self._fold(vals, complex)
-
     def eval_jet(self, curve):
         vals = [a.eval_jet(curve) for a in self.args]
-        return self._fold(vals, constant_jet)
+        return self._fold(vals)
 
     def children(self):
         return tuple(self.args)
@@ -362,16 +291,6 @@ class HomPoly(Expr):
         hess = np.einsum("sk,kab->sab", monomials(e2), c2)
         return monomials(e0) @ c0, monomials(e1) @ c1, hess
 
-    def to_dict(self):
-        return {
-            "type": "hom_poly",
-            "coefficients": [
-                {"exponents": list(e), "coeff": complex_to_pair(self.coeffs[e])}
-                for e in self._order
-            ],
-            "args": [a.to_dict() for a in self.args],
-        }
-
 
 # ---------------------------------------------------------------------------
 # block coordinates of the quaternionic embedding
@@ -400,36 +319,3 @@ def scale_action_check(f: Expr, theta: float, x: np.ndarray) -> tuple[complex, c
     """
     scaled = np.exp(1j * theta) * np.asarray(x, dtype=complex)
     return f.eval_point(np.asarray(x, dtype=complex)), f.eval_point(scaled)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def expr_from_dict(d: dict) -> Expr:
-    kind = d.get("type")
-    if kind == "const":
-        return Const(pair_to_complex(d["value"]))
-    if kind == "entry":
-        return Entry(d["i"], d["j"])
-    if kind == "linear_trace":
-        return LinearTrace(matrix_from_json(d["matrix"]))
-    if kind == "sum":
-        return Sum([expr_from_dict(t) for t in d["terms"]])
-    if kind == "product":
-        return Product([expr_from_dict(t) for t in d["factors"]])
-    if kind == "power":
-        return Power(expr_from_dict(d["base"]), d["k"])
-    if kind == "quotient":
-        return Quotient(
-            expr_from_dict(d["numerator"]),
-            expr_from_dict(d["denominator"]),
-            d.get("floor", 1e-3),
-        )
-    if kind == "hom_poly":
-        coeffs = {
-            tuple(item["exponents"]): pair_to_complex(item["coeff"])
-            for item in d["coefficients"]
-        }
-        return HomPoly(coeffs, [expr_from_dict(a) for a in d["args"]])
-    raise ValidationError(f"unknown expression node type {kind!r}")

@@ -179,7 +179,6 @@ def verify_eigenfamily(
     basis: SignedBasis,
     samples,
     tol: float = 1e-8,
-    check_name: str = "eigenfamily",
 ) -> VerificationReport:
     """Measure max |tau(phi) - lambda phi| and |kappa(phi, psi) - mu phi psi|
     over all samples and all ordered member pairs (diagonal included).
@@ -200,7 +199,7 @@ def verify_eigenfamily(
     if isinstance(samples, SampleSet):
         notes["max_group_defect"] = samples.max_defect
     return VerificationReport(
-        check=check_name,
+        check="eigenfamily",
         target=str(fam.group),
         params={
             "members": len(fam.members),

@@ -1,10 +1,10 @@
 """Run configuration, check orchestration, and the full verification suite.
 
 Configs and reports are plain JSON: complex numbers as two-element
-[re, im] arrays, matrices as nested row arrays, polynomial coefficients as
-{"exponents": [...], "coeff": [re, im]} lists.  Identical configs (seed
-included) produce bit-identical residuals; wall-clock fields are the only
-run-dependent output.
+[re, im] arrays and polynomial coefficients as {"exponents": [...],
+"coeff": [re, im]} lists.  Identical configs (seed included) produce
+bit-identical residuals; wall-clock fields are the only run-dependent
+output.
 """
 
 from __future__ import annotations
@@ -273,6 +273,19 @@ COMMANDS = {
     "probe-duality": run_probe,
 }
 
+# The RunConfig fields each command reads; the CLI rejects any other field
+# that a flag or a config file sets.  ``run`` reads ``check`` for every
+# subcommand; the suite runs a fixed matrix and reads only seed and tol.
+READS = {
+    "verify-identities": ("check", "n", "tol"),
+    "verify-lemma": ("check", "group", "samples", "seed", "radius", "tol"),
+    "verify-family": ("check", "family", "samples", "seed", "radius", "tol"),
+    "verify-morphism": ("check", "family", "morphism", "samples", "seed", "radius", "tol", "floor"),
+    "verify-duality": ("check", "pair", "family", "samples", "seed", "radius", "tol"),
+    "probe-duality": ("check", "pair", "family", "samples", "seed", "radius"),
+    "suite": ("seed", "tol"),
+}
+
 
 def run(command: str, cfg: RunConfig) -> VerificationReport:
     """One ``lgh`` subcommand on a config, as the CLI and the suite run it;
@@ -522,12 +535,14 @@ def suite_checks(seed: int = DEFAULT_SEED, tol: float = 1e-8):
     """The acceptance matrix as (label, command, config) rows, in report order.
 
     Where ``command`` is an ``lgh`` subcommand, the row's report is what
-    ``lgh <command> --config`` gives for ``config``, wall time aside.  The
-    suite-only checks carry a callable instead, and no config.
+    ``lgh <command> --config`` gives for ``config``, wall time aside; the
+    config holds only fields the command reads.  The suite-only checks
+    carry a callable instead, and no config.
     """
 
     def cli(label, command, **fields):
-        return label, command, RunConfig(**{"seed": seed, "tol": tol, **fields})
+        fields = {"seed": seed, "tol": tol, **fields}
+        return label, command, RunConfig(**{k: v for k, v in fields.items() if k in READS[command]})
 
     rows = [cli(f"identities-n{n}", "verify-identities", n=n) for n in range(2, 11)]
     for alias, sizes in (("so", range(2, 7)), ("u", range(2, 5)), ("sp", range(1, 4))):

@@ -105,10 +105,8 @@ def entry_jet(curve, i: int, j: int) -> Jet2:
     n = curve.dim
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValidationError(f"entry ({i},{j}) out of range for dimension {n}")
-    # [()] keeps the value of a single base point a numpy scalar, not a 0-d
-    # array, so its arithmetic matches point evaluation bit for bit
     return Jet2(
-        curve.base[..., i - 1, j - 1][()],
+        curve.base[..., i - 1, j - 1],
         curve.m1[..., i - 1, j - 1],
         curve.m2[..., i - 1, j - 1],
     )

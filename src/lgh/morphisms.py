@@ -322,7 +322,6 @@ def verify_quotient_condition(
     basis: SignedBasis,
     samples,
     tol: float = 1e-7,
-    check_name: str = "quotient-condition",
 ) -> VerificationReport:
     """Check Q^2 kappa(P,P) = PQ kappa(P,Q) = P^2 kappa(Q,Q) at each sample,
     plus the eigen-equations tau(P) = lambda_d P and tau(Q) = lambda_d Q with
@@ -344,7 +343,7 @@ def verify_quotient_condition(
         }
         res = {key: float(np.max(val, initial=0.0)) for key, val in res.items()}
     return VerificationReport(
-        check=check_name,
+        check="quotient-condition",
         target=str(fam.group),
         params={"degree_P": pn.degree, "degree_Q": qn.degree},
         residuals=res,

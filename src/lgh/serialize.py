@@ -1,15 +1,10 @@
-"""JSON codecs: complex numbers as [re, im] pairs, matrices as nested rows."""
+"""JSON decoding of config entries: complex numbers as [re, im] pairs."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigError
-
-
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def pair_to_complex(v) -> complex:
@@ -20,18 +15,5 @@ def pair_to_complex(v) -> complex:
     raise ConfigError(f"expected [re, im] pair, got {v!r}")
 
 
-def vector_to_json(v) -> list:
-    return [complex_to_pair(z) for z in np.asarray(v).ravel()]
-
-
 def vector_from_json(rows) -> np.ndarray:
     return np.array([pair_to_complex(v) for v in rows], dtype=complex)
-
-
-def matrix_to_json(m) -> list:
-    m = np.asarray(m)
-    return [[complex_to_pair(z) for z in row] for row in m]
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[pair_to_complex(v) for v in row] for row in rows], dtype=complex)

@@ -230,6 +230,25 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
     assert f"field: {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["verify-identities", "--samples", "7", "--radius", "0.1"], "samples"),
+        (["verify-identities", "--config", "{config}"], "group"),
+        (["verify-family", "--group", "u", "--n", "2", "--floor", "0.3"], "floor"),
+        (["verify-family", "--group", "u", "--n", "2", "--special"], "special"),
+        (["verify-duality", "--pair", "sl_r", "--n", "2", "--q", "3"], "q"),
+        (["probe-duality", "--p", "2", "--q", "2", "--tol", "1e-30"], "tol"),
+        (["verify-lemma", "--config", "{config}", "--n", "5"], "n"),
+    ],
+)
+def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
+    config = tmp_path / "so3.json"
+    config.write_text(json.dumps({"group": {"family": "so", "n": 3}}))
+    assert main([arg.format(config=config) for arg in argv]) == 2
+    assert f"field: {field}" in capsys.readouterr().err
+
+
 def test_cli_suite_reads_seed_tol_and_out(tmp_path, capsys):
     out = tmp_path / "suite.json"
     assert main(["suite", "--seed", "3", "--tol", "1e-8", "--out", str(out)]) == 0
@@ -274,17 +293,21 @@ def test_factory_check_replays_from_its_recorded_seeds():
 
 
 @pytest.fixture(scope="module")
-def suite_reports():
-    """The seed-42 suite report as the CLI would print it, wall times dropped."""
-    doc = json.loads(json.dumps(H.run_suite(seed=42, tol=1e-8)))
-    return [{k: v for k, v in c.items() if k != "wall_time"} for c in doc["checks"]]
+def suite_document():
+    """The seed-42 suite document as the CLI would print it."""
+    return json.loads(json.dumps(H.run_suite(seed=42, tol=1e-8)))
 
 
-def test_every_cli_suite_row_replays_through_the_cli(suite_reports, tmp_path):
+def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
     """``lgh <command> --config`` of each CLI-backed row gives the suite's
-    report for that row."""
+    report for that row; the configs, the reports and the suite document
+    are valid against ``docs/schemas``."""
     jsonschema = pytest.importorskip("jsonschema")
-    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
+    schemas = Path(__file__).parents[1] / "docs" / "schemas"
+    schema = json.loads((schemas / "config.schema.json").read_text())
+    report_schema = json.loads((schemas / "report.schema.json").read_text())
+    jsonschema.validate(suite_document, report_schema)
+    suite_reports = [{k: v for k, v in c.items() if k != "wall_time"} for c in suite_document["checks"]]
     rows = [row for row in H.suite_checks(seed=42, tol=1e-8) if row[2] is not None]
     assert len(rows) == 42
     assert {command for _, command, _ in rows} == set(H.COMMANDS)
@@ -295,6 +318,7 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_reports, tmp_path):
         path.write_text(json.dumps(config))
         assert main([command, "--config", str(path), "--out", str(out)]) == 0, label
         report = json.loads(out.read_text())
+        jsonschema.validate(report, report_schema)
         report.pop("wall_time")
         same = [c for c in suite_reports if (c["check"], c["target"]) == (report["check"], report["target"])]
         assert same == [report], label
