@@ -4,7 +4,9 @@ central finite differences.
 A jet carries (value, first, second derivative) of s -> f(x exp(sZ)) at
 s = 0.  For polynomial f the jet arithmetic is exact up to rounding, while
 finite differences carry O(h^2) truncation error; the comparison shows the
-gap of roughly nine orders of magnitude.
+gap of roughly nine orders of magnitude.  lgh itself walks jets only for
+linear members such as the entries, and gets a polynomial in them from
+their tau and kappa by the chain rule; the last section shows both agree.
 """
 
 import numpy as np
@@ -12,21 +14,30 @@ from scipy.linalg import expm
 
 from lgh import matrices as M
 from lgh.exprs import Entry, HomPoly
-from lgh.jets import BasisCurves, kappa, tau
+from lgh.jets import BasisCurves, Jet2, entry_jet, kappa, tau
 from lgh.sampling import sample_compact
 
 gid = M.U(3)
 basis = M.compact_basis(gid)
 x = sample_compact(gid, 1, 0.5, seed=5).points[0]
 
-f = HomPoly({(2, 1): 1.0, (0, 3): -0.5j}, [Entry(1, 2), Entry(3, 3)])
+
+def f_jet(curves):
+    """f = z_12^2 z_33 - (i/2) z_33^3 by Jet2 arithmetic on entry jets."""
+    z12, z33 = entry_jet(curves, 1, 2), entry_jet(curves, 3, 3)
+    return z12 * z12 * z33 - Jet2(0.5j, 0.0, 0.0) * z33 * z33 * z33
+
+
+def f_value(y):
+    return y[0, 1] ** 2 * y[2, 2] - 0.5j * y[2, 2] ** 3
+
 
 print("=== jet vs central differences along one frame vector ===")
 z = basis.vectors[4]
-jet = f.eval_jet(BasisCurves(x, M.SignedBasis(gid, [z])))  # a one-vector frame
+jet = f_jet(BasisCurves(x, M.SignedBasis(gid, [z])))  # a one-vector frame
 f1, f2 = complex(jet.f1[0]), complex(jet.f2[0])
 h = 1e-4
-vals = {s: f.eval_point(x @ expm(s * z.matrix)) for s in (-h, 0.0, h)}
+vals = {s: f_value(x @ expm(s * z.matrix)) for s in (-h, 0.0, h)}
 fd1 = (vals[h] - vals[-h]) / (2 * h)
 fd2 = (vals[h] - 2 * vals[0.0] + vals[-h]) / h**2
 print(f"first derivative   jet {f1:+.12f}")
@@ -46,8 +57,10 @@ k = kappa(z11, z12, x, basis)
 print(f"kappa(z_11, z_12) = {k:+.12f}")
 print(f"-z_12 z_11        = {-x[0, 1] * x[0, 0]:+.12f}   (closed form: -z_il z_kj)")
 
-print("\n=== one expression walk differentiates along the whole frame ===")
+print("\n=== one jet walk differentiates along the whole frame ===")
 curves = BasisCurves(x, basis)
-jet = f.eval_jet(curves)
+jet = f_jet(curves)
 print(f"f1 along all {len(basis)} frame vectors in one pass: shape {np.shape(jet.f1)}")
-print(f"tau(f) from the batch: {complex(np.sum(basis.signs * jet.f2)):+.6f}")
+print(f"tau(f) from the batch:      {complex(np.sum(basis.signs * jet.f2)):+.6f}")
+poly = HomPoly({(2, 1): 1.0, (0, 3): -0.5j}, [Entry(1, 2), Entry(3, 3)])
+print(f"tau(f) by the chain rule:   {tau(poly, x, basis):+.6f}   (from the tau/kappa of z_12, z_33)")

@@ -2,12 +2,13 @@
 matrix Lie groups.
 
 The library computes the tension field tau and the conformality operator
-kappa of polynomial and rational functions of matrix entries through exact
-second-order jets along one-parameter subgroups, constructs eigenfamilies
-on SO(n), U(n)/SU(n) and Sp(n) together with their rational harmonic
-morphisms, and carries every family across the compact/non-compact duality
-with sign-flipped constants.  All checks run on seeded random group samples
-and emit machine-readable residual reports.
+kappa of linear functions of matrix entries through exact second-order jets
+along one-parameter subgroups, and of polynomials and quotients in them by
+the chain rule.  It constructs eigenfamilies on SO(n), U(n)/SU(n) and Sp(n)
+together with their rational harmonic morphisms, and carries every family
+across the compact/non-compact duality with sign-flipped constants.  All
+checks run on seeded random group samples and emit machine-readable
+residual reports.
 """
 
 from .duality import (
@@ -28,20 +29,7 @@ from .errors import (
     InconclusiveError,
     ValidationError,
 )
-from .exprs import (
-    Const,
-    Entry,
-    Expr,
-    HomPoly,
-    LinearTrace,
-    Power,
-    Product,
-    Quotient,
-    Sum,
-    scale_action_check,
-    w_entry,
-    z_entry,
-)
+from .exprs import Entry, Expr, HomPoly, LinearTrace
 from .families import (
     Eigenfamily,
     eigen_constants,
@@ -61,6 +49,7 @@ from .jets import (
     BasisCurves,
     FrameOperators,
     Jet2,
+    compose,
     entry_jet,
     frame_operators,
     kappa,

@@ -9,9 +9,10 @@ tau/kappa sums of :mod:`lgh.jets` evaluate the semi-Riemannian operators of
 G directly.
 
 Polynomial eigenfamilies continue across the duality unchanged as
-expressions; their constants flip sign.  Families whose defining identities
-hold only on the compact group (those built from an isotropic point via
-x x^t = I) do not continue; the probe records how far off they land.
+functions of the entries; their constants flip sign.  Families whose
+defining identities hold only on the compact group (those built from an
+isotropic point via x x^t = I) do not continue; the probe records how far
+off they land.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstructionError, ValidationError
-from .exprs import Const, Entry, Expr, HomPoly, LinearTrace, Power, Product, Quotient, Sum
+from .exprs import Entry, HomPoly, LinearTrace
 from .families import (
     Eigenfamily,
     maximal_isotropic_basis,
@@ -191,22 +192,18 @@ def identity_pair(compact: GroupId) -> DualPair:
 # holomorphic continuation
 # ---------------------------------------------------------------------------
 
-_HOLOMORPHIC_NODES = (Const, Entry, LinearTrace, Sum, Product, Power, Quotient, HomPoly)
+def continue_function(f):
+    """Holomorphic continuation of a member or of a polynomial in members.
 
-
-def continue_function(f: Expr) -> Expr:
-    """Holomorphic continuation of an entry-polynomial expression.
-
-    Polynomials and their quotients are their own continuation, so the tree
-    is returned unchanged; any node outside the holomorphic vocabulary
-    (anything involving entrywise conjugation) is rejected.
+    Entry coordinates, linear traces and polynomials in continuable members
+    are their own continuation, so ``f`` is returned unchanged; anything
+    else (entrywise conjugation, say) is rejected.
     """
-    if not isinstance(f, _HOLOMORPHIC_NODES):
-        raise ValidationError(
-            f"{type(f).__name__} is not a holomorphic expression node"
-        )
-    for child in f.children():
-        continue_function(child)
+    if isinstance(f, HomPoly):
+        for arg in f.args:
+            continue_function(arg)
+    elif not isinstance(f, (Entry, LinearTrace)):
+        raise ValidationError(f"{type(f).__name__} is not a holomorphic member or polynomial")
     return f
 
 

@@ -1,29 +1,26 @@
-"""Expression trees over matrix-entry coordinates.
+"""Family members and polynomials in them.
 
-A node has one evaluation, the second-order jet along curves
-(:meth:`Expr.eval_jet`).  The value at a point is the value part of the jet
-there on an empty frame, so point values and the values of a batched
-frame walk come from the same arithmetic.
+A member is linear in the matrix entries (:class:`Entry`,
+:class:`LinearTrace`) and has one evaluation, the second-order jet along
+curves (:meth:`Expr.eval_jet`).  The value at a point is the value part of
+the jet there on an empty frame, so point values and the values of a
+batched frame walk come from the same arithmetic.
+
+A :class:`HomPoly` is a polynomial in a list of members.  It is never
+walked as a jet: its value, gradient and Hessian in the members
+(:meth:`HomPoly.derivatives`) give its tau and kappa from those of the
+members by the chain rule (:func:`lgh.jets.compose`).
 """
 
 from __future__ import annotations
 
-import numbers
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
-from .jets import BasisCurves, Jet2, constant_jet, entry_jet
+from .errors import ValidationError
+from .jets import BasisCurves, Jet2, entry_jet
 from .matrices import GroupId, SignedBasis
-
-
-def _as_expr(obj) -> "Expr":
-    if isinstance(obj, Expr):
-        return obj
-    if isinstance(obj, numbers.Number):
-        return Const(obj)
-    raise TypeError(f"cannot treat {obj!r} as an expression")
 
 
 def _lowered(expo: tuple, a: int) -> tuple:
@@ -31,7 +28,7 @@ def _lowered(expo: tuple, a: int) -> tuple:
 
 
 class Expr:
-    """Base expression node."""
+    """Base of the members walked as jets."""
 
     def eval_jet(self, curve) -> Jet2:
         raise NotImplementedError
@@ -48,41 +45,6 @@ class Expr:
             raise ValidationError(f"eval_point takes one matrix, not shape {x.shape}")
         frame = SignedBasis(GroupId("GLC-split", x.shape[-1]))
         return complex(np.ravel(self.eval_jet(BasisCurves(x[None], frame)).f0)[0])
-
-    def children(self) -> tuple:
-        return ()
-
-    def __add__(self, other):
-        return Sum([self, _as_expr(other)])
-
-    def __radd__(self, other):
-        return Sum([_as_expr(other), self])
-
-    def __mul__(self, other):
-        return Product([self, _as_expr(other)])
-
-    def __rmul__(self, other):
-        return Product([_as_expr(other), self])
-
-    def __sub__(self, other):
-        return Sum([self, Product([Const(-1.0), _as_expr(other)])])
-
-    def __pow__(self, k: int):
-        return Power(self, k)
-
-    def __truediv__(self, other):
-        return Quotient(self, _as_expr(other))
-
-
-class Const(Expr):
-    def __init__(self, value):
-        self.value = complex(value)
-
-    def eval_jet(self, curve):
-        return constant_jet(self.value)
-
-    def __repr__(self):
-        return f"Const({self.value})"
 
 
 class Entry(Expr):
@@ -125,88 +87,18 @@ class LinearTrace(Expr):
         return f"LinearTrace({self.matrix.shape[0]}x{self.matrix.shape[0]})"
 
 
-class Sum(Expr):
-    def __init__(self, terms):
-        self.terms = [_as_expr(t) for t in terms]
-        if not self.terms:
-            raise ValidationError("empty sum")
-
-    def eval_jet(self, curve):
-        total = self.terms[0].eval_jet(curve)
-        for t in self.terms[1:]:
-            total = total + t.eval_jet(curve)
-        return total
-
-    def children(self):
-        return tuple(self.terms)
-
-
-class Product(Expr):
-    def __init__(self, factors):
-        self.factors = [_as_expr(f) for f in factors]
-        if not self.factors:
-            raise ValidationError("empty product")
-
-    def eval_jet(self, curve):
-        total = self.factors[0].eval_jet(curve)
-        for f in self.factors[1:]:
-            total = total * f.eval_jet(curve)
-        return total
-
-    def children(self):
-        return tuple(self.factors)
-
-
-class Power(Expr):
-    def __init__(self, base, k: int):
-        if not isinstance(k, int) or k < 1:
-            raise ValidationError("power exponent must be an integer >= 1")
-        self.base = _as_expr(base)
-        self.k = k
-
-    def eval_jet(self, curve):
-        base = out = self.base.eval_jet(curve)
-        for _ in range(self.k - 1):
-            out = out * base
-        return out
-
-    def children(self):
-        return (self.base,)
-
-
-class Quotient(Expr):
-    """num/den with the implicit domain predicate |den(x)| > floor."""
-
-    def __init__(self, num, den, floor: float = 1e-3):
-        self.num = _as_expr(num)
-        self.den = _as_expr(den)
-        self.floor = float(floor)
-
-    def eval_jet(self, curve):
-        jd = self.den.eval_jet(curve)
-        if float(np.min(np.abs(np.asarray(jd.f0)))) <= self.floor:
-            raise DomainError(
-                "denominator below domain floor along curve",
-                node=self,
-                value=jd.f0,
-            )
-        return self.num.eval_jet(curve) / jd
-
-    def children(self):
-        return (self.num, self.den)
-
-
-class HomPoly(Expr):
-    """Homogeneous polynomial in a fixed argument list.
+class HomPoly:
+    """Polynomial in a fixed argument list.
 
     ``coeffs`` maps exponent multi-indices (one entry per argument) to
-    complex coefficients; every multi-index must have the same total degree.
+    complex coefficients.  Terms may have any total degree, a constant
+    included; ``degree`` is the highest, and ``homogeneous`` says whether
+    every term has it.
     """
 
-    def __init__(self, coeffs, args, degree: int | None = None):
-        self.args = [_as_expr(a) for a in args]
+    def __init__(self, coeffs, args):
+        self.args = list(args)
         items = {}
-        degrees = set()
         for expo, c in coeffs.items():
             expo = tuple(int(e) for e in expo)
             if len(expo) != len(self.args):
@@ -216,35 +108,12 @@ class HomPoly(Expr):
             if any(e < 0 for e in expo):
                 raise ValidationError(f"negative exponent in {expo}")
             items[expo] = complex(c)
-            degrees.add(sum(expo))
         if not items:
-            raise ValidationError("empty homogeneous polynomial")
-        if len(degrees) != 1:
-            raise ValidationError(f"mixed total degrees {sorted(degrees)} in homogeneous polynomial")
-        self.degree = degrees.pop()
-        if degree is not None and degree != self.degree:
-            raise ValidationError(f"declared degree {degree} but terms have degree {self.degree}")
-        if self.degree < 1:
-            raise ValidationError("homogeneous polynomial needs degree >= 1")
+            raise ValidationError("empty polynomial")
+        degrees = {sum(expo) for expo in items}
+        self.degree = max(degrees)
+        self.homogeneous = len(degrees) == 1
         self.coeffs = items
-        self._order = sorted(items)
-
-    def _fold(self, values):
-        total = None
-        for expo in self._order:
-            term = constant_jet(self.coeffs[expo])
-            for v, e in zip(values, expo):
-                for _ in range(e):
-                    term = term * v
-            total = term if total is None else total + term
-        return total
-
-    def eval_jet(self, curve):
-        vals = [a.eval_jet(curve) for a in self.args]
-        return self._fold(vals)
-
-    def children(self):
-        return tuple(self.args)
 
     @cached_property
     def _derivative_tables(self):
@@ -253,7 +122,7 @@ class HomPoly(Expr):
         m = len(self.args)
         grad: dict = {}
         hess: dict = {}
-        for expo in self._order:
+        for expo in sorted(self.coeffs):
             c = self.coeffs[expo]
             for a in range(m):
                 if not expo[a]:
@@ -290,32 +159,3 @@ class HomPoly(Expr):
         (e0, c0), (e1, c1), (e2, c2) = self._derivative_tables
         hess = np.einsum("sk,kab->sab", monomials(e2), c2)
         return monomials(e0) @ c0, monomials(e1) @ c1, hess
-
-
-# ---------------------------------------------------------------------------
-# block coordinates of the quaternionic embedding
-# ---------------------------------------------------------------------------
-
-def z_entry(i: int, j: int, n: int) -> Entry:
-    """z_ij of a 2n x 2n quaternionic matrix [[z, w], [-conj w, conj z]]."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValidationError(f"block entry ({i},{j}) out of range for n={n}")
-    return Entry(i, j)
-
-
-def w_entry(i: int, j: int, n: int) -> Entry:
-    """w_ij of a 2n x 2n quaternionic matrix: column offset by n."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValidationError(f"block entry ({i},{j}) out of range for n={n}")
-    return Entry(i, n + j)
-
-
-def scale_action_check(f: Expr, theta: float, x: np.ndarray) -> tuple[complex, complex]:
-    """Evaluate f at x and at e^{i theta} x.
-
-    Quotients of equal-degree homogeneous polynomials are invariant under
-    this circle action; a bare degree-d homogeneous polynomial picks up the
-    factor e^{i d theta} instead.
-    """
-    scaled = np.exp(1j * theta) * np.asarray(x, dtype=complex)
-    return f.eval_point(np.asarray(x, dtype=complex)), f.eval_point(scaled)

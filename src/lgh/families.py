@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .exprs import Expr, LinearTrace
+from .exprs import LinearTrace
 from .jets import BasisCurves, curve_blocks, frame_operators, stack_samples
 from .matrices import GroupId, SignedBasis, compact_basis
 from .report import VerificationReport, timed_report

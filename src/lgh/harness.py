@@ -44,6 +44,17 @@ _FAMILY_ALIASES = {
 _ALIAS_BY_FAMILY = {v: k for k, v in _FAMILY_ALIASES.items()}
 
 
+# JSON type of each RunConfig field: the Python types a value may have (bool
+# never counts as a number), and how the error names them.
+_FIELD_TYPES = {
+    "check": ((str, type(None)), "a string or null"),
+    **dict.fromkeys(("group", "pair", "family", "morphism"), ((dict, type(None)), "an object or null")),
+    "n": ((int, type(None)), "an integer or null"),
+    **dict.fromkeys(("samples", "seed"), (int, "an integer")),
+    **dict.fromkeys(("radius", "tol", "floor"), ((int, float), "a number")),
+}
+
+
 @dataclass
 class RunConfig:
     check: str | None = None
@@ -59,6 +70,12 @@ class RunConfig:
     floor: float = 1e-3
 
     def validate(self) -> "RunConfig":
+        """Check the JSON types of ``docs/schemas/config.schema.json``, then
+        the ranges."""
+        for key, kinds in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kinds[0]):
+                raise ConfigError(f"{key} must be {kinds[1]}", field=key)
         if self.samples < 1:
             raise ConfigError("samples must be >= 1", field="samples")
         if not (0.0 < self.radius <= 1.0):
@@ -126,6 +143,8 @@ def family_from_spec(d: dict) -> fa.Eigenfamily:
     if "p" in d:
         p = vector_from_json(d["p"])
     elif "deformation" in d:
+        if not isinstance(d["deformation"], dict):
+            raise ConfigError("deformation must be an object", field="family.deformation")
         z = pair_to_complex(d["deformation"].get("z", 0.0))
         w = pair_to_complex(d["deformation"].get("w", 0.0))
         if n != 4:
@@ -338,13 +357,19 @@ DUALITY_PAIRS = (
 )
 
 
+# Sampling radius of the suite-only checks; the power-family, deformation
+# and negative-control reports record it next to their sampler seed.
+SUITE_RADIUS = 0.5
+
+
 def _check_deformed_families(seed: int, tol: float) -> VerificationReport:
     """Ten seeded (z, w) deformations of the isotropic-point family on SO(4)."""
-    rng = SplitMix64(seed ^ 0x5EED5EED)
+    rng_seed = seed ^ 0x5EED5EED
+    rng = SplitMix64(rng_seed)
     residuals = {"tau": 0.0, "kappa": 0.0, "isotropy": 0.0}
     basis = compact_basis(GroupId("SO", 4))
     with timed_report() as clock:
-        samples = compact_sampler(GroupId("SO", 4), 0.5, seed).take(100)
+        samples = compact_sampler(GroupId("SO", 4), SUITE_RADIUS, seed).take(100)
         for _ in range(10):
             z = rng.complex_uniform(1.0)
             w = rng.complex_uniform(1.0)
@@ -357,7 +382,7 @@ def _check_deformed_families(seed: int, tol: float) -> VerificationReport:
     return VerificationReport(
         check="eigenfamily-deformations",
         target="SO(4)",
-        params={"deformations": 10},
+        params={"deformations": 10, "sampler_seed": seed, "radius": SUITE_RADIUS, "rng_seed": rng_seed},
         residuals=residuals,
         tol=tol,
         samples_used=100,
@@ -389,7 +414,7 @@ def _check_family_negative_control(seed: int, tol: float) -> VerificationReport:
     broken = fa.Eigenfamily(fam.group, fam.members, fam.lam + 0.1, fam.mu, "control")
     basis = compact_basis(fam.group)
     with timed_report() as clock:
-        samples = compact_sampler(fam.group, 0.5, seed).take(100)
+        samples = compact_sampler(fam.group, SUITE_RADIUS, seed).take(100)
         table = frame_operators(fam.members, samples, basis)
         rep = fa.verify_eigenfamily(broken, basis, table, tol=tol)
         peak = float(np.max(np.abs(table.values)))
@@ -399,7 +424,7 @@ def _check_family_negative_control(seed: int, tol: float) -> VerificationReport:
     return VerificationReport(
         check="family-negative-control",
         target=str(fam.group),
-        params={"lambda_shift": 0.1},
+        params={"lambda_shift": 0.1, "sampler_seed": seed, "radius": SUITE_RADIUS},
         residuals={"deviation_from_prediction": deviation, "control_must_fail": failed_as_expected},
         tol=max(tol, 1e-10),
         samples_used=len(table),
@@ -429,7 +454,7 @@ def _check_morphism_factory(fam: fa.Eigenfamily, seed: int, pairs: int = 20, min
     used = 0
     discarded = 0
     with timed_report() as clock:
-        sampler = compact_sampler(fam.group, 0.5, seed)
+        sampler = compact_sampler(fam.group, SUITE_RADIUS, seed)
         base = frame_operators(fam.members, sampler.take(min_samples), basis)
         for _ in range(pairs):
             degree = 1 + (rng.next_u64() % 3)
@@ -480,7 +505,7 @@ def _check_morphism_negative_control(seed: int, tol: float) -> VerificationRepor
     basis = compact_basis(gid)
     member = family_from_spec(U2_SPEC).members[0]
     with timed_report() as clock:
-        samples = compact_sampler(gid, 0.5, seed).take(100)
+        samples = compact_sampler(gid, SUITE_RADIUS, seed).take(100)
         ops = frame_operators([member], samples, basis)
         tau_res = float(np.max(np.abs(ops.tau)))
         kappa_res = float(np.max(np.abs(ops.kappa)))
@@ -491,7 +516,7 @@ def _check_morphism_negative_control(seed: int, tol: float) -> VerificationRepor
     return VerificationReport(
         check="morphism-negative-control",
         target=str(gid),
-        params={},
+        params={"sampler_seed": seed, "radius": SUITE_RADIUS},
         residuals={
             "tau_deviation_from_prediction": dev_tau,
             "kappa_deviation_from_prediction": dev_kappa,
@@ -509,7 +534,7 @@ def _check_power_family(fam: fa.Eigenfamily, k: int, seed: int, tol: float) -> V
     pfam = power.as_eigenfamily()
     basis = compact_basis(fam.group)
     with timed_report() as clock:
-        samples = compact_sampler(fam.group, 0.5, seed).take(100)
+        samples = compact_sampler(fam.group, SUITE_RADIUS, seed).take(100)
         table = frame_operators(pfam.members, samples, basis)
         rep = fa.verify_eigenfamily(pfam, basis, table, tol=tol)
         measured = fa.measure_constants_residual(pfam, basis, table, value_floor=0.1)
@@ -523,6 +548,8 @@ def _check_power_family(fam: fa.Eigenfamily, k: int, seed: int, tol: float) -> V
             "members": len(pfam.members),
             "lambda_k": [power.lambda_k.real, power.lambda_k.imag],
             "mu_k": [power.mu_k.real, power.mu_k.imag],
+            "sampler_seed": seed,
+            "radius": SUITE_RADIUS,
         },
         residuals=res,
         tol=tol,

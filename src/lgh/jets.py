@@ -2,18 +2,20 @@
 
 A jet (f0, f1, f2) holds the value and the first two derivatives of
 s -> f(x exp(sZ)) at s = 0.  Entry functions seed the arithmetic exactly:
-f0 = x_ij, f1 = (xZ)_ij, f2 = (xZ^2)_ij, and the ring operations propagate
-derivatives through any polynomial or rational expression without
+f0 = x_ij, f1 = (xZ)_ij, f2 = (xZ^2)_ij, and the ring operations of
+:class:`Jet2` propagate derivatives through products and quotients without
 truncation error.
 
 The components may be scalars or numpy arrays; :class:`BasisCurves` stacks
-the seeds of a whole signed frame so one expression walk differentiates
-along every frame vector at once.  The tension field tau and the
-conformality operator kappa are then signed sums over that frame.
+the seeds of a whole signed frame so one member walk differentiates along
+every frame vector at once.  The tension field tau and the conformality
+operator kappa are then signed sums over that frame.
 
-:func:`frame_operators` is the batched kernel on top: one walk per member
-and block of samples gives the member values, their tau and their signed
-kappa Gram at every sample.
+:func:`frame_operators` is the batched kernel on top: one walk per linear
+member and block of samples gives the member values, their tau and their
+signed kappa Gram at every sample.  Polynomials in members are not walked:
+:func:`compose` gets their values, tau and kappa from the members' by the
+chain rule.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class Jet2:
         return Jet2(f0 / h0, num1 / (h0 * h0), num2 / (h0 * h0 * h0))
 
 
-def constant_jet(value) -> Jet2:
-    return Jet2(complex(value), 0.0, 0.0)
-
-
 class BasisCurves:
     """Curves along every vector of a signed basis at one base point, or at
     a stack of base points.
@@ -112,14 +110,10 @@ def entry_jet(curve, i: int, j: int) -> Jet2:
     )
 
 
-def _signed_sum(signs: np.ndarray, values) -> complex:
-    return complex(np.sum(signs * values))
-
-
 def tau(f, x: np.ndarray, basis: SignedBasis) -> complex:
-    """Tension field: the signed sum of second derivatives over the frame."""
-    jet = f.eval_jet(BasisCurves(x, basis))
-    return _signed_sum(basis.signs, jet.f2)
+    """Tension field of a member or polynomial at the point x: the signed
+    sum of second derivatives over the frame."""
+    return complex(frame_operators([f], [x], basis).tau[0, 0])
 
 
 def kappa(f, g, x: np.ndarray, basis: SignedBasis) -> complex:
@@ -127,10 +121,7 @@ def kappa(f, g, x: np.ndarray, basis: SignedBasis) -> complex:
 
     Complex bilinear in both slots; no conjugation anywhere.
     """
-    curves = BasisCurves(x, basis)
-    jf = f.eval_jet(curves)
-    jg = g.eval_jet(curves) if g is not f else jf
-    return _signed_sum(basis.signs, jf.f1 * jg.f1)
+    return complex(frame_operators([f, g], [x], basis).kappa[0, 0, 1])
 
 
 @dataclass
@@ -201,13 +192,22 @@ def curve_blocks(stack: np.ndarray, basis: SignedBasis):
         yield rows, BasisCurves(stack[rows], basis)
 
 
+def _is_polynomial(f) -> bool:
+    """A polynomial in members (:class:`lgh.exprs.HomPoly`) is composed from
+    its arguments by the chain rule, never walked."""
+    return hasattr(f, "derivatives")
+
+
 def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
     """Member values (S, m), tau (S, m) and signed kappa Gram (S, m, m) at
     the samples ``xs`` (a sequence of points or an (S, n, n) stack).
 
-    Each member's jet is walked once per block of SAMPLE_BLOCK samples, on
-    curves seeded for the whole block.  ``xs`` may also be a table this
-    function returned for the same members and frame; it is passed through.
+    A linear member's jet is walked once per block of SAMPLE_BLOCK samples,
+    on curves seeded for the whole block.  When some members are
+    polynomials, the members they are built on are walked instead, once
+    each, and :func:`compose` gives the polynomials from that table.  ``xs``
+    may also be a table this function returned for the same members and
+    frame; it is passed through.
     """
     members = tuple(members)
     if isinstance(xs, FrameOperators):
@@ -215,6 +215,12 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
             raise ValidationError("frame table was measured for other members or another frame")
         return xs
     stack = stack_samples(xs, basis)
+    if any(_is_polynomial(f) for f in members):
+        walked = {}
+        for f in members:
+            for g in f.args if _is_polynomial(f) else (f,):
+                walked.setdefault(id(g), g)
+        return compose(members, frame_operators(walked.values(), stack, basis))
     count, m, b = stack.shape[0], len(members), len(basis)
     signs = basis.signs
     values = np.empty((count, m), dtype=complex)
@@ -230,3 +236,38 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
             tau_vals[rows, a] = signs @ np.broadcast_to(jet.f2, (b, size))
         gram[rows] = (f1 * signs) @ f1.transpose(0, 2, 1)
     return FrameOperators(members, basis, values, tau_vals, gram)
+
+
+def compose(members, table: FrameOperators) -> FrameOperators:
+    """The frame table of ``members``, each one of the table's members or a
+    polynomial F in them, by the composition rules
+
+        tau(F(phi))            = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a, phi_b)
+        kappa(F(phi), G(phi))  = sum_ab F_a G_b kappa(phi_a, phi_b)
+
+    with F_a, F_ab the gradient and Hessian of F at the member values.
+    """
+    members = tuple(members)
+    position = {id(f): a for a, f in enumerate(table.members)}
+    count, width = table.values.shape
+    values = np.empty((count, len(members)), dtype=complex)
+    tau_vals = np.empty_like(values)
+    grads = np.zeros((len(members), count, width), dtype=complex)
+    for a, f in enumerate(members):
+        if id(f) in position:
+            i = position[id(f)]
+            values[:, a], tau_vals[:, a] = table.values[:, i], table.tau[:, i]
+            grads[a, :, i] = 1.0
+            continue
+        if not _is_polynomial(f) or any(id(g) not in position for g in f.args):
+            raise ValidationError("a member is neither in the frame table nor a polynomial in its members")
+        index = [position[id(g)] for g in f.args]
+        values[:, a], grad, hess = f.derivatives(table.values.take(index, axis=1))
+        # take() keeps operands C-ordered: einsum's summation order follows
+        # the strides, and fancy indexing would transpose them
+        tau_vals[:, a] = np.einsum("sa,sa->s", grad, table.tau.take(index, axis=1)) + np.einsum(
+            "sab,sab->s", hess, table.kappa.take(index, axis=1).take(index, axis=2)
+        )
+        grads[a] = grad @ np.eye(width)[index]
+    gram = np.einsum("asl,slk,csk->sac", grads, table.kappa, grads)
+    return FrameOperators(members, table.basis, values, tau_vals, gram)

@@ -4,18 +4,15 @@ A quotient P/Q of two independent homogeneous polynomials of equal degree
 in the members of one eigenfamily is harmonic and horizontally conformal
 wherever Q does not vanish: tau(P/Q) = 0 and kappa(P/Q, P/Q) = 0.  Power
 families supply the constants of the degree-d polynomials, and orthogonal
-families (lambda = mu = 0) stay closed under polynomial composition.
+families (lambda = mu = 0) stay closed under polynomial composition: a
+polynomial of any degrees in their members is again a :class:`HomPoly`
+over the members.
 
 The verifiers work at the operator level.  The frame-operator kernel
 measures the member values phi_a, tau(phi_a) and kappa(phi_a, phi_b) once
-per sample; a polynomial F in the members then follows from the
-composition rules
-
-    tau(F(phi))            = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a, phi_b)
-    kappa(F(phi), G(phi))  = sum_ab F_a G_b kappa(phi_a, phi_b)
-
-with F_a, F_ab the gradient and Hessian of F at the member values, and the
-quotient from the quotient rule
+per sample; every polynomial in the members, power-family members
+included, then follows from the composition rules of
+:func:`lgh.jets.compose`, and the quotient from the quotient rule
 
     tau(P/Q)            = tau P/Q - P tau Q/Q^2 - 2 kappa(P,Q)/Q^2 + 2P kappa(Q,Q)/Q^3
     kappa(P/Q, P/Q)     = kappa(P,P)/Q^2 - 2P kappa(P,Q)/Q^3 + P^2 kappa(Q,Q)/Q^4.
@@ -31,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InconclusiveError, ValidationError
-from .exprs import Const, Expr, HomPoly, Quotient, Sum
+from .errors import InconclusiveError, ValidationError
+from .exprs import HomPoly
 from .families import Eigenfamily, verify_eigenfamily
-from .jets import FrameOperators, frame_operators
-from .matrices import SignedBasis
+from .jets import FrameOperators, compose, frame_operators
+from .matrices import GroupId, SignedBasis
 from .report import VerificationReport, timed_report
 from .sampling import SampleSet, SplitMix64
 
@@ -66,16 +63,16 @@ class PowerFamily:
         )
 
 
+def _exponents(m: int, degree: int):
+    """Exponent tuples of the degree-``degree`` monomials in m arguments."""
+    for combo in itertools.combinations_with_replacement(range(m), degree):
+        yield tuple(combo.count(i) for i in range(m))
+
+
 def power_family(fam: Eigenfamily, k: int) -> PowerFamily:
     if k < 1:
         raise ValidationError("power family needs k >= 1")
-    m = len(fam.members)
-    members = []
-    for combo in itertools.combinations_with_replacement(range(m), k):
-        expo = [0] * m
-        for i in combo:
-            expo[i] += 1
-        members.append(HomPoly({tuple(expo): 1.0}, fam.members))
+    members = [HomPoly({expo: 1.0}, fam.members) for expo in _exponents(len(fam.members), k)]
     lam_k, mu_k = power_constants(fam.lam, fam.mu, k)
     return PowerFamily(fam, k, members, lam_k, mu_k)
 
@@ -93,12 +90,12 @@ class RationalMorphism:
     def degree(self) -> int:
         return self.numerator.degree
 
-    @property
-    def expr(self) -> Quotient:
-        return Quotient(self.numerator, self.denominator, self.floor)
-
     def in_domain(self, x) -> bool:
-        return abs(self.denominator.eval_point(np.asarray(x, dtype=complex))) > self.floor
+        """|Q(x)| > floor, with Q evaluated as the verifier screens samples."""
+        x = np.asarray(x, dtype=complex)
+        empty = SignedBasis(GroupId("GLC-split", x.shape[-1]))
+        values = frame_operators(self.family.members, [x], empty).values
+        return abs(self.denominator.derivatives(values)[0][0]) > self.floor
 
 
 def _coeff_table(p: HomPoly, q: HomPoly):
@@ -129,6 +126,9 @@ def quotient_morphism(fam: Eigenfamily, P, Q, floor: float = 1e-3) -> RationalMo
     (exponent tuple -> coefficient) or ready HomPoly nodes."""
     pn = _as_hompoly(P, fam.members)
     qn = _as_hompoly(Q, fam.members)
+    for name, poly in (("numerator", pn), ("denominator", qn)):
+        if not poly.homogeneous:
+            raise ValidationError(f"{name} mixes total degrees; P/Q needs homogeneous P and Q")
     if pn.degree != qn.degree:
         raise ValidationError(
             f"degrees differ: numerator {pn.degree}, denominator {qn.degree}"
@@ -152,22 +152,8 @@ def mobius_transform(m: RationalMorphism, a, b, c, d) -> RationalMorphism:
 
 
 # ---------------------------------------------------------------------------
-# chain-rule operators
+# the quotient rule
 # ---------------------------------------------------------------------------
-
-def polynomial_operators(poly: HomPoly, table: FrameOperators):
-    """Value (S,), gradient in the members (S, m) and tau (S,) of a
-    polynomial in the table's members, by the composition rule."""
-    if not table.describes(poly.args, table.basis):
-        raise ValidationError("polynomial arguments are not the members of the frame table")
-    value, grad, hess = poly.derivatives(table.values)
-    tau = np.einsum("sa,sa->s", grad, table.tau) + np.einsum("sab,sab->s", hess, table.kappa)
-    return value, grad, tau
-
-
-def _kappa(grad_f, grad_g, table: FrameOperators) -> np.ndarray:
-    return np.einsum("sa,sab,sb->s", grad_f, table.kappa, grad_g)
-
 
 @dataclass
 class QuotientOperators:
@@ -204,17 +190,10 @@ class QuotientOperators:
 
 
 def quotient_operators(P: HomPoly, Q: HomPoly, table: FrameOperators) -> QuotientOperators:
-    p, grad_p, tau_p = polynomial_operators(P, table)
-    q, grad_q, tau_q = polynomial_operators(Q, table)
-    return QuotientOperators(
-        p,
-        q,
-        tau_p,
-        tau_q,
-        _kappa(grad_p, grad_p, table),
-        _kappa(grad_p, grad_q, table),
-        _kappa(grad_q, grad_q, table),
-    )
+    """P and Q composed from the table of the members they are built on."""
+    ops = compose([P, Q], table)
+    v, t, k = ops.values, ops.tau, ops.kappa
+    return QuotientOperators(v[:, 0], v[:, 1], t[:, 0], t[:, 1], k[:, 0, 0], k[:, 0, 1], k[:, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -240,58 +219,30 @@ def _collect_in_domain(screen, samples, sampler, min_samples):
     return FrameOperators.concat(tables), drawn - kept
 
 
-def _point_in_domain(expr: Expr, x) -> bool:
-    try:
-        expr.eval_point(np.asarray(x, dtype=complex))
-    except DomainError:
-        return False
-    return True
-
-
 def verify_harmonic_morphism(
-    m,
+    m: RationalMorphism,
     basis: SignedBasis,
     samples,
     tol: float = 1e-8,
     min_samples: int | None = None,
     sampler=None,
 ) -> VerificationReport:
-    """Measure max |tau(m)| and |kappa(m, m)| over in-domain samples.
+    """Measure max |tau(P/Q)| and |kappa(P/Q, P/Q)| over in-domain samples.
 
-    ``m`` is a :class:`RationalMorphism` or any expression.  A morphism is
-    verified by the quotient rule over its family members' frame table, and
-    ``samples`` may then already be that table (see :func:`frame_operators`);
-    any other expression is walked as one jet.  Samples where a denominator
-    falls below its domain floor are discarded; when a ``sampler(count)``
-    callable is supplied the verifier draws the shortfall again, up to ten
-    times the requested count in all, before declaring the run inconclusive.
+    The morphism is verified by the quotient rule over its family members'
+    frame table, and ``samples`` may already be that table (see
+    :func:`frame_operators`).  Samples where |Q| falls to its domain floor
+    are discarded; when a ``sampler(count)`` callable is supplied the
+    verifier draws the shortfall again, up to ten times the requested count
+    in all, before declaring the run inconclusive.
     """
-    if isinstance(m, RationalMorphism):
-        members = m.family.members
+    members = m.family.members
 
-        def screen(batch):
-            table = frame_operators(members, batch, basis)
-            q = m.denominator.derivatives(table.values)[0]
-            return table.rows(np.abs(q) > m.floor)
+    def screen(batch):
+        table = frame_operators(members, batch, basis)
+        q = m.denominator.derivatives(table.values)[0]
+        return table.rows(np.abs(q) > m.floor)
 
-        def operators(table):
-            ops = quotient_operators(m.numerator, m.denominator, table)
-            return ops.tau, ops.kappa
-
-        target = str(m.family.group)
-        params = {"degree": m.degree, "floor": m.floor, "members": len(members)}
-    else:
-        if isinstance(samples, FrameOperators):
-            raise ValidationError("a frame table can only verify a RationalMorphism")
-
-        def screen(batch):
-            return frame_operators([m], [x for x in batch if _point_in_domain(m, x)], basis)
-
-        def operators(table):
-            return table.tau[:, 0], table.kappa[:, 0, 0]
-
-        target = str(basis.group)
-        params = {}
     if not isinstance(samples, (FrameOperators, SampleSet, np.ndarray)):
         samples = list(samples)
     with timed_report() as clock:
@@ -300,13 +251,13 @@ def verify_harmonic_morphism(
             raise InconclusiveError(
                 "no sample cleared the domain floor; cannot verify the morphism"
             )
-        tau, kappa = operators(table)
-        tau_res = float(np.max(np.abs(tau)))
-        kappa_res = float(np.max(np.abs(kappa)))
+        ops = quotient_operators(m.numerator, m.denominator, table)
+        tau_res = float(np.max(np.abs(ops.tau)))
+        kappa_res = float(np.max(np.abs(ops.kappa)))
     return VerificationReport(
         check="harmonic-morphism",
-        target=target,
-        params=params,
+        target=str(m.family.group),
+        params={"degree": m.degree, "floor": m.floor, "members": len(members)},
         residuals={"tau": tau_res, "kappa": kappa_res},
         tol=tol,
         samples_used=len(table),
@@ -369,9 +320,9 @@ def compose_orthogonal(
     basis: SignedBasis | None = None,
     samples=None,
     tol: float = 1e-8,
-) -> Expr:
-    """Compose a polynomial h (exponent map, any total degrees) with the
-    members of an orthogonal harmonic family.
+) -> HomPoly:
+    """Compose a polynomial h (exponent map, any total degrees, a constant
+    term included) with the members of an orthogonal harmonic family.
 
     The result is again harmonic with isotropic gradient.  When a basis and
     samples are supplied the family is verified first; otherwise only the
@@ -385,43 +336,16 @@ def compose_orthogonal(
             raise ValidationError(
                 f"family failed orthogonality verification: residuals {rep.residuals}"
             )
-    by_degree: dict[int, dict] = {}
-    constant = 0j
-    for expo, c in h.items():
-        expo = tuple(int(e) for e in expo)
-        if len(expo) != len(family.members):
-            raise ValidationError("exponent length does not match family size")
-        d = sum(expo)
-        if d == 0:
-            constant += complex(c)
-        else:
-            by_degree.setdefault(d, {})[expo] = complex(c)
-    parts: list[Expr] = [
-        HomPoly(coeffs, family.members) for _, coeffs in sorted(by_degree.items())
-    ]
-    if constant != 0 or not parts:
-        parts.insert(0, Const(constant))
-    return parts[0] if len(parts) == 1 else Sum(parts)
+    return HomPoly(h, family.members)
 
 
 # ---------------------------------------------------------------------------
 # seeded polynomial factory for property checks
 # ---------------------------------------------------------------------------
 
-def _monomials(m: int, degree: int):
-    return list(itertools.combinations_with_replacement(range(m), degree))
-
-
 def random_hompoly(members, degree: int, rng: SplitMix64) -> HomPoly:
     """Dense homogeneous polynomial with coefficients uniform on the unit disc."""
-    m = len(members)
-    coeffs = {}
-    for combo in _monomials(m, degree):
-        expo = [0] * m
-        for i in combo:
-            expo[i] += 1
-        coeffs[tuple(expo)] = rng.complex_disc()
-    return HomPoly(coeffs, members)
+    return HomPoly({expo: rng.complex_disc() for expo in _exponents(len(members), degree)}, members)
 
 
 def random_morphism(

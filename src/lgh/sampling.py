@@ -4,14 +4,17 @@ Samples are x = exp(A1) exp(A2) with each A a random real combination of the
 basis vectors; two factors push the points past the image of a single
 exponential chart.  The coefficient stream comes from SplitMix64, a named
 64-bit generator with exactly reproducible output on every platform, so a
-seed pins the sample list bit for bit.
+seed pins the coefficients everywhere, and the sample list bit for bit on
+one numpy build and CPU dispatch path.
 
 Points are drawn a batch at a time: :meth:`GroupSampler.take` draws the
 coefficients of the whole batch as one block of the stream, combines them
 with the basis by a fixed-order elementwise sum (no BLAS reduction), and
 exponentiates the stacked generators in one ``expm`` call.  A point's bits
-therefore do not depend on the batch size or the BLAS build, and
-``take(a)`` followed by ``take(b)`` gives the same points as ``take(a + b)``.
+therefore do not depend on the batch size, and ``take(a)`` followed by
+``take(b)`` gives the same points as ``take(a + b)``.  They do depend on the
+BLAS build and the CPU dispatch path: ``expm`` and the product of the two
+factors go through BLAS.
 """
 
 from __future__ import annotations

@@ -121,14 +121,20 @@ def test_continue_function_passthrough():
 
     h = HomPoly({(2, 0): 1.0}, fam.members)
     assert du.continue_function(h) is h
+    nested = HomPoly({(1, 1): 2.0, (0, 0): -1.0}, [h, Entry(1, 2)])
+    assert du.continue_function(nested) is nested
 
 
 def test_continue_function_rejects_foreign_nodes():
     class ConjEntry:  # an entrywise-conjugation node is not holomorphic
         pass
 
+    from lgh.exprs import HomPoly
+
     with pytest.raises(ValidationError):
         du.continue_function(ConjEntry())
+    with pytest.raises(ValidationError):
+        du.continue_function(HomPoly({(1, 1): 1.0}, [Entry(1, 1), ConjEntry()]))
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from oracle import Const, Product, Sum
 
 from lgh import families as fa
 from lgh import matrices as M
 from lgh.errors import ValidationError
-from lgh.exprs import Product, Sum, Const
 from lgh.jets import kappa, tau
 from lgh.sampling import SplitMix64, sample_compact
 

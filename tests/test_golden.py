@@ -7,7 +7,8 @@ numeric change, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and record the largest drift per check in CHANGES.md.
+which prints the largest residual drift of each check before it overwrites
+the file; record that table in CHANGES.md.
 """
 
 import json
@@ -43,7 +44,21 @@ def test_suite_matches_golden_report_exactly():
     assert doc == golden
 
 
+def residual_drift(old, new):
+    """``(check, target, max |new - old|)`` over the residuals of each check
+    of two :func:`exact` documents; a residual on one side only counts inf."""
+    for was, now in zip(old["checks"], new["checks"], strict=True):
+        assert (was["check"], was["target"]) == (now["check"], now["target"])
+        a, b = was["residuals"], now["residuals"]
+        drift = (abs(float.fromhex(b.get(k, "inf")) - float.fromhex(a.get(k, "inf"))) for k in a | b)
+        yield now["check"], now["target"], max(drift, default=0.0)
+
+
 if __name__ == "__main__":
+    doc = exact(run_suite(SEED))
+    if GOLDEN.exists():
+        for check, target, worst in residual_drift(json.loads(GOLDEN.read_text()), doc):
+            print(f"{check:<28} {target:<24} {worst:.1e}")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(exact(run_suite(SEED)), indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}")

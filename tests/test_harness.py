@@ -240,12 +240,30 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["verify-duality", "--pair", "sl_r", "--n", "2", "--q", "3"], "q"),
         (["probe-duality", "--p", "2", "--q", "2", "--tol", "1e-30"], "tol"),
         (["verify-lemma", "--config", "{config}", "--n", "5"], "n"),
+        (["verify-family", "--config", "{samples_text}"], "samples"),
+        (["verify-family", "--config", "{seed_bool}"], "seed"),
+        (["verify-identities", "--config", "{n_float}"], "n"),
+        (["verify-family", "--config", "{radius_text}"], "radius"),
+        (["verify-morphism", "--config", "{floor_list}"], "floor"),
+        (["verify-duality", "--config", "{pair_list}"], "pair"),
+        (["verify-family", "--config", "{deformation_list}"], "family.deformation"),
     ],
 )
 def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
-    config = tmp_path / "so3.json"
-    config.write_text(json.dumps({"group": {"family": "so", "n": 3}}))
-    assert main([arg.format(config=config) for arg in argv]) == 2
+    u2 = {"group": {"family": "u", "n": 2}}
+    configs = {
+        "config": {"group": {"family": "so", "n": 3}},
+        "samples_text": {"family": u2, "samples": "100"},
+        "seed_bool": {"family": u2, "seed": True},
+        "n_float": {"n": 2.5},
+        "radius_text": {"family": u2, "radius": "0.5"},
+        "floor_list": {"family": u2, "morphism": H.HOPF_SPEC, "floor": [0.1]},
+        "pair_list": {"pair": ["sl_r", 2]},
+        "deformation_list": {"family": {"group": {"family": "so", "n": 4}, "deformation": [1, 2]}},
+    }
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    assert main([arg.format(**{name: tmp_path / f"{name}.json" for name in configs}) for arg in argv]) == 2
     assert f"field: {field}" in capsys.readouterr().err
 
 
@@ -290,6 +308,25 @@ def test_factory_check_replays_from_its_recorded_seeds():
         tau = max(tau, rep.residuals["tau"])
         kappa = max(kappa, rep.residuals["kappa"])
     assert (tau, kappa) == (factory.residuals["tau"], factory.residuals["kappa"])
+
+
+def test_power_family_check_replays_from_its_params():
+    from lgh import families as fa
+    from lgh import morphisms as mo
+    from lgh.matrices import compact_basis
+    from lgh.sampling import compact_sampler
+
+    fam = H.family_from_spec(H.U2_SPEC)
+    report = H._check_power_family(fam, 3, H.DEFAULT_SEED, 1e-8)
+    params = report.params
+    assert (params["sampler_seed"], params["radius"]) == (H.DEFAULT_SEED, 0.5)
+    # replay with the public API and the recorded params alone
+    pfam = mo.power_family(fam, params["k"]).as_eigenfamily()
+    basis = compact_basis(fam.group)
+    samples = compact_sampler(fam.group, params["radius"], params["sampler_seed"]).take(report.samples_used)
+    residuals = dict(fa.verify_eigenfamily(pfam, basis, samples, tol=report.tol).residuals)
+    residuals.update(fa.measure_constants_residual(pfam, basis, samples, value_floor=0.1))
+    assert residuals == report.residuals
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from oracle import Const, Product, Sum, walk
 from scipy.linalg import expm
 
 from lgh import matrices as M
 from lgh.errors import DomainError
-from lgh.exprs import Const, Entry, HomPoly, Product, Sum
+from lgh.exprs import Entry, HomPoly
 from lgh.jets import BasisCurves, Jet2, entry_jet, kappa, tau
 from lgh.sampling import SplitMix64, sample_compact
 
@@ -197,7 +198,7 @@ def test_basis_curves_match_single_curves():
     basis = M.compact_basis(gid)
     x = sample_compact(gid, 1, 0.5, 12).points[0]
     curves = BasisCurves(x, basis)
-    f = HomPoly({(2,): 1.0}, [Entry(1, 2)])
+    f = walk(HomPoly({(2,): 1.0}, [Entry(1, 2)]))
     batched = f.eval_jet(curves)
     # stacked and single matrix products may take different BLAS paths, so
     # agreement is to rounding rather than bitwise
@@ -223,9 +224,12 @@ def _frame_cases():
 
 @pytest.mark.parametrize("case", list(_frame_cases()), ids=lambda c: c[0])
 def test_frame_operators_match_per_sample_tau_and_kappa(case):
+    """The kernel, power members composed by the chain rule, against the
+    full jet walk of each member at each sample."""
     from lgh.jets import SAMPLE_BLOCK, frame_operators
 
     _, members, basis, samples = case
+    walked = [walk(f) for f in members]
     assert len(samples) > 2 * SAMPLE_BLOCK  # crosses block boundaries
     ops = frame_operators(members, samples, basis)
     m = len(members)
@@ -233,10 +237,10 @@ def test_frame_operators_match_per_sample_tau_and_kappa(case):
     assert ops.tau.shape == (len(samples), m)
     assert ops.kappa.shape == (len(samples), m, m)
     for s, x in enumerate(samples):
-        for a, f in enumerate(members):
+        for a, f in enumerate(walked):
             assert abs(ops.values[s, a] - f.eval_point(x)) <= 1e-12
             assert abs(ops.tau[s, a] - tau(f, x, basis)) <= 1e-12
-            for c, g in enumerate(members):
+            for c, g in enumerate(walked):
                 assert abs(ops.kappa[s, a, c] - kappa(f, g, x, basis)) <= 1e-12
 
 
