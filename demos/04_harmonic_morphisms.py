@@ -61,9 +61,9 @@ basis_u2 = M.compact_basis(u2.group)
 samples = sample_compact(u2.group, 60, 0.5, 42)
 for k in (2, 3):
     pf = mo.power_family(u2, k)
-    meas = fa.measure_constants_residual(pf.as_eigenfamily(), basis_u2, samples)
+    meas = fa.measure_constants_residual(pf, basis_u2, samples)
     print(
-        f"k={k}: lambda_k={pf.lambda_k.real:+.1f} mu_k={pf.mu_k.real:+.1f}  "
+        f"k={k}: lambda_k={pf.lam.real:+.1f} mu_k={pf.mu.real:+.1f}  "
         f"measured deviation {max(meas.values()):.2e}"
     )
 

@@ -81,7 +81,6 @@ from .matrices import (
     verify_matrix_identities,
 )
 from .morphisms import (
-    PowerFamily,
     RationalMorphism,
     compose_orthogonal,
     mobius_transform,
@@ -89,7 +88,6 @@ from .morphisms import (
     power_constants,
     power_family,
     quotient_morphism,
-    quotient_operators,
     random_morphism,
     verify_harmonic_morphism,
     verify_quotient_condition,

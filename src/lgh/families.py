@@ -20,6 +20,10 @@ from .matrices import GroupId, SignedBasis, compact_basis
 from .report import VerificationReport, timed_report
 from .sampling import SampleSet, _maxabs
 
+# measure_constants_residual divides by phi and phi^2; it skips member values
+# at or below this magnitude.
+VALUE_FLOOR = 0.1
+
 # (lambda, mu) for the linear coordinate families, per compact family.
 # SU values follow from removing the trace direction i I/sqrt(n) from the
 # u(n) frame: tau gains + z/n, kappa gains + (phi psi)/n.
@@ -287,18 +291,16 @@ def verify_coordinate_lemmas(
     )
 
 
-def measure_constants_residual(
-    fam: Eigenfamily, basis: SignedBasis, samples, value_floor: float = 0.1
-) -> dict:
+def measure_constants_residual(fam: Eigenfamily, basis: SignedBasis, samples) -> dict:
     """Compare the stored constants against direct jet measurements.
 
     Returns max |tau(phi)/phi - lambda| and |kappa(phi,phi)/phi^2 - mu| over
-    members and samples, skipping points where |phi| <= value_floor.
+    members and samples, skipping points where |phi| <= VALUE_FLOOR.
     ``samples`` may be a :func:`frame_operators` table, as for
     :func:`verify_eigenfamily`.
     """
     ops = frame_operators(fam.members, samples, basis)
-    mask = np.abs(ops.values) > value_floor
+    mask = np.abs(ops.values) > VALUE_FLOOR
     f0 = ops.values[mask]
     kappa_diag = np.diagonal(ops.kappa, axis1=1, axis2=2)[mask]
     return {

@@ -13,9 +13,9 @@ operator kappa are then signed sums over that frame.
 
 :func:`frame_operators` is the batched kernel on top: one walk per linear
 member and block of samples gives the member values, their tau and their
-signed kappa Gram at every sample.  Polynomials in members are not walked:
-:func:`compose` gets their values, tau and kappa from the members' by the
-chain rule.
+signed kappa Gram at every sample.  Composites (polynomials in members, and
+quotients P/Q of two polynomials) are not walked: :func:`compose` gets
+their values, tau and kappa from their arguments' by the chain rule.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def entry_jet(curve, i: int, j: int) -> Jet2:
 
 
 def tau(f, x: np.ndarray, basis: SignedBasis) -> complex:
-    """Tension field of a member or polynomial at the point x: the signed
+    """Tension field of a member or composite at the point x: the signed
     sum of second derivatives over the frame."""
     return complex(frame_operators([f], [x], basis).tau[0, 0])
 
@@ -192,9 +192,11 @@ def curve_blocks(stack: np.ndarray, basis: SignedBasis):
         yield rows, BasisCurves(stack[rows], basis)
 
 
-def _is_polynomial(f) -> bool:
-    """A polynomial in members (:class:`lgh.exprs.HomPoly`) is composed from
-    its arguments by the chain rule, never walked."""
+def _is_composite(f) -> bool:
+    """A composite, a function of the functions ``f.args`` with
+    ``f.derivatives`` (:class:`lgh.exprs.HomPoly`,
+    :class:`lgh.morphisms.RationalMorphism`), is composed from its arguments
+    by the chain rule, never walked."""
     return hasattr(f, "derivatives")
 
 
@@ -204,10 +206,10 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
 
     A linear member's jet is walked once per block of SAMPLE_BLOCK samples,
     on curves seeded for the whole block.  When some members are
-    polynomials, the members they are built on are walked instead, once
-    each, and :func:`compose` gives the polynomials from that table.  ``xs``
-    may also be a table this function returned for the same members and
-    frame; it is passed through.
+    composites, their arguments are measured instead, once each and
+    recursively, and :func:`compose` gives the composites from that table.
+    ``xs`` may also be a table this function returned for the same members
+    and frame; it is passed through.
     """
     members = tuple(members)
     if isinstance(xs, FrameOperators):
@@ -215,10 +217,10 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
             raise ValidationError("frame table was measured for other members or another frame")
         return xs
     stack = stack_samples(xs, basis)
-    if any(_is_polynomial(f) for f in members):
+    if any(_is_composite(f) for f in members):
         walked = {}
         for f in members:
-            for g in f.args if _is_polynomial(f) else (f,):
+            for g in f.args if _is_composite(f) else (f,):
                 walked.setdefault(id(g), g)
         return compose(members, frame_operators(walked.values(), stack, basis))
     count, m, b = stack.shape[0], len(members), len(basis)
@@ -240,12 +242,15 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
 
 def compose(members, table: FrameOperators) -> FrameOperators:
     """The frame table of ``members``, each one of the table's members or a
-    polynomial F in them, by the composition rules
+    composite F of them (a polynomial, or a quotient P/Q), by the
+    composition rules
 
         tau(F(phi))            = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a, phi_b)
         kappa(F(phi), G(phi))  = sum_ab F_a G_b kappa(phi_a, phi_b)
 
-    with F_a, F_ab the gradient and Hessian of F at the member values.
+    with F_a, F_ab the gradient and Hessian of F at the member values, as
+    ``F.derivatives`` returns them.  For P/Q in (P, Q) they are (1/Q, -P/Q^2)
+    and [[0, -1/Q^2], [-1/Q^2, 2P/Q^3]].
     """
     members = tuple(members)
     position = {id(f): a for a, f in enumerate(table.members)}
@@ -259,8 +264,8 @@ def compose(members, table: FrameOperators) -> FrameOperators:
             values[:, a], tau_vals[:, a] = table.values[:, i], table.tau[:, i]
             grads[a, :, i] = 1.0
             continue
-        if not _is_polynomial(f) or any(id(g) not in position for g in f.args):
-            raise ValidationError("a member is neither in the frame table nor a polynomial in its members")
+        if not _is_composite(f) or any(id(g) not in position for g in f.args):
+            raise ValidationError("a member is neither in the frame table nor a composite of its members")
         index = [position[id(g)] for g in f.args]
         values[:, a], grad, hess = f.derivatives(table.values.take(index, axis=1))
         # take() keeps operands C-ordered: einsum's summation order follows

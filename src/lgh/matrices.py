@@ -399,11 +399,14 @@ def symplectic_matrix(n: int) -> np.ndarray:
 # Gram-Schmidt for the indefinite form
 # ---------------------------------------------------------------------------
 
+# A pivot with |B(v, v)| below this after projection counts as a null direction.
+NULL_TOL = 1e-9
+
+
 def gram_schmidt_indefinite(
     spanning,
     group: GroupId | None = None,
     *,
-    null_tol: float = 1e-9,
     drop_dependent: bool = False,
 ) -> SignedBasis:
     """Orthonormalize a real spanning set under B(Z, W) = Re trace(Z W).
@@ -432,7 +435,7 @@ def gram_schmidt_indefinite(
             projected.append(w)
         norms = [abs(trace_form(w, w)) for w in projected]
         best = max(range(len(norms)), key=norms.__getitem__)
-        if norms[best] < null_tol:
+        if norms[best] < NULL_TOL:
             if drop_dependent:
                 break
             raise DegeneracyError(

@@ -3,19 +3,19 @@
 A quotient P/Q of two independent homogeneous polynomials of equal degree
 in the members of one eigenfamily is harmonic and horizontally conformal
 wherever Q does not vanish: tau(P/Q) = 0 and kappa(P/Q, P/Q) = 0.  Power
-families supply the constants of the degree-d polynomials, and orthogonal
-families (lambda = mu = 0) stay closed under polynomial composition: a
-polynomial of any degrees in their members is again a :class:`HomPoly`
-over the members.
+families supply the constants of the degree-k polynomials: the degree-k
+monomials in the members form an eigenfamily with (lambda_k, mu_k).
+Orthogonal families (lambda = mu = 0) stay closed under polynomial
+composition: a polynomial of any degrees in their members is again a
+:class:`HomPoly` over the members.
 
 The verifiers work at the operator level.  The frame-operator kernel
 measures the member values phi_a, tau(phi_a) and kappa(phi_a, phi_b) once
-per sample; every polynomial in the members, power-family members
-included, then follows from the composition rules of
-:func:`lgh.jets.compose`, and the quotient from the quotient rule
-
-    tau(P/Q)            = tau P/Q - P tau Q/Q^2 - 2 kappa(P,Q)/Q^2 + 2P kappa(Q,Q)/Q^3
-    kappa(P/Q, P/Q)     = kappa(P,P)/Q^2 - 2P kappa(P,Q)/Q^3 + P^2 kappa(Q,Q)/Q^4.
+per sample.  Every polynomial in the members follows from the composition
+rules of :func:`lgh.jets.compose`, and so does the quotient: a
+:class:`RationalMorphism` is the function F(P, Q) = P/Q of its two
+arguments, with gradient (1/Q, -P/Q^2) and Hessian
+[[0, -1/Q^2], [-1/Q^2, 2P/Q^3]] in (P, Q).
 
 The member tau and kappa are measured, never taken from the family's stated
 (lambda, mu), so a wrong member list shows up as a failing residual.
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconclusiveError, ValidationError
+from .errors import DomainError, InconclusiveError, ValidationError
 from .exprs import HomPoly
-from .families import Eigenfamily, verify_eigenfamily
+from .families import Eigenfamily
 from .jets import FrameOperators, compose, frame_operators
 from .matrices import GroupId, SignedBasis
 from .report import VerificationReport, timed_report
@@ -42,44 +42,37 @@ def power_constants(lam: complex, mu: complex, k: int) -> tuple[complex, complex
     return k * lam + k * (k - 1) * mu, k * k * mu
 
 
-@dataclass
-class PowerFamily:
-    """All degree-k monomials in the members of a base eigenfamily."""
-
-    base: Eigenfamily
-    k: int
-    members: list
-    lambda_k: complex
-    mu_k: complex
-
-    def as_eigenfamily(self) -> Eigenfamily:
-        return Eigenfamily(
-            group=self.base.group,
-            members=self.members,
-            lam=self.lambda_k,
-            mu=self.mu_k,
-            provenance=f"{self.base.provenance}-power-{self.k}",
-            dual_continuable=self.base.dual_continuable,
-        )
-
-
 def _exponents(m: int, degree: int):
     """Exponent tuples of the degree-``degree`` monomials in m arguments."""
     for combo in itertools.combinations_with_replacement(range(m), degree):
         yield tuple(combo.count(i) for i in range(m))
 
 
-def power_family(fam: Eigenfamily, k: int) -> PowerFamily:
+def power_family(fam: Eigenfamily, k: int) -> Eigenfamily:
+    """The degree-k monomials in the members of ``fam``, an eigenfamily with
+    the constants (lambda_k, mu_k) of :func:`power_constants`."""
     if k < 1:
         raise ValidationError("power family needs k >= 1")
     members = [HomPoly({expo: 1.0}, fam.members) for expo in _exponents(len(fam.members), k)]
     lam_k, mu_k = power_constants(fam.lam, fam.mu, k)
-    return PowerFamily(fam, k, members, lam_k, mu_k)
+    return Eigenfamily(
+        group=fam.group,
+        members=members,
+        lam=lam_k,
+        mu=mu_k,
+        provenance=f"{fam.provenance}-power-{k}",
+        dual_continuable=fam.dual_continuable,
+    )
 
 
 @dataclass
 class RationalMorphism:
-    """Quotient P/Q of equal-degree homogeneous polynomials in a family."""
+    """Quotient P/Q of equal-degree homogeneous polynomials in a family.
+
+    It is the function P/Q of its two arguments ``args = [P, Q]``, so
+    :func:`lgh.jets.compose` and :func:`frame_operators` take it like a
+    polynomial.
+    """
 
     family: Eigenfamily
     numerator: HomPoly
@@ -89,6 +82,28 @@ class RationalMorphism:
     @property
     def degree(self) -> int:
         return self.numerator.degree
+
+    @property
+    def args(self) -> list:
+        return [self.numerator, self.denominator]
+
+    def derivatives(self, values):
+        """Value p/q (S,), gradient (S, 2) and Hessian (S, 2, 2) in (p, q),
+        at stacked argument values of shape (S, 2).
+
+        Raises :class:`DomainError` when any |q| is at or below the floor.
+        """
+        values = np.asarray(values, dtype=complex)
+        p, q = values[:, 0], values[:, 1]
+        if np.any(np.abs(q) <= self.floor):
+            raise DomainError("denominator at or below the domain floor", node=self, value=q)
+        inv = 1.0 / q
+        inv2 = inv * inv
+        grad = np.stack([inv, -p * inv2], axis=-1)
+        hess = np.zeros((len(q), 2, 2), dtype=complex)
+        hess[:, 0, 1] = hess[:, 1, 0] = -inv2
+        hess[:, 1, 1] = 2.0 * p * inv2 * inv
+        return p * inv, grad, hess
 
     def in_domain(self, x) -> bool:
         """|Q(x)| > floor, with Q evaluated as the verifier screens samples."""
@@ -152,51 +167,6 @@ def mobius_transform(m: RationalMorphism, a, b, c, d) -> RationalMorphism:
 
 
 # ---------------------------------------------------------------------------
-# the quotient rule
-# ---------------------------------------------------------------------------
-
-@dataclass
-class QuotientOperators:
-    """P, Q and their five frame operators at stacked samples; ``tau`` and
-    ``kappa`` give those of P/Q by the quotient rule."""
-
-    p: np.ndarray
-    q: np.ndarray
-    tau_p: np.ndarray
-    tau_q: np.ndarray
-    kappa_pp: np.ndarray
-    kappa_pq: np.ndarray
-    kappa_qq: np.ndarray
-
-    @property
-    def tau(self) -> np.ndarray:
-        p, q = self.p, self.q
-        q2 = q * q
-        return (
-            self.tau_p / q
-            - (p * self.tau_q + 2.0 * self.kappa_pq) / q2
-            + 2.0 * p * self.kappa_qq / (q2 * q)
-        )
-
-    @property
-    def kappa(self) -> np.ndarray:
-        p, q = self.p, self.q
-        q2 = q * q
-        return (
-            self.kappa_pp / q2
-            - 2.0 * p * self.kappa_pq / (q2 * q)
-            + p * p * self.kappa_qq / (q2 * q2)
-        )
-
-
-def quotient_operators(P: HomPoly, Q: HomPoly, table: FrameOperators) -> QuotientOperators:
-    """P and Q composed from the table of the members they are built on."""
-    ops = compose([P, Q], table)
-    v, t, k = ops.values, ops.tau, ops.kappa
-    return QuotientOperators(v[:, 0], v[:, 1], t[:, 0], t[:, 1], k[:, 0, 0], k[:, 0, 1], k[:, 1, 1])
-
-
-# ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
 
@@ -229,8 +199,8 @@ def verify_harmonic_morphism(
 ) -> VerificationReport:
     """Measure max |tau(P/Q)| and |kappa(P/Q, P/Q)| over in-domain samples.
 
-    The morphism is verified by the quotient rule over its family members'
-    frame table, and ``samples`` may already be that table (see
+    P, Q and then P/Q are composed from the family members' frame table,
+    and ``samples`` may already be that table (see
     :func:`frame_operators`).  Samples where |Q| falls to its domain floor
     are discarded; when a ``sampler(count)`` callable is supplied the
     verifier draws the shortfall again, up to ten times the requested count
@@ -251,7 +221,7 @@ def verify_harmonic_morphism(
             raise InconclusiveError(
                 "no sample cleared the domain floor; cannot verify the morphism"
             )
-        ops = quotient_operators(m.numerator, m.denominator, table)
+        ops = compose([m], compose(m.args, table))
         tau_res = float(np.max(np.abs(ops.tau)))
         kappa_res = float(np.max(np.abs(ops.kappa)))
     return VerificationReport(
@@ -284,13 +254,14 @@ def verify_quotient_condition(
     lam_q, _ = power_constants(fam.lam, fam.mu, qn.degree)
     with timed_report() as clock:
         table = frame_operators(fam.members, samples, basis)
-        ops = quotient_operators(pn, qn, table)
-        p0, q0 = ops.p, ops.q
+        ops = compose([pn, qn], table)
+        p0, q0 = ops.values[:, 0], ops.values[:, 1]
+        k_pp, k_pq, k_qq = ops.kappa[:, 0, 0], ops.kappa[:, 0, 1], ops.kappa[:, 1, 1]
         res = {
-            "triple_left": np.abs(q0 * q0 * ops.kappa_pp - p0 * q0 * ops.kappa_pq),
-            "triple_right": np.abs(p0 * p0 * ops.kappa_qq - p0 * q0 * ops.kappa_pq),
-            "tau_numerator": np.abs(ops.tau_p - lam_p * p0),
-            "tau_denominator": np.abs(ops.tau_q - lam_q * q0),
+            "triple_left": np.abs(q0 * q0 * k_pp - p0 * q0 * k_pq),
+            "triple_right": np.abs(p0 * p0 * k_qq - p0 * q0 * k_pq),
+            "tau_numerator": np.abs(ops.tau[:, 0] - lam_p * p0),
+            "tau_denominator": np.abs(ops.tau[:, 1] - lam_q * q0),
         }
         res = {key: float(np.max(val, initial=0.0)) for key, val in res.items()}
     return VerificationReport(
@@ -314,28 +285,16 @@ def orthogonal_family(group, members) -> Eigenfamily:
     return Eigenfamily(group, list(members), 0j, 0j, "orthogonal")
 
 
-def compose_orthogonal(
-    family: Eigenfamily,
-    h: dict,
-    basis: SignedBasis | None = None,
-    samples=None,
-    tol: float = 1e-8,
-) -> HomPoly:
+def compose_orthogonal(family: Eigenfamily, h: dict) -> HomPoly:
     """Compose a polynomial h (exponent map, any total degrees, a constant
     term included) with the members of an orthogonal harmonic family.
 
-    The result is again harmonic with isotropic gradient.  When a basis and
-    samples are supplied the family is verified first; otherwise only the
-    structural lambda = mu = 0 requirement is enforced.
+    The result is again harmonic with isotropic gradient.  Only the
+    structural lambda = mu = 0 requirement is checked here; measure the
+    family with :func:`lgh.families.verify_eigenfamily`.
     """
     if family.lam != 0 or family.mu != 0:
         raise ValidationError("composition requires an orthogonal family (lambda = mu = 0)")
-    if basis is not None and samples is not None:
-        rep = verify_eigenfamily(family, basis, samples, tol=tol)
-        if not rep.passed:
-            raise ValidationError(
-                f"family failed orthogonality verification: residuals {rep.residuals}"
-            )
     return HomPoly(h, family.members)
 
 

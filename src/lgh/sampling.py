@@ -153,7 +153,7 @@ class GroupSampler:
     points to their (S,) structural defects.
     """
 
-    def __init__(self, basis_matrices: np.ndarray, radius: float, seed: int, defect_fn=None):
+    def __init__(self, basis_matrices: np.ndarray, radius: float, seed: int, defect_fn):
         if radius < 0:
             raise ValidationError("radius must be nonnegative")
         self._mats = np.asarray(basis_matrices, dtype=complex)
@@ -173,8 +173,7 @@ class GroupSampler:
         gens.imag = _combine(coeffs, self._mats.imag)
         factors = expm(gens)
         points = factors[:, 0] @ factors[:, 1]
-        defects = self._defect_fn(points) if self._defect_fn else np.zeros(count)
-        return SampleSet(points, defects)
+        return SampleSet(points, self._defect_fn(points))
 
 
 def compact_sampler(group: GroupId, radius: float = 0.5, seed: int = 42) -> GroupSampler:

@@ -247,6 +247,11 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["verify-morphism", "--config", "{floor_list}"], "floor"),
         (["verify-duality", "--config", "{pair_list}"], "pair"),
         (["verify-family", "--config", "{deformation_list}"], "family.deformation"),
+        (["verify-lemma", "--config", "{group_n_text}"], "group.n"),
+        (["verify-lemma", "--config", "{group_n_float}"], "group.n"),
+        (["verify-lemma", "--config", "{group_n_bool}"], "group.n"),
+        (["verify-duality", "--config", "{pair_p_text}"], "pair.p"),
+        (["verify-morphism", "--config", "{exponents_text}"], "morphism.P"),
     ],
 )
 def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
@@ -260,6 +265,17 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
         "floor_list": {"family": u2, "morphism": H.HOPF_SPEC, "floor": [0.1]},
         "pair_list": {"pair": ["sl_r", 2]},
         "deformation_list": {"family": {"group": {"family": "so", "n": 4}, "deformation": [1, 2]}},
+        "group_n_text": {"group": {"family": "so", "n": "3"}},
+        "group_n_float": {"group": {"family": "so", "n": 2.5}},
+        "group_n_bool": {"group": {"family": "so", "n": True}},
+        "pair_p_text": {"pair": {"family": "so_pq", "p": "1", "q": 2}},
+        "exponents_text": {
+            "family": u2,
+            "morphism": {
+                "P": [{"exponents": ["a", 0], "coeff": 1.0}],
+                "Q": [{"exponents": [0, 1], "coeff": 1.0}],
+            },
+        },
     }
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
@@ -321,11 +337,11 @@ def test_power_family_check_replays_from_its_params():
     params = report.params
     assert (params["sampler_seed"], params["radius"]) == (H.DEFAULT_SEED, 0.5)
     # replay with the public API and the recorded params alone
-    pfam = mo.power_family(fam, params["k"]).as_eigenfamily()
+    pfam = mo.power_family(fam, params["k"])
     basis = compact_basis(fam.group)
     samples = compact_sampler(fam.group, params["radius"], params["sampler_seed"]).take(report.samples_used)
     residuals = dict(fa.verify_eigenfamily(pfam, basis, samples, tol=report.tol).residuals)
-    residuals.update(fa.measure_constants_residual(pfam, basis, samples, value_floor=0.1))
+    residuals.update(fa.measure_constants_residual(pfam, basis, samples))
     assert residuals == report.residuals
 
 

@@ -21,8 +21,9 @@ def _e(n, k=0):
 def test_power_family_k1_is_base():
     fam = fa.u_family(2, _e(2))
     pf = mo.power_family(fam, 1)
-    assert pf.lambda_k == fam.lam and pf.mu_k == fam.mu
+    assert pf.lam == fam.lam and pf.mu == fam.mu
     assert len(pf.members) == len(fam.members)
+    assert pf.provenance == f"{fam.provenance}-power-1"
 
 
 def test_power_constants_k2():
@@ -35,10 +36,10 @@ def test_power_constants_k2():
 def test_power_family_u2_k2_verifies():
     fam = fa.u_family(2, _e(2))
     pf = mo.power_family(fam, 2)
-    assert pf.lambda_k == -6.0 and pf.mu_k == -4.0
+    assert pf.lam == -6.0 and pf.mu == -4.0
     basis = M.compact_basis(fam.group)
     samples = sample_compact(fam.group, 60, 0.5, 42)
-    rep = fa.verify_eigenfamily(pf.as_eigenfamily(), basis, samples, tol=1e-8)
+    rep = fa.verify_eigenfamily(pf, basis, samples, tol=1e-8)
     assert rep.passed, rep.residuals
 
 
@@ -48,7 +49,7 @@ def test_power_family_constants_match_measurement(k):
         pf = mo.power_family(fam, k)
         basis = M.compact_basis(fam.group)
         samples = sample_compact(fam.group, 40, 0.5, 42)
-        meas = fa.measure_constants_residual(pf.as_eigenfamily(), basis, samples, value_floor=0.1)
+        meas = fa.measure_constants_residual(pf, basis, samples)
         assert meas["lambda_measurement"] < 1e-8
         assert meas["mu_measurement"] < 1e-8
 
@@ -85,6 +86,24 @@ def test_hopf_is_harmonic_morphism():
         sampler=lambda k: sampler.take(k).points,
     )
     assert rep.passed, rep.residuals
+
+
+def test_morphism_at_a_pole_raises_and_the_verifier_screens_it():
+    from lgh.errors import DomainError
+    from lgh.jets import kappa, tau
+
+    fam = fa.su_family(2, _e(2))
+    m = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0}, floor=0.1)
+    basis = M.compact_basis(fam.group)
+    pole = np.eye(2, dtype=complex)  # w = 0 at the identity
+    regular = np.array([[0, -1], [1, 0]], dtype=complex)
+    assert abs(tau(m, regular, basis)) < 1e-12 and abs(kappa(m, m, regular, basis)) < 1e-12
+    with pytest.raises(DomainError):
+        tau(m, pole, basis)
+    with pytest.raises(DomainError):
+        kappa(m, m, pole, basis)
+    rep = mo.verify_harmonic_morphism(m, basis, [pole, regular], tol=1e-9)
+    assert (rep.samples_used, rep.samples_discarded, rep.passed) == (1, 1, True)
 
 
 def test_random_quotient_on_so4_family():
@@ -221,9 +240,8 @@ def test_orthogonal_family_of_shared_denominator_quotients():
 def test_compose_orthogonal_polynomial():
     orth, samples = _shared_denominator_orthogonal_family()
     basis = M.compact_basis(orth.group)
-    composed = mo.compose_orthogonal(
-        orth, {(2, 0): 1.0, (1, 1): -0.5j, (0, 0): 3.0}, basis=basis, samples=samples[:20]
-    )
+    assert fa.verify_eigenfamily(orth, basis, samples[:20], tol=1e-8).passed
+    composed = mo.compose_orthogonal(orth, {(2, 0): 1.0, (1, 1): -0.5j, (0, 0): 3.0})
     rep = fa.verify_eigenfamily(
         mo.orthogonal_family(orth.group, [composed]), basis, samples, tol=1e-7
     )
@@ -284,15 +302,18 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
 def test_chain_rule_matches_full_jet_walk(case):
-    """Polynomials composed from their members' frame table, and P/Q by the
-    quotient rule, against the oracle's full jet walk."""
+    """Polynomials composed from their members' frame table, and P/Q
+    composed from P and Q, against the oracle's full jet walk."""
     from lgh.jets import BasisCurves, frame_operators
 
     _, fam, polys, quotient, samples = case
     basis = M.compact_basis(fam.group)
     signs = basis.signs
     ops = frame_operators(polys, samples, basis)
-    qops = mo.quotient_operators(*polys, frame_operators(fam.members, samples, basis)) if quotient else None
+    if quotient:
+        m = mo.RationalMorphism(fam, *polys, floor=0.2)
+        kept = [x for x in samples if m.in_domain(x)]
+        qops = frame_operators([m], kept, basis)
     checked = 0
     for s, x in enumerate(samples):
         curves = BasisCurves(x, basis)
@@ -304,10 +325,12 @@ def test_chain_rule_matches_full_jet_walk(case):
                 assert abs(ops.kappa[s, a, c] - np.sum(signs * ja.f1 * jc.f1)) <= 1e-12
         if quotient and abs(jets[1].f0) > 0.2:
             jet = Quotient(*polys, 0.2).eval_jet(curves)
-            assert abs(qops.tau[s] - np.sum(signs * jet.f2)) <= 1e-12
-            assert abs(qops.kappa[s] - np.sum(signs * jet.f1 * jet.f1)) <= 1e-12
+            assert abs(qops.values[checked, 0] - jet.f0) <= 1e-12
+            assert abs(qops.tau[checked, 0] - np.sum(signs * jet.f2)) <= 1e-12
+            assert abs(qops.kappa[checked, 0, 0] - np.sum(signs * jet.f1 * jet.f1)) <= 1e-12
             checked += 1
     assert checked >= 10 or not quotient
+    assert not quotient or checked == len(qops)
 
 
 def test_morphism_layer_reads_measured_not_stated_constants():
