@@ -10,12 +10,11 @@ their tau and kappa by the chain rule; the last section shows both agree.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from lgh import matrices as M
 from lgh.exprs import Entry, HomPoly
 from lgh.jets import BasisCurves, Jet2, entry_jet, kappa, tau
-from lgh.sampling import sample_compact
+from lgh.sampling import expm, sample_compact
 
 gid = M.U(3)
 basis = M.compact_basis(gid)

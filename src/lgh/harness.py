@@ -325,6 +325,9 @@ def run(command: str, cfg: RunConfig) -> VerificationReport:
     """One ``lgh`` subcommand on a config, as the CLI and the suite run it;
     ``cfg.check``, when set, names the report."""
     report = COMMANDS[command](cfg)
+    if "seed" in READS[command]:
+        # the sampler's seed and radius, so the report replays from its params
+        report.params.update(sampler_seed=cfg.seed, radius=cfg.radius)
     if cfg.check is not None:
         report.check = cfg.check
     return report
@@ -372,8 +375,8 @@ DUALITY_PAIRS = (
 )
 
 
-# Sampling radius of the suite-only checks; the power-family, deformation
-# and negative-control reports record it next to their sampler seed.
+# Sampling radius of the suite-only checks; their reports record it next
+# to their sampler seed.
 SUITE_RADIUS = 0.5
 
 
@@ -491,7 +494,7 @@ def _check_morphism_factory(fam: fa.Eigenfamily, seed: int, pairs: int = 20, min
             )
             for key, val in qrep.residuals.items():
                 triple_res[key] = max(triple_res.get(key, 0.0), val)
-    seeds = {"sampler_seed": seed, "rng_seed": rng_seed}
+    seeds = {"sampler_seed": seed, "radius": SUITE_RADIUS, "rng_seed": rng_seed}
     factory = VerificationReport(
         check="morphism-factory",
         target=str(fam.group),

@@ -9,12 +9,13 @@ one numpy build and CPU dispatch path.
 
 Points are drawn a batch at a time: :meth:`GroupSampler.take` draws the
 coefficients of the whole batch as one block of the stream, combines them
-with the basis by a fixed-order elementwise sum (no BLAS reduction), and
-exponentiates the stacked generators in one ``expm`` call.  A point's bits
-therefore do not depend on the batch size, and ``take(a)`` followed by
-``take(b)`` gives the same points as ``take(a + b)``.  They do depend on the
-BLAS build and the CPU dispatch path: ``expm`` and the product of the two
-factors go through BLAS.
+with the basis by a fixed-order elementwise sum, exponentiates the stacked
+generators in one :func:`expm` call and multiplies the two factors with the
+same elementwise product.  No BLAS or LAPACK call touches a sample, and every
+step acts on each point alone, so a point's bits do not depend on the batch
+size, and ``take(a)`` followed by ``take(b)`` gives the same points as
+``take(a + b)``.  What is left of the platform is numpy's complex multiply,
+whose SIMD loops (with FMA) round differently from its scalar ones.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ValidationError
 from .matrices import GroupId, symplectic_matrix
@@ -144,6 +144,115 @@ def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of small matrices stored batch-last, (n, n, ...):
+    the sum over k of the elementwise products a[:, k] b[k], added in the
+    order k = 0, 1, ...  Every product entry is the same sequence of roundings
+    whatever the stack around it, which a BLAS reduction does not promise,
+    and each ufunc call runs along the whole stack."""
+    out = a[:, 0, None] * b[0]
+    term = np.empty_like(out)
+    for k in range(1, a.shape[1]):
+        np.multiply(a[:, k, None], b[k], out=term)
+        out += term
+    return out
+
+
+def _solve(aug: np.ndarray) -> np.ndarray:
+    """X with ``m @ X = r`` for complex batch-last (n, n, S) stacks, from
+    ``aug = [m | r]`` of shape (n, 2n, S), which it overwrites: Gauss-Jordan
+    elimination with the partial pivot of each point chosen by |Re| + |Im|,
+    as LAPACK's ``izamax`` does.  A pivot row is divided by its pivot p as
+    (row conj(p)) / |p|^2 in real arithmetic: numpy's complex division
+    multiplies by a rounded 1 / p, so p / p need not be 1 there."""
+    n, pts = aug.shape[0], np.arange(aug.shape[-1])
+    for j in range(n):
+        col = aug[j:, j]
+        below = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
+        if np.count_nonzero(below):
+            p = j + below
+            row = aug[p, :, pts]
+            aug[p, :, pts] = aug[j].T.copy()
+            aug[j] = row.T
+        aug[j] *= aug[j, j].conj()
+        den = aug[j, j].real.copy()
+        aug[j].real /= den
+        aug[j].imag /= den
+        f = aug[:, j, None].copy()
+        f[j] = 0
+        aug[:, j:] -= f * aug[j, j:]
+    return aug[:, n:]
+
+
+# Scaling and squaring with the [13/13] Pade approximant r13 = (V - U)^-1 (V + U):
+# N. J. Higham, "The scaling and squaring method for the matrix exponential
+# revisited", SIMAX 26(4), 2005, Table 2.3 and eq. (2.3).  r13 meets exp to
+# double precision on ||A||_1 <= theta_13.
+_THETA13 = 5.371920351148152
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+
+
+def _pade13(x: np.ndarray) -> np.ndarray:
+    """``[V - U | V + U]`` of r13 at a batch-last (n, n, S) stack, with
+    U = A (A^6 (b13 A^6 + b11 A^4 + b9 A^2) + b7 A^6 + b5 A^4 + b3 A^2 + b1 I)
+    and V = A^6 (b12 A^6 + b10 A^4 + b8 A^2) + b6 A^6 + b4 A^4 + b2 A^2 + b0 I."""
+    b, n = _PADE13, x.shape[0]
+    x2 = _matmul(x, x)
+    x4 = _matmul(x2, x2)
+    x6 = _matmul(x4, x2)
+
+    def poly(k):  # b_k A^6 + b_(k-2) A^4 + b_(k-4) A^2
+        out = b[k] * x6
+        out += b[k - 2] * x4
+        out += b[k - 4] * x2
+        return out
+
+    eye = np.eye(n)[:, :, None]
+    u = _matmul(x6, poly(13))
+    u += poly(7)
+    u += b[1] * eye
+    u = _matmul(x, u)
+    v = _matmul(x6, poly(12))
+    v += poly(6)
+    v += b[0] * eye
+    aug = np.empty((n, 2 * n) + x.shape[2:], dtype=complex)
+    np.subtract(v, u, out=aug[:, :n])
+    np.add(v, u, out=aug[:, n:])
+    return aug
+
+
+def expm(a) -> np.ndarray:
+    """The matrix exponential of each (n, n) matrix of an (..., n, n) stack,
+    as a complex array of the same shape.
+
+    Each matrix is scaled by its own 2**-s, s >= 0 the least integer with
+    ||A / 2**s||_1 < theta_13, exponentiated by the Pade approximant and
+    squared s times.  Every step is elementwise across the stack (the
+    products by :func:`_matmul`, the Pade solve by :func:`_solve`), so the
+    exponential of a matrix does not depend on the other matrices of the
+    stack, and no BLAS or LAPACK routine is called."""
+    a = np.asarray(a)
+    shape, n = a.shape, a.shape[-1]
+    x = np.moveaxis(a.reshape(-1, n, n), 0, -1).astype(complex, order="C")
+    mag = np.abs(x)
+    colsum = mag[0].copy()
+    for i in range(1, n):
+        colsum += mag[i]
+    _, s = np.frexp(np.max(colsum, axis=0, initial=0.0) / _THETA13)
+    s = np.maximum(s, 0)
+    x *= np.ldexp(1.0, -s)
+    x = _solve(_pade13(x))
+    for k in range(int(s.max(initial=0))):
+        sel = s > k
+        y = x[..., sel]
+        x[..., sel] = _matmul(y, y)
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0)).reshape(shape)
+
+
 class GroupSampler:
     """Deterministic stream of group points drawn from one signed basis.
 
@@ -171,8 +280,8 @@ class GroupSampler:
         gens = np.empty((count, 2, n, n), dtype=complex)
         gens.real = _combine(coeffs, self._mats.real)
         gens.imag = _combine(coeffs, self._mats.imag)
-        factors = expm(gens)
-        points = factors[:, 0] @ factors[:, 1]
+        factors = np.moveaxis(expm(gens), (0, 1), (-1, 0))
+        points = np.ascontiguousarray(np.moveaxis(_matmul(*factors), -1, 0))
         return SampleSet(points, self._defect_fn(points))
 
 

@@ -4,6 +4,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lgh import harness as H
@@ -311,7 +312,7 @@ def test_factory_check_replays_from_its_recorded_seeds():
     assert triple.params["rng_seed"] == params["rng_seed"]
     # replay with the public API and the recorded seeds alone
     basis = compact_basis(fam.group)
-    sampler = compact_sampler(fam.group, 0.5, params["sampler_seed"])
+    sampler = compact_sampler(fam.group, params["radius"], params["sampler_seed"])
     rng = SplitMix64(params["rng_seed"])
     table = frame_operators(fam.members, sampler.take(50), basis)
     tau = kappa = 0.0
@@ -354,7 +355,9 @@ def suite_document():
 def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
     """``lgh <command> --config`` of each CLI-backed row gives the suite's
     report for that row; the configs, the reports and the suite document
-    are valid against ``docs/schemas``."""
+    are valid against ``docs/schemas``.  Every sampled report records its
+    sampler's seed and radius, and an eigenfamily row replays from its
+    report alone."""
     jsonschema = pytest.importorskip("jsonschema")
     schemas = Path(__file__).parents[1] / "docs" / "schemas"
     schema = json.loads((schemas / "config.schema.json").read_text())
@@ -375,3 +378,18 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
         report.pop("wall_time")
         same = [c for c in suite_reports if (c["check"], c["target"]) == (report["check"], report["target"])]
         assert same == [report], label
+        if "seed" in H.READS[command]:
+            assert (report["params"]["sampler_seed"], report["params"]["radius"]) == (cfg.seed, cfg.radius)
+    # the U(2) eigenfamily row, rebuilt from its target, params and sample count
+    from lgh import families as fa
+    from lgh.matrices import compact_basis
+    from lgh.sampling import compact_sampler
+
+    row = next(c for c in suite_reports if (c["check"], c["target"]) == ("eigenfamily", "U(2)"))
+    params = row["params"]
+    assert params["provenance"] == "u-linear"
+    fam = fa.u_family(2, np.array([1.0, 0.0]))
+    samples = compact_sampler(fam.group, params["radius"], params["sampler_seed"]).take(row["samples_used"])
+    replay = fa.verify_eigenfamily(fam, compact_basis(fam.group), samples, tol=row["tol"])
+    assert replay.residuals == row["residuals"]
+    assert replay.notes["max_group_defect"] == row["notes"]["max_group_defect"]

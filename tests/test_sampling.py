@@ -1,7 +1,12 @@
-"""Batched sampling: the vectorised SplitMix64 block, batch-size invariance
-of the drawn points and the stacked defect checks."""
+"""Batched sampling: the vectorised SplitMix64 block, the batched ``expm``
+against scipy's, batch-size invariance of the drawn points and the stacked
+defect checks."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from lgh import duality as du
 from lgh import matrices as M
 from lgh.errors import ValidationError
 from lgh.harness import DUALITY_PAIRS, pair_from_spec
-from lgh.sampling import SplitMix64, compact_defect, compact_sampler
+from lgh.sampling import _THETA13, SplitMix64, compact_defect, compact_sampler, expm
 
 # every compact group the suite samples
 COMPACT = [M.SO(n) for n in range(2, 7)] + [M.U(n) for n in (2, 3, 4)] + [M.SU(2), M.SU(3)] + [
@@ -85,3 +90,82 @@ def test_take_rejects_a_negative_count():
     with pytest.raises(ValidationError):
         sampler.take(-1)
     assert np.array_equal(sampler.take(3).points, compact_sampler(M.U(2), 0.5, 42).take(3).points)
+
+
+def _generators(name, count, radius, seed=5):
+    """``count`` random real combinations of the frame the sampler of the
+    group or pair ``name`` draws from, coefficients uniform in [-radius, radius]."""
+    if name in PAIRS:
+        mats = PAIRS[name].frame.matrices
+    else:
+        mats = M.compact_basis(next(g for g in COMPACT if str(g) == name)).matrices
+    mats = np.asarray(mats, dtype=complex)
+    coeffs = SplitMix64(seed).uniforms(count * len(mats), -radius, radius).reshape(count, len(mats))
+    return np.tensordot(coeffs, mats, axes=1)
+
+
+def _squarings(gens):
+    """The s of each matrix: the least s >= 0 with ||A / 2^s||_1 < theta_13."""
+    _, e = np.frexp(np.max(np.sum(np.abs(gens), axis=-2), axis=-1) / _THETA13)
+    return np.maximum(e, 0)
+
+
+def _assert_close_to_scipy(gens, rel):
+    linalg = pytest.importorskip("scipy.linalg")
+    got, want = expm(gens), linalg.expm(gens)
+    assert got.shape == want.shape == gens.shape
+    err = np.max(np.abs(got - want), axis=(-2, -1))
+    assert np.all(err <= rel * np.max(np.abs(want), axis=(-2, -1))), np.max(err)
+
+
+@pytest.mark.parametrize("name", [str(g) for g in COMPACT] + list(PAIRS))
+def test_expm_matches_scipy_on_every_sampled_frame(name):
+    """At the largest radius a config allows, where no matrix is squared."""
+    gens = _generators(name, 50, 1.0)
+    assert not _squarings(gens).any()
+    _assert_close_to_scipy(gens, 2e-15)
+
+
+@pytest.mark.parametrize("name", ["SO(6)", "U(4)", "Sp(3)", "SU(1,2)", "Sp(2,R)"])
+def test_expm_matches_scipy_where_it_squares(name):
+    gens = _generators(name, 50, 16.0)
+    assert _squarings(gens).min() > 0 and _squarings(gens).max() >= 3
+    _assert_close_to_scipy(gens, 5e-14)
+
+
+def test_expm_of_a_stack_is_the_stack_of_one_matrix_calls():
+    """A mixed stack, some matrices squared and some not, gives each matrix
+    the bits it gets alone: every step acts on each matrix separately."""
+    gens = _generators("Sp(2)", 12, 1.0)
+    gens[::3] *= 20.0
+    s = _squarings(gens)
+    assert (s == 0).any() and (s > 2).any()
+    stacked = expm(gens)
+    assert _bits(stacked) == _bits(np.array([expm(g) for g in gens]))
+    assert _bits(expm(gens.reshape(3, 4, 4, 4))) == _bits(stacked)
+
+
+def test_expm_of_zero_is_the_identity_and_empty_stacks_keep_their_shape():
+    for n in (1, 2, 6):
+        for dtype in (float, complex):
+            got = expm(np.zeros((3, n, n), dtype=dtype))
+            assert _bits(got) == _bits(np.broadcast_to(np.eye(n, dtype=complex), (3, n, n)))
+    assert expm(np.zeros((0, 2, 3, 3), dtype=complex)).shape == (0, 2, 3, 3)
+
+
+def test_the_cli_loads_no_scipy(tmp_path):
+    """``lgh`` depends on numpy alone: importing the CLI and running a sampled
+    check leaves no scipy module loaded.  scipy's import alone took longer
+    than the rest of the CLI's start-up."""
+    code = (
+        "import sys, lgh.cli\n"
+        f"argv = ['verify-family', '--group', 'su', '--n', '2', '--samples', '5', '--out', {str(tmp_path / 'r.json')!r}]\n"
+        "assert lgh.cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
