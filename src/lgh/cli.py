@@ -14,6 +14,7 @@ import sys
 
 from .errors import ConfigError, InconclusiveError, ValidationError
 from .harness import DEFAULT_SEED, READS, RunConfig, load_config, run, run_suite
+from .matrices import FAMILIES, FAMILY_BY_ALIAS, NONCOMPACT_FAMILIES
 
 
 def _add_common(sub):
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
 
     s = sub.add_parser("verify-duality", help="dual eigenfamily with negated constants")
-    s.add_argument("--pair", choices=["sl_r", "su_star", "sp_r", "so_star", "so_pq", "su_pq", "sp_pq"])
+    s.add_argument("--pair", choices=[FAMILIES[f].alias for f in NONCOMPACT_FAMILIES])
     s.add_argument("--n", type=int)
     s.add_argument("--p", type=int)
     s.add_argument("--q", type=int)
@@ -86,12 +87,12 @@ def _config_from_args(args) -> RunConfig:
     for key in flagged:
         setattr(cfg, key, getattr(args, key))
     refining = {key: getattr(args, key, None) for key in ("n", "p", "q", "special")}
-    refining = {key: val for key, val in refining.items() if val not in (None, False)}
+    refining = {key: val for key, val in refining.items() if val is not None and val is not False}
     if command == "verify-identities" and "n" in refining:
         cfg.n = refining.pop("n")
         flagged.append("n")
     if command == "verify-lemma" and args.group:
-        cfg.group = {"family": args.group, "n": refining.pop("n", None) or (cfg.group or {}).get("n")}
+        cfg.group = {"family": args.group, "n": refining.pop("n", (cfg.group or {}).get("n"))}
     if command == "verify-family" and args.group:
         n = refining.pop("n", None)
         spec: dict = {"group": {"family": args.group, "n": n}}
@@ -102,7 +103,7 @@ def _config_from_args(args) -> RunConfig:
         cfg.family = spec
     if command == "verify-duality" and args.pair:
         pair: dict = {"family": args.pair}
-        for key in ("p", "q") if args.pair in ("so_pq", "su_pq", "sp_pq") else ("n",):
+        for key in ("p", "q") if FAMILIES[FAMILY_BY_ALIAS[args.pair]].pq else ("n",):
             pair[key] = refining.pop(key, None)
         cfg.pair = pair
     if command == "probe-duality" and "p" in refining:

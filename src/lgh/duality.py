@@ -50,35 +50,10 @@ class DualPair:
 
     noncompact: GroupId
     compact: GroupId
-    ambient: int
-    involution: object  # callable on (stacked) matrices
     k_basis: SignedBasis  # fix(theta), signs -1
     p_basis: SignedBasis  # i * antifix(theta), signs +1
+    frame: SignedBasis  # the full signed orthonormal frame k (-1) then p (+1)
     residuals: dict
-
-    @property
-    def frame(self) -> SignedBasis:
-        """The full signed orthonormal frame k (-1) then p (+1)."""
-        return SignedBasis(self.noncompact, list(self.k_basis.vectors) + list(self.p_basis.vectors))
-
-
-def _compact_partner(gid: GroupId) -> GroupId:
-    f = gid.family
-    if f == "SLR":
-        return GroupId("SU", gid.n)
-    if f == "SUstar":
-        return GroupId("SU", gid.n)
-    if f == "SpR":
-        return GroupId("Sp", gid.n)
-    if f == "SOstar":
-        return GroupId("SO", gid.n)
-    if f == "SOpq":
-        return GroupId("SO", gid.p + gid.q)
-    if f == "SUpq":
-        return GroupId("SU", gid.p + gid.q)
-    if f == "Sppq":
-        return GroupId("Sp", gid.p + gid.q)
-    raise ValidationError(f"{gid} is not a recognized non-compact family")
 
 
 def _involution(gid: GroupId):
@@ -102,7 +77,7 @@ def _involution(gid: GroupId):
     raise ValidationError(f"no Cartan involution for family {f!r}")
 
 
-def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis) -> dict:
+def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis, frame: SignedBasis) -> dict:
     zs = base.matrices
     res = {}
     res["involution"] = float(np.max(np.abs(theta(theta(zs)) - zs))) if len(base) else 0.0
@@ -134,10 +109,8 @@ def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis) ->
     res["bracket_closure"] = closure
 
     # Gram matrix of Re trace(Z W) over the frame k then p
-    frame = np.concatenate([km, pm])
-    gram = np.einsum("aij,bji->ab", frame, frame).real
-    signs = np.concatenate([k.signs, p.signs])
-    res["sign_normalization"] = float(np.max(np.abs(np.diagonal(gram) - signs), initial=0.0))
+    gram = np.einsum("aij,bji->ab", frame.matrices, frame.matrices).real
+    res["sign_normalization"] = float(np.max(np.abs(np.diagonal(gram) - frame.signs), initial=0.0))
     res["orthogonality"] = float(np.max(np.abs(np.triu(gram, 1)), initial=0.0))
     return res
 
@@ -165,17 +138,17 @@ def _build_pair(noncompact: GroupId, compact: GroupId, theta) -> DualPair:
         )
     if any(v.sign != -1 for v in k) or any(v.sign != +1 for v in p):
         raise ConstructionError(f"{noncompact}: unexpected frame signs")
-    res = _pair_residuals(theta, base, k, p)
+    frame = SignedBasis(noncompact, k.vectors + p.vectors)
+    res = _pair_residuals(theta, base, k, p, frame)
     bad = {key: val for key, val in res.items() if val >= _TOLERANCES[key]}
     if bad:
         raise ConstructionError(f"{noncompact}: frame checks out of tolerance: {bad}")
-    return DualPair(noncompact, compact, compact.matrix_dim, theta, k, p, res)
+    return DualPair(noncompact, compact, k, p, frame, res)
 
 
 def dual_pair(gid: GroupId) -> DualPair:
     """Construct the aligned dual pair for a non-compact classical group."""
-    compact = _compact_partner(gid)
-    return _build_pair(gid, compact, _involution(gid))
+    return _build_pair(gid, gid.compact_partner, _involution(gid))
 
 
 def identity_pair(compact: GroupId) -> DualPair:

@@ -20,28 +20,19 @@ from . import families as fa
 from . import morphisms as mo
 from .errors import ConfigError, ValidationError
 from .jets import frame_operators
-from .matrices import GroupId, compact_basis, verify_matrix_identities
+from .matrices import (
+    FAMILIES,
+    FAMILY_BY_ALIAS,
+    NONCOMPACT_FAMILIES,
+    GroupId,
+    compact_basis,
+    verify_matrix_identities,
+)
 from .report import VerificationReport, timed_report
 from .sampling import SplitMix64, compact_sampler
 from .serialize import pair_to_complex, vector_from_json
 
 DEFAULT_SEED = 42
-
-_FAMILY_ALIASES = {
-    "so": "SO",
-    "u": "U",
-    "su": "SU",
-    "sp": "Sp",
-    "glc_split": "GLC-split",
-    "sl_r": "SLR",
-    "su_star": "SUstar",
-    "sp_r": "SpR",
-    "so_star": "SOstar",
-    "so_pq": "SOpq",
-    "su_pq": "SUpq",
-    "sp_pq": "Sppq",
-}
-_ALIAS_BY_FAMILY = {v: k for k, v in _FAMILY_ALIASES.items()}
 
 
 # JSON type of each RunConfig field: the Python types a value may have (bool
@@ -76,6 +67,8 @@ class RunConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, kinds[0]):
                 raise ConfigError(f"{key} must be {kinds[1]}", field=key)
+        if self.n is not None and self.n < 1:
+            raise ConfigError("n must be >= 1", field="n")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1", field="samples")
         if not (0.0 < self.radius <= 1.0):
@@ -122,26 +115,20 @@ def _is_integer(value) -> bool:
 
 def group_from_spec(d: dict, field: str = "group") -> GroupId:
     """The group of a spec block; ``field`` names the block in errors."""
-    if not isinstance(d, dict) or "family" not in d:
-        raise ConfigError("group spec needs a 'family' entry", field=f"{field}.family")
-    alias = d["family"]
-    fam = _FAMILY_ALIASES.get(alias, alias)
+    if not isinstance(d, dict) or not isinstance(d.get("family"), str):
+        raise ConfigError("group spec needs a 'family' name", field=f"{field}.family")
     for key in ("n", "p", "q"):
         if d.get(key) is not None and not _is_integer(d[key]):
             raise ConfigError(f"{key} must be an integer", field=f"{field}.{key}")
     try:
-        if fam in ("SOpq", "SUpq", "Sppq"):
-            return GroupId(fam, p=d.get("p"), q=d.get("q"))
-        return GroupId(fam, n=d.get("n"))
+        return GroupId(FAMILY_BY_ALIAS.get(d["family"], d["family"]), d.get("n"), d.get("p"), d.get("q"))
     except ValidationError as exc:
         raise ConfigError(str(exc), field=field) from exc
 
 
 def group_to_spec(gid: GroupId) -> dict:
-    alias = _ALIAS_BY_FAMILY[gid.family]
-    if gid.family in ("SOpq", "SUpq", "Sppq"):
-        return {"family": alias, "p": gid.p, "q": gid.q}
-    return {"family": alias, "n": gid.n}
+    sizes = {"p": gid.p, "q": gid.q} if FAMILIES[gid.family].pq else {"n": gid.n}
+    return {"family": FAMILIES[gid.family].alias, **sizes}
 
 
 def family_from_spec(d: dict) -> fa.Eigenfamily:
@@ -214,7 +201,7 @@ def morphism_from_spec(fam: fa.Eigenfamily, d: dict, floor: float) -> mo.Rationa
 
 def pair_from_spec(d: dict) -> du.DualPair:
     gid = group_from_spec(d, "pair")
-    if gid.family not in ("SLR", "SUstar", "SpR", "SOstar", "SOpq", "SUpq", "Sppq"):
+    if gid.family not in NONCOMPACT_FAMILIES:
         raise ConfigError(f"{gid} is not a non-compact dual group", field="pair.family")
     return du.dual_pair(gid)
 
@@ -283,8 +270,7 @@ def run_probe(cfg: RunConfig) -> VerificationReport:
         fam = family_from_spec(cfg.family)
     else:
         n = pair.compact.n
-        p = fa.so4_deformation(0.0, 0.0) if n == 4 else _first_isotropic(n)
-        fam = fa.so_family_special(n, p)
+        fam = fa.so_family_special(n, _first_isotropic(n))
     samples = du.sample_noncompact(pair, cfg.samples, cfg.radius, cfg.seed)
     return du.probe_noncontinuable(pair, fam, samples)
 

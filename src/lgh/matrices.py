@@ -1,5 +1,10 @@
-"""Complex dense matrices: canonical generators, orthonormal Lie-algebra bases,
-the quaternionic embedding, and Gram-Schmidt for an indefinite trace form.
+"""The classical groups and their complex dense matrices: canonical
+generators, orthonormal Lie-algebra bases, the quaternionic embedding, and
+Gram-Schmidt for an indefinite trace form.
+
+``FAMILIES`` is the one table of the classical groups: for each family its
+config alias, label, sizing by ``n`` or ``(p, q)``, ambient-size factor and
+compact partner.  Other modules read names, aliases and partners from it.
 
 Conventions
 -----------
@@ -26,9 +31,39 @@ import numpy as np
 from .errors import DegeneracyError, ValidationError
 from .report import VerificationReport, timed_report
 
-COMPACT_FAMILIES = ("SO", "U", "SU", "Sp")
-NONCOMPACT_FAMILIES = ("SLR", "SUstar", "SpR", "SOstar", "SOpq", "SUpq", "Sppq")
-ALL_FAMILIES = COMPACT_FAMILIES + ("GLC-split",) + NONCOMPACT_FAMILIES
+
+@dataclass(frozen=True)
+class GroupFamily:
+    """One row of :data:`FAMILIES`: how a family of classical groups is named,
+    sized and paired."""
+
+    alias: str  # spelling in config specs
+    label: str  # str.format pattern over n, p, q
+    pq: bool = False  # sized by (p, q) instead of n
+    factor: int = 1  # ambient matrices are factor * size square
+    even: bool = False  # n must be even
+    partner: str | None = None  # compact family of the same size under the duality
+
+
+# The classical groups, keyed by family name.  A compact family is its own
+# partner; the GL(n,C) split has none.
+FAMILIES = {
+    "SO": GroupFamily("so", "SO({n})", partner="SO"),
+    "U": GroupFamily("u", "U({n})", partner="U"),
+    "SU": GroupFamily("su", "SU({n})", partner="SU"),
+    "Sp": GroupFamily("sp", "Sp({n})", factor=2, partner="Sp"),
+    "GLC-split": GroupFamily("glc_split", "GL({n},C)-split"),
+    "SLR": GroupFamily("sl_r", "SL({n},R)", partner="SU"),
+    "SUstar": GroupFamily("su_star", "SU*({n})", even=True, partner="SU"),
+    "SpR": GroupFamily("sp_r", "Sp({n},R)", factor=2, partner="Sp"),
+    "SOstar": GroupFamily("so_star", "SO*({n})", even=True, partner="SO"),
+    "SOpq": GroupFamily("so_pq", "SO({p},{q})", pq=True, partner="SO"),
+    "SUpq": GroupFamily("su_pq", "SU({p},{q})", pq=True, partner="SU"),
+    "Sppq": GroupFamily("sp_pq", "Sp({p},{q})", pq=True, factor=2, partner="Sp"),
+}
+FAMILY_BY_ALIAS = {row.alias: name for name, row in FAMILIES.items()}
+COMPACT_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.partner == name)
+NONCOMPACT_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.partner not in (None, name))
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -47,9 +82,10 @@ class GroupId:
     q: int | None = None
 
     def __post_init__(self):
-        if self.family not in ALL_FAMILIES:
+        row = FAMILIES.get(self.family)
+        if row is None:
             raise ValidationError(f"unknown group family {self.family!r}")
-        if self.family in ("SOpq", "SUpq", "Sppq"):
+        if row.pq:
             if self.n is not None:
                 raise ValidationError(f"{self.family} takes (p, q), not n")
             if not (self.p and self.q and self.p >= 1 and self.q >= 1):
@@ -59,19 +95,22 @@ class GroupId:
                 raise ValidationError(f"{self.family} takes n, not (p, q)")
             if not (self.n and self.n >= 1):
                 raise ValidationError(f"{self.family} needs positive n")
-            if self.family in ("SUstar", "SOstar") and self.n % 2:
+            if row.even and self.n % 2:
                 raise ValidationError(f"{self.family} needs even n")
 
     @property
     def matrix_dim(self) -> int:
         """Size of the ambient square matrices realizing the group."""
-        if self.family in ("Sp", "SpR"):
-            return 2 * self.n
-        if self.family == "Sppq":
-            return 2 * (self.p + self.q)
-        if self.family in ("SOpq", "SUpq"):
-            return self.p + self.q
-        return self.n
+        return FAMILIES[self.family].factor * (self.n or self.p + self.q)
+
+    @property
+    def compact_partner(self) -> "GroupId":
+        """The compact group this one pairs with under the duality; a compact
+        group is its own partner."""
+        partner = FAMILIES[self.family].partner
+        if partner is None:
+            raise ValidationError(f"{self} has no compact partner")
+        return GroupId(partner, self.n or self.p + self.q)
 
     @property
     def algebra_dim(self) -> int:
@@ -88,20 +127,7 @@ class GroupId:
         raise ValidationError(f"algebra_dim undefined for {self.family}")
 
     def __str__(self) -> str:
-        f = self.family
-        if f in ("SO", "U", "SU", "Sp"):
-            return f"{f}({self.n})"
-        if f == "GLC-split":
-            return f"GL({self.n},C)-split"
-        return {
-            "SLR": f"SL({self.n},R)",
-            "SUstar": f"SU*({self.n})",
-            "SpR": f"Sp({self.n},R)",
-            "SOstar": f"SO*({self.n})",
-            "SOpq": f"SO({self.p},{self.q})",
-            "SUpq": f"SU({self.p},{self.q})",
-            "Sppq": f"Sp({self.p},{self.q})",
-        }[f]
+        return FAMILIES[self.family].label.format(n=self.n, p=self.p, q=self.q)
 
 
 def SO(n: int) -> GroupId:

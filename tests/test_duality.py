@@ -32,6 +32,8 @@ ALL_PAIRS = [
 def test_dual_pair_invariants(gid):
     pair = du.dual_pair(gid)
     assert len(pair.k_basis) + len(pair.p_basis) == pair.compact.algebra_dim
+    assert pair.frame is pair.frame
+    assert pair.frame.vectors == pair.k_basis.vectors + pair.p_basis.vectors
     assert pair.residuals["involution"] < 1e-12
     assert pair.residuals["automorphism"] < 1e-10
     assert pair.residuals["bracket_closure"] < 1e-9

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from lgh import harness as H
-from lgh.cli import main
-from lgh.errors import ConfigError
+from lgh.cli import build_parser, main
+from lgh.duality import dual_pair
+from lgh.errors import ConfigError, ValidationError
+from lgh.matrices import FAMILIES, NONCOMPACT_FAMILIES
 
 
 def test_config_round_trip():
@@ -47,14 +49,45 @@ def test_config_validation(bad, field):
     assert err.value.field == field
 
 
+# One spec per alias, with its label, matrix size and compact partner.
+GROUP_SPECS = (
+    ({"family": "so", "n": 4}, "SO(4)", 4, "SO(4)"),
+    ({"family": "u", "n": 3}, "U(3)", 3, "U(3)"),
+    ({"family": "su", "n": 2}, "SU(2)", 2, "SU(2)"),
+    ({"family": "sp", "n": 2}, "Sp(2)", 4, "Sp(2)"),
+    ({"family": "glc_split", "n": 3}, "GL(3,C)-split", 3, None),
+    ({"family": "sl_r", "n": 3}, "SL(3,R)", 3, "SU(3)"),
+    ({"family": "su_star", "n": 4}, "SU*(4)", 4, "SU(4)"),
+    ({"family": "sp_r", "n": 2}, "Sp(2,R)", 4, "Sp(2)"),
+    ({"family": "so_star", "n": 4}, "SO*(4)", 4, "SO(4)"),
+    ({"family": "so_pq", "p": 2, "q": 3}, "SO(2,3)", 5, "SO(5)"),
+    ({"family": "su_pq", "p": 1, "q": 2}, "SU(1,2)", 3, "SU(3)"),
+    ({"family": "sp_pq", "p": 1, "q": 1}, "Sp(1,1)", 4, "Sp(2)"),
+)
+
+
 def test_group_spec_round_trip():
-    for spec in (
-        {"family": "so", "n": 4},
-        {"family": "sp_r", "n": 2},
-        {"family": "so_pq", "p": 2, "q": 3},
-    ):
+    assert sorted(spec["family"] for spec, *_ in GROUP_SPECS) == sorted(row.alias for row in FAMILIES.values())
+    for spec, label, dim, partner in GROUP_SPECS:
         gid = H.group_from_spec(spec)
         assert H.group_to_spec(gid) == spec
+        assert H.group_from_spec({**spec, "family": gid.family}) == gid  # the raw family name
+        assert (str(gid), gid.matrix_dim) == (label, dim)
+        if partner is None:
+            with pytest.raises(ValidationError):
+                gid.compact_partner
+        else:
+            assert str(gid.compact_partner) == partner
+        if gid.family in NONCOMPACT_FAMILIES:
+            assert dual_pair(gid).compact == gid.compact_partner
+
+
+def test_schema_and_cli_aliases_are_the_table_aliases():
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
+    assert schema["$defs"]["group"]["properties"]["family"]["enum"] == [row.alias for row in FAMILIES.values()]
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    pair = next(a for a in commands["verify-duality"]._actions if a.dest == "pair")
+    assert pair.choices == [FAMILIES[f].alias for f in NONCOMPACT_FAMILIES]
 
 
 def test_family_from_spec_defaults_to_standard_subspace():
@@ -253,6 +286,10 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["verify-lemma", "--config", "{group_n_bool}"], "group.n"),
         (["verify-duality", "--config", "{pair_p_text}"], "pair.p"),
         (["verify-morphism", "--config", "{exponents_text}"], "morphism.P"),
+        (["verify-identities", "--n", "0"], "n"),
+        (["verify-lemma", "--config", "{config}", "--group", "so", "--n", "0"], "group"),
+        (["verify-duality", "--config", "{pair_pq_with_n}"], "pair"),
+        (["verify-lemma", "--config", "{group_family_list}"], "group.family"),
     ],
 )
 def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
@@ -270,6 +307,8 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
         "group_n_float": {"group": {"family": "so", "n": 2.5}},
         "group_n_bool": {"group": {"family": "so", "n": True}},
         "pair_p_text": {"pair": {"family": "so_pq", "p": "1", "q": 2}},
+        "pair_pq_with_n": {"pair": {"family": "so_pq", "p": 2, "q": 2, "n": 4}},
+        "group_family_list": {"group": {"family": ["so"], "n": 3}},
         "exponents_text": {
             "family": u2,
             "morphism": {
