@@ -13,6 +13,7 @@ import json
 import sys
 
 from .errors import ConfigError, InconclusiveError, ValidationError
+from .families import LEMMA_FAMILIES
 from .harness import DEFAULT_SEED, READS, RunConfig, load_config, run, run_suite
 from .matrices import FAMILIES, FAMILY_BY_ALIAS, NONCOMPACT_FAMILIES
 
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
 
     s = sub.add_parser("verify-lemma", help="coordinate-function tau/kappa relations")
-    s.add_argument("--group", choices=["so", "u", "sp"])
+    s.add_argument("--group", choices=[FAMILIES[f].alias for f in LEMMA_FAMILIES])
     s.add_argument("--n", type=int)
     _add_common(s)
 

@@ -74,14 +74,17 @@ class LinearTrace(Expr):
         self.matrix = a
 
     def eval_jet(self, curve):
+        """f0 = A:x, f1_b = (A Z_b^t):x and f2_b = (A (Z_b^2)^t):x, as one
+        contraction of the base stack with [A | A Z_b^t | A (Z_b^2)^t]."""
         a = self.matrix
         if curve.base.shape[-2:] != a.shape:
             raise ValidationError("dimension mismatch in LinearTrace")
-        return Jet2(
-            np.einsum("ij,...ij->...", a, curve.base),
-            np.einsum("ij,...ij->...", a, curve.m1),
-            np.einsum("ij,...ij->...", a, curve.m2),
-        )
+        b = curve.zs.shape[0]
+        frame = np.concatenate([curve.zs, curve.zs2]).transpose(0, 2, 1)
+        coeffs = np.concatenate([a[None], a @ frame])
+        # einsum, not BLAS: each row is reduced alone, at any stack size
+        jet = np.einsum("rij,...ij->r...", coeffs, curve.base)
+        return Jet2(jet[0], jet[1 : 1 + b], jet[1 + b :])
 
     def __repr__(self):
         return f"LinearTrace({self.matrix.shape[0]}x{self.matrix.shape[0]})"
@@ -147,15 +150,20 @@ class HomPoly:
         in its m arguments, at stacked argument values of shape (S, m)."""
         values = np.asarray(values, dtype=complex)
         count, m = values.shape
-        powers = np.empty((count, m, self.degree + 1), dtype=complex)
-        powers[..., 0] = 1.0
-        for k in range(1, self.degree + 1):
-            powers[..., k] = powers[..., k - 1] * values
-        index = np.arange(m)
+        powers = [np.ones_like(values)]
+        for _ in range(self.degree):
+            powers.append(powers[-1] * values)
+        # column a * (degree + 1) + e holds value_a ** e
+        table = np.stack(powers, axis=-1).reshape(count, -1)
+        offsets = np.arange(m) * (self.degree + 1)
 
         def monomials(expos):
-            return powers[:, index, expos].prod(axis=-1)
+            # take() keeps the factors C-ordered, so prod() multiplies each
+            # monomial's factors alone, the same way at any stack size
+            return table.take(offsets + expos, axis=1).prod(axis=-1)
 
+        # einsum, not matmul: BLAS takes another path for a single sample
         (e0, c0), (e1, c1), (e2, c2) = self._derivative_tables
-        hess = np.einsum("sk,kab->sab", monomials(e2), c2)
-        return monomials(e0) @ c0, monomials(e1) @ c1, hess
+        value = np.einsum("sk,k->s", monomials(e0), c0)
+        grad = np.einsum("sk,ka->sa", monomials(e1), c1)
+        return value, grad, np.einsum("sk,kab->sab", monomials(e2), c2)

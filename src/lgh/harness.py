@@ -217,8 +217,9 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
 
 def run_lemma(cfg: RunConfig) -> VerificationReport:
     gid = group_from_spec(cfg.group or {})
-    if gid.family not in ("SO", "U", "Sp"):
-        raise ConfigError("coordinate relations exist for so, u, sp", field="group.family")
+    if gid.family not in fa.LEMMA_FAMILIES:
+        aliases = ", ".join(FAMILIES[f].alias for f in fa.LEMMA_FAMILIES)
+        raise ConfigError(f"coordinate relations exist for {aliases}", field="group.family")
     samples = compact_sampler(gid, cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_coordinate_lemmas(gid, samples, tol=cfg.tol)
 

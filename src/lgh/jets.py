@@ -6,16 +6,19 @@ f0 = x_ij, f1 = (xZ)_ij, f2 = (xZ^2)_ij, and the ring operations of
 :class:`Jet2` propagate derivatives through products and quotients without
 truncation error.
 
-The components may be scalars or numpy arrays; :class:`BasisCurves` stacks
-the seeds of a whole signed frame so one member walk differentiates along
-every frame vector at once.  The tension field tau and the conformality
-operator kappa are then signed sums over that frame.
+The components may be scalars or numpy arrays.  :class:`BasisCurves` holds
+a stack of base points and the constants Z_b and Z_b^2 of a signed frame.
+A linear member's jet along every frame vector at every sample is linear in
+x with those constants as coefficients, so one member walk is one
+contraction of the whole stack.  The tension field tau and the conformality
+operator kappa are then signed sums over the frame.
 
 :func:`frame_operators` is the batched kernel on top: one walk per linear
-member and block of samples gives the member values, their tau and their
-signed kappa Gram at every sample.  Composites (polynomials in members, and
-quotients P/Q of two polynomials) are not walked: :func:`compose` gets
-their values, tau and kappa from their arguments' by the chain rule.
+member gives the member values, their tau and their signed kappa Gram at
+every sample.  Composites (polynomials in members, and quotients P/Q of two
+polynomials) are not walked: :func:`compose` gets their values, tau and
+kappa from their arguments' by the chain rule.  Every reduction runs per
+sample, so a row's bits do not depend on how many samples are stacked.
 """
 
 from __future__ import annotations
@@ -27,15 +30,6 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .matrices import SignedBasis
 from .sampling import SampleSet
-
-# Samples per block of a batched walk.  A block's seeds hold
-# 2 * SAMPLE_BLOCK * B * n^2 complex entries and a coordinate kappa table
-# SAMPLE_BLOCK * n^4, each under 0.2 MB on the suite's largest groups
-# (Sp(3), SO(6)), so transient memory does not grow with the sample count.
-# At 16 the coordinate-lemma temporaries on SO(6) already raised peak RSS
-# by about 2 MB; 8 keeps it within 0.5 MB and runs no slower.
-SAMPLE_BLOCK = 8
-
 
 @dataclass
 class Jet2:
@@ -72,13 +66,16 @@ class Jet2:
 
 
 class BasisCurves:
-    """Curves along every vector of a signed basis at one base point, or at
-    a stack of base points.
+    """Curves s -> x exp(sZ_b) along every vector Z_b of a signed frame, at
+    one base point x or at a stack of base points.
 
-    Seeds are stacked over the leading axis, so an expression jet evaluated
-    here carries the derivatives along the whole frame in its components.
-    A stacked base of shape (S, n, n) adds a sample axis after the basis
-    axis: jet values then have shape (S,) and derivatives (B, S).
+    The curves are held as the base and the frame constants Z_b and Z_b^2:
+    the jet of a function linear in x is linear in x again, with those
+    constants as coefficients, so no product is formed per sample.  An
+    expression jet evaluated here carries the derivatives along the whole
+    frame in its components.  A stacked base of shape (S, n, n) adds a
+    sample axis after the basis axis: jet values then have shape (S,) and
+    derivatives (B, S).
     """
 
     def __init__(self, base: np.ndarray, basis: SignedBasis):
@@ -86,11 +83,10 @@ class BasisCurves:
         zs = basis.matrices
         if base.shape[-2:] != zs.shape[1:]:
             raise ValidationError("base point and basis have different dimensions")
-        zs = zs.reshape(zs.shape[:1] + (1,) * (base.ndim - 2) + zs.shape[1:])
         self.base = base
         self.basis = basis
-        self.m1 = base @ zs
-        self.m2 = self.m1 @ zs
+        self.zs = zs
+        self.zs2 = zs @ zs
         self.signs = basis.signs
 
     @property
@@ -99,14 +95,16 @@ class BasisCurves:
 
 
 def entry_jet(curve, i: int, j: int) -> Jet2:
-    """Jet of the matrix-entry coordinate x_ij along a curve, 1-based."""
+    """Jet of the matrix-entry coordinate x_ij along a curve, 1-based: row i
+    of x against column j of Z_b and of Z_b^2."""
     n = curve.dim
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValidationError(f"entry ({i},{j}) out of range for dimension {n}")
+    row = curve.base[..., i - 1, :]
     return Jet2(
         curve.base[..., i - 1, j - 1],
-        curve.m1[..., i - 1, j - 1],
-        curve.m2[..., i - 1, j - 1],
+        np.einsum("bk,...k->b...", curve.zs[:, :, j - 1], row),
+        np.einsum("bk,...k->b...", curve.zs2[:, :, j - 1], row),
     )
 
 
@@ -184,14 +182,6 @@ def stack_samples(xs, basis: SignedBasis) -> np.ndarray:
     return stack
 
 
-def curve_blocks(stack: np.ndarray, basis: SignedBasis):
-    """Yield ``(rows, curves)`` over an (S, n, n) stack: a slice of
-    SAMPLE_BLOCK samples and the frame curves seeded at them."""
-    for lo in range(0, stack.shape[0], SAMPLE_BLOCK):
-        rows = slice(lo, lo + SAMPLE_BLOCK)
-        yield rows, BasisCurves(stack[rows], basis)
-
-
 def _is_composite(f) -> bool:
     """A composite, a function of the functions ``f.args`` with
     ``f.derivatives`` (:class:`lgh.exprs.HomPoly`,
@@ -204,10 +194,10 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
     """Member values (S, m), tau (S, m) and signed kappa Gram (S, m, m) at
     the samples ``xs`` (a sequence of points or an (S, n, n) stack).
 
-    A linear member's jet is walked once per block of SAMPLE_BLOCK samples,
-    on curves seeded for the whole block.  When some members are
-    composites, their arguments are measured instead, once each and
-    recursively, and :func:`compose` gives the composites from that table.
+    A linear member's jet is walked once, on curves seeded once for the
+    whole stack.  When some members are composites, their arguments are
+    measured instead, once each and recursively, and :func:`compose` gives
+    the composites from that table.
     ``xs`` may also be a table this function returned for the same members
     and frame; it is passed through.
     """
@@ -224,19 +214,19 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
                 walked.setdefault(id(g), g)
         return compose(members, frame_operators(walked.values(), stack, basis))
     count, m, b = stack.shape[0], len(members), len(basis)
-    signs = basis.signs
+    curves = BasisCurves(stack, basis)
     values = np.empty((count, m), dtype=complex)
-    tau_vals = np.empty((count, m), dtype=complex)
-    gram = np.empty((count, m, m), dtype=complex)
-    for rows, curves in curve_blocks(stack, basis):
-        size = curves.base.shape[0]
-        f1 = np.empty((size, m, b), dtype=complex)
-        for a, member in enumerate(members):
-            jet = member.eval_jet(curves)
-            values[rows, a] = jet.f0
-            f1[:, a] = np.broadcast_to(jet.f1, (b, size)).T
-            tau_vals[rows, a] = signs @ np.broadcast_to(jet.f2, (b, size))
-        gram[rows] = (f1 * signs) @ f1.transpose(0, 2, 1)
+    f1 = np.empty((count, m, b), dtype=complex)
+    f2 = np.empty((count, m, b), dtype=complex)
+    for a, member in enumerate(members):
+        jet = member.eval_jet(curves)
+        values[:, a] = jet.f0
+        f1[:, a] = np.broadcast_to(jet.f1, (b, count)).T
+        f2[:, a] = np.broadcast_to(jet.f2, (b, count)).T
+    # one product per sample, so a row's bits do not depend on the stack size
+    signs = basis.signs
+    tau_vals = f2 @ signs
+    gram = (f1 * signs) @ f1.transpose(0, 2, 1)
     return FrameOperators(members, basis, values, tau_vals, gram)
 
 
@@ -257,12 +247,12 @@ def compose(members, table: FrameOperators) -> FrameOperators:
     count, width = table.values.shape
     values = np.empty((count, len(members)), dtype=complex)
     tau_vals = np.empty_like(values)
-    grads = np.zeros((len(members), count, width), dtype=complex)
+    grads = np.zeros((count, len(members), width), dtype=complex)
     for a, f in enumerate(members):
         if id(f) in position:
             i = position[id(f)]
             values[:, a], tau_vals[:, a] = table.values[:, i], table.tau[:, i]
-            grads[a, :, i] = 1.0
+            grads[:, a, i] = 1.0
             continue
         if not _is_composite(f) or any(id(g) not in position for g in f.args):
             raise ValidationError("a member is neither in the frame table nor a composite of its members")
@@ -273,6 +263,7 @@ def compose(members, table: FrameOperators) -> FrameOperators:
         tau_vals[:, a] = np.einsum("sa,sa->s", grad, table.tau.take(index, axis=1)) + np.einsum(
             "sab,sab->s", hess, table.kappa.take(index, axis=1).take(index, axis=2)
         )
-        grads[a] = grad @ np.eye(width)[index]
-    gram = np.einsum("asl,slk,csk->sac", grads, table.kappa, grads)
+        grads[:, a] = grad @ np.eye(width)[index]
+    # samples outermost in every operand, so each row is reduced alone
+    gram = np.einsum("sal,slk,sck->sac", grads, table.kappa, grads)
     return FrameOperators(members, table.basis, values, tau_vals, gram)

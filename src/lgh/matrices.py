@@ -62,7 +62,6 @@ FAMILIES = {
     "Sppq": GroupFamily("sp_pq", "Sp({p},{q})", pq=True, factor=2, partner="Sp"),
 }
 FAMILY_BY_ALIAS = {row.alias: name for name, row in FAMILIES.items()}
-COMPACT_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.partner == name)
 NONCOMPACT_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.partner not in (None, name))
 
 _SQRT2 = math.sqrt(2.0)

@@ -1,5 +1,7 @@
 """Dual pairs: Cartan frames, aligned sampling, sign-flipped verification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,35 @@ def test_dual_eigenfamily_round_trip(gid):
     samples = du.sample_noncompact(pair, 40, 0.5, 42)
     rep_n = du.verify_dual_eigenfamily(pair, fam, samples, tol=1e-8)
     assert rep_n.passed, (str(gid), rep_n.residuals)
+
+
+def _without(basis, index):
+    vectors = list(basis.vectors)
+    del vectors[index]
+    return M.SignedBasis(basis.group, vectors)
+
+
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+def test_verifiers_measure_on_the_frame_they_are_given(index):
+    """A frame missing one vector has another Casimir and another kappa
+    Gram, so the kernel must see it fail on both equations."""
+    fam = fa.u_family(3, np.array([1.0, 0.5j, -0.25]))
+    basis = M.compact_basis(fam.group)
+    samples = sample_compact(fam.group, 20, 0.5, 11)
+    full = fa.verify_eigenfamily(fam, basis, samples)
+    assert full.residuals["tau"] < 1e-12 and full.residuals["kappa"] < 1e-12
+    cut = fa.verify_eigenfamily(fam, _without(basis, index), samples)
+    assert not cut.passed
+    assert cut.residuals["tau"] > 0.1 and cut.residuals["kappa"] > 0.1
+
+    pair = du.dual_pair(M.su_pq(1, 2))
+    dfam = du.default_compact_family(pair)
+    samples = du.sample_noncompact(pair, 20, 0.5, 12)
+    full = du.verify_dual_eigenfamily(pair, dfam, samples)
+    assert full.residuals["tau"] < 1e-12 and full.residuals["kappa"] < 1e-12
+    cut = du.verify_dual_eigenfamily(replace(pair, frame=_without(pair.frame, index)), dfam, samples)
+    assert not cut.passed
+    assert cut.residuals["tau"] > 0.1 and cut.residuals["kappa"] > 0.1
 
 
 def test_dual_constants_are_negated():

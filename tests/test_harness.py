@@ -11,6 +11,7 @@ from lgh import harness as H
 from lgh.cli import build_parser, main
 from lgh.duality import dual_pair
 from lgh.errors import ConfigError, ValidationError
+from lgh.families import LEMMA_FAMILIES
 from lgh.matrices import FAMILIES, NONCOMPACT_FAMILIES
 
 
@@ -88,6 +89,12 @@ def test_schema_and_cli_aliases_are_the_table_aliases():
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
     pair = next(a for a in commands["verify-duality"]._actions if a.dest == "pair")
     assert pair.choices == [FAMILIES[f].alias for f in NONCOMPACT_FAMILIES]
+
+
+def test_cli_lemma_groups_are_the_lemma_families():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    group = next(a for a in commands["verify-lemma"]._actions if a.dest == "group")
+    assert group.choices == [FAMILIES[f].alias for f in LEMMA_FAMILIES]
 
 
 def test_family_from_spec_defaults_to_standard_subspace():

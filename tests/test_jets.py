@@ -225,18 +225,22 @@ def _frame_cases():
 @pytest.mark.parametrize("case", list(_frame_cases()), ids=lambda c: c[0])
 def test_frame_operators_match_per_sample_tau_and_kappa(case):
     """The kernel, power members composed by the chain rule, against the
-    full jet walk of each member at each sample."""
-    from lgh.jets import SAMPLE_BLOCK, frame_operators
+    full jet walk of each member at each sample; and every row of the
+    stacked table equal, bit for bit, to the one-point table at its sample."""
+    from lgh.jets import frame_operators
 
     _, members, basis, samples = case
     walked = [walk(f) for f in members]
-    assert len(samples) > 2 * SAMPLE_BLOCK  # crosses block boundaries
     ops = frame_operators(members, samples, basis)
     m = len(members)
     assert ops.values.shape == (len(samples), m)
     assert ops.tau.shape == (len(samples), m)
     assert ops.kappa.shape == (len(samples), m, m)
     for s, x in enumerate(samples):
+        one = frame_operators(members, [x], basis)
+        assert np.array_equal(ops.values[s], one.values[0])
+        assert np.array_equal(ops.tau[s], one.tau[0])
+        assert np.array_equal(ops.kappa[s], one.kappa[0])
         for a, f in enumerate(walked):
             assert abs(ops.values[s, a] - f.eval_point(x)) <= 1e-12
             assert abs(ops.tau[s, a] - tau(f, x, basis)) <= 1e-12
