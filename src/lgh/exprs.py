@@ -7,14 +7,18 @@ the jet there on an empty frame, so point values and the values of a
 batched frame walk come from the same arithmetic.
 
 A :class:`HomPoly` is a polynomial in a list of members.  It is never
-walked as a jet: its value, gradient and Hessian in the members
-(:meth:`HomPoly.derivatives`) give its tau and kappa from those of the
-members by the chain rule (:func:`lgh.jets.compose`).
+walked as a jet.  The values, gradients and Hessians of its monomials
+(:func:`monomials`), contracted with its coefficient row (:func:`contract`),
+give its value, gradient and Hessian in the members
+(:meth:`HomPoly.derivatives`), and those give its tau and kappa from the
+members' by the chain rule (:func:`lgh.jets.compose`).  The morphism
+verifiers contract one monomial table with K coefficient rows at once; a
+:class:`HomPoly` is the case K = 1.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +27,80 @@ from .jets import BasisCurves, Jet2, entry_jet
 from .matrices import GroupId, SignedBasis
 
 
-def _lowered(expo: tuple, a: int) -> tuple:
-    return expo[:a] + (expo[a] - 1,) + expo[a + 1 :]
+@lru_cache(maxsize=256)
+def _monomial_plan(exponents: tuple):
+    """The gather plan of :func:`monomials` for the monomials x^e, e in
+    ``exponents`` (a tuple of M exponent tuples).
+
+    It holds every exponent vector the monomials and their derivatives
+    read, (N, m) with the M monomials first.  For the gradient
+    e_a x^(e - e_a) and the Hessian e_a (e_b - delta_ab) x^(e - e_a - e_b) it
+    holds the row each entry reads and the integer factor.  Where an
+    exponent would be negative the factor is 0 and the entry reads row 0.
+    The arrays are shared by every caller, so they are read-only.
+    """
+    m = len(exponents[0])
+    expos = np.array(exponents, dtype=np.intp).reshape(len(exponents), m)
+    eye = np.eye(m, dtype=np.intp)
+    lowered = expos[:, None, :] - eye  # e - e_a at [j, a]
+    lowered2 = lowered[:, :, None, :] - eye  # e - e_a - e_b at [j, a, b]
+    rows = {e: j for j, e in enumerate(exponents)}
+
+    def index(vectors):
+        flat = [tuple(v) if min(v) >= 0 else exponents[0] for v in vectors.reshape(-1, m).tolist()]
+        return np.array([rows.setdefault(v, len(rows)) for v in flat], dtype=np.intp).reshape(vectors.shape[:-1])
+
+    grad_rows, hess_rows = index(lowered), index(lowered2)
+    factor = expos.astype(float)
+    needed = np.array(list(rows), dtype=np.intp).reshape(len(rows), m)
+    plan = (needed, grad_rows, factor, hess_rows, factor[:, :, None] * lowered)
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
+def monomials(values, exponents: tuple, order: int = 2) -> tuple:
+    """Values (S, M), gradients (S, M, m) and Hessians (S, M, m, m) of the
+    monomials x^e, one per exponent tuple e of ``exponents`` (M of them), at
+    stacked argument values x of shape (S, m); the first ``order + 1`` of
+    the three.
+
+    Each monomial and each of its derivatives is one product of powers of
+    the arguments, taken once per exponent vector, times the integer that
+    differentiation brings down, so a row's bits depend only on that row,
+    whatever the order.
+    """
+    values = np.asarray(values, dtype=complex)
+    count, m = values.shape
+    needed, grad_rows, factor, hess_rows, factor2 = _monomial_plan(tuple(exponents))
+    if order == 0:
+        needed = needed[: len(exponents)]
+    top = int(needed.max(initial=0))
+    powers = [np.ones_like(values)]
+    for _ in range(top):
+        powers.append(powers[-1] * values)
+    # column a * (top + 1) + e holds value_a ** e
+    table = np.stack(powers, axis=-1).reshape(count, m * (top + 1))
+    # take() keeps the factors C-ordered, so prod() multiplies each
+    # monomial's factors alone, the same way at any stack size
+    products = table.take(np.arange(m) * (top + 1) + needed, axis=1).prod(axis=-1)
+    out = [products[:, : len(exponents)]]
+    if order >= 1:
+        out.append(products.take(grad_rows, axis=1) * factor)
+    if order >= 2:
+        out.append(products.take(hess_rows, axis=1) * factor2)
+    return tuple(out)
+
+
+def contract(table, coeffs):
+    """K polynomials from a monomial table (S, M, ...) and their coefficient
+    rows (K, M): (S, K, ...).
+
+    einsum, not matmul: each entry sums its monomials alone and in order,
+    so its bits depend neither on K nor on the stack size (BLAS would take
+    other paths for other shapes).
+    """
+    return np.einsum("sj...,kj->sk...", table, coeffs)
 
 
 class Expr:
@@ -118,52 +194,10 @@ class HomPoly:
         self.homogeneous = len(degrees) == 1
         self.coeffs = items
 
-    @cached_property
-    def _derivative_tables(self):
-        """Exponent tables with coefficients of the polynomial, its gradient
-        and its Hessian, each a sum of monomials in the arguments."""
-        m = len(self.args)
-        grad: dict = {}
-        hess: dict = {}
-        for expo in sorted(self.coeffs):
-            c = self.coeffs[expo]
-            for a in range(m):
-                if not expo[a]:
-                    continue
-                da = _lowered(expo, a)
-                grad.setdefault(da, np.zeros(m, dtype=complex))[a] += expo[a] * c
-                for b in range(m):
-                    if da[b]:
-                        term = hess.setdefault(_lowered(da, b), np.zeros((m, m), dtype=complex))
-                        term[a, b] += expo[a] * da[b] * c
-
-        def table(entries, shape):
-            keys = sorted(entries)
-            expos = np.array(keys, dtype=np.intp).reshape(len(keys), m)
-            coeffs = np.array([entries[k] for k in keys], dtype=complex).reshape((len(keys),) + shape)
-            return expos, coeffs
-
-        return table(self.coeffs, ()), table(grad, (m,)), table(hess, (m, m))
-
     def derivatives(self, values):
         """Value (S,), gradient (S, m) and Hessian (S, m, m) of the polynomial
-        in its m arguments, at stacked argument values of shape (S, m)."""
-        values = np.asarray(values, dtype=complex)
-        count, m = values.shape
-        powers = [np.ones_like(values)]
-        for _ in range(self.degree):
-            powers.append(powers[-1] * values)
-        # column a * (degree + 1) + e holds value_a ** e
-        table = np.stack(powers, axis=-1).reshape(count, -1)
-        offsets = np.arange(m) * (self.degree + 1)
-
-        def monomials(expos):
-            # take() keeps the factors C-ordered, so prod() multiplies each
-            # monomial's factors alone, the same way at any stack size
-            return table.take(offsets + expos, axis=1).prod(axis=-1)
-
-        # einsum, not matmul: BLAS takes another path for a single sample
-        (e0, c0), (e1, c1), (e2, c2) = self._derivative_tables
-        value = np.einsum("sk,k->s", monomials(e0), c0)
-        grad = np.einsum("sk,ka->sa", monomials(e1), c1)
-        return value, grad, np.einsum("sk,kab->sab", monomials(e2), c2)
+        in its m arguments, at stacked argument values of shape (S, m): its
+        monomial tables contracted with its one coefficient row."""
+        keys = tuple(sorted(self.coeffs))
+        row = np.array([[self.coeffs[k] for k in keys]], dtype=complex)
+        return tuple(contract(t, row)[:, 0] for t in monomials(values, keys))

@@ -447,56 +447,51 @@ def _check_morphism_factory(fam: fa.Eigenfamily, seed: int, pairs: int = 20, min
     """Random same-degree (P, Q) quotients must all verify; the quotient
     condition triple equality is measured on the same instances.
 
-    The member frame table of the base samples is measured once and shared
-    by every quotient and the quotient-condition check.  Samples come from
-    ``seed``, the polynomials from ``seed ^ 0xFAC7041``; both are recorded.
+    All quotients are drawn first, then verified together on the member
+    frame table of the base samples, which the quotient-condition check
+    shares, so each degree's monomial table is built once.  Samples come
+    from ``seed``, the polynomials from ``seed ^ 0xFAC7041``; both are
+    recorded, and ``notes`` names the quotients with the worst tau and the
+    worst kappa by their index in the polynomial stream.
     """
     basis = compact_basis(fam.group)
     rng_seed = seed ^ 0xFAC7041
     rng = SplitMix64(rng_seed)
-    factory_res = {"tau": 0.0, "kappa": 0.0}
-    triple_res: dict = {}
-    used = 0
-    discarded = 0
     with timed_report() as clock:
         sampler = compact_sampler(fam.group, SUITE_RADIUS, seed)
         base = frame_operators(fam.members, sampler.take(min_samples), basis)
-        for _ in range(pairs):
-            degree = 1 + (rng.next_u64() % 3)
-            morph = mo.random_morphism(fam, int(degree), rng, floor=FACTORY_FLOOR)
-            rep = mo.verify_harmonic_morphism(
-                morph,
-                basis,
-                base,
-                tol=FACTORY_TOL,
-                min_samples=min_samples,
-                sampler=lambda k: sampler.take(k).points,
-            )
-            factory_res["tau"] = max(factory_res["tau"], rep.residuals["tau"])
-            factory_res["kappa"] = max(factory_res["kappa"], rep.residuals["kappa"])
-            used += rep.samples_used
-            discarded += rep.samples_discarded
-            qrep = mo.verify_quotient_condition(
-                fam, morph.numerator, morph.denominator, basis, base, tol=FACTORY_TOL
-            )
-            for key, val in qrep.residuals.items():
-                triple_res[key] = max(triple_res.get(key, 0.0), val)
+        morphs = [
+            mo.random_morphism(fam, int(1 + rng.next_u64() % 3), rng, floor=FACTORY_FLOOR)
+            for _ in range(pairs)
+        ]
+        rep = mo.verify_harmonic_morphism(
+            morphs,
+            basis,
+            base,
+            tol=FACTORY_TOL,
+            min_samples=min_samples,
+            sampler=lambda k: sampler.take(k).points,
+        )
+        qrep = mo.verify_quotient_condition(
+            fam, [m.numerator for m in morphs], [m.denominator for m in morphs], basis, base, tol=FACTORY_TOL
+        )
     seeds = {"sampler_seed": seed, "radius": SUITE_RADIUS, "rng_seed": rng_seed}
     factory = VerificationReport(
         check="morphism-factory",
         target=str(fam.group),
         params={"pairs": pairs, "floor": FACTORY_FLOOR, "provenance": fam.provenance, **seeds},
-        residuals=factory_res,
+        residuals=rep.residuals,
         tol=FACTORY_TOL,
-        samples_used=used,
-        samples_discarded=discarded,
+        samples_used=rep.samples_used,
+        samples_discarded=rep.samples_discarded,
         wall_time=clock.elapsed,
+        notes=rep.notes,
     )
     triple = VerificationReport(
         check="quotient-condition",
         target=str(fam.group),
         params={"pairs": pairs, "provenance": fam.provenance, **seeds},
-        residuals=triple_res,
+        residuals=qrep.residuals,
         tol=FACTORY_TOL,
         samples_used=len(base),
     )

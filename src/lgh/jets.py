@@ -17,13 +17,17 @@ operator kappa are then signed sums over the frame.
 member gives the member values, their tau and their signed kappa Gram at
 every sample.  Composites (polynomials in members, and quotients P/Q of two
 polynomials) are not walked: :func:`compose` gets their values, tau and
-kappa from their arguments' by the chain rule.  Every reduction runs per
-sample, so a row's bits do not depend on how many samples are stacked.
+kappa from their arguments' by the chain rule, whose tau half is
+:func:`chain_tau`.  The morphism verifiers apply the same rule to whole
+tables of monomials at once (:class:`lgh.morphisms.MonomialTable`), which a
+frame table keeps in ``derived`` so that each is built once.  Every
+reduction runs per sample, so a row's bits do not depend on how many
+samples are stacked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,7 +132,9 @@ class FrameOperators:
 
     ``kappa[s, a, c]`` is kappa(phi_a, phi_c) at sample s.  The table records
     the members and the frame it was measured with, so a verifier handed a
-    table can check that it describes its own members.
+    table can check that it describes its own members.  ``derived`` holds
+    tables computed from this one, by key, so that verifiers sharing the
+    table build each of them once.
     """
 
     members: tuple
@@ -136,6 +142,7 @@ class FrameOperators:
     values: np.ndarray  # (S, m)
     tau: np.ndarray  # (S, m)
     kappa: np.ndarray  # (S, m, m)
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -230,6 +237,18 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
     return FrameOperators(members, basis, values, tau_vals, gram)
 
 
+def chain_tau(grad, hess, tau_vals, kappa_vals):
+    """tau(F(phi)) = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a, phi_b) at
+    each sample, for a gradient (S, ..., m) and Hessian (S, ..., m, m) of one
+    or more functions F of the arguments phi, whose tau (S, m) and kappa
+    Gram (S, m, m) are given.
+
+    The operands must be C-ordered: einsum's summation order follows the
+    strides, so each row is then reduced alone and in one order.
+    """
+    return np.einsum("s...a,sa->s...", grad, tau_vals) + np.einsum("s...ab,sab->s...", hess, kappa_vals)
+
+
 def compose(members, table: FrameOperators) -> FrameOperators:
     """The frame table of ``members``, each one of the table's members or a
     composite F of them (a polynomial, or a quotient P/Q), by the
@@ -258,10 +277,10 @@ def compose(members, table: FrameOperators) -> FrameOperators:
             raise ValidationError("a member is neither in the frame table nor a composite of its members")
         index = [position[id(g)] for g in f.args]
         values[:, a], grad, hess = f.derivatives(table.values.take(index, axis=1))
-        # take() keeps operands C-ordered: einsum's summation order follows
-        # the strides, and fancy indexing would transpose them
-        tau_vals[:, a] = np.einsum("sa,sa->s", grad, table.tau.take(index, axis=1)) + np.einsum(
-            "sab,sab->s", hess, table.kappa.take(index, axis=1).take(index, axis=2)
+        # take() keeps operands C-ordered, where fancy indexing would
+        # transpose them
+        tau_vals[:, a] = chain_tau(
+            grad, hess, table.tau.take(index, axis=1), table.kappa.take(index, axis=1).take(index, axis=2)
         )
         grads[:, a] = grad @ np.eye(width)[index]
     # samples outermost in every operand, so each row is reduced alone

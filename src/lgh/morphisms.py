@@ -11,11 +11,17 @@ composition: a polynomial of any degrees in their members is again a
 
 The verifiers work at the operator level.  The frame-operator kernel
 measures the member values phi_a, tau(phi_a) and kappa(phi_a, phi_b) once
-per sample.  Every polynomial in the members follows from the composition
-rules of :func:`lgh.jets.compose`, and so does the quotient: a
-:class:`RationalMorphism` is the function F(P, Q) = P/Q of its two
-arguments, with gradient (1/Q, -P/Q^2) and Hessian
-[[0, -1/Q^2], [-1/Q^2, 2P/Q^3]] in (P, Q).
+per sample.  For one total degree d, every degree-d monomial in the members
+gets its value, gradient and tau from those by the chain rule, once per
+frame table (:class:`MonomialTable`).  A polynomial is a coefficient row
+over the monomials, so K quotients P_k/Q_k are one (2K, M) coefficient
+matrix, and a few contractions give P, Q, tau(P), tau(Q), kappa(P, P),
+kappa(P, Q) and kappa(Q, Q) of all of them (:func:`quotient_pairs`).  The
+quotient condition reduces those tables directly.  For tau(P/Q) and
+kappa(P/Q, P/Q), the function F(P, Q) = P/Q has gradient (1/Q, -P/Q^2) and
+Hessian [[0, -1/Q^2], [-1/Q^2, 2P/Q^3]] in (P, Q)
+(:meth:`RationalMorphism.derivatives`), applied once to every in-domain
+(sample, quotient) entry (:func:`quotient_operators`).
 
 The member tau and kappa are measured, never taken from the family's stated
 (lambda, mu), so a wrong member list shows up as a failing residual.
@@ -24,14 +30,16 @@ The member tau and kappa are measured, never taken from the family's stated
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InconclusiveError, ValidationError
-from .exprs import HomPoly
+from .exprs import HomPoly, contract, monomials
 from .families import Eigenfamily
-from .jets import FrameOperators, compose, frame_operators
+from .jets import FrameOperators, chain_tau, frame_operators
 from .matrices import GroupId, SignedBasis
 from .report import VerificationReport, timed_report
 from .sampling import SampleSet, SplitMix64
@@ -42,10 +50,13 @@ def power_constants(lam: complex, mu: complex, k: int) -> tuple[complex, complex
     return k * lam + k * (k - 1) * mu, k * k * mu
 
 
-def _exponents(m: int, degree: int):
+@lru_cache(maxsize=None)
+def _exponents(m: int, degree: int) -> tuple:
     """Exponent tuples of the degree-``degree`` monomials in m arguments."""
-    for combo in itertools.combinations_with_replacement(range(m), degree):
-        yield tuple(combo.count(i) for i in range(m))
+    return tuple(
+        tuple(combo.count(i) for i in range(m))
+        for combo in itertools.combinations_with_replacement(range(m), degree)
+    )
 
 
 def power_family(fam: Eigenfamily, k: int) -> Eigenfamily:
@@ -71,7 +82,8 @@ class RationalMorphism:
 
     It is the function P/Q of its two arguments ``args = [P, Q]``, so
     :func:`lgh.jets.compose` and :func:`frame_operators` take it like a
-    polynomial.
+    polynomial, and :meth:`derivatives` is the quotient rule every verifier
+    applies.
     """
 
     family: Eigenfamily
@@ -86,6 +98,12 @@ class RationalMorphism:
     @property
     def args(self) -> list:
         return [self.numerator, self.denominator]
+
+    @property
+    def degrees(self) -> tuple:
+        """The total degrees of the terms of P and Q: the monomial table the
+        quotient is verified on."""
+        return _term_degrees(self.numerator, self.denominator)
 
     def derivatives(self, values):
         """Value p/q (S,), gradient (S, 2) and Hessian (S, 2, 2) in (p, q),
@@ -109,8 +127,8 @@ class RationalMorphism:
         """|Q(x)| > floor, with Q evaluated as the verifier screens samples."""
         x = np.asarray(x, dtype=complex)
         empty = SignedBasis(GroupId("GLC-split", x.shape[-1]))
-        values = frame_operators(self.family.members, [x], empty).values
-        return abs(self.denominator.derivatives(values)[0][0]) > self.floor
+        table = frame_operators(self.family.members, [x], empty)
+        return bool(_screen(_monomial_values(table, self.degrees), _denominators([self]))[0, 0] > self.floor)
 
 
 def _coeff_table(p: HomPoly, q: HomPoly):
@@ -167,30 +185,229 @@ def mobius_transform(m: RationalMorphism, a, b, c, d) -> RationalMorphism:
 
 
 # ---------------------------------------------------------------------------
+# the kernel: monomial tables, pair tables and the quotient rule
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _layout(m: int, degrees: tuple):
+    """The monomials of the given total degrees in m arguments: their
+    exponent tuples and the row of each in that list."""
+    expos = tuple(e for d in degrees for e in _exponents(m, d))
+    return expos, {e: j for j, e in enumerate(expos)}
+
+
+def _term_degrees(*polys) -> tuple:
+    return tuple(sorted({sum(expo) for poly in polys for expo in poly.coeffs}))
+
+
+def _coefficients(polys, degrees: tuple) -> np.ndarray:
+    """The coefficient rows (K, M) of K polynomials over the monomials of
+    ``degrees``."""
+    _, row = _layout(len(polys[0].args), degrees)
+    coeffs = np.zeros((len(polys), len(row)), dtype=complex)
+    for k, poly in enumerate(polys):
+        for expo, c in poly.coeffs.items():
+            coeffs[k, row[expo]] = c
+    return coeffs
+
+
+@dataclass
+class MonomialTable:
+    """Every monomial of some total degrees in the members of a frame table:
+    values and tau (S, M) and gradients in the members (S, M, m), beside the
+    members' kappa Gram (S, m, m).
+
+    K polynomials in the members are K coefficient rows over the monomials,
+    so :meth:`polynomials` gives all of them by one contraction per table.
+    """
+
+    values: np.ndarray
+    tau: np.ndarray
+    grads: np.ndarray
+    kappa: np.ndarray
+
+    @classmethod
+    def over(cls, table: FrameOperators, degrees: tuple) -> "MonomialTable":
+        """The table of the monomials of ``degrees`` over a member frame
+        table, built once per frame table."""
+        key = ("monomials", degrees)
+        if key not in table.derived:
+            expos, _ = _layout(len(table.members), degrees)
+            values, grads, hess = monomials(table.values, expos)
+            tau = chain_tau(grads, hess, table.tau, table.kappa)
+            table.derived[key] = cls(values, tau, grads, table.kappa)
+        return table.derived[key]
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    @staticmethod
+    def concat(tables: list) -> "MonomialTable":
+        return MonomialTable(
+            *(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(MonomialTable))
+        )
+
+    def polynomials(self, coeffs):
+        """Values (S, K), tau (S, K) and member gradients (S, K, m) of the K
+        polynomials with coefficient rows ``coeffs`` (K, M)."""
+        return contract(self.values, coeffs), contract(self.tau, coeffs), contract(self.grads, coeffs)
+
+
+@dataclass
+class QuotientPairs:
+    """P, Q, tau(P), tau(Q), kappa(P, P), kappa(P, Q) and kappa(Q, Q) of K
+    pairs (P_k, Q_k) at S samples, each C-ordered (S, K)."""
+
+    p: np.ndarray
+    q: np.ndarray
+    tau_p: np.ndarray
+    tau_q: np.ndarray
+    kappa_pp: np.ndarray
+    kappa_pq: np.ndarray
+    kappa_qq: np.ndarray
+
+
+def quotient_pairs(mono: MonomialTable, numerators, denominators, degrees: tuple) -> QuotientPairs:
+    """The pair table of K pairs over a monomial table of ``degrees``: the 2K
+    polynomials are one (2K, M) coefficient matrix, and kappa(F, G) =
+    sum_ab F_a kappa(phi_a, phi_b) G_b is summed one index at a time."""
+    k = len(numerators)
+    values, tau, grads = mono.polynomials(_coefficients([*numerators, *denominators], degrees))
+    pulled = np.einsum("sab,skb->ska", mono.kappa, grads)
+
+    def kappa(f, g):
+        return np.einsum("ska,ska->sk", grads[:, f], pulled[:, g])
+
+    num, den = slice(0, k), slice(k, 2 * k)
+    parts = (values[:, num], values[:, den], tau[:, num], tau[:, den])
+    parts += (kappa(num, num), kappa(num, den), kappa(den, den))
+    return QuotientPairs(*(np.ascontiguousarray(a) for a in parts))
+
+
+def _monomial_values(table: FrameOperators, degrees: tuple) -> np.ndarray:
+    """The values (S, M) of a monomial table, without its derivatives."""
+    return monomials(table.values, _layout(len(table.members), degrees)[0], order=0)[0]
+
+
+def _denominators(morphs) -> np.ndarray:
+    """The coefficient rows (K, M) of K quotients' denominators over their
+    monomial table."""
+    return _coefficients([m.denominator for m in morphs], morphs[0].degrees)
+
+
+def _screen(values, denominators) -> np.ndarray:
+    """|Q| (S, K) from monomial values (S, M) and denominator rows: the
+    domain screen.  The values and the contraction are those of
+    :class:`MonomialTable`, so a screened row's Q is bit for bit the Q the
+    kernel divides by."""
+    return np.abs(contract(values, denominators))
+
+
+def quotient_operators(morphs, mono: MonomialTable, rows):
+    """tau(P/Q) and kappa(P/Q, P/Q), (S, K) each, of K quotients of one
+    monomial table and one floor, at the entries where ``rows`` (S, K) is
+    True, and 0 elsewhere.
+
+    The quotient rule (:meth:`RationalMorphism.derivatives`) runs once on all
+    those entries together; each entry is reduced alone, so its bits depend
+    neither on K nor on the other rows.
+    """
+    nums, dens = [m.numerator for m in morphs], [m.denominator for m in morphs]
+    pairs = quotient_pairs(mono, nums, dens, morphs[0].degrees)
+    _, grad, hess = morphs[0].derivatives(np.stack([pairs.p[rows], pairs.q[rows]], axis=-1))
+    tau_pq = np.stack([pairs.tau_p[rows], pairs.tau_q[rows]], axis=-1)
+    k_pq = pairs.kappa_pq[rows]
+    gram = np.stack([pairs.kappa_pp[rows], k_pq, k_pq, pairs.kappa_qq[rows]], axis=-1).reshape(-1, 2, 2)
+    tau_vals = np.zeros(rows.shape, dtype=complex)
+    kappa_vals = np.zeros(rows.shape, dtype=complex)
+    tau_vals[rows] = chain_tau(grad, hess, tau_pq, gram)
+    # two single sums: a three-operand einsum sums a lone row in another order
+    kappa_vals[rows] = np.einsum("na,na->n", grad, np.einsum("nab,nb->na", gram, grad))
+    return tau_vals, kappa_vals
+
+
+def quotient_condition(fam: Eigenfamily, numerators, denominators, table: FrameOperators) -> dict:
+    """The quotient-condition residuals of K pairs (P_k, Q_k) at every row
+    of a member frame table, four (S, K) arrays:
+    |Q^2 kappa(P,P) - PQ kappa(P,Q)|, |P^2 kappa(Q,Q) - PQ kappa(P,Q)| and
+    the eigen-equation residuals |tau(P) - lambda_d P|, |tau(Q) - lambda_d Q|
+    with the power constants of each polynomial's degree."""
+    out = {key: np.empty((len(table), len(numerators))) for key in _CONDITION_KEYS}
+    for degrees, ks in _groups(numerators, denominators):
+        nums, dens = [numerators[k] for k in ks], [denominators[k] for k in ks]
+        pairs = quotient_pairs(MonomialTable.over(table, degrees), nums, dens, degrees)
+        lam_p = np.array([power_constants(fam.lam, fam.mu, f.degree)[0] for f in nums])
+        lam_q = np.array([power_constants(fam.lam, fam.mu, f.degree)[0] for f in dens])
+        p, q = pairs.p, pairs.q
+        out["triple_left"][:, ks] = np.abs(q * q * pairs.kappa_pp - p * q * pairs.kappa_pq)
+        out["triple_right"][:, ks] = np.abs(p * p * pairs.kappa_qq - p * q * pairs.kappa_pq)
+        out["tau_numerator"][:, ks] = np.abs(pairs.tau_p - lam_p * p)
+        out["tau_denominator"][:, ks] = np.abs(pairs.tau_q - lam_q * q)
+    return out
+
+
+_CONDITION_KEYS = ("triple_left", "triple_right", "tau_numerator", "tau_denominator")
+
+
+def _groups(numerators, denominators):
+    """(degrees, indices) of the pairs that share a monomial table, in order
+    of first appearance."""
+    groups: dict = {}
+    for k, pair in enumerate(zip(numerators, denominators)):
+        groups.setdefault(_term_degrees(*pair), []).append(k)
+    return list(groups.items())
+
+
+def _over_members(polys, members):
+    for poly in polys:
+        if len(poly.args) != len(members) or any(a is not b for a, b in zip(poly.args, members)):
+            raise ValidationError("a polynomial is not a polynomial in the family members")
+
+
+# ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
 
-def _collect_in_domain(screen, samples, sampler, min_samples):
-    """Screen ``samples``, then draw only the shortfall from ``sampler`` until
-    the target count is in domain or ten times the target has been drawn.
+def _collect_in_domain(morphs, groups, base: FrameOperators, basis, sampler, min_samples):
+    """Screen the base rows for every quotient, then let each quotient in
+    turn draw only its shortfall from ``sampler`` until its target count is
+    in domain or ten times the target has been drawn for it.
 
-    ``screen(batch)`` returns the frame table of a batch's in-domain points.
+    Returns the base rows in each quotient's domain (S, K), each quotient's
+    redrawn in-domain member table (None when it drew nothing it kept),
+    and its (samples used, samples discarded, points the sampler had handed
+    to the quotients before it).
     """
-    tables = [screen(samples)]
-    kept = len(tables[0])
-    drawn = len(samples)
-    target = min_samples if min_samples is not None else drawn
-    budget = max(10 * max(target, 1), drawn)
-    while sampler is not None and kept < target and drawn < budget:
-        batch = sampler(min(target - kept, budget - drawn))
-        drawn += len(batch)
-        tables.append(screen(batch))
-        kept += len(tables[-1])
-    return FrameOperators.concat(tables), drawn - kept
+    kept = np.empty((len(base), len(morphs)), dtype=bool)
+    for degrees, ks in groups:
+        values = MonomialTable.over(base, degrees).values
+        kept[:, ks] = _screen(values, _denominators([morphs[k] for k in ks])) > morphs[0].floor
+    target = min_samples if min_samples is not None else len(base)
+    budget = max(10 * max(target, 1), len(base))
+    redrawn, counts = [], []
+    skipped = 0
+    for k, morph in enumerate(morphs):
+        tables, used, drawn = [], int(np.count_nonzero(kept[:, k])), len(base)
+        row = _denominators([morph])
+        while sampler is not None and used < target and drawn < budget:
+            batch = sampler(min(target - used, budget - drawn))
+            drawn += len(batch)
+            table = frame_operators(base.members, batch, basis)
+            keep = _screen(_monomial_values(table, morph.degrees), row)[:, 0] > morph.floor
+            tables.append(table.rows(keep))
+            used += len(tables[-1])
+        if not used:
+            raise InconclusiveError(
+                "no sample cleared the domain floor; cannot verify the morphism"
+            )
+        redrawn.append(FrameOperators.concat(tables) if any(len(t) for t in tables) else None)
+        counts.append((used, drawn - used, skipped))
+        skipped += drawn - len(base)
+    return kept, redrawn, counts
 
 
 def verify_harmonic_morphism(
-    m: RationalMorphism,
+    m,
     basis: SignedBasis,
     samples,
     tol: float = 1e-8,
@@ -199,40 +416,70 @@ def verify_harmonic_morphism(
 ) -> VerificationReport:
     """Measure max |tau(P/Q)| and |kappa(P/Q, P/Q)| over in-domain samples.
 
-    P, Q and then P/Q are composed from the family members' frame table,
-    and ``samples`` may already be that table (see
-    :func:`frame_operators`).  Samples where |Q| falls to its domain floor
-    are discarded; when a ``sampler(count)`` callable is supplied the
-    verifier draws the shortfall again, up to ten times the requested count
-    in all, before declaring the run inconclusive.
+    ``m`` is one :class:`RationalMorphism`, or a sequence of them over one
+    family and one floor.  ``samples`` may already be the family members'
+    frame table (see :func:`frame_operators`).  Each quotient screens its
+    own domain: samples where its |Q| falls to the floor are discarded, and
+    when a ``sampler(count)`` callable is supplied the quotient draws its
+    shortfall again, up to ten times the requested count in all, before the
+    run is declared inconclusive.  The quotients draw in their order, so
+    each one's samples are those of a run of it alone after the ones before
+    it.  Every quotient of one monomial table is then verified by one
+    kernel call (:func:`quotient_operators`).
+
+    For a sequence the residuals are the maxima over all quotients, the
+    sample counts their sums, and ``notes`` gives, for the worst tau and
+    the worst kappa, the quotient's index and degree and how many points
+    the sampler had handed to the quotients before it (``sampler_skip``),
+    so that it can be replayed alone.
     """
-    members = m.family.members
-
-    def screen(batch):
-        table = frame_operators(members, batch, basis)
-        q = m.denominator.derivatives(table.values)[0]
-        return table.rows(np.abs(q) > m.floor)
-
+    morphs = [m] if isinstance(m, RationalMorphism) else list(m)
+    if not morphs:
+        raise ValidationError("no quotient to verify")
+    family, floor = morphs[0].family, morphs[0].floor
+    if any(k.family is not family or k.floor != floor for k in morphs):
+        raise ValidationError("the quotients of one call need one family and one floor")
+    members = family.members
+    _over_members([f for k in morphs for f in k.args], members)
     if not isinstance(samples, (FrameOperators, SampleSet, np.ndarray)):
         samples = list(samples)
     with timed_report() as clock:
-        table, discarded = _collect_in_domain(screen, samples, sampler, min_samples)
-        if not len(table):
-            raise InconclusiveError(
-                "no sample cleared the domain floor; cannot verify the morphism"
-            )
-        ops = compose([m], compose(m.args, table))
-        tau_res = float(np.max(np.abs(ops.tau)))
-        kappa_res = float(np.max(np.abs(ops.kappa)))
+        base = frame_operators(members, samples, basis)
+        groups = _groups([k.numerator for k in morphs], [k.denominator for k in morphs])
+        kept, redrawn, counts = _collect_in_domain(morphs, groups, base, basis, sampler, min_samples)
+        tau_max = np.empty(len(morphs))
+        kappa_max = np.empty(len(morphs))
+        for degrees, ks in groups:
+            union = MonomialTable.over(base, degrees)
+            rows = [kept[:, ks]]
+            extra = [k for k in ks if redrawn[k] is not None]
+            if extra:
+                more = FrameOperators.concat([redrawn[k] for k in extra])
+                union = MonomialTable.concat([union, MonomialTable.over(more, degrees)])
+                # a quotient's redrawn rows lie in its domain alone
+                rows += [np.repeat([np.equal(ks, k)], len(redrawn[k]), axis=0) for k in extra]
+            tau_vals, kappa_vals = quotient_operators([morphs[k] for k in ks], union, np.concatenate(rows))
+            tau_max[ks] = np.max(np.abs(tau_vals), axis=0)
+            kappa_max[ks] = np.max(np.abs(kappa_vals), axis=0)
+    if isinstance(m, RationalMorphism):
+        params = {"degree": m.degree, "floor": floor, "members": len(members)}
+        notes = {}
+    else:
+        params = {"quotients": len(morphs), "floor": floor, "members": len(members)}
+        notes = {
+            f"worst_{name}": {"index": i, "degree": morphs[i].degree, "sampler_skip": counts[i][2]}
+            for name, i in (("tau", int(np.argmax(tau_max))), ("kappa", int(np.argmax(kappa_max))))
+        }
     return VerificationReport(
         check="harmonic-morphism",
-        target=str(m.family.group),
-        params={"degree": m.degree, "floor": m.floor, "members": len(members)},
-        residuals={"tau": tau_res, "kappa": kappa_res},
+        target=str(family.group),
+        params=params,
+        residuals={"tau": float(np.max(tau_max)), "kappa": float(np.max(kappa_max))},
         tol=tol,
-        samples_used=len(table),
-        samples_discarded=discarded,
+        samples_used=sum(used for used, _, _ in counts),
+        samples_discarded=sum(discarded for _, discarded, _ in counts),
         wall_time=clock.elapsed,
+        notes=notes,
     )
 
 
@@ -246,28 +493,32 @@ def verify_quotient_condition(
 ) -> VerificationReport:
     """Check Q^2 kappa(P,P) = PQ kappa(P,Q) = P^2 kappa(Q,Q) at each sample,
     plus the eigen-equations tau(P) = lambda_d P and tau(Q) = lambda_d Q with
-    the degree-d power constants.  ``samples`` may be the family members'
-    frame table."""
-    pn = _as_hompoly(P, fam.members)
-    qn = _as_hompoly(Q, fam.members)
-    lam_p, _ = power_constants(fam.lam, fam.mu, pn.degree)
-    lam_q, _ = power_constants(fam.lam, fam.mu, qn.degree)
+    the degree-d power constants (see :func:`quotient_condition`).
+
+    P and Q are polynomials (or coefficient maps), or two equal-length
+    lists of them, the pairs (P_k, Q_k); the residuals are then the maxima
+    over all pairs.  ``samples`` may be the family members' frame table.
+    """
+    single = not isinstance(P, (list, tuple))
+    nums = [_as_hompoly(f, fam.members) for f in ([P] if single else P)]
+    dens = [_as_hompoly(f, fam.members) for f in ([Q] if single else Q)]
+    if len(nums) != len(dens) or not nums:
+        raise ValidationError("the quotient condition needs as many numerators as denominators")
+    _over_members(nums + dens, fam.members)
     with timed_report() as clock:
         table = frame_operators(fam.members, samples, basis)
-        ops = compose([pn, qn], table)
-        p0, q0 = ops.values[:, 0], ops.values[:, 1]
-        k_pp, k_pq, k_qq = ops.kappa[:, 0, 0], ops.kappa[:, 0, 1], ops.kappa[:, 1, 1]
         res = {
-            "triple_left": np.abs(q0 * q0 * k_pp - p0 * q0 * k_pq),
-            "triple_right": np.abs(p0 * p0 * k_qq - p0 * q0 * k_pq),
-            "tau_numerator": np.abs(ops.tau[:, 0] - lam_p * p0),
-            "tau_denominator": np.abs(ops.tau[:, 1] - lam_q * q0),
+            key: float(np.max(val, initial=0.0))
+            for key, val in quotient_condition(fam, nums, dens, table).items()
         }
-        res = {key: float(np.max(val, initial=0.0)) for key, val in res.items()}
+    if single:
+        params = {"degree_P": nums[0].degree, "degree_Q": dens[0].degree}
+    else:
+        params = {"pairs": len(nums)}
     return VerificationReport(
         check="quotient-condition",
         target=str(fam.group),
-        params={"degree_P": pn.degree, "degree_Q": qn.degree},
+        params=params,
         residuals=res,
         tol=tol,
         samples_used=len(table),
@@ -302,16 +553,40 @@ def compose_orthogonal(family: Eigenfamily, h: dict) -> HomPoly:
 # seeded polynomial factory for property checks
 # ---------------------------------------------------------------------------
 
+def _random_hompolys(members, degree: int, rng: SplitMix64, count: int) -> list:
+    """``count`` dense homogeneous polynomials, one after the other in the
+    stream, from one block of two uniforms per coefficient: radius sqrt(u)
+    then angle 2 pi u', the values and the stream of one
+    :meth:`SplitMix64.complex_disc` call per coefficient."""
+    expos = _exponents(len(members), degree)
+    u = rng.uniforms(2 * count * len(expos))
+    rad, ang = np.sqrt(u[0::2]), 2.0 * math.pi * u[1::2]
+    coeffs = np.empty(len(rad), dtype=complex)
+    coeffs.real, coeffs.imag = rad * np.cos(ang), rad * np.sin(ang)
+    values = coeffs.tolist()
+    return [HomPoly(dict(zip(expos, values[k * len(expos) :])), members) for k in range(count)]
+
+
 def random_hompoly(members, degree: int, rng: SplitMix64) -> HomPoly:
     """Dense homogeneous polynomial with coefficients uniform on the unit disc."""
-    return HomPoly({expo: rng.complex_disc() for expo in _exponents(len(members), degree)}, members)
+    return _random_hompolys(members, degree, rng, 1)[0]
 
 
 def random_morphism(
     fam: Eigenfamily, degree: int, rng: SplitMix64, floor: float = 1e-3
 ) -> RationalMorphism:
-    p = random_hompoly(fam.members, degree, rng)
-    q = random_hompoly(fam.members, degree, rng)
+    """A random P/Q of two dense degree-``degree`` polynomials in the members.
+
+    Raises :class:`ValidationError`, before drawing, when there is only one
+    degree-``degree`` monomial (one member, or degree 0): every such P and
+    Q are proportional, so no quotient exists.
+    """
+    if len(_exponents(len(fam.members), degree)) < 2:
+        raise ValidationError(
+            f"{len(fam.members)} member(s) have a single monomial of degree {degree}; "
+            "every same-degree P and Q are proportional"
+        )
+    p, q = _random_hompolys(fam.members, degree, rng, 2)
     while _proportional(p, q):  # vanishing-probability event, retry keeps stream seeded
         q = random_hompoly(fam.members, degree, rng)
     return RationalMorphism(fam, p, q, floor)

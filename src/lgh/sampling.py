@@ -30,6 +30,11 @@ from .matrices import GroupId, symplectic_matrix
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# SplitMix64's constants as uint64 scalars, built once: uniforms() is
+# often called for a few values, where building them costs as much as the
+# arithmetic
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFTS_U64 = tuple(np.uint64(k) for k in (30, 27, 31, 11))
 
 
 class SplitMix64:
@@ -54,13 +59,18 @@ class SplitMix64:
         """The next ``count`` uniforms as one array, bit for bit the values of
         ``count`` calls of :meth:`uniform`; the k-th state is s + k * golden
         in wrapping uint64 arithmetic."""
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
+        s30, s27, s31, s11 = _SHIFTS_U64
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _GOLDEN_U64
+        z += np.uint64(self._state)
         self._state = (self._state + count * _GOLDEN) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        u = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
-        return lo + (hi - lo) * (u * 2.0**-53)
+        z ^= z >> s30
+        z *= _MIX1_U64
+        z ^= z >> s27
+        z *= _MIX2_U64
+        z ^= z >> s31
+        z >>= s11
+        return lo + (hi - lo) * (z * 2.0**-53)
 
     def complex_uniform(self, r: float = 1.0) -> complex:
         """Re and Im independently uniform on [-r, r]."""

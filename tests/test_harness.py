@@ -373,6 +373,74 @@ def test_factory_check_replays_from_its_recorded_seeds():
     assert (tau, kappa) == (factory.residuals["tau"], factory.residuals["kappa"])
 
 
+def test_factory_worst_quotients_replay_alone_from_the_notes():
+    """The notes name the worst-tau and worst-kappa quotients by stream
+    index, degree and sampler skip; each replays alone to the report's
+    residual.  On Sp(1) both worst quotients redraw after earlier ones."""
+    from lgh import morphisms as mo
+    from lgh.matrices import compact_basis
+    from lgh.sampling import SplitMix64, compact_sampler
+
+    index, fam = 8, H._factory_families()[8]
+    factory, _ = H._check_morphism_factory(fam, H.DEFAULT_SEED + index)
+    params = factory.params
+    basis = compact_basis(fam.group)
+    for name in ("tau", "kappa"):
+        worst = factory.notes[f"worst_{name}"]
+        assert worst["sampler_skip"] > 0
+        rng = SplitMix64(params["rng_seed"])
+        for _ in range(worst["index"] + 1):
+            morph = mo.random_morphism(fam, 1 + rng.next_u64() % 3, rng, floor=params["floor"])
+        assert morph.degree == worst["degree"]
+        sampler = compact_sampler(fam.group, params["radius"], params["sampler_seed"])
+        base = sampler.take(50)
+        sampler.take(worst["sampler_skip"])
+        rep = mo.verify_harmonic_morphism(
+            morph, basis, base, tol=factory.tol, min_samples=50,
+            sampler=lambda k: sampler.take(k).points,
+        )
+        assert rep.residuals[name] == factory.residuals[name]
+
+
+def test_factory_composes_nothing_and_builds_each_degree_table_once(monkeypatch):
+    """A count, not a timer: the factory makes no ``jets.compose`` call, and
+    at most one monomial table per degree on its base frame table, shared
+    by the morphism and quotient-condition checks."""
+    from lgh import jets
+    from lgh import morphisms as mo
+
+    compose_calls = []
+    bases = []
+    builds = []
+    real_compose, real_monomials, real_frame = jets.compose, mo.monomials, H.frame_operators
+
+    def compose(*args, **kwargs):
+        compose_calls.append(1)
+        return real_compose(*args, **kwargs)
+
+    def frame_operators(*args, **kwargs):
+        bases.append(real_frame(*args, **kwargs))
+        return bases[-1]
+
+    def monomials(values, exponents, order=2):
+        if order == 2:
+            builds.append((id(values), len(exponents)))
+        return real_monomials(values, exponents, order)
+
+    monkeypatch.setattr(jets, "compose", compose)
+    monkeypatch.setattr(H, "frame_operators", frame_operators)
+    monkeypatch.setattr(mo, "monomials", monomials)
+    for index, fam in enumerate(H._factory_families()):
+        bases.clear()
+        builds.clear()
+        factory, triple = H._check_morphism_factory(fam, H.DEFAULT_SEED + index)
+        assert factory.passed and triple.passed
+        (base,) = bases
+        on_base = [b for b in builds if b[0] == id(base.values)]
+        assert 1 <= len(on_base) == len(set(on_base)) <= 3
+    assert compose_calls == []
+
+
 def test_power_family_check_replays_from_its_params():
     from lgh import families as fa
     from lgh import morphisms as mo

@@ -119,6 +119,69 @@ def test_random_quotient_on_so4_family():
     assert rep.passed, rep.residuals
 
 
+def test_random_morphism_refuses_a_family_with_one_monomial_per_degree():
+    from lgh import duality as du
+
+    # the SO(1,2) default family is one LinearTrace on SO(3): every P and Q
+    # of one degree are proportional, so no quotient exists
+    fam = du.default_compact_family(du.dual_pair(M.GroupId("SOpq", p=1, q=2)))
+    assert len(fam.members) == 1
+    rng = SplitMix64(7)
+    untouched = SplitMix64(7)
+    for degree in (1, 2, 3):
+        with pytest.raises(ValidationError, match="proportional"):
+            mo.random_morphism(fam, degree, rng)
+    assert rng.next_u64() == untouched.next_u64()
+
+
+def test_random_hompoly_block_is_bit_for_bit_the_scalar_disc_stream():
+    members = fa.sp_family(2, _e(2)).members
+    block, scalar = SplitMix64(2024), SplitMix64(2024)
+    drawn = 0
+    while drawn < 20_000:
+        poly = mo.random_hompoly(members, 1 + drawn % 3, block)
+        want = [scalar.complex_disc() for _ in poly.coeffs]
+        assert [(c.real.hex(), c.imag.hex()) for c in poly.coeffs.values()] == [
+            (c.real.hex(), c.imag.hex()) for c in want
+        ]
+        drawn += len(want)
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_kernel_rows_do_not_depend_on_which_quotients_share_the_call():
+    """K quotients in one kernel call, one at a time and in reverse order:
+    each quotient's tau, kappa and quotient-condition arrays are the same
+    bits, and a lone sample gives the bits of its row in the stack."""
+    from lgh.jets import frame_operators
+
+    fam = fa.u_family(3, _e(3))
+    basis = M.compact_basis(fam.group)
+    table = frame_operators(fam.members, sample_compact(fam.group, 30, 0.5, 42), basis)
+    rng = SplitMix64(5)
+    for degree in (1, 2, 3):
+        morphs = [mo.random_morphism(fam, degree, rng, floor=0.05) for _ in range(5)]
+
+        def run(ms, rows_of=table):
+            mono = mo.MonomialTable.over(rows_of, (degree,))
+            rows = mo._screen(mono.values, mo._denominators(ms)) > 0.05
+            tau, kappa = mo.quotient_operators(ms, mono, rows)
+            cond = mo.quotient_condition(fam, [m.numerator for m in ms], [m.denominator for m in ms], rows_of)
+            return {
+                id(m): [rows[:, k], tau[:, k], kappa[:, k]] + [cond[key][:, k] for key in sorted(cond)]
+                for k, m in enumerate(ms)
+            }
+
+        def bits(result, count=None):
+            return {key: [a[:count].tobytes() for a in arrays] for key, arrays in result.items()}
+
+        together = run(morphs)
+        alone = {key: val for m in morphs for key, val in run([m]).items()}
+        assert bits(together) == bits(alone) == bits(run(morphs[::-1]))
+        lone = {key: val for m in morphs for key, val in run([m], table.rows(slice(0, 1))).items()}
+        assert bits(together, 1) == bits(lone)
+        assert all(arrays[0].any() for arrays in together.values())
+
+
 def test_negative_control_z11_over_one_fails():
     # tau(z_11) = -2 z_11 on U(2): the check must fail, with the tau
     # residual exactly 2 max|z_11| over the samples used
