@@ -29,7 +29,7 @@ from .errors import (
     InconclusiveError,
     ValidationError,
 )
-from .exprs import Entry, Expr, HomPoly, LinearTrace
+from .exprs import Entry, Expr, HomPoly, LinearTrace, compose
 from .families import (
     Eigenfamily,
     eigen_constants,
@@ -49,7 +49,6 @@ from .jets import (
     BasisCurves,
     FrameOperators,
     Jet2,
-    compose,
     entry_jet,
     frame_operators,
     kappa,

@@ -6,24 +6,26 @@ curves (:meth:`Expr.eval_jet`).  The value at a point is the value part of
 the jet there on an empty frame, so point values and the values of a
 batched frame walk come from the same arithmetic.
 
-A :class:`HomPoly` is a polynomial in a list of members.  It is never
-walked as a jet.  The values, gradients and Hessians of its monomials
-(:func:`monomials`), contracted with its coefficient row (:func:`contract`),
-give its value, gradient and Hessian in the members
-(:meth:`HomPoly.derivatives`), and those give its tau and kappa from the
-members' by the chain rule (:func:`lgh.jets.compose`).  The morphism
-verifiers contract one monomial table with K coefficient rows at once; a
-:class:`HomPoly` is the case K = 1.
+A :class:`HomPoly` is a polynomial in a list of members, never walked as
+a jet.  The one chain rule, tau(F(phi)) = sum_a F_a tau(phi_a) + sum_ab
+F_ab kappa(phi_a, phi_b) and kappa(F, G) = sum_ab F_a G_b kappa(phi_a,
+phi_b), lives here.  A :class:`MonomialTable` applies it once to every
+monomial of some total degrees over a frame table of members, and K
+polynomials are then K coefficient rows over it (:func:`contract`).
+:func:`compose` gives the frame table of polynomial members this way, and
+the morphism verifiers their numerators and denominators.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
-from .jets import BasisCurves, Jet2, entry_jet
+from .jets import BasisCurves, FrameOperators, Jet2, entry_jet
 from .matrices import GroupId, SignedBasis
 
 
@@ -194,10 +196,113 @@ class HomPoly:
         self.homogeneous = len(degrees) == 1
         self.coeffs = items
 
-    def derivatives(self, values):
-        """Value (S,), gradient (S, m) and Hessian (S, m, m) of the polynomial
-        in its m arguments, at stacked argument values of shape (S, m): its
-        monomial tables contracted with its one coefficient row."""
-        keys = tuple(sorted(self.coeffs))
-        row = np.array([[self.coeffs[k] for k in keys]], dtype=complex)
-        return tuple(contract(t, row)[:, 0] for t in monomials(values, keys))
+
+# ---------------------------------------------------------------------------
+# the chain rule: monomial tables over a frame table of members
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _layout(m: int, degrees: tuple):
+    """The monomials of the given total degrees in m arguments: their
+    exponent tuples and the row of each in that list."""
+    expos = tuple(
+        tuple(combo.count(i) for i in range(m))
+        for d in degrees
+        for combo in itertools.combinations_with_replacement(range(m), d)
+    )
+    return expos, {e: j for j, e in enumerate(expos)}
+
+
+def _term_degrees(*polys) -> tuple:
+    return tuple(sorted({sum(expo) for poly in polys for expo in poly.coeffs}))
+
+
+def _coefficients(polys, degrees: tuple) -> np.ndarray:
+    """The coefficient rows (K, M) of K polynomials over the monomials of
+    ``degrees``."""
+    _, row = _layout(len(polys[0].args), degrees)
+    coeffs = np.zeros((len(polys), len(row)), dtype=complex)
+    for k, poly in enumerate(polys):
+        for expo, c in poly.coeffs.items():
+            coeffs[k, row[expo]] = c
+    return coeffs
+
+
+def chain_tau(grad, hess, tau_vals, kappa_vals):
+    """tau(F(phi)) = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a, phi_b) at
+    each sample, for a gradient (S, ..., m) and Hessian (S, ..., m, m) of one
+    or more functions F of the arguments phi, whose tau (S, m) and kappa
+    Gram (S, m, m) are given.
+
+    The operands must be C-ordered: einsum's summation order follows the
+    strides, so each row is then reduced alone and in one order.
+    """
+    return np.einsum("s...a,sa->s...", grad, tau_vals) + np.einsum("s...ab,sab->s...", hess, kappa_vals)
+
+
+@dataclass
+class MonomialTable:
+    """Every monomial of some total degrees in the members of a frame table:
+    values and tau (S, M) and gradients in the members (S, M, m), beside the
+    members' kappa Gram (S, m, m).
+
+    K polynomials in the members are K coefficient rows over the monomials,
+    so :meth:`polynomials` gives all of them by one contraction per table.
+    """
+
+    values: np.ndarray
+    tau: np.ndarray
+    grads: np.ndarray
+    kappa: np.ndarray
+
+    @classmethod
+    def over(cls, table: FrameOperators, degrees: tuple) -> "MonomialTable":
+        """The table of the monomials of ``degrees`` over a member frame
+        table, built once per frame table."""
+        key = ("monomials", degrees)
+        if key not in table.derived:
+            expos, _ = _layout(len(table.members), degrees)
+            values, grads, hess = monomials(table.values, expos)
+            tau = chain_tau(grads, hess, table.tau, table.kappa)
+            table.derived[key] = cls(values, tau, grads, table.kappa)
+        return table.derived[key]
+
+    @staticmethod
+    def concat(tables: list) -> "MonomialTable":
+        return MonomialTable(
+            *(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(MonomialTable))
+        )
+
+    def polynomials(self, coeffs):
+        """Values (S, K), tau (S, K) and member gradients (S, K, m) of the K
+        polynomials with coefficient rows ``coeffs`` (K, M)."""
+        return contract(self.values, coeffs), contract(self.tau, coeffs), contract(self.grads, coeffs)
+
+
+def compose(members, table: FrameOperators) -> FrameOperators:
+    """The frame table of ``members``, each one of the table's members or a
+    polynomial in some of them: each is a coefficient row over the
+    monomials of the table's members (a member its monomial of degree 1),
+    and kappa(F, G) = sum_ab F_a kappa(phi_a, phi_b) G_b."""
+    members = tuple(members)
+    if not members:
+        return FrameOperators((), table.basis, table.values[:, :0], table.tau[:, :0], table.kappa[:, :0, :0])
+    position = {id(g): a for a, g in enumerate(table.members)}
+    polys = []
+    for f in members:
+        poly = f if isinstance(f, HomPoly) else HomPoly({(1,): 1.0}, [f])
+        if any(id(g) not in position for g in poly.args):
+            raise ValidationError("a member is neither in the frame table nor a polynomial in its members")
+        coeffs = {}
+        for expo, c in poly.coeffs.items():
+            moved = [0] * len(position)
+            for g, e in zip(poly.args, expo):
+                moved[position[id(g)]] += e
+            key = tuple(moved)
+            coeffs[key] = coeffs[key] + c if key in coeffs else c
+        polys.append(HomPoly(coeffs, table.members))
+    degrees = _term_degrees(*polys)
+    values, tau, grads = MonomialTable.over(table, degrees).polynomials(_coefficients(polys, degrees))
+    # one three-operand sum, samples outermost, so each row is reduced alone
+    gram = np.einsum("sal,slk,sck->sac", grads, table.kappa, grads)
+    return FrameOperators(members, table.basis, values, tau, gram)

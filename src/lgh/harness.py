@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -73,10 +74,10 @@ class RunConfig:
             raise ConfigError("samples must be >= 1", field="samples")
         if not (0.0 < self.radius <= 1.0):
             raise ConfigError("radius must lie in (0, 1]", field="radius")
-        if not self.tol > 0.0:
-            raise ConfigError("tol must be positive", field="tol")
-        if self.floor < 0.0:
-            raise ConfigError("floor must be nonnegative", field="floor")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError("tol must be positive and finite", field="tol")
+        if not 0.0 <= self.floor < math.inf:
+            raise ConfigError("floor must be nonnegative and finite", field="floor")
         return self
 
     def to_dict(self) -> dict:
@@ -91,14 +92,33 @@ class RunConfig:
         return cls(**d).validate()
 
 
+_NON_FINITE = object()  # a number literal with no finite double: NaN, Infinity, 1e999
+
+
+def _number(text: str):
+    value = float(text)
+    return value if math.isfinite(value) else _NON_FINITE
+
+
+def _non_finite_field(data, path: str):
+    """The dotted path of the first non-finite number in a loaded config."""
+    if data is _NON_FINITE:
+        return path
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    return next(filter(None, (_non_finite_field(v, f"{path}.{k}") for k, v in items)), None)
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_number, parse_constant=_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}", field="config") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", field="config") from exc
+    field = _non_finite_field(data, "config")
+    if field:
+        raise ConfigError("config numbers must be finite", field=field.removeprefix("config."))
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object", field="config")
     return RunConfig.from_dict(data)
@@ -113,10 +133,22 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _block(d, keys: tuple, field: str) -> dict:
+    """``d``, when it is an object that sets no key but ``keys``; ``field``
+    names it in errors."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{field} must be an object", field=field)
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"{field} takes only {', '.join(keys)}", field=f"{field}.{key}")
+    return d
+
+
 def group_from_spec(d: dict, field: str = "group") -> GroupId:
     """The group of a spec block; ``field`` names the block in errors."""
     if not isinstance(d, dict) or not isinstance(d.get("family"), str):
         raise ConfigError("group spec needs a 'family' name", field=f"{field}.family")
+    _block(d, ("family", "n", "p", "q"), field)
     for key in ("n", "p", "q"):
         if d.get(key) is not None and not _is_integer(d[key]):
             raise ConfigError(f"{key} must be an integer", field=f"{field}.{key}")
@@ -132,30 +164,24 @@ def group_to_spec(gid: GroupId) -> dict:
 
 
 def family_from_spec(d: dict) -> fa.Eigenfamily:
-    if not isinstance(d, dict):
-        raise ConfigError("family spec must be an object", field="family")
+    _block(d, ("group", "p", "V", "deformation"), "family")
     gid = group_from_spec(d.get("group", {}), "family.group")
     n = gid.n
-    if "p" in d:
+    if "V" in d and gid.family != "SO":
+        raise ConfigError("V picks an isotropic subspace on SO(n)", field="family.V")
+    if "deformation" in d:
+        if "p" in d or (gid.family, n) != ("SO", 4):
+            raise ConfigError("deformation is the point of an SO(4) family, in place of p", field="family.deformation")
+        zw = _block(d["deformation"], ("z", "w"), "family.deformation")
+        p = fa.so4_deformation(pair_to_complex(zw.get("z", 0.0)), pair_to_complex(zw.get("w", 0.0)))
+    elif "p" in d:
         p = vector_from_json(d["p"])
-    elif "deformation" in d:
-        if not isinstance(d["deformation"], dict):
-            raise ConfigError("deformation must be an object", field="family.deformation")
-        z = pair_to_complex(d["deformation"].get("z", 0.0))
-        w = pair_to_complex(d["deformation"].get("w", 0.0))
-        if n != 4:
-            raise ConfigError("the (z, w) deformation is a C^4 construction", field="family.deformation")
-        p = fa.so4_deformation(z, w)
     else:
         p = np.zeros(n, dtype=complex)
         p[0] = 1.0
     try:
-        if gid.family == "U":
-            return fa.u_family(n, p)
-        if gid.family == "SU":
-            return fa.su_family(n, p)
-        if gid.family == "Sp":
-            return fa.sp_family(n, p)
+        if gid.family in ("U", "SU", "Sp"):
+            return {"U": fa.u_family, "SU": fa.su_family, "Sp": fa.sp_family}[gid.family](n, p)
         if gid.family == "SO":
             if "V" in d and d["V"] != "standard":
                 V = [vector_from_json(v) for v in d["V"]]
@@ -179,6 +205,7 @@ def _coeff_map(items, field_name: str) -> dict:
             raise ConfigError(
                 f"{field_name} terms need 'exponents' and 'coeff'", field=field_name
             ) from exc
+        _block(item, ("exponents", "coeff"), field_name)
         if not isinstance(expo, list) or not all(_is_integer(e) for e in expo):
             raise ConfigError(f"{field_name} exponents must be a list of integers", field=field_name)
         try:
@@ -189,8 +216,7 @@ def _coeff_map(items, field_name: str) -> dict:
 
 
 def morphism_from_spec(fam: fa.Eigenfamily, d: dict, floor: float) -> mo.RationalMorphism:
-    if not isinstance(d, dict):
-        raise ConfigError("morphism spec must be an object", field="morphism")
+    _block(d, ("P", "Q"), "morphism")
     p = _coeff_map(d.get("P"), "morphism.P")
     q = _coeff_map(d.get("Q"), "morphism.Q")
     try:

@@ -15,14 +15,13 @@ operator kappa are then signed sums over the frame.
 
 :func:`frame_operators` is the batched kernel on top: one walk per linear
 member gives the member values, their tau and their signed kappa Gram at
-every sample.  Composites (polynomials in members, and quotients P/Q of two
-polynomials) are not walked: :func:`compose` gets their values, tau and
-kappa from their arguments' by the chain rule, whose tau half is
-:func:`chain_tau`.  The morphism verifiers apply the same rule to whole
-tables of monomials at once (:class:`lgh.morphisms.MonomialTable`), which a
-frame table keeps in ``derived`` so that each is built once.  Every
-reduction runs per sample, so a row's bits do not depend on how many
-samples are stacked.
+every sample.  Polynomials in members are not walked: the chain rule of
+:mod:`lgh.exprs` composes them from their members' table
+(:class:`lgh.exprs.MonomialTable`), which a frame table keeps in
+``derived`` so that each is built once.  Quotients P/Q are not members:
+the morphism kernel (:func:`lgh.morphisms.quotient_operators`) applies the
+quotient rule to their P and Q.  Every reduction runs per sample, so a
+row's bits do not depend on how many samples are stacked.
 """
 
 from __future__ import annotations
@@ -113,8 +112,8 @@ def entry_jet(curve, i: int, j: int) -> Jet2:
 
 
 def tau(f, x: np.ndarray, basis: SignedBasis) -> complex:
-    """Tension field of a member or composite at the point x: the signed
-    sum of second derivatives over the frame."""
+    """Tension field of a member or a polynomial in members at the point x:
+    the signed sum of second derivatives over the frame."""
     return complex(frame_operators([f], [x], basis).tau[0, 0])
 
 
@@ -189,35 +188,33 @@ def stack_samples(xs, basis: SignedBasis) -> np.ndarray:
     return stack
 
 
-def _is_composite(f) -> bool:
-    """A composite, a function of the functions ``f.args`` with
-    ``f.derivatives`` (:class:`lgh.exprs.HomPoly`,
-    :class:`lgh.morphisms.RationalMorphism`), is composed from its arguments
-    by the chain rule, never walked."""
-    return hasattr(f, "derivatives")
-
-
 def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
     """Member values (S, m), tau (S, m) and signed kappa Gram (S, m, m) at
     the samples ``xs`` (a sequence of points or an (S, n, n) stack).
 
     A linear member's jet is walked once, on curves seeded once for the
-    whole stack.  When some members are composites, their arguments are
-    measured instead, once each and recursively, and :func:`compose` gives
-    the composites from that table.
+    whole stack.  When some members are polynomials (``HomPoly``), their
+    arguments are measured instead, once each and recursively, and
+    :func:`lgh.exprs.compose` gives the members from that table.  Any other
+    member, a quotient included, is a :class:`ValidationError`.
     ``xs`` may also be a table this function returned for the same members
     and frame; it is passed through.
     """
+    # exprs builds on this module, so it is imported at first use
+    from .exprs import Expr, HomPoly, compose
+
     members = tuple(members)
+    if not all(isinstance(f, (Expr, HomPoly)) for f in members):
+        raise ValidationError("frame-table members are linear members and polynomials in them, not quotients")
     if isinstance(xs, FrameOperators):
         if not xs.describes(members, basis):
             raise ValidationError("frame table was measured for other members or another frame")
         return xs
     stack = stack_samples(xs, basis)
-    if any(_is_composite(f) for f in members):
+    if any(isinstance(f, HomPoly) for f in members):
         walked = {}
         for f in members:
-            for g in f.args if _is_composite(f) else (f,):
+            for g in f.args if isinstance(f, HomPoly) else (f,):
                 walked.setdefault(id(g), g)
         return compose(members, frame_operators(walked.values(), stack, basis))
     count, m, b = stack.shape[0], len(members), len(basis)
@@ -235,54 +232,3 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
     tau_vals = f2 @ signs
     gram = (f1 * signs) @ f1.transpose(0, 2, 1)
     return FrameOperators(members, basis, values, tau_vals, gram)
-
-
-def chain_tau(grad, hess, tau_vals, kappa_vals):
-    """tau(F(phi)) = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a, phi_b) at
-    each sample, for a gradient (S, ..., m) and Hessian (S, ..., m, m) of one
-    or more functions F of the arguments phi, whose tau (S, m) and kappa
-    Gram (S, m, m) are given.
-
-    The operands must be C-ordered: einsum's summation order follows the
-    strides, so each row is then reduced alone and in one order.
-    """
-    return np.einsum("s...a,sa->s...", grad, tau_vals) + np.einsum("s...ab,sab->s...", hess, kappa_vals)
-
-
-def compose(members, table: FrameOperators) -> FrameOperators:
-    """The frame table of ``members``, each one of the table's members or a
-    composite F of them (a polynomial, or a quotient P/Q), by the
-    composition rules
-
-        tau(F(phi))            = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a, phi_b)
-        kappa(F(phi), G(phi))  = sum_ab F_a G_b kappa(phi_a, phi_b)
-
-    with F_a, F_ab the gradient and Hessian of F at the member values, as
-    ``F.derivatives`` returns them.  For P/Q in (P, Q) they are (1/Q, -P/Q^2)
-    and [[0, -1/Q^2], [-1/Q^2, 2P/Q^3]].
-    """
-    members = tuple(members)
-    position = {id(f): a for a, f in enumerate(table.members)}
-    count, width = table.values.shape
-    values = np.empty((count, len(members)), dtype=complex)
-    tau_vals = np.empty_like(values)
-    grads = np.zeros((count, len(members), width), dtype=complex)
-    for a, f in enumerate(members):
-        if id(f) in position:
-            i = position[id(f)]
-            values[:, a], tau_vals[:, a] = table.values[:, i], table.tau[:, i]
-            grads[:, a, i] = 1.0
-            continue
-        if not _is_composite(f) or any(id(g) not in position for g in f.args):
-            raise ValidationError("a member is neither in the frame table nor a composite of its members")
-        index = [position[id(g)] for g in f.args]
-        values[:, a], grad, hess = f.derivatives(table.values.take(index, axis=1))
-        # take() keeps operands C-ordered, where fancy indexing would
-        # transpose them
-        tau_vals[:, a] = chain_tau(
-            grad, hess, table.tau.take(index, axis=1), table.kappa.take(index, axis=1).take(index, axis=2)
-        )
-        grads[:, a] = grad @ np.eye(width)[index]
-    # samples outermost in every operand, so each row is reduced alone
-    gram = np.einsum("sal,slk,sck->sac", grads, table.kappa, grads)
-    return FrameOperators(members, table.basis, values, tau_vals, gram)

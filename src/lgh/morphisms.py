@@ -12,16 +12,17 @@ composition: a polynomial of any degrees in their members is again a
 The verifiers work at the operator level.  The frame-operator kernel
 measures the member values phi_a, tau(phi_a) and kappa(phi_a, phi_b) once
 per sample.  For one total degree d, every degree-d monomial in the members
-gets its value, gradient and tau from those by the chain rule, once per
-frame table (:class:`MonomialTable`).  A polynomial is a coefficient row
-over the monomials, so K quotients P_k/Q_k are one (2K, M) coefficient
-matrix, and a few contractions give P, Q, tau(P), tau(Q), kappa(P, P),
-kappa(P, Q) and kappa(Q, Q) of all of them (:func:`quotient_pairs`).  The
-quotient condition reduces those tables directly.  For tau(P/Q) and
-kappa(P/Q, P/Q), the function F(P, Q) = P/Q has gradient (1/Q, -P/Q^2) and
-Hessian [[0, -1/Q^2], [-1/Q^2, 2P/Q^3]] in (P, Q)
-(:meth:`RationalMorphism.derivatives`), applied once to every in-domain
-(sample, quotient) entry (:func:`quotient_operators`).
+gets its value, gradient and tau from those by the chain rule of
+:mod:`lgh.exprs`, once per frame table (:class:`lgh.exprs.MonomialTable`).
+A polynomial is a coefficient row over the monomials, so K quotients
+P_k/Q_k are one (2K, M) coefficient matrix, and a few contractions give P,
+Q, tau(P), tau(Q), kappa(P, P), kappa(P, Q) and kappa(Q, Q) of all of them
+(:func:`quotient_pairs`).  The quotient condition reduces those tables
+directly.  The quotient rule runs here only, once on every in-domain
+(sample, quotient) entry (:func:`quotient_operators`): F(P, Q) = P/Q has
+gradient (1/Q, -P/Q^2) and Hessian [[0, -1/Q^2], [-1/Q^2, 2P/Q^3]] in
+(P, Q) (:meth:`RationalMorphism.derivatives`).  A quotient is never a
+frame-table member.
 
 The member tau and kappa are measured, never taken from the family's stated
 (lambda, mu), so a wrong member list shows up as a failing residual.
@@ -29,17 +30,15 @@ The member tau and kappa are measured, never taken from the family's stated
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, fields
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InconclusiveError, ValidationError
-from .exprs import HomPoly, contract, monomials
+from .exprs import HomPoly, MonomialTable, _coefficients, _layout, _term_degrees, chain_tau, contract, monomials
 from .families import Eigenfamily
-from .jets import FrameOperators, chain_tau, frame_operators
+from .jets import FrameOperators, frame_operators
 from .matrices import GroupId, SignedBasis
 from .report import VerificationReport, timed_report
 from .sampling import SampleSet, SplitMix64
@@ -50,21 +49,12 @@ def power_constants(lam: complex, mu: complex, k: int) -> tuple[complex, complex
     return k * lam + k * (k - 1) * mu, k * k * mu
 
 
-@lru_cache(maxsize=None)
-def _exponents(m: int, degree: int) -> tuple:
-    """Exponent tuples of the degree-``degree`` monomials in m arguments."""
-    return tuple(
-        tuple(combo.count(i) for i in range(m))
-        for combo in itertools.combinations_with_replacement(range(m), degree)
-    )
-
-
 def power_family(fam: Eigenfamily, k: int) -> Eigenfamily:
     """The degree-k monomials in the members of ``fam``, an eigenfamily with
     the constants (lambda_k, mu_k) of :func:`power_constants`."""
     if k < 1:
         raise ValidationError("power family needs k >= 1")
-    members = [HomPoly({expo: 1.0}, fam.members) for expo in _exponents(len(fam.members), k)]
+    members = [HomPoly({expo: 1.0}, fam.members) for expo in _layout(len(fam.members), (k,))[0]]
     lam_k, mu_k = power_constants(fam.lam, fam.mu, k)
     return Eigenfamily(
         group=fam.group,
@@ -80,10 +70,10 @@ def power_family(fam: Eigenfamily, k: int) -> Eigenfamily:
 class RationalMorphism:
     """Quotient P/Q of equal-degree homogeneous polynomials in a family.
 
-    It is the function P/Q of its two arguments ``args = [P, Q]``, so
-    :func:`lgh.jets.compose` and :func:`frame_operators` take it like a
-    polynomial, and :meth:`derivatives` is the quotient rule every verifier
-    applies.
+    It is not a member: :func:`frame_operators` rejects it.  Its P and Q
+    are coefficient rows over a :class:`MonomialTable`, and
+    :meth:`derivatives`, the quotient rule in (P, Q), runs only in the
+    morphism kernel (:func:`quotient_operators`).
     """
 
     family: Eigenfamily
@@ -94,10 +84,6 @@ class RationalMorphism:
     @property
     def degree(self) -> int:
         return self.numerator.degree
-
-    @property
-    def args(self) -> list:
-        return [self.numerator, self.denominator]
 
     @property
     def degrees(self) -> tuple:
@@ -131,15 +117,8 @@ class RationalMorphism:
         return bool(_screen(_monomial_values(table, self.degrees), _denominators([self]))[0, 0] > self.floor)
 
 
-def _coeff_table(p: HomPoly, q: HomPoly):
-    keys = sorted(set(p.coeffs) | set(q.coeffs))
-    u = np.array([p.coeffs.get(k, 0.0) for k in keys], dtype=complex)
-    v = np.array([q.coeffs.get(k, 0.0) for k in keys], dtype=complex)
-    return u, v
-
-
 def _proportional(p: HomPoly, q: HomPoly, tol: float = 1e-12) -> bool:
-    u, v = _coeff_table(p, q)
+    u, v = _coefficients([p, q], _term_degrees(p, q))
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
@@ -166,6 +145,7 @@ def quotient_morphism(fam: Eigenfamily, P, Q, floor: float = 1e-3) -> RationalMo
         raise ValidationError(
             f"degrees differ: numerator {pn.degree}, denominator {qn.degree}"
         )
+    _over_members((pn, qn), fam.members)
     if _proportional(pn, qn):
         raise ValidationError("numerator and denominator are proportional")
     return RationalMorphism(fam, pn, qn, floor)
@@ -185,73 +165,8 @@ def mobius_transform(m: RationalMorphism, a, b, c, d) -> RationalMorphism:
 
 
 # ---------------------------------------------------------------------------
-# the kernel: monomial tables, pair tables and the quotient rule
+# the kernel: pair tables and the quotient rule
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _layout(m: int, degrees: tuple):
-    """The monomials of the given total degrees in m arguments: their
-    exponent tuples and the row of each in that list."""
-    expos = tuple(e for d in degrees for e in _exponents(m, d))
-    return expos, {e: j for j, e in enumerate(expos)}
-
-
-def _term_degrees(*polys) -> tuple:
-    return tuple(sorted({sum(expo) for poly in polys for expo in poly.coeffs}))
-
-
-def _coefficients(polys, degrees: tuple) -> np.ndarray:
-    """The coefficient rows (K, M) of K polynomials over the monomials of
-    ``degrees``."""
-    _, row = _layout(len(polys[0].args), degrees)
-    coeffs = np.zeros((len(polys), len(row)), dtype=complex)
-    for k, poly in enumerate(polys):
-        for expo, c in poly.coeffs.items():
-            coeffs[k, row[expo]] = c
-    return coeffs
-
-
-@dataclass
-class MonomialTable:
-    """Every monomial of some total degrees in the members of a frame table:
-    values and tau (S, M) and gradients in the members (S, M, m), beside the
-    members' kappa Gram (S, m, m).
-
-    K polynomials in the members are K coefficient rows over the monomials,
-    so :meth:`polynomials` gives all of them by one contraction per table.
-    """
-
-    values: np.ndarray
-    tau: np.ndarray
-    grads: np.ndarray
-    kappa: np.ndarray
-
-    @classmethod
-    def over(cls, table: FrameOperators, degrees: tuple) -> "MonomialTable":
-        """The table of the monomials of ``degrees`` over a member frame
-        table, built once per frame table."""
-        key = ("monomials", degrees)
-        if key not in table.derived:
-            expos, _ = _layout(len(table.members), degrees)
-            values, grads, hess = monomials(table.values, expos)
-            tau = chain_tau(grads, hess, table.tau, table.kappa)
-            table.derived[key] = cls(values, tau, grads, table.kappa)
-        return table.derived[key]
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    @staticmethod
-    def concat(tables: list) -> "MonomialTable":
-        return MonomialTable(
-            *(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(MonomialTable))
-        )
-
-    def polynomials(self, coeffs):
-        """Values (S, K), tau (S, K) and member gradients (S, K, m) of the K
-        polynomials with coefficient rows ``coeffs`` (K, M)."""
-        return contract(self.values, coeffs), contract(self.tau, coeffs), contract(self.grads, coeffs)
-
 
 @dataclass
 class QuotientPairs:
@@ -440,7 +355,7 @@ def verify_harmonic_morphism(
     if any(k.family is not family or k.floor != floor for k in morphs):
         raise ValidationError("the quotients of one call need one family and one floor")
     members = family.members
-    _over_members([f for k in morphs for f in k.args], members)
+    _over_members([f for k in morphs for f in (k.numerator, k.denominator)], members)
     if not isinstance(samples, (FrameOperators, SampleSet, np.ndarray)):
         samples = list(samples)
     with timed_report() as clock:
@@ -558,7 +473,7 @@ def _random_hompolys(members, degree: int, rng: SplitMix64, count: int) -> list:
     stream, from one block of two uniforms per coefficient: radius sqrt(u)
     then angle 2 pi u', the values and the stream of one
     :meth:`SplitMix64.complex_disc` call per coefficient."""
-    expos = _exponents(len(members), degree)
+    expos, _ = _layout(len(members), (degree,))
     u = rng.uniforms(2 * count * len(expos))
     rad, ang = np.sqrt(u[0::2]), 2.0 * math.pi * u[1::2]
     coeffs = np.empty(len(rad), dtype=complex)
@@ -581,7 +496,7 @@ def random_morphism(
     degree-``degree`` monomial (one member, or degree 0): every such P and
     Q are proportional, so no quotient exists.
     """
-    if len(_exponents(len(fam.members), degree)) < 2:
+    if len(_layout(len(fam.members), (degree,))[0]) < 2:
         raise ValidationError(
             f"{len(fam.members)} member(s) have a single monomial of degree {degree}; "
             "every same-degree P and Q are proportional"

@@ -1,13 +1,14 @@
 """The full jet walk of composite expressions: the oracle the chain rule is
 checked against.
 
-``lgh`` walks jets only for linear members and gets every polynomial and
-quotient in them by the chain rule (:func:`lgh.jets.compose`).  The nodes
-here build sums, products and quotients of members and walk them as one
-jet through :class:`lgh.jets.Jet2` arithmetic, which shares no code with
-the chain rule.  They subclass :class:`lgh.exprs.Expr`, so
-``frame_operators``, ``tau``, ``kappa`` and ``eval_point`` walk them like
-members.
+``lgh`` walks jets only for linear members.  It gets every polynomial in
+them by the chain rule over monomial tables (:func:`lgh.exprs.compose`),
+and tau and kappa of a quotient P/Q only from the morphism kernel
+(:func:`lgh.morphisms.quotient_operators`).  The nodes here build sums,
+products and quotients of members and walk them as one jet through
+:class:`lgh.jets.Jet2` arithmetic, which shares no code with either.
+They subclass :class:`lgh.exprs.Expr`, so ``frame_operators``, ``tau``,
+``kappa`` and ``eval_point`` walk them like members.
 """
 
 from __future__ import annotations

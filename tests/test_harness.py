@@ -297,10 +297,30 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["verify-lemma", "--config", "{config}", "--group", "so", "--n", "0"], "group"),
         (["verify-duality", "--config", "{pair_pq_with_n}"], "pair"),
         (["verify-lemma", "--config", "{group_family_list}"], "group.family"),
+        (["verify-family", "--config", "{deformation_typo}"], "family.deformaton"),
+        (["verify-family", "--config", "{p_and_deformation}"], "family.deformation"),
+        (["verify-family", "--config", "{deformation_on_u4}"], "family.deformation"),
+        (["verify-family", "--config", "{v_on_u2}"], "family.V"),
+        (["verify-morphism", "--config", "{morphism_floor}"], "morphism.floor"),
+        (["verify-morphism", "--config", "{coeff_extra}"], "morphism.P.scale"),
+        (["verify-duality", "--config", "{pair_extra}"], "pair.extra"),
+        (["verify-lemma", "--config", "{group_extra}"], "group.m"),
+        (["verify-family", "--config", "{deformation_zz}"], "family.deformation.zz"),
+        (["verify-morphism", "--config", "{floor_nan}"], "floor"),
+        (["verify-family", "--config", "{tol_infinity}"], "tol"),
+        (["verify-morphism", "--config", "{coeff_nan}"], "morphism.P.0.coeff"),
+        (["verify-morphism", "--config", "{hopf}", "--floor", "nan"], "floor"),
+        (["verify-family", "--group", "u", "--n", "2", "--tol", "inf"], "tol"),
+        (["suite", "--tol", "inf"], "tol"),
     ],
 )
 def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
+    """Each config file the parser rejects is rejected by
+    ``docs/schemas/config.schema.json`` too, except where the schema cannot
+    tell: a field the command does not read, n beside p and q, and number
+    literals JSON does not have (NaN, Infinity)."""
     u2 = {"group": {"family": "u", "n": 2}}
+    so4 = {"family": "so", "n": 4}
     configs = {
         "config": {"group": {"family": "so", "n": 3}},
         "samples_text": {"family": u2, "samples": "100"},
@@ -323,11 +343,36 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
                 "Q": [{"exponents": [0, 1], "coeff": 1.0}],
             },
         },
+        "deformation_typo": {"family": {"group": so4, "deformaton": {"z": 0.5}}},
+        "p_and_deformation": {"family": {"group": so4, "p": [1, [0, 1], 0, 0], "deformation": {"z": 0.5}}},
+        "deformation_on_u4": {"family": {"group": {"family": "u", "n": 4}, "deformation": {"z": 0.5}}},
+        "v_on_u2": {"family": {**u2, "V": "standard"}},
+        "morphism_floor": {"family": u2, "morphism": {**H.HOPF_SPEC, "floor": 0.5}},
+        "coeff_extra": {
+            "family": u2,
+            "morphism": {**H.HOPF_SPEC, "P": [{"exponents": [1, 0], "coeff": 1.0, "scale": 2.0}]},
+        },
+        "pair_extra": {"pair": {"family": "sl_r", "n": 2, "extra": 1}},
+        "group_extra": {"group": {"family": "so", "n": 3, "m": 2}},
+        "deformation_zz": {"family": {"group": so4, "deformation": {"z": 0.5, "zz": 1.0}}},
+        "floor_nan": {"family": u2, "morphism": H.HOPF_SPEC, "floor": float("nan")},
+        "tol_infinity": {"family": u2, "tol": float("inf")},
+        "coeff_nan": {
+            "family": u2,
+            "morphism": {**H.HOPF_SPEC, "P": [{"exponents": [1, 0], "coeff": float("nan")}]},
+        },
+        "hopf": {"family": u2, "morphism": H.HOPF_SPEC},
     }
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     assert main([arg.format(**{name: tmp_path / f"{name}.json" for name in configs}) for arg in argv]) == 2
     assert f"field: {field}" in capsys.readouterr().err
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
+    silent = {"config", "pair_pq_with_n", "floor_nan", "tol_infinity", "coeff_nan", "hopf"}
+    for name in {arg[1:-1] for arg in argv if arg.startswith("{")} - silent:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(configs[name], schema)
 
 
 def test_cli_suite_reads_seed_tol_and_out(tmp_path, capsys):
@@ -403,16 +448,16 @@ def test_factory_worst_quotients_replay_alone_from_the_notes():
 
 
 def test_factory_composes_nothing_and_builds_each_degree_table_once(monkeypatch):
-    """A count, not a timer: the factory makes no ``jets.compose`` call, and
-    at most one monomial table per degree on its base frame table, shared
-    by the morphism and quotient-condition checks."""
-    from lgh import jets
-    from lgh import morphisms as mo
+    """A count, not a timer: the factory composes no polynomial into a frame
+    table (no ``exprs.compose`` call), and builds at most one monomial table
+    per degree on its base frame table, shared by the morphism and
+    quotient-condition checks."""
+    from lgh import exprs
 
     compose_calls = []
     bases = []
     builds = []
-    real_compose, real_monomials, real_frame = jets.compose, mo.monomials, H.frame_operators
+    real_compose, real_monomials, real_frame = exprs.compose, exprs.monomials, H.frame_operators
 
     def compose(*args, **kwargs):
         compose_calls.append(1)
@@ -427,9 +472,9 @@ def test_factory_composes_nothing_and_builds_each_degree_table_once(monkeypatch)
             builds.append((id(values), len(exponents)))
         return real_monomials(values, exponents, order)
 
-    monkeypatch.setattr(jets, "compose", compose)
+    monkeypatch.setattr(exprs, "compose", compose)
     monkeypatch.setattr(H, "frame_operators", frame_operators)
-    monkeypatch.setattr(mo, "monomials", monomials)
+    monkeypatch.setattr(exprs, "monomials", monomials)
     for index, fam in enumerate(H._factory_families()):
         bases.clear()
         builds.clear()

@@ -251,6 +251,7 @@ def test_frame_operators_match_per_sample_tau_and_kappa(case):
 def test_frame_operators_pass_their_own_table_through_only():
     from lgh import families as fa
     from lgh.errors import ValidationError
+    from lgh.exprs import compose
     from lgh.jets import frame_operators
 
     fam = fa.u_family(2, np.array([1.0, 0.0]))
@@ -266,3 +267,5 @@ def test_frame_operators_pass_their_own_table_through_only():
         frame_operators(fam.members, [np.eye(3)], basis)
     empty = frame_operators(fam.members, [], basis)
     assert empty.values.shape == (0, 2) and empty.kappa.shape == (0, 2, 2)
+    none = compose([], table)
+    assert none.values.shape == (5, 0) and none.kappa.shape == (5, 0, 0)

@@ -90,18 +90,25 @@ def test_hopf_is_harmonic_morphism():
 
 def test_morphism_at_a_pole_raises_and_the_verifier_screens_it():
     from lgh.errors import DomainError
-    from lgh.jets import kappa, tau
+    from lgh.jets import frame_operators, kappa, tau
 
     fam = fa.su_family(2, _e(2))
     m = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0}, floor=0.1)
     basis = M.compact_basis(fam.group)
     pole = np.eye(2, dtype=complex)  # w = 0 at the identity
     regular = np.array([[0, -1], [1, 0]], dtype=complex)
-    assert abs(tau(m, regular, basis)) < 1e-12 and abs(kappa(m, m, regular, basis)) < 1e-12
+    pq = frame_operators([m.numerator, m.denominator], [pole, regular], basis).values
+    m.derivatives(pq[1:])
     with pytest.raises(DomainError):
-        tau(m, pole, basis)
-    with pytest.raises(DomainError):
-        kappa(m, m, pole, basis)
+        m.derivatives(pq)
+    # a quotient is no frame-table member: only the morphism kernel takes it
+    for call in (
+        lambda: frame_operators([m], [regular], basis),
+        lambda: tau(m, regular, basis),
+        lambda: kappa(m, m, regular, basis),
+    ):
+        with pytest.raises(ValidationError):
+            call()
     rep = mo.verify_harmonic_morphism(m, basis, [pole, regular], tol=1e-9)
     assert (rep.samples_used, rep.samples_discarded, rep.passed) == (1, 1, True)
 
@@ -365,8 +372,10 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
 def test_chain_rule_matches_full_jet_walk(case):
-    """Polynomials composed from their members' frame table, and P/Q
-    composed from P and Q, against the oracle's full jet walk."""
+    """Polynomials composed from their members' frame table, and tau(P/Q)
+    and kappa(P/Q, P/Q) from the morphism kernel on the monomial table and
+    domain screen the verifier builds, against the oracle's full jet walk
+    at every sample."""
     from lgh.jets import BasisCurves, frame_operators
 
     _, fam, polys, quotient, samples = case
@@ -375,9 +384,9 @@ def test_chain_rule_matches_full_jet_walk(case):
     ops = frame_operators(polys, samples, basis)
     if quotient:
         m = mo.RationalMorphism(fam, *polys, floor=0.2)
-        kept = [x for x in samples if m.in_domain(x)]
-        qops = frame_operators([m], kept, basis)
-    checked = 0
+        mono = mo.MonomialTable.over(frame_operators(fam.members, samples, basis), m.degrees)
+        rows = mo._screen(mono.values, mo._denominators([m])) > m.floor
+        q_tau, q_kappa = mo.quotient_operators([m], mono, rows)
     for s, x in enumerate(samples):
         curves = BasisCurves(x, basis)
         jets = [walk(f).eval_jet(curves) for f in polys]
@@ -386,14 +395,13 @@ def test_chain_rule_matches_full_jet_walk(case):
             assert abs(ops.tau[s, a] - np.sum(signs * ja.f2)) <= 1e-12
             for c, jc in enumerate(jets):
                 assert abs(ops.kappa[s, a, c] - np.sum(signs * ja.f1 * jc.f1)) <= 1e-12
-        if quotient and abs(jets[1].f0) > 0.2:
+        if quotient:
+            assert rows[s, 0] == (abs(jets[1].f0) > 0.2)
+        if quotient and rows[s, 0]:
             jet = Quotient(*polys, 0.2).eval_jet(curves)
-            assert abs(qops.values[checked, 0] - jet.f0) <= 1e-12
-            assert abs(qops.tau[checked, 0] - np.sum(signs * jet.f2)) <= 1e-12
-            assert abs(qops.kappa[checked, 0, 0] - np.sum(signs * jet.f1 * jet.f1)) <= 1e-12
-            checked += 1
-    assert checked >= 10 or not quotient
-    assert not quotient or checked == len(qops)
+            assert abs(q_tau[s, 0] - np.sum(signs * jet.f2)) <= 1e-12
+            assert abs(q_kappa[s, 0] - np.sum(signs * jet.f1 * jet.f1)) <= 1e-12
+    assert not quotient or np.count_nonzero(rows) >= 10
 
 
 def test_morphism_layer_reads_measured_not_stated_constants():
