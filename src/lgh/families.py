@@ -10,6 +10,7 @@ group samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -218,20 +219,44 @@ def verify_eigenfamily(
     )
 
 
-def _coordinate_tables(x, basis: SignedBasis, casimir: np.ndarray):
-    """tau table T[s,i,j] = (x_s C)_ij, with C = sum_b eps_b Z_b^2 the
-    frame's Casimir, and kappa 4-tensor
-    K[s,i,j,k,l] = sum_b eps_b (x_s Z_b)_ij (x_s Z_b)_kl over a block x."""
-    m1 = x[:, None] @ basis.matrices
-    s, b, n, _ = m1.shape
-    flat = m1.reshape(s, b, n * n)
+# samples per block of verify_coordinate_lemmas: the S n^4 tables of a block
+# set its peak memory
+LEMMA_BLOCK = 16
+
+
+@cache
+def _side_by_side(group: GroupId) -> np.ndarray:
+    """The compact frame of ``group`` side by side, [Z_0 | Z_1 | ...] of
+    shape (n, B n), so that one product x [Z_0 | Z_1 | ...] gives every x Z_b.
+
+    Each column of a compact basis matrix has at most one nonzero entry, and
+    that entry is real or imaginary.  So every entry of x Z_b is one rounded
+    product, whatever the BLAS kernel or the matrix around it, and the wide
+    product has the values of the B narrow ones (a zero may change sign,
+    which no residual sees)."""
+    zs = compact_basis(group).matrices
+    assert np.count_nonzero(zs, axis=1).max(initial=0) <= 1, f"{group}: a basis column has two nonzeros"
+    assert not np.any(zs.real * zs.imag), f"{group}: a basis entry is neither real nor imaginary"
+    side = np.concatenate(list(zs), axis=1)
+    side.setflags(write=False)
+    return side
+
+
+def _coordinate_tables(x, basis: SignedBasis):
+    """tau table T[s,i,j] = (x_s C)_ij, with C the frame's Casimir, and kappa
+    4-tensor K[s,i,j,k,l] = sum_b eps_b (x_s Z_b)_ij (x_s Z_b)_kl over a
+    block x."""
+    s, n, b = x.shape[0], x.shape[-1], len(basis)
+    flat = (x @ _side_by_side(basis.group)).reshape(s, n, b, n).transpose(0, 2, 1, 3).reshape(s, b, n * n)
     k4 = (flat.transpose(0, 2, 1) * basis.signs) @ flat
-    return x @ casimir, k4.reshape(s, n, n, n, n)
+    return x @ basis.casimir, k4.reshape(s, n, n, n, n)
 
 
 def _cross(a, b) -> np.ndarray:
-    """The 4-tensor a_il b_kj at every sample of a block."""
-    return np.einsum("sil,skj->sijkl", a, b)
+    """The 4-tensor a_il b_kj at every sample of a block, C-ordered like the
+    kappa 4-tensor it is added to (einsum's own output order is not)."""
+    out = np.empty(a.shape[:2] + b.shape[:0:-1] + a.shape[2:], dtype=complex)
+    return np.einsum("sil,skj->sijkl", a, b, out=out)
 
 
 # The compact families whose coordinate functions have stated tau/kappa
@@ -246,12 +271,19 @@ def verify_coordinate_lemmas(
     SO(n), U(n) or Sp(n), for all index combinations at every sample.
 
     The tables are measured on the group's frame, never from the stated
-    constants: tau from its Casimir, kappa from the products x Z_b."""
+    constants: tau from its Casimir, kappa from the products x Z_b.  Samples
+    go through in blocks of :data:`LEMMA_BLOCK`.  A block's kappa residuals
+    are built in place on its cross tensors x_il x_kj (one per block on
+    SO(n) and U(n)): the delta terms are subtracted on diagonal slices, the
+    stated factor 1/2 is applied (exactly) and the measured 4-tensor added.
+    Every step acts on each sample alone, so the residuals do not depend on
+    the block size."""
     if group.family not in LEMMA_FAMILIES:
         raise ValidationError(f"no coordinate relations for {group.family!r}")
     basis = compact_basis(group)
     n = group.n
-    eye = np.eye(n)
+    diag = np.arange(n)  # the slices [:, :, j, :, j]
+    ii, jj = np.divmod(np.arange(n * n), n)  # the entries [:, i, j, i, j]
     res: dict[str, float] = {}
 
     def bump(key, val):
@@ -259,34 +291,48 @@ def verify_coordinate_lemmas(
 
     with timed_report() as clock:
         stack = stack_samples(samples, basis)
-        zs = basis.matrices
-        casimir = np.tensordot(basis.signs, zs @ zs, axes=1)
-        # samples per block: the S n^4 tables of a block set peak memory
-        block = 8
-        for lo in range(0, len(stack), block):
-            x = stack[lo : lo + block]
-            t, k4 = _coordinate_tables(x, basis, casimir)
+        for lo in range(0, len(stack), LEMMA_BLOCK):
+            x = stack[lo : lo + LEMMA_BLOCK]
+            t, k4 = _coordinate_tables(x, basis)
             if group.family == "SO":
                 bump("tau", t + (n - 1) / 2.0 * x)
-                gram = x @ x.transpose(0, 2, 1)
-                general = -0.5 * (_cross(x, x) - np.einsum("sik,jl->sijkl", gram, eye))
-                bump("kappa_general", k4 - general)
-                on_group = 0.5 * (np.einsum("ik,jl->ijkl", eye, eye) - _cross(x, x))
-                bump("kappa_on_group", k4 - on_group)
+                cross = _cross(x, x)
+                # k4 - general, general = -1/2 (x_il x_kj - (x x^t)_ik delta_jl)
+                general = cross.copy()
+                general[:, :, diag, :, diag] -= x @ x.transpose(0, 2, 1)
+                general *= 0.5
+                general += k4
+                bump("kappa_general", general)
+                # k4 - on_group, on_group = 1/2 (delta_ik delta_jl - x_il x_kj)
+                cross[:, ii, jj, ii, jj] -= 1.0
+                cross *= 0.5
+                cross += k4
+                bump("kappa_on_group", cross)
             elif group.family == "U":
                 bump("tau", t + n * x)
-                bump("kappa", k4 + _cross(x, x))
+                cross = _cross(x, x)
+                cross += k4
+                bump("kappa", cross)
             else:
                 zb = x[:, :n, :n]
                 wb = x[:, :n, n:]
                 lam = (2 * n + 1) / 2.0
                 bump("tau_z", t[:, :n, :n] + lam * zb)
                 bump("tau_w", t[:, :n, n:] + lam * wb)
-                bump("kappa_zz", k4[:, :n, :n, :n, :n] + 0.5 * _cross(zb, zb))
-                bump("kappa_ww", k4[:, :n, n:, :n, n:] + 0.5 * _cross(wb, wb))
+                for key, cross, block in (
+                    ("kappa_zz", _cross(zb, zb), k4[:, :n, :n, :n, :n]),
+                    ("kappa_ww", _cross(wb, wb), k4[:, :n, n:, :n, n:]),
+                ):
+                    cross *= 0.5
+                    cross += block
+                    bump(key, cross)
+                # k4 - target, target = -1/2 (w_il z_kj - anti_ik delta_jl)
                 anti = zb @ wb.transpose(0, 2, 1) - wb @ zb.transpose(0, 2, 1)
-                target = -0.5 * (_cross(wb, zb) - np.einsum("sik,jl->sijkl", anti, eye))
-                bump("kappa_zw", k4[:, :n, :n, :n, n:] - target)
+                cross = _cross(wb, zb)
+                cross[:, :, diag, :, diag] -= anti
+                cross *= 0.5
+                cross += k4[:, :n, :n, :n, n:]
+                bump("kappa_zw", cross)
                 bump("zw_antisymmetry", anti)
     notes = {}
     if isinstance(samples, SampleSet):

@@ -100,25 +100,49 @@ def _number(text: str):
     return value if math.isfinite(value) else _NON_FINITE
 
 
-def _non_finite_field(data, path: str):
-    """The dotted path of the first non-finite number in a loaded config."""
+class _Repeated(dict):
+    """A JSON object that sets ``key`` more than once; the object keeps the
+    last value, as ``json.load`` would."""
+
+    def __init__(self, pairs, key: str):
+        super().__init__(pairs)
+        self.key = key
+
+
+def _object(pairs: list) -> dict:
+    """``object_pairs_hook`` of :func:`load_config`: the object, marked when
+    a key repeats."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return _Repeated(pairs, key)
+        seen.add(key)
+    return dict(pairs)
+
+
+def _config_fault(data, path: str):
+    """(dotted path, message) of the first non-finite number or repeated key
+    of a loaded config, or None."""
     if data is _NON_FINITE:
-        return path
+        return path, "config numbers must be finite"
+    if isinstance(data, _Repeated):
+        return f"{path}.{data.key}", f"config key {data.key!r} is set more than once"
     items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
-    return next(filter(None, (_non_finite_field(v, f"{path}.{k}") for k, v in items)), None)
+    return next(filter(None, (_config_fault(v, f"{path}.{k}") for k, v in items)), None)
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_number, parse_constant=_number)
+            data = json.load(fh, parse_float=_number, parse_constant=_number, object_pairs_hook=_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}", field="config") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", field="config") from exc
-    field = _non_finite_field(data, "config")
-    if field:
-        raise ConfigError("config numbers must be finite", field=field.removeprefix("config."))
+    fault = _config_fault(data, "config")
+    if fault:
+        field, message = fault
+        raise ConfigError(message, field=field.removeprefix("config."))
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object", field="config")
     return RunConfig.from_dict(data)

@@ -23,8 +23,9 @@ metric Lie algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -181,12 +182,16 @@ class SignedBasisVector:
     sign: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignedBasis:
-    """Orthonormal frame of a metric Lie algebra, one sign per vector."""
+    """Orthonormal frame of a metric Lie algebra, one sign per vector.
+
+    A basis is frozen, and its stacked arrays are built once and are
+    read-only, so it can be shared (as :func:`compact_basis` shares its
+    results)."""
 
     group: GroupId
-    vectors: list[SignedBasisVector] = field(default_factory=list)
+    vectors: Sequence[SignedBasisVector] = ()
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -199,12 +204,23 @@ class SignedBasis:
         """Basis matrices stacked along the leading axis, shape (B, n, n)."""
         if not self.vectors:
             n = self.group.matrix_dim
-            return np.zeros((0, n, n), dtype=complex)
-        return np.stack([v.matrix for v in self.vectors])
+            return _read_only(np.zeros((0, n, n), dtype=complex))
+        return _read_only(np.stack([v.matrix for v in self.vectors]))
 
     @cached_property
     def signs(self) -> np.ndarray:
-        return np.array([float(v.sign) for v in self.vectors])
+        return _read_only(np.array([float(v.sign) for v in self.vectors]))
+
+    @cached_property
+    def casimir(self) -> np.ndarray:
+        """The frame's Casimir sum_b eps_b Z_b^2, shape (n, n)."""
+        zs = self.matrices
+        return _read_only(np.tensordot(self.signs, zs @ zs, axes=1))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +309,11 @@ def _sp_basis_matrices(n: int) -> list[np.ndarray]:
     return out
 
 
+@cache
 def compact_basis(group: GroupId) -> SignedBasis:
     """The canonical orthonormal basis of a compact Lie algebra, all signs +1.
+    Built once per group: every call with the same group returns the same
+    (shared, read-only) basis.
 
     so(n): { Y_rs };  u(n): { Y_rs, iX_rs, iD_t };
     su(n): { Y_rs, iX_rs } plus the traceless diagonal completion;
@@ -315,9 +334,7 @@ def compact_basis(group: GroupId) -> SignedBasis:
         mats = _sp_basis_matrices(n)
     else:
         raise ValidationError(f"no compact basis for family {group.family!r}")
-    for m in mats:
-        m.setflags(write=False)
-    return SignedBasis(group, [SignedBasisVector(m, +1) for m in mats])
+    return SignedBasis(group, tuple(SignedBasisVector(_read_only(m), +1) for m in mats))
 
 
 def glc_split_basis(n: int) -> tuple[SignedBasis, SignedBasis]:

@@ -16,6 +16,15 @@ step acts on each point alone, so a point's bits do not depend on the batch
 size, and ``take(a)`` followed by ``take(b)`` gives the same points as
 ``take(a + b)``.  What is left of the platform is numpy's complex multiply,
 whose SIMD loops (with FMA) round differently from its scalar ones.
+
+A frame with no imaginary part (SO(n), and the aligned frames of SL(n,R)
+and Sp(n,R)) is combined, exponentiated and multiplied in float64, and its
+points are cast to complex once at the end.  They equal the complex
+kernel's bit for bit: a complex product whose factors have zero imaginary
+parts rounds as the real product, and at every radius a config allows no
+such matrix is squared (a squaring can leave a -0.0 imaginary part in the
+complex kernel, where float64 gives +0.0).  Defects are still checked on
+the complex stack, whose ``@`` and ``det`` round as before.
 """
 
 from __future__ import annotations
@@ -169,12 +178,13 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve(aug: np.ndarray) -> np.ndarray:
-    """X with ``m @ X = r`` for complex batch-last (n, n, S) stacks, from
-    ``aug = [m | r]`` of shape (n, 2n, S), which it overwrites: Gauss-Jordan
-    elimination with the partial pivot of each point chosen by |Re| + |Im|,
-    as LAPACK's ``izamax`` does.  A pivot row is divided by its pivot p as
-    (row conj(p)) / |p|^2 in real arithmetic: numpy's complex division
-    multiplies by a rounded 1 / p, so p / p need not be 1 there."""
+    """X with ``m @ X = r`` for real or complex batch-last (n, n, S) stacks,
+    from ``aug = [m | r]`` of shape (n, 2n, S), which it overwrites:
+    Gauss-Jordan elimination with the partial pivot of each point chosen by
+    |Re| + |Im|, as LAPACK's ``izamax`` does.  A pivot row is divided by its
+    pivot p as (row conj(p)) / |p|^2, in real arithmetic for a complex stack:
+    numpy's complex division multiplies by a rounded 1 / p, so p / p need not
+    be 1 there."""
     n, pts = aug.shape[0], np.arange(aug.shape[-1])
     for j in range(n):
         col = aug[j:, j]
@@ -186,8 +196,11 @@ def _solve(aug: np.ndarray) -> np.ndarray:
             aug[j] = row.T
         aug[j] *= aug[j, j].conj()
         den = aug[j, j].real.copy()
-        aug[j].real /= den
-        aug[j].imag /= den
+        if np.iscomplexobj(aug):
+            aug[j].real /= den
+            aug[j].imag /= den
+        else:
+            aug[j] /= den
         f = aug[:, j, None].copy()
         f[j] = 0
         aug[:, j:] -= f * aug[j, j:]
@@ -229,25 +242,30 @@ def _pade13(x: np.ndarray) -> np.ndarray:
     v = _matmul(x6, poly(12))
     v += poly(6)
     v += b[0] * eye
-    aug = np.empty((n, 2 * n) + x.shape[2:], dtype=complex)
+    aug = np.empty((n, 2 * n) + x.shape[2:], dtype=x.dtype)
     np.subtract(v, u, out=aug[:, :n])
     np.add(v, u, out=aug[:, n:])
     return aug
 
 
-def expm(a) -> np.ndarray:
+def expm(a, *, real: bool = False) -> np.ndarray:
     """The matrix exponential of each (n, n) matrix of an (..., n, n) stack,
-    as a complex array of the same shape.
+    as a complex array of the same shape; with ``real``, the exponential of
+    a real stack computed and returned in float64.
 
     Each matrix is scaled by its own 2**-s, s >= 0 the least integer with
     ||A / 2**s||_1 < theta_13, exponentiated by the Pade approximant and
     squared s times.  Every step is elementwise across the stack (the
     products by :func:`_matmul`, the Pade solve by :func:`_solve`), so the
     exponential of a matrix does not depend on the other matrices of the
-    stack, and no BLAS or LAPACK routine is called."""
+    stack, and no BLAS or LAPACK routine is called.  A complex product whose
+    factors have zero imaginary parts rounds as the real product, so the
+    float64 result equals the real part of the complex one bit for bit."""
     a = np.asarray(a)
+    if real and np.iscomplexobj(a):
+        raise ValidationError("expm(real=True) needs a real stack")
     shape, n = a.shape, a.shape[-1]
-    x = np.moveaxis(a.reshape(-1, n, n), 0, -1).astype(complex, order="C")
+    x = np.moveaxis(a.reshape(-1, n, n), 0, -1).astype(float if real else complex, order="C")
     mag = np.abs(x)
     colsum = mag[0].copy()
     for i in range(1, n):
@@ -275,7 +293,11 @@ class GroupSampler:
     def __init__(self, basis_matrices: np.ndarray, radius: float, seed: int, defect_fn):
         if radius < 0:
             raise ValidationError("radius must be nonnegative")
-        self._mats = np.asarray(basis_matrices, dtype=complex)
+        mats = np.asarray(basis_matrices, dtype=complex)
+        # an exactly real frame (SO(n), the aligned SL(n,R) and Sp(n,R)) is
+        # exponentiated in float64; its points are those of the complex kernel
+        self._real = not np.any(mats.imag)
+        self._mats = mats.real.copy() if self._real else mats
         self.radius = float(radius)
         self._rng = SplitMix64(seed)
         self._defect_fn = defect_fn
@@ -287,11 +309,16 @@ class GroupSampler:
             raise ValidationError("count must be nonnegative")
         b, n = self._mats.shape[0], self._mats.shape[-1]
         coeffs = self._rng.uniforms(2 * b * count, -self.radius, self.radius).reshape(count, 2, b)
-        gens = np.empty((count, 2, n, n), dtype=complex)
-        gens.real = _combine(coeffs, self._mats.real)
-        gens.imag = _combine(coeffs, self._mats.imag)
-        factors = np.moveaxis(expm(gens), (0, 1), (-1, 0))
-        points = np.ascontiguousarray(np.moveaxis(_matmul(*factors), -1, 0))
+        if self._real:
+            gens = _combine(coeffs, self._mats)
+        else:
+            gens = np.empty((count, 2, n, n), dtype=complex)
+            gens.real = _combine(coeffs, self._mats.real)
+            gens.imag = _combine(coeffs, self._mats.imag)
+        factors = np.moveaxis(expm(gens, real=self._real), (0, 1), (-1, 0))
+        # defects are checked on the complex stack: @ and det in float64
+        # would round differently and move them
+        points = np.moveaxis(_matmul(*factors), -1, 0).astype(complex, order="C")
         return SampleSet(points, self._defect_fn(points))
 
 

@@ -162,6 +162,32 @@ def test_coordinate_lemmas_small(gid):
         assert rep.residuals["zw_antisymmetry"] < 1e-10
 
 
+LEMMA_GROUPS = [M.SO(n) for n in range(2, 7)] + [M.U(n) for n in (2, 3, 4)] + [M.Sp(n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("gid", LEMMA_GROUPS, ids=str)
+def test_coordinate_lemma_residuals_do_not_depend_on_the_block(gid):
+    """The residuals over 37 samples, several blocks, are bit for bit the
+    largest of the 37 one-sample residuals."""
+    assert 37 > fa.LEMMA_BLOCK
+    samples = sample_compact(gid, 37, 0.5, 5)
+    whole = fa.verify_coordinate_lemmas(gid, samples).residuals
+    singles = [fa.verify_coordinate_lemmas(gid, samples.points[k : k + 1]).residuals for k in range(37)]
+    assert all(list(one) == list(whole) for one in singles)
+    assert whole == {key: max(one[key] for one in singles) for key in whole}
+
+
+@pytest.mark.parametrize("gid", LEMMA_GROUPS, ids=str)
+def test_side_by_side_frame_gives_the_bits_of_each_product(gid):
+    """x [Z_0 | Z_1 | ...] holds every x Z_b: each entry is the same one
+    rounded product (the sign of a zero may differ)."""
+    zs = M.compact_basis(gid).matrices
+    x = sample_compact(gid, 9, 0.5, 3).points
+    n = zs.shape[-1]
+    wide = (x @ fa._side_by_side(gid)).reshape(9, n, len(zs), n).transpose(0, 2, 1, 3)
+    assert np.array_equal(wide, x[:, None] @ zs)
+
+
 def test_coordinate_lemmas_tolerance_is_honored():
     gid = M.U(2)
     samples = sample_compact(gid, 20, 0.5, 42)

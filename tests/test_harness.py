@@ -91,6 +91,36 @@ def test_schema_and_cli_aliases_are_the_table_aliases():
     assert pair.choices == [FAMILIES[f].alias for f in NONCOMPACT_FAMILIES]
 
 
+def test_schema_sizes_each_group_as_the_table_does():
+    """One if/then per family says which of n, p, q it takes; even n for
+    the families the table marks even."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
+    rules = {r["if"]["properties"]["family"]["const"]: r["then"] for r in schema["$defs"]["group"]["allOf"]}
+    assert list(rules) == [row.alias for row in FAMILIES.values()]
+    for row in FAMILIES.values():
+        sizes, unused = (["p", "q"], ["n"]) if row.pq else (["n"], ["p", "q"])
+        rule = rules[row.alias]
+        assert rule["required"] == sizes
+        assert [rule["properties"][key] for key in unused] == [False] * len(unused)
+        assert (rule["properties"].get("n") == {"multipleOf": 2}) == row.even
+        good = {"family": row.alias, "p": 1, "q": 2} if row.pq else {"family": row.alias, "n": 2}
+        jsonschema.validate({"pair": good}, schema)
+        H.group_from_spec(good)
+        extra = [{**good, key: 4} for key in unused]
+        missing = [{k: v for k, v in good.items() if k != key} for key in sizes]
+        for bad in extra + missing:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({"pair": bad}, schema)
+            with pytest.raises(ConfigError):
+                H.group_from_spec(bad)
+    for alias in ("su_star", "so_star"):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({"pair": {"family": alias, "n": 3}}, schema)
+        with pytest.raises(ConfigError):
+            H.group_from_spec({"family": alias, "n": 3})
+
+
 def test_cli_lemma_groups_are_the_lemma_families():
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
     group = next(a for a in commands["verify-lemma"]._actions if a.dest == "group")
@@ -312,13 +342,16 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["verify-morphism", "--config", "{hopf}", "--floor", "nan"], "floor"),
         (["verify-family", "--group", "u", "--n", "2", "--tol", "inf"], "tol"),
         (["suite", "--tol", "inf"], "tol"),
+        (["verify-family", "--config", "{tol_twice}"], "tol"),
+        (["verify-family", "--config", "{group_n_twice}"], "family.group.n"),
     ],
 )
 def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
     """Each config file the parser rejects is rejected by
     ``docs/schemas/config.schema.json`` too, except where the schema cannot
-    tell: a field the command does not read, n beside p and q, and number
-    literals JSON does not have (NaN, Infinity)."""
+    tell: a field the command does not read, number literals JSON does not
+    have (NaN, Infinity), and a key set twice in one object, which a loaded
+    JSON object cannot hold."""
     u2 = {"group": {"family": "u", "n": 2}}
     so4 = {"family": "so", "n": 4}
     configs = {
@@ -363,13 +396,17 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
         },
         "hopf": {"family": u2, "morphism": H.HOPF_SPEC},
     }
-    for name, config in configs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(config))
-    assert main([arg.format(**{name: tmp_path / f"{name}.json" for name in configs}) for arg in argv]) == 2
+    texts = {name: json.dumps(config) for name, config in configs.items()}
+    # json.load keeps the last of repeated keys: tol 1e-8, and U(2)
+    texts["tol_twice"] = '{"family": {"group": {"family": "u", "n": 2}}, "tol": 1e-30, "tol": 1e-8}'
+    texts["group_n_twice"] = '{"family": {"group": {"family": "u", "n": 3, "n": 2}}}'
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    assert main([arg.format(**{name: tmp_path / f"{name}.json" for name in texts}) for arg in argv]) == 2
     assert f"field: {field}" in capsys.readouterr().err
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
-    silent = {"config", "pair_pq_with_n", "floor_nan", "tol_infinity", "coeff_nan", "hopf"}
+    silent = {"config", "floor_nan", "tol_infinity", "coeff_nan", "hopf", "tol_twice", "group_n_twice"}
     for name in {arg[1:-1] for arg in argv if arg.startswith("{")} - silent:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(configs[name], schema)

@@ -1,5 +1,6 @@
 """Generators, bases, generator identities, embeddings, Gram-Schmidt."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,6 +78,30 @@ def test_compact_basis_orthonormal(gid):
     gram = np.einsum("aij,bij->ab", mats, mats.conj()).real
     assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-12
     assert all(v.sign == 1 for v in basis)
+
+
+def test_compact_basis_is_shared_per_group_and_read_only():
+    basis = M.compact_basis(M.Sp(2))
+    assert M.compact_basis(M.GroupId("Sp", 2)) is basis
+    for array in (basis.matrices, basis.signs, basis.casimir, basis.vectors[0].matrix):
+        with pytest.raises(ValueError):
+            array[...] = 0
+    with pytest.raises((AttributeError, TypeError)):
+        basis.vectors.append(basis.vectors[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.group = M.Sp(3)
+
+
+@pytest.mark.parametrize("gid", [M.SO(2), M.SO(5), M.U(3), M.SU(4), M.Sp(1), M.Sp(3)], ids=str)
+def test_casimir_is_the_signed_sum_of_squares(gid):
+    """sum_b eps_b Z_b^2 is a multiple of the identity on a compact algebra:
+    -(n-1)/2 on so(n), -n on u(n), -(n^2-1)/n on su(n), -(2n+1)/2 on sp(n)."""
+    basis = M.compact_basis(gid)
+    zs = basis.matrices
+    assert np.array_equal(basis.casimir, np.tensordot(basis.signs, zs @ zs, axes=1))
+    n = gid.n
+    scalar = {"SO": -(n - 1) / 2, "U": -n, "SU": -(n * n - 1) / n, "Sp": -(2 * n + 1) / 2}[gid.family]
+    assert np.allclose(basis.casimir, scalar * np.eye(gid.matrix_dim), atol=1e-14)
 
 
 def test_glc_split_n1():

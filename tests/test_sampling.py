@@ -13,15 +13,18 @@ import pytest
 
 from lgh import duality as du
 from lgh import matrices as M
+from lgh import sampling
 from lgh.errors import ValidationError
 from lgh.harness import DUALITY_PAIRS, pair_from_spec
-from lgh.sampling import _THETA13, SplitMix64, compact_defect, compact_sampler, expm
+from lgh.sampling import _THETA13, SplitMix64, _combine, _matmul, compact_defect, compact_sampler, expm
 
 # every compact group the suite samples
 COMPACT = [M.SO(n) for n in range(2, 7)] + [M.U(n) for n in (2, 3, 4)] + [M.SU(2), M.SU(3)] + [
     M.Sp(n) for n in (1, 2, 3)
 ]
 PAIRS = {str(p.noncompact): p for p in (pair_from_spec({"family": a, **kw}) for a, kw in DUALITY_PAIRS)}
+# the frames with no imaginary part, which take() exponentiates in float64
+REAL_FRAMES = [str(M.SO(n)) for n in range(2, 7)] + ["SL(2,R)", "SL(3,R)", "Sp(1,R)", "Sp(2,R)"]
 
 
 def _bits(a) -> bytes:
@@ -46,7 +49,7 @@ def test_uniforms_block_matches_scalar_stream(seed, count):
     assert block.uniform(-1.0, 2.0) == scalar.uniform(-1.0, 2.0)
 
 
-def _defect_and_sampler(name, seed=42):
+def _defect_and_sampler(name, seed=42, radius=0.5):
     """The defect function and a fresh sampler of a group named by ``str``."""
     if name == "identity SU(2)":
         pair = du.identity_pair(M.SU(2))
@@ -54,8 +57,8 @@ def _defect_and_sampler(name, seed=42):
         pair = PAIRS[name]
     else:
         group = next(g for g in COMPACT if str(g) == name)
-        return (lambda xs: compact_defect(group, xs)), compact_sampler(group, 0.5, seed)
-    return (lambda xs: du.aligned_defect(pair, xs)), du.aligned_sampler(pair, 0.5, seed)
+        return (lambda xs: compact_defect(group, xs)), compact_sampler(group, radius, seed)
+    return (lambda xs: du.aligned_defect(pair, xs)), du.aligned_sampler(pair, radius, seed)
 
 
 @pytest.mark.parametrize("name", [str(g) for g in COMPACT] + list(PAIRS))
@@ -92,14 +95,17 @@ def test_take_rejects_a_negative_count():
     assert np.array_equal(sampler.take(3).points, compact_sampler(M.U(2), 0.5, 42).take(3).points)
 
 
+def _frame(name) -> np.ndarray:
+    """The frame the sampler of the group or pair ``name`` draws from."""
+    if name in PAIRS:
+        return PAIRS[name].frame.matrices
+    return M.compact_basis(next(g for g in COMPACT if str(g) == name)).matrices
+
+
 def _generators(name, count, radius, seed=5):
     """``count`` random real combinations of the frame the sampler of the
     group or pair ``name`` draws from, coefficients uniform in [-radius, radius]."""
-    if name in PAIRS:
-        mats = PAIRS[name].frame.matrices
-    else:
-        mats = M.compact_basis(next(g for g in COMPACT if str(g) == name)).matrices
-    mats = np.asarray(mats, dtype=complex)
+    mats = _frame(name)
     coeffs = SplitMix64(seed).uniforms(count * len(mats), -radius, radius).reshape(count, len(mats))
     return np.tensordot(coeffs, mats, axes=1)
 
@@ -169,3 +175,65 @@ def test_the_cli_loads_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _complex_take(name, radius, seed, count):
+    """The points of ``take(count)`` on a fresh sampler of ``name`` as the
+    complex kernel gives them: complex generators, expm and factor product."""
+    mats = _frame(name)
+    b, n = mats.shape[0], mats.shape[-1]
+    coeffs = SplitMix64(seed).uniforms(2 * b * count, -radius, radius).reshape(count, 2, b)
+    gens = np.empty((count, 2, n, n), dtype=complex)
+    gens.real = _combine(coeffs, mats.real)
+    gens.imag = _combine(coeffs, mats.imag)
+    factors = np.moveaxis(expm(gens), (0, 1), (-1, 0))
+    return np.ascontiguousarray(np.moveaxis(_matmul(*factors), -1, 0))
+
+
+def _generator_dtypes(monkeypatch, name) -> list:
+    """The dtype of each generator stack ``take`` exponentiates for ``name``."""
+    seen = []
+
+    def spy(a, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return expm(a, **kwargs)
+
+    monkeypatch.setattr(sampling, "expm", spy)
+    _defect_and_sampler(name)[1].take(3)
+    return seen
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0])
+@pytest.mark.parametrize("name", REAL_FRAMES)
+def test_real_frames_are_sampled_in_float64_with_the_complex_kernels_bits(name, radius, monkeypatch):
+    """A complex product of factors with zero imaginary parts rounds as the
+    real product, so the float64 points are the complex kernel's, down to the
+    sign of every zero.  No matrix is squared at a radius a config allows."""
+    assert _generator_dtypes(monkeypatch, name) == [np.float64]
+    got = _defect_and_sampler(name, 11, radius)[1].take(60).points
+    assert got.dtype == complex
+    assert _bits(got) == _bits(_complex_take(name, radius, 11, 60))
+
+
+@pytest.mark.parametrize("name", ["SO(3)", "Sp(2,R)"])
+def test_squared_real_frames_keep_the_complex_kernels_values(name):
+    """Where matrices are squared, the complex kernel can leave -0.0 in an
+    imaginary part that float64 returns as +0.0: the values are equal, the
+    real parts bit for bit."""
+    got, want = _defect_and_sampler(name, 11, 8.0)[1].take(60).points, _complex_take(name, 8.0, 11, 60)
+    assert _bits(got.real) == _bits(want.real)
+    assert not want.imag.any() and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["SO(2,2)", "SU(1,1)", "SU*(4)", "SU(2)", "U(3)", "Sp(2)", "identity SU(2)"])
+def test_frames_with_an_imaginary_part_stay_complex(name, monkeypatch):
+    assert _generator_dtypes(monkeypatch, name) == [np.complex128]
+
+
+def test_expm_of_a_real_stack_in_float64_is_the_real_part_of_the_complex_one():
+    gens = _generators("SO(4)", 6, 1.0).real
+    got = expm(gens, real=True)
+    assert got.dtype == np.float64
+    assert _bits(got) == _bits(expm(gens).real.copy())
+    with pytest.raises(ValidationError):
+        expm(gens.astype(complex), real=True)
