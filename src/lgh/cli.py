@@ -14,7 +14,7 @@ import sys
 
 from .errors import ConfigError, InconclusiveError, ValidationError
 from .families import LEMMA_FAMILIES
-from .harness import DEFAULT_SEED, READS, RunConfig, load_config, run, run_suite
+from .harness import DEFAULT_SEED, IDENTITY_TOL, READS, RunConfig, load_config, run, run_suite
 from .matrices import FAMILIES, FAMILY_BY_ALIAS, NONCOMPACT_FAMILIES
 
 
@@ -79,7 +79,8 @@ def _config_from_args(args) -> RunConfig:
 
     A field the command does not read, set by a flag or off its default in
     the config file, is an error; so is a flag that refines --group, --pair
-    or --p given without it.
+    or --p given without it, and a verify-identities tol so set above
+    IDENTITY_TOL.
     """
     command = args.command
     cfg = load_config(args.config) if args.config else RunConfig()
@@ -116,10 +117,14 @@ def _config_from_args(args) -> RunConfig:
         )
     reads = READS[command]
     default = RunConfig()
-    for key, value in cfg.to_dict().items():
-        if key not in reads and (key in flagged or value != getattr(default, key)):
+    given = [key for key, value in cfg.to_dict().items() if key in flagged or value != getattr(default, key)]
+    for key in given:
+        if key not in reads:
             raise ConfigError(f"lgh {command} reads only {', '.join(reads)}, not {key}", field=key)
-    return cfg.validate()
+    cfg.validate()
+    if command == "verify-identities" and "tol" in given and cfg.tol > IDENTITY_TOL:
+        raise ConfigError(f"lgh verify-identities takes a tol of at most {IDENTITY_TOL:g}", field="tol")
+    return cfg
 
 
 def _emit(document: dict, out: str | None):

@@ -237,7 +237,7 @@ def _side_by_side(group: GroupId) -> np.ndarray:
     zs = compact_basis(group).matrices
     assert np.count_nonzero(zs, axis=1).max(initial=0) <= 1, f"{group}: a basis column has two nonzeros"
     assert not np.any(zs.real * zs.imag), f"{group}: a basis entry is neither real nor imaginary"
-    side = np.concatenate(list(zs), axis=1)
+    side = zs.transpose(1, 0, 2).reshape(zs.shape[1], -1)  # (n, 0) for an empty frame
     side.setflags(write=False)
     return side
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -260,9 +260,14 @@ def pair_from_spec(d: dict) -> du.DualPair:
 # command runners
 # ---------------------------------------------------------------------------
 
+# verify-identities checks exact identities: its tol is at most this one,
+# which the default tol stands for.
+IDENTITY_TOL = 1e-12
+
+
 def run_identities(cfg: RunConfig) -> VerificationReport:
     n = cfg.n if cfg.n is not None else 5
-    return verify_matrix_identities(n, tol=min(cfg.tol, 1e-12))
+    return verify_matrix_identities(n, tol=min(cfg.tol, IDENTITY_TOL))
 
 
 def run_lemma(cfg: RunConfig) -> VerificationReport:
@@ -344,9 +349,152 @@ COMMANDS = {
     "probe-duality": run_probe,
 }
 
-# The RunConfig fields each command reads; the CLI rejects any other field
+
+# ---------------------------------------------------------------------------
+# suite-only checks: runners of a config, like the commands, that no
+# subcommand reaches
+# ---------------------------------------------------------------------------
+
+def _frame_table(fam: fa.Eigenfamily, cfg: RunConfig):
+    """The frame of the family's group, and the members' frame table on the
+    config's samples."""
+    basis = compact_basis(fam.group)
+    samples = compact_sampler(fam.group, cfg.radius, cfg.seed).take(cfg.samples)
+    return basis, frame_operators(fam.members, samples, basis)
+
+
+def _deformations(cfg: RunConfig) -> VerificationReport:
+    """Ten seeded (z, w) deformations of the isotropic-point family on SO(4)."""
+    gid = GroupId("SO", 4)
+    basis = compact_basis(gid)
+    samples = compact_sampler(gid, cfg.radius, cfg.seed).take(cfg.samples)
+    rng_seed = cfg.seed ^ 0x5EED5EED
+    rng = SplitMix64(rng_seed)
+    residuals = {"tau": 0.0, "kappa": 0.0, "isotropy": 0.0}
+    for _ in range(10):
+        p = fa.so4_deformation(rng.complex_uniform(1.0), rng.complex_uniform(1.0))
+        rep = fa.verify_eigenfamily(fa.so_family_special(4, p), basis, samples, tol=cfg.tol)
+        for key, value in (*rep.residuals.items(), ("isotropy", abs(fa.bilinear(p, p)))):
+            residuals[key] = max(residuals[key], value)
+    params = {"deformations": 10, "rng_seed": rng_seed}
+    return VerificationReport("eigenfamily-deformations", str(gid), params, residuals, cfg.tol, len(samples))
+
+
+def _constants_crosscheck(cfg: RunConfig) -> VerificationReport:
+    """Sp(1) = SU(2): both tables give the constants (-3/2, -1/2)."""
+    (sp_lam, sp_mu), (su_lam, su_mu) = fa.eigen_constants("Sp", 1), fa.eigen_constants("SU", 2)
+    residuals = {
+        "lambda_match": abs(sp_lam - su_lam),
+        "mu_match": abs(sp_mu - su_mu),
+        "lambda_value": abs(sp_lam + 1.5),
+        "mu_value": abs(sp_mu + 0.5),
+    }
+    return VerificationReport("constants-crosscheck", "Sp(1)/SU(2)", {}, residuals, cfg.tol)
+
+
+def _family_negative_control(cfg: RunConfig) -> VerificationReport:
+    """A wrong lambda must be detected with residual |dlambda| * max|phi|."""
+    fam = family_from_spec(cfg.family)
+    broken = fa.Eigenfamily(fam.group, fam.members, fam.lam + 0.1, fam.mu, "control")
+    basis, table = _frame_table(broken, cfg)
+    tau = fa.verify_eigenfamily(broken, basis, table, tol=cfg.tol).residuals["tau"]
+    predicted = 0.1 * float(np.max(np.abs(table.values)))
+    residuals = {
+        "deviation_from_prediction": abs(tau - predicted),
+        "control_must_fail": 0.0 if tau > cfg.tol else 1.0,
+    }
+    return VerificationReport(
+        "family-negative-control", str(fam.group), {"lambda_shift": 0.1}, residuals, cfg.tol, len(table),
+        notes={"observed_tau_residual": tau, "predicted": predicted},
+    )
+
+
+def _morphism_negative_control(cfg: RunConfig) -> VerificationReport:
+    """A member phi of an eigenfamily, as the 'quotient' phi/1, must fail with
+    tau residual |lambda| max|phi| and kappa residual |mu| max|phi|^2: its
+    residuals as an orthogonal family.  On U(2), z_11 fails with 2 max|z_11|
+    and max|z_11|^2."""
+    fam = family_from_spec(cfg.family)
+    phi = mo.orthogonal_family(fam.group, fam.members[:1])
+    basis, table = _frame_table(phi, cfg)
+    rep = fa.verify_eigenfamily(phi, basis, table, tol=cfg.tol)
+    tau, kappa = rep.residuals["tau"], rep.residuals["kappa"]
+    peak = float(np.max(np.abs(table.values)))
+    predicted = abs(fam.lam) * peak
+    residuals = {
+        "tau_deviation_from_prediction": abs(tau - predicted),
+        "kappa_deviation_from_prediction": abs(kappa - abs(fam.mu) * peak * peak),
+        "control_must_fail": 0.0 if tau > cfg.tol and kappa > cfg.tol else 1.0,
+    }
+    return VerificationReport(
+        "morphism-negative-control", str(fam.group), {}, residuals, cfg.tol, len(table),
+        notes={"observed_tau_residual": tau, "predicted": predicted},
+    )
+
+
+def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, pairs: int = 20):
+    """Random same-degree (P, Q) quotients of floor ``cfg.floor`` must all
+    verify; the quotient condition triple equality is measured on the same
+    instances.  ``fam`` may be a family no spec describes.
+
+    All quotients are drawn first, then verified together on the member
+    frame table of ``cfg.samples`` base samples, which the
+    quotient-condition check shares, so each degree's monomial table is
+    built once.  Samples come from ``cfg.seed``, the polynomials from
+    ``rng_seed = cfg.seed ^ 0xFAC7041``, which both reports record; the
+    factory report's ``notes`` name the quotients with the worst tau and
+    the worst kappa by their index in the polynomial stream.
+    """
+    basis = compact_basis(fam.group)
+    rng_seed = cfg.seed ^ 0xFAC7041
+    rng = SplitMix64(rng_seed)
+    sampler = compact_sampler(fam.group, cfg.radius, cfg.seed)
+    base = frame_operators(fam.members, sampler.take(cfg.samples), basis)
+    morphs = [mo.random_morphism(fam, int(1 + rng.next_u64() % 3), rng, floor=cfg.floor) for _ in range(pairs)]
+    rep = mo.verify_harmonic_morphism(
+        morphs, basis, base, tol=cfg.tol, min_samples=cfg.samples, sampler=lambda k: sampler.take(k).points
+    )
+    qrep = mo.verify_quotient_condition(
+        fam, [m.numerator for m in morphs], [m.denominator for m in morphs], basis, base, tol=cfg.tol
+    )
+    params = {"pairs": pairs, "provenance": fam.provenance, "rng_seed": rng_seed}
+    return (
+        replace(rep, check="morphism-factory", params={**params, "floor": cfg.floor}),
+        replace(qrep, params=params),
+    )
+
+
+def _power_family(k: int, cfg: RunConfig) -> VerificationReport:
+    """The degree-k monomials in the family's members, an eigenfamily with
+    the power constants; the constants are measured too."""
+    pfam = mo.power_family(family_from_spec(cfg.family), k)
+    basis, table = _frame_table(pfam, cfg)
+    residuals = dict(fa.verify_eigenfamily(pfam, basis, table, tol=cfg.tol).residuals)
+    residuals.update(fa.measure_constants_residual(pfam, basis, table))
+    params = {
+        "k": k,
+        "members": len(pfam.members),
+        "lambda_k": [pfam.lam.real, pfam.lam.imag],
+        "mu_k": [pfam.mu.real, pfam.mu.imag],
+    }
+    return VerificationReport(f"power-family-k{k}", str(pfam.group), params, residuals, cfg.tol, len(table))
+
+
+# The suite-only checks by report name; ``run`` runs them as it runs the
+# commands.  The factory gives two reports, its own and the quotient
+# condition's.
+_SUITE_ONLY = {
+    "eigenfamily-deformations": _deformations,
+    "constants-crosscheck": _constants_crosscheck,
+    "family-negative-control": _family_negative_control,
+    "morphism-factory": lambda cfg: _morphism_factory(family_from_spec(cfg.family), cfg),
+    "morphism-negative-control": _morphism_negative_control,
+    **{f"power-family-k{k}": partial(_power_family, k) for k in (2, 3)},
+}
+
+# The RunConfig fields each check reads; the CLI rejects any other field
 # that a flag or a config file sets.  ``run`` reads ``check`` for every
-# subcommand; the suite runs a fixed matrix and reads only seed and tol.
+# check; the suite runs a fixed matrix and reads only seed and tol.
 READS = {
     "verify-identities": ("check", "n", "tol"),
     "verify-lemma": ("check", "group", "samples", "seed", "radius", "tol"),
@@ -355,19 +503,36 @@ READS = {
     "verify-duality": ("check", "pair", "family", "samples", "seed", "radius", "tol"),
     "probe-duality": ("check", "pair", "family", "samples", "seed", "radius"),
     "suite": ("seed", "tol"),
+    "eigenfamily-deformations": ("check", "samples", "seed", "radius", "tol"),
+    "constants-crosscheck": ("check", "tol"),
+    "morphism-factory": ("check", "family", "samples", "seed", "radius", "tol", "floor"),
+    **dict.fromkeys(
+        ("family-negative-control", "morphism-negative-control", "power-family-k2", "power-family-k3"),
+        ("check", "family", "samples", "seed", "radius", "tol"),
+    ),
 }
 
 
-def run(command: str, cfg: RunConfig) -> VerificationReport:
-    """One ``lgh`` subcommand on a config, as the CLI and the suite run it;
-    ``cfg.check``, when set, names the report."""
-    report = COMMANDS[command](cfg)
-    if "seed" in READS[command]:
-        # the sampler's seed and radius, so the report replays from its params
-        report.params.update(sampler_seed=cfg.seed, radius=cfg.radius)
-    if cfg.check is not None:
-        report.check = cfg.check
-    return report
+def run(name: str, cfg: RunConfig):
+    """The report of check ``name`` on a config: an ``lgh`` subcommand as
+    the CLI runs it, or a suite-only check.  The morphism factory gives a
+    pair of reports, its own and its quotient condition's.
+
+    Every report of a check that reads ``seed`` records its sampler's seed
+    and radius in ``params``, so it replays from them; ``cfg.check``, when
+    set, names the report.  ``wall_time`` is the time of the whole run,
+    spec parsing and sampling included; of a pair, the second report
+    records 0, its time being in the first's.
+    """
+    with timed_report() as clock:
+        result = (COMMANDS.get(name) or _SUITE_ONLY[name])(cfg)
+    for i, report in enumerate(result if isinstance(result, tuple) else (result,)):
+        if "seed" in READS[name]:
+            report.params.update(sampler_seed=cfg.seed, radius=cfg.radius)
+        if cfg.check is not None:
+            report.check = cfg.check
+        report.wall_time = 0.0 if i else clock.elapsed
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +555,6 @@ HOPF_SPEC = {
     "Q": [{"exponents": [0, 1], "coeff": [1.0, 0.0]}],
 }
 
-
-def _factory_families():
-    """The linear families plus the isotropic-point family on SO(4)."""
-    specs = FAMILY_SPECS[:3] + (SO4_POINT_SPEC,) + FAMILY_SPECS[3:]
-    return [family_from_spec(spec) for spec in specs]
-
-
 DUALITY_PAIRS = (
     ("sl_r", {"n": 2}),
     ("sl_r", {"n": 3}),
@@ -411,231 +569,45 @@ DUALITY_PAIRS = (
     ("sp_pq", {"p": 1, "q": 1}),
 )
 
-
-# Sampling radius of the suite-only checks; their reports record it next
-# to their sampler seed.
-SUITE_RADIUS = 0.5
-
-
-def _check_deformed_families(seed: int, tol: float) -> VerificationReport:
-    """Ten seeded (z, w) deformations of the isotropic-point family on SO(4)."""
-    rng_seed = seed ^ 0x5EED5EED
-    rng = SplitMix64(rng_seed)
-    residuals = {"tau": 0.0, "kappa": 0.0, "isotropy": 0.0}
-    basis = compact_basis(GroupId("SO", 4))
-    with timed_report() as clock:
-        samples = compact_sampler(GroupId("SO", 4), SUITE_RADIUS, seed).take(100)
-        for _ in range(10):
-            z = rng.complex_uniform(1.0)
-            w = rng.complex_uniform(1.0)
-            p = fa.so4_deformation(z, w)
-            residuals["isotropy"] = max(residuals["isotropy"], abs(fa.bilinear(p, p)))
-            fam = fa.so_family_special(4, p)
-            rep = fa.verify_eigenfamily(fam, basis, samples, tol=tol)
-            residuals["tau"] = max(residuals["tau"], rep.residuals["tau"])
-            residuals["kappa"] = max(residuals["kappa"], rep.residuals["kappa"])
-    return VerificationReport(
-        check="eigenfamily-deformations",
-        target="SO(4)",
-        params={"deformations": 10, "sampler_seed": seed, "radius": SUITE_RADIUS, "rng_seed": rng_seed},
-        residuals=residuals,
-        tol=tol,
-        samples_used=100,
-        wall_time=clock.elapsed,
-    )
-
-
-def _check_constants_crosscheck(tol: float) -> VerificationReport:
-    sp1 = fa.eigen_constants("Sp", 1)
-    su2 = fa.eigen_constants("SU", 2)
-    res = {
-        "lambda_match": abs(sp1[0] - su2[0]),
-        "mu_match": abs(sp1[1] - su2[1]),
-        "lambda_value": abs(sp1[0] + 1.5),
-        "mu_value": abs(sp1[1] + 0.5),
-    }
-    return VerificationReport(
-        check="constants-crosscheck",
-        target="Sp(1)/SU(2)",
-        params={},
-        residuals=res,
-        tol=tol,
-    )
-
-
-def _check_family_negative_control(seed: int, tol: float) -> VerificationReport:
-    """A wrong lambda must be detected with residual |dlambda| * max|phi|."""
-    fam = family_from_spec(U2_SPEC)
-    broken = fa.Eigenfamily(fam.group, fam.members, fam.lam + 0.1, fam.mu, "control")
-    basis = compact_basis(fam.group)
-    with timed_report() as clock:
-        samples = compact_sampler(fam.group, SUITE_RADIUS, seed).take(100)
-        table = frame_operators(fam.members, samples, basis)
-        rep = fa.verify_eigenfamily(broken, basis, table, tol=tol)
-        peak = float(np.max(np.abs(table.values)))
-        predicted = 0.1 * peak
-        deviation = abs(rep.residuals["tau"] - predicted)
-        failed_as_expected = 0.0 if rep.residuals["tau"] > tol else 1.0
-    return VerificationReport(
-        check="family-negative-control",
-        target=str(fam.group),
-        params={"lambda_shift": 0.1, "sampler_seed": seed, "radius": SUITE_RADIUS},
-        residuals={"deviation_from_prediction": deviation, "control_must_fail": failed_as_expected},
-        tol=max(tol, 1e-10),
-        samples_used=len(table),
-        wall_time=clock.elapsed,
-        notes={"observed_tau_residual": rep.residuals["tau"], "predicted": predicted},
-    )
-
-
 FACTORY_FLOOR = 0.05  # keeps quotient jets away from the 1/Q^4 rounding blow-up
 FACTORY_TOL = 1e-7
 HOPF_TOL = 1e-9
-
-
-def _check_morphism_factory(fam: fa.Eigenfamily, seed: int, pairs: int = 20, min_samples: int = 50):
-    """Random same-degree (P, Q) quotients must all verify; the quotient
-    condition triple equality is measured on the same instances.
-
-    All quotients are drawn first, then verified together on the member
-    frame table of the base samples, which the quotient-condition check
-    shares, so each degree's monomial table is built once.  Samples come
-    from ``seed``, the polynomials from ``seed ^ 0xFAC7041``; both are
-    recorded, and ``notes`` names the quotients with the worst tau and the
-    worst kappa by their index in the polynomial stream.
-    """
-    basis = compact_basis(fam.group)
-    rng_seed = seed ^ 0xFAC7041
-    rng = SplitMix64(rng_seed)
-    with timed_report() as clock:
-        sampler = compact_sampler(fam.group, SUITE_RADIUS, seed)
-        base = frame_operators(fam.members, sampler.take(min_samples), basis)
-        morphs = [
-            mo.random_morphism(fam, int(1 + rng.next_u64() % 3), rng, floor=FACTORY_FLOOR)
-            for _ in range(pairs)
-        ]
-        rep = mo.verify_harmonic_morphism(
-            morphs,
-            basis,
-            base,
-            tol=FACTORY_TOL,
-            min_samples=min_samples,
-            sampler=lambda k: sampler.take(k).points,
-        )
-        qrep = mo.verify_quotient_condition(
-            fam, [m.numerator for m in morphs], [m.denominator for m in morphs], basis, base, tol=FACTORY_TOL
-        )
-    seeds = {"sampler_seed": seed, "radius": SUITE_RADIUS, "rng_seed": rng_seed}
-    factory = VerificationReport(
-        check="morphism-factory",
-        target=str(fam.group),
-        params={"pairs": pairs, "floor": FACTORY_FLOOR, "provenance": fam.provenance, **seeds},
-        residuals=rep.residuals,
-        tol=FACTORY_TOL,
-        samples_used=rep.samples_used,
-        samples_discarded=rep.samples_discarded,
-        wall_time=clock.elapsed,
-        notes=rep.notes,
-    )
-    triple = VerificationReport(
-        check="quotient-condition",
-        target=str(fam.group),
-        params={"pairs": pairs, "provenance": fam.provenance, **seeds},
-        residuals=qrep.residuals,
-        tol=FACTORY_TOL,
-        samples_used=len(base),
-    )
-    return factory, triple
-
-
-def _check_morphism_negative_control(seed: int, tol: float) -> VerificationReport:
-    """tau(z_11) = -2 z_11 on U(2), so the 'quotient' z_11/1 must fail with
-    tau residual 2 max|z_11| and kappa residual max|z_11|^2."""
-    gid = GroupId("U", 2)
-    basis = compact_basis(gid)
-    member = family_from_spec(U2_SPEC).members[0]
-    with timed_report() as clock:
-        samples = compact_sampler(gid, SUITE_RADIUS, seed).take(100)
-        ops = frame_operators([member], samples, basis)
-        tau_res = float(np.max(np.abs(ops.tau)))
-        kappa_res = float(np.max(np.abs(ops.kappa)))
-        peak = float(np.max(np.abs(ops.values)))
-        dev_tau = abs(tau_res - 2.0 * peak)
-        dev_kappa = abs(kappa_res - peak * peak)
-        must_fail = 0.0 if tau_res > tol and kappa_res > tol else 1.0
-    return VerificationReport(
-        check="morphism-negative-control",
-        target=str(gid),
-        params={"sampler_seed": seed, "radius": SUITE_RADIUS},
-        residuals={
-            "tau_deviation_from_prediction": dev_tau,
-            "kappa_deviation_from_prediction": dev_kappa,
-            "control_must_fail": must_fail,
-        },
-        tol=max(tol, 1e-10),
-        samples_used=len(samples),
-        wall_time=clock.elapsed,
-        notes={"observed_tau_residual": tau_res, "predicted": 2.0 * peak},
-    )
-
-
-def _check_power_family(fam: fa.Eigenfamily, k: int, seed: int, tol: float) -> VerificationReport:
-    pfam = mo.power_family(fam, k)
-    basis = compact_basis(fam.group)
-    with timed_report() as clock:
-        samples = compact_sampler(fam.group, SUITE_RADIUS, seed).take(100)
-        table = frame_operators(pfam.members, samples, basis)
-        rep = fa.verify_eigenfamily(pfam, basis, table, tol=tol)
-        measured = fa.measure_constants_residual(pfam, basis, table)
-        res = dict(rep.residuals)
-        res.update(measured)
-    return VerificationReport(
-        check=f"power-family-k{k}",
-        target=str(fam.group),
-        params={
-            "k": k,
-            "members": len(pfam.members),
-            "lambda_k": [pfam.lam.real, pfam.lam.imag],
-            "mu_k": [pfam.mu.real, pfam.mu.imag],
-            "sampler_seed": seed,
-            "radius": SUITE_RADIUS,
-        },
-        residuals=res,
-        tol=tol,
-        samples_used=len(samples),
-        wall_time=clock.elapsed,
-    )
+CONTROL_TOL = 1e-10  # least tol of a negative control, whose deviations are rounding
 
 
 def suite_checks(seed: int = DEFAULT_SEED, tol: float = 1e-8):
-    """The acceptance matrix as (label, command, config) rows, in report order.
+    """The acceptance matrix as (label, name, config) rows, in report order.
 
-    Where ``command`` is an ``lgh`` subcommand, the row's report is what
-    ``lgh <command> --config`` gives for ``config``, wall time aside; the
-    config holds only fields the command reads.  The suite-only checks
-    carry a callable instead, and no config.
+    ``run(name, config)`` gives each row's reports.  Where ``name`` is an
+    ``lgh`` subcommand, that is what ``lgh <name> --config`` gives for the
+    config, wall time aside; the other names are the suite-only checks,
+    which no subcommand reaches.  A config holds only the fields its check
+    reads (``READS``).
     """
 
-    def cli(label, command, **fields):
+    def row(label, name, **fields):
         fields = {"seed": seed, "tol": tol, **fields}
-        return label, command, RunConfig(**{k: v for k, v in fields.items() if k in READS[command]})
+        return label, name, RunConfig(**{k: v for k, v in fields.items() if k in READS[name]})
 
-    rows = [cli(f"identities-n{n}", "verify-identities", n=n) for n in range(2, 11)]
+    rows = [row(f"identities-n{n}", "verify-identities", n=n, tol=min(tol, IDENTITY_TOL)) for n in range(2, 11)]
     for alias, sizes in (("so", range(2, 7)), ("u", range(2, 5)), ("sp", range(1, 4))):
         for n in sizes:
             group = {"family": alias, "n": n}
-            rows.append(cli(f"coordinate-lemmas-{group_from_spec(group)}", "verify-lemma", group=group, samples=200))
+            rows.append(row(f"coordinate-lemmas-{group_from_spec(group)}", "verify-lemma", group=group, samples=200))
     for spec in FAMILY_SPECS:
-        rows.append(cli(f"eigenfamily-{group_from_spec(spec['group'])}", "verify-family", family=spec))
+        rows.append(row(f"eigenfamily-{group_from_spec(spec['group'])}", "verify-family", family=spec))
     rows += [
-        ("eigenfamily-deformations", partial(_check_deformed_families, seed, tol), None),
-        ("constants-crosscheck", partial(_check_constants_crosscheck, tol), None),
-        ("family-negative-control", partial(_check_family_negative_control, seed, tol), None),
+        row("eigenfamily-deformations", "eigenfamily-deformations"),
+        row("constants-crosscheck", "constants-crosscheck"),
+        row("family-negative-control", "family-negative-control", family=U2_SPEC, tol=max(tol, CONTROL_TOL)),
     ]
-    for i, fam in enumerate(_factory_families()):
-        rows.append((f"morphism-factory[{fam.provenance}-{fam.group}]", partial(_check_morphism_factory, fam, seed + i), None))
+    # the linear families plus the isotropic-point family on SO(4)
+    for i, spec in enumerate(FAMILY_SPECS[:3] + (SO4_POINT_SPEC,) + FAMILY_SPECS[3:]):
+        fam = family_from_spec(spec)
+        fields = {"family": spec, "seed": seed + i, "samples": 50, "tol": FACTORY_TOL, "floor": FACTORY_FLOOR}
+        rows.append(row(f"morphism-factory[{fam.provenance}-{fam.group}]", "morphism-factory", **fields))
     rows.append(
-        cli(
+        row(
             "morphism-hopf",
             "verify-morphism",
             check="morphism-hopf",
@@ -645,26 +617,23 @@ def suite_checks(seed: int = DEFAULT_SEED, tol: float = 1e-8):
             tol=HOPF_TOL,
         )
     )
-    rows.append(("morphism-negative-control", partial(_check_morphism_negative_control, seed, tol), None))
+    rows.append(row("morphism-negative-control", "morphism-negative-control", family=U2_SPEC, tol=max(tol, CONTROL_TOL)))
     for spec in (U2_SPEC, FAMILY_SPECS[0]):
-        fam = family_from_spec(spec)
         for k in (2, 3):
-            rows.append((f"power-family-{fam.group}-k{k}", partial(_check_power_family, fam, k, seed, tol), None))
+            rows.append(row(f"power-family-{group_from_spec(spec['group'])}-k{k}", f"power-family-k{k}", family=spec))
     for alias, params in DUALITY_PAIRS:
         pair = {"family": alias, **params}
-        rows.append(cli(f"duality-{group_from_spec(pair)}", "verify-duality", check="duality", pair=pair))
-    rows.append(cli("probe-noncontinuable-SO(2,2)", "probe-duality", pair={"family": "so_pq", "p": 2, "q": 2}))
+        rows.append(row(f"duality-{group_from_spec(pair)}", "verify-duality", check="duality", pair=pair))
+    rows.append(row("probe-noncontinuable-SO(2,2)", "probe-duality", pair={"family": "so_pq", "p": 2, "q": 2}))
     return rows
 
 
 def run_suite(seed: int = DEFAULT_SEED, tol: float = 1e-8) -> dict:
-    """Run the whole acceptance matrix; an aggregate JSON-ready document.
-
-    Results are ordered by the check list.
-    """
+    """Run every row of :func:`suite_checks`; an aggregate JSON-ready
+    document with the reports in row order."""
     flat = []
-    for _, command, cfg in suite_checks(seed, tol):
-        result = command() if cfg is None else run(command, cfg)
+    for _, name, cfg in suite_checks(seed, tol):
+        result = run(name, cfg)
         flat.extend(result if isinstance(result, tuple) else (result,))
     return {
         "suite": "lgh",

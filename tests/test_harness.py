@@ -1,6 +1,7 @@
 """Config round-trips, CLI exit codes, report format, determinism basics."""
 
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -169,6 +170,11 @@ def test_cli_verify_identities_reads_n_from_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["target"] == "gl(4)"
     assert main(["verify-identities"]) == 0
     assert json.loads(capsys.readouterr().out)["target"] == "gl(5)"
+
+
+def test_cli_verify_identities_honours_a_tighter_tol(capsys):
+    assert main(["verify-identities", "--n", "3", "--tol", "1e-13"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-13
 
 
 def test_config_check_names_the_report(tmp_path, capsys):
@@ -344,14 +350,16 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["suite", "--tol", "inf"], "tol"),
         (["verify-family", "--config", "{tol_twice}"], "tol"),
         (["verify-family", "--config", "{group_n_twice}"], "family.group.n"),
+        (["verify-identities", "--n", "3", "--tol", "1e-3"], "tol"),
+        (["verify-identities", "--config", "{identities_loose_tol}"], "tol"),
     ],
 )
 def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
     """Each config file the parser rejects is rejected by
     ``docs/schemas/config.schema.json`` too, except where the schema cannot
-    tell: a field the command does not read, number literals JSON does not
-    have (NaN, Infinity), and a key set twice in one object, which a loaded
-    JSON object cannot hold."""
+    tell: a field the command does not read, a verify-identities tol above
+    1e-12, number literals JSON does not have (NaN, Infinity), and a key
+    set twice in one object, which a loaded JSON object cannot hold."""
     u2 = {"group": {"family": "u", "n": 2}}
     so4 = {"family": "so", "n": 4}
     configs = {
@@ -395,6 +403,7 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
             "morphism": {**H.HOPF_SPEC, "P": [{"exponents": [1, 0], "coeff": float("nan")}]},
         },
         "hopf": {"family": u2, "morphism": H.HOPF_SPEC},
+        "identities_loose_tol": {"n": 3, "tol": 1e-6},
     }
     texts = {name: json.dumps(config) for name, config in configs.items()}
     # json.load keeps the last of repeated keys: tol 1e-8, and U(2)
@@ -406,7 +415,10 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
     assert f"field: {field}" in capsys.readouterr().err
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
-    silent = {"config", "floor_nan", "tol_infinity", "coeff_nan", "hopf", "tol_twice", "group_n_twice"}
+    silent = {
+        "config", "floor_nan", "tol_infinity", "coeff_nan", "hopf", "tol_twice", "group_n_twice",
+        "identities_loose_tol",
+    }
     for name in {arg[1:-1] for arg in argv if arg.startswith("{")} - silent:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(configs[name], schema)
@@ -426,14 +438,20 @@ def test_cli_suite_rejects_config_fields_it_does_not_read(tmp_path, capsys):
     assert "field: samples" in capsys.readouterr().err
 
 
+def _factory_rows():
+    """The morphism-factory rows of the seed-42 suite, in report order."""
+    return [row for row in H.suite_checks() if row[1] == "morphism-factory"]
+
+
 def test_factory_check_replays_from_its_recorded_seeds():
     from lgh import morphisms as mo
     from lgh.jets import frame_operators
     from lgh.matrices import compact_basis
     from lgh.sampling import SplitMix64, compact_sampler
 
-    index, fam = 4, H._factory_families()[4]
-    factory, triple = H._check_morphism_factory(fam, H.DEFAULT_SEED + index)
+    index, (_, name, cfg) = 4, _factory_rows()[4]
+    fam = H.family_from_spec(cfg.family)
+    factory, triple = H.run(name, cfg)
     params = factory.params
     assert params["sampler_seed"] == H.DEFAULT_SEED + index
     assert params["rng_seed"] == params["sampler_seed"] ^ 0xFAC7041
@@ -463,8 +481,9 @@ def test_factory_worst_quotients_replay_alone_from_the_notes():
     from lgh.matrices import compact_basis
     from lgh.sampling import SplitMix64, compact_sampler
 
-    index, fam = 8, H._factory_families()[8]
-    factory, _ = H._check_morphism_factory(fam, H.DEFAULT_SEED + index)
+    _, check, cfg = _factory_rows()[8]
+    fam = H.family_from_spec(cfg.family)
+    factory, _ = H.run(check, cfg)
     params = factory.params
     basis = compact_basis(fam.group)
     for name in ("tau", "kappa"):
@@ -512,10 +531,10 @@ def test_factory_composes_nothing_and_builds_each_degree_table_once(monkeypatch)
     monkeypatch.setattr(exprs, "compose", compose)
     monkeypatch.setattr(H, "frame_operators", frame_operators)
     monkeypatch.setattr(exprs, "monomials", monomials)
-    for index, fam in enumerate(H._factory_families()):
+    for _, name, cfg in _factory_rows():
         bases.clear()
         builds.clear()
-        factory, triple = H._check_morphism_factory(fam, H.DEFAULT_SEED + index)
+        factory, triple = H.run(name, cfg)
         assert factory.passed and triple.passed
         (base,) = bases
         on_base = [b for b in builds if b[0] == id(base.values)]
@@ -529,8 +548,9 @@ def test_power_family_check_replays_from_its_params():
     from lgh.matrices import compact_basis
     from lgh.sampling import compact_sampler
 
-    fam = H.family_from_spec(H.U2_SPEC)
-    report = H._check_power_family(fam, 3, H.DEFAULT_SEED, 1e-8)
+    _, name, cfg = next(row for row in H.suite_checks() if row[0] == "power-family-U(2)-k3")
+    fam = H.family_from_spec(cfg.family)
+    report = H.run(name, cfg)
     params = report.params
     assert (params["sampler_seed"], params["radius"]) == (H.DEFAULT_SEED, 0.5)
     # replay with the public API and the recorded params alone
@@ -560,7 +580,7 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
     report_schema = json.loads((schemas / "report.schema.json").read_text())
     jsonschema.validate(suite_document, report_schema)
     suite_reports = [{k: v for k, v in c.items() if k != "wall_time"} for c in suite_document["checks"]]
-    rows = [row for row in H.suite_checks(seed=42, tol=1e-8) if row[2] is not None]
+    rows = [row for row in H.suite_checks(seed=42, tol=1e-8) if row[1] in H.COMMANDS]
     assert len(rows) == 42
     assert {command for _, command, _ in rows} == set(H.COMMANDS)
     for i, (label, command, cfg) in enumerate(rows):
@@ -589,3 +609,65 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
     replay = fa.verify_eigenfamily(fam, compact_basis(fam.group), samples, tol=row["tol"])
     assert replay.residuals == row["residuals"]
     assert replay.notes["max_group_defect"] == row["notes"]["max_group_defect"]
+
+
+def test_every_suite_row_replays_through_run(suite_document):
+    """Every row of the suite is a config that ``harness.run`` replays: the
+    configs are valid against ``docs/schemas/config.schema.json`` and hold
+    only fields their check reads, and the 60 rows give the suite's 70
+    reports bit for bit, wall time aside."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
+    rows = H.suite_checks(seed=42, tol=1e-8)
+    assert len(rows) == 60
+    replayed = []
+    for label, name, cfg in rows:
+        assert isinstance(cfg, H.RunConfig), label
+        config = {k: v for k, v in cfg.to_dict().items() if v is not None}
+        jsonschema.validate(config, schema)
+        default = H.RunConfig()
+        assert {k for k, v in cfg.to_dict().items() if v != getattr(default, k)} <= set(H.READS[name]), label
+        result = H.run(name, cfg)
+        replayed += result if isinstance(result, tuple) else [result]
+    reports = json.loads(json.dumps([rep.to_dict() for rep in replayed]))
+    suite_reports = [{k: v for k, v in c.items() if k != "wall_time"} for c in suite_document["checks"]]
+    assert len(reports) == 70
+    assert [{k: v for k, v in c.items() if k != "wall_time"} for c in reports] == suite_reports
+    # the suite-only checks are no subcommand
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert {name for _, name, _ in rows} & set(commands) == set(H.COMMANDS)
+
+
+def test_run_times_the_whole_row(monkeypatch):
+    """A report's wall time is its whole row, sampling included; the
+    factory's quotient-condition report shares its row's time and records 0."""
+    real_sampler = H.compact_sampler
+
+    def slow_sampler(*args):
+        time.sleep(0.05)
+        return real_sampler(*args)
+
+    monkeypatch.setattr(H, "compact_sampler", slow_sampler)
+    _, name, cfg = next(row for row in H.suite_checks() if row[0] == "eigenfamily-U(2)")
+    assert H.run(name, cfg).wall_time >= 0.05
+    factory, triple = H.run(*_factory_rows()[0][1:])
+    assert factory.wall_time >= 0.05 and triple.wall_time == 0.0
+
+
+def test_config_fields_field_types_and_schema_properties_are_one_set():
+    """A new config knob cannot slip in unlisted: the RunConfig fields, the
+    JSON types ``validate`` checks and the schema's top-level properties
+    name the same fields."""
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
+    fields = set(H.RunConfig.__dataclass_fields__)
+    assert fields == set(H._FIELD_TYPES) == set(schema["properties"])
+    assert schema.get("additionalProperties") is False
+
+
+def test_lemma_on_so1_has_an_empty_frame(capsys):
+    """SO(1) has no frame vectors: the lemma report passes with basis size 0
+    and every residual 0."""
+    assert main(["verify-lemma", "--group", "so", "--n", "1", "--samples", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["basis_size"] == 0 and doc["samples_used"] == 2
+    assert doc["passed"] and set(doc["residuals"].values()) == {0.0}
