@@ -266,6 +266,10 @@ IDENTITY_TOL = 1e-12
 
 
 def run_identities(cfg: RunConfig) -> VerificationReport:
+    """The identities at ``IDENTITY_TOL`` or a tighter ``cfg.tol``; the
+    default tol means ``IDENTITY_TOL``, and a looser one is refused."""
+    if cfg.tol > IDENTITY_TOL and cfg.tol != RunConfig.tol:
+        raise ConfigError(f"verify-identities takes a tol of at most {IDENTITY_TOL:g}", field="tol")
     n = cfg.n if cfg.n is not None else 5
     return verify_matrix_identities(n, tol=min(cfg.tol, IDENTITY_TOL))
 

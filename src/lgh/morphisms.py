@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, InconclusiveError, ValidationError
 from .exprs import HomPoly, MonomialTable, _coefficients, _layout, _term_degrees, chain_tau, contract, monomials
 from .families import Eigenfamily
-from .jets import FrameOperators, frame_operators
+from .jets import FrameOperators, frame_operators, stack_samples
 from .matrices import GroupId, SignedBasis
 from .report import VerificationReport, timed_report
 from .sampling import SampleSet, SplitMix64
@@ -283,15 +283,30 @@ def _over_members(polys, members):
 # verification
 # ---------------------------------------------------------------------------
 
+# a short quotient reads at least this many points ahead, and this many
+# times its shortfall over its kept ratio so far
+_BLOCK = 16
+_AHEAD = 1.3
+
+
 def _collect_in_domain(morphs, groups, base: FrameOperators, basis, sampler, min_samples):
     """Screen the base rows for every quotient, then let each quotient in
-    turn draw only its shortfall from ``sampler`` until its target count is
-    in domain or ten times the target has been drawn for it.
+    turn redraw its shortfall from ``sampler`` until its target count is in
+    domain or ten times the target has been drawn for it.
+
+    The redraw runs in rounds: a round takes the shortfall, capped at the
+    budget, as the next points of the stream, and keeps those in domain.
+    The points come from ``sampler`` in look-ahead blocks, each measured by
+    one :func:`frame_operators` call, so ``sampler`` may be asked for more
+    than the shortfall.  A quotient consumes only its rounds' points; the
+    rest pass to the next quotient, and what is left at the end is
+    dropped, so ``sampler`` may be left advanced past the last consumed
+    point.  The counts are those of the rounds, whatever the block sizes.
 
     Returns the base rows in each quotient's domain (S, K), each quotient's
     redrawn in-domain member table (None when it drew nothing it kept),
-    and its (samples used, samples discarded, points the sampler had handed
-    to the quotients before it).
+    and its (samples used, samples discarded, points of the stream the
+    quotients before it consumed).
     """
     kept = np.empty((len(base), len(morphs)), dtype=bool)
     for degrees, ks in groups:
@@ -299,25 +314,46 @@ def _collect_in_domain(morphs, groups, base: FrameOperators, basis, sampler, min
         kept[:, ks] = _screen(values, _denominators([morphs[k] for k in ks])) > morphs[0].floor
     target = min_samples if min_samples is not None else len(base)
     budget = max(10 * max(target, 1), len(base))
+    held = None  # points drawn and not yet consumed, as a member table
     redrawn, counts = [], []
     skipped = 0
     for k, morph in enumerate(morphs):
-        tables, used, drawn = [], int(np.count_nonzero(kept[:, k])), len(base)
+        used, drawn, taken, hits = int(np.count_nonzero(kept[:, k])), len(base), 0, None
         row = _denominators([morph])
+
+        def screen(table):
+            return _screen(_monomial_values(table, morph.degrees), row)[:, 0] > morph.floor
+
         while sampler is not None and used < target and drawn < budget:
-            batch = sampler(min(target - used, budget - drawn))
-            drawn += len(batch)
-            table = frame_operators(base.members, batch, basis)
-            keep = _screen(_monomial_values(table, morph.degrees), row)[:, 0] > morph.floor
-            tables.append(table.rows(keep))
-            used += len(tables[-1])
+            if hits is None:
+                hits = screen(held) if held is not None else np.empty(0, dtype=bool)
+            size = min(target - used, budget - drawn)
+            if taken + size > len(hits):
+                shortfall = target - used
+                ratio = max(used / drawn if drawn else 1.0, 1 / 8)
+                want = max(shortfall, _BLOCK, math.ceil(_AHEAD * shortfall / ratio))
+                count = min(want, budget - drawn - (len(hits) - taken))
+                batch = stack_samples(sampler(count), basis)
+                if len(batch) != count:
+                    raise ValidationError(f"sampler returned {len(batch)} points when asked for {count}")
+                table = frame_operators(base.members, batch, basis)
+                held = table if held is None else FrameOperators.concat([held, table])
+                hits = np.concatenate([hits, screen(table)])
+            used += int(np.count_nonzero(hits[taken : taken + size]))
+            drawn += size
+            taken += size
         if not used:
             raise InconclusiveError(
                 "no sample cleared the domain floor; cannot verify the morphism"
             )
-        redrawn.append(FrameOperators.concat(tables) if any(len(t) for t in tables) else None)
+        if taken:
+            hits[taken:] = False
+            redrawn.append(held.rows(hits) if hits.any() else None)
+            held = held.rows(slice(taken, None))
+        else:
+            redrawn.append(None)
         counts.append((used, drawn - used, skipped))
-        skipped += drawn - len(base)
+        skipped += taken
     return kept, redrawn, counts
 
 
@@ -337,16 +373,19 @@ def verify_harmonic_morphism(
     own domain: samples where its |Q| falls to the floor are discarded, and
     when a ``sampler(count)`` callable is supplied the quotient draws its
     shortfall again, up to ten times the requested count in all, before the
-    run is declared inconclusive.  The quotients draw in their order, so
-    each one's samples are those of a run of it alone after the ones before
-    it.  Every quotient of one monomial table is then verified by one
-    kernel call (:func:`quotient_operators`).
+    run is declared inconclusive.  ``sampler`` must return ``count`` points
+    (else :class:`ValidationError`); it may be asked for more than the
+    shortfall, and may be left advanced past the last point the quotients
+    consumed (see :func:`_collect_in_domain`).  The quotients consume the
+    stream in their order, so each one's samples are those of a run of it
+    alone after the ones before it.  Every quotient of one monomial table is
+    then verified by one kernel call (:func:`quotient_operators`).
 
     For a sequence the residuals are the maxima over all quotients, the
     sample counts their sums, and ``notes`` gives, for the worst tau and
     the worst kappa, the quotient's index and degree and how many points
-    the sampler had handed to the quotients before it (``sampler_skip``),
-    so that it can be replayed alone.
+    of the stream the quotients before it consumed (``sampler_skip``), so
+    that it can be replayed alone.
     """
     morphs = [m] if isinstance(m, RationalMorphism) else list(m)
     if not morphs:

@@ -503,6 +503,33 @@ def test_factory_worst_quotients_replay_alone_from_the_notes():
         assert rep.residuals[name] == factory.residuals[name]
 
 
+def test_factory_redraws_in_look_ahead_blocks(monkeypatch):
+    """A count, not a timer: the seed-42 factory rows make 10 base takes and
+    10 redraw takes (49 takes in all when every redraw round drew its own
+    points), with the golden counts unchanged."""
+    from lgh.sampling import GroupSampler
+
+    takes = []
+    real_take = GroupSampler.take
+
+    def take(self, count):
+        takes.append(count)
+        return real_take(self, count)
+
+    monkeypatch.setattr(GroupSampler, "take", take)
+    for _, name, cfg in _factory_rows():
+        H.run(name, cfg)
+    assert len(takes) == 20
+
+
+def test_identities_refuse_a_looser_tol_through_the_api():
+    with pytest.raises(ConfigError) as err:
+        H.run("verify-identities", H.RunConfig(n=3, tol=1e-3))
+    assert err.value.field == "tol"
+    assert H.run("verify-identities", H.RunConfig(n=3)).tol == H.IDENTITY_TOL
+    assert H.run("verify-identities", H.RunConfig(n=3, tol=1e-13)).tol == 1e-13
+
+
 def test_factory_composes_nothing_and_builds_each_degree_table_once(monkeypatch):
     """A count, not a timer: the factory composes no polynomial into a frame
     table (no ``exprs.compose`` call), and builds at most one monomial table

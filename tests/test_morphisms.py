@@ -422,13 +422,29 @@ def test_morphism_layer_reads_measured_not_stated_constants():
     assert max(factory.residuals.values()) > 1e-3
 
 
+def _round_rule(m, seed, base, target):
+    """(samples used, samples discarded) of one quotient by the redraw
+    round rule, walking the stream one point at a time: a round takes the
+    shortfall, capped at ten times the target in all, and keeps what is in
+    domain."""
+    sampler = compact_sampler(m.family.group, 0.5, seed)
+    used = sum(m.in_domain(x) for x in sampler.take(base))
+    drawn, budget = base, 10 * target
+    while used < target and drawn < budget:
+        size = min(target - used, budget - drawn)
+        used += sum(m.in_domain(sampler.take(1).points[0]) for _ in range(size))
+        drawn += size
+    return used, drawn - used
+
+
 def test_resampling_draws_only_the_shortfall():
+    """The counts are those of the round rule, however far the verifier
+    reads ahead, and it never asks for more than the quotient's budget."""
     fam = fa.su_family(2, _e(2))
     m = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0}, floor=0.4)
     basis = M.compact_basis(fam.group)
     sampler = compact_sampler(fam.group, 0.5, 42)
     first = sampler.take(40)
-    kept_first = sum(m.in_domain(x) for x in first)
     requests = []
 
     def draw(k):
@@ -437,8 +453,64 @@ def test_resampling_draws_only_the_shortfall():
 
     rep = mo.verify_harmonic_morphism(m, basis, first, tol=1e-8, min_samples=40, sampler=draw)
     assert rep.samples_used == 40
-    assert requests[0] == 40 - kept_first
-    assert sum(requests) == 40 + rep.samples_discarded - len(first)
+    assert (rep.samples_used, rep.samples_discarded) == _round_rule(m, 42, 40, 40)
+    assert min(requests) >= 1
+    assert sum(requests) <= 10 * 40 - len(first)
+
+
+def test_a_sampler_must_return_the_points_it_was_asked_for():
+    """A batch of the wrong size is an error, not a hang (an empty batch)
+    or a silent overdraw (extra points)."""
+    fam = fa.su_family(2, _e(2))
+    m = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0}, floor=0.4)
+    basis = M.compact_basis(fam.group)
+    sampler = compact_sampler(fam.group, 0.5, 42)
+    first = sampler.take(40)
+    for wrong in (lambda k: np.empty((0, 2, 2), dtype=complex), lambda k: sampler.take(k + 5).points):
+        with pytest.raises(ValidationError):
+            mo.verify_harmonic_morphism(m, basis, first, min_samples=40, sampler=wrong)
+
+
+@pytest.mark.parametrize("block, ahead", [(1, 0.0), (1, 1.0), (64, 4.0)])
+def test_look_ahead_block_size_does_not_change_a_report(monkeypatch, block, ahead):
+    """Six quotients of degrees 1-3 on Sp(1) at floor 0.5 discard heavily.
+    Their report is the same bits whatever the look-ahead: ``(1, 0)`` asks
+    for exactly each round's points, as a per-round draw would.  The worst
+    quotient replays alone from its ``sampler_skip``."""
+    fam = fa.sp_family(1, _e(1))
+    basis = M.compact_basis(fam.group)
+    rng = SplitMix64(3)
+    morphs = [mo.random_morphism(fam, 1 + k % 3, rng, floor=0.5) for k in range(6)]
+
+    def run(requests=None):
+        sampler = compact_sampler(fam.group, 0.5, 42)
+
+        def draw(k):
+            if requests is not None:
+                requests.append(k)
+            return sampler.take(k).points
+
+        rep = mo.verify_harmonic_morphism(morphs, basis, sampler.take(50), min_samples=50, sampler=draw)
+        residuals = {key: val.hex() for key, val in rep.residuals.items()}
+        return rep, (residuals, rep.samples_used, rep.samples_discarded, rep.notes)
+
+    default, expected = run()
+    assert default.samples_discarded > 100
+    requests = []
+    monkeypatch.setattr(mo, "_BLOCK", block)
+    monkeypatch.setattr(mo, "_AHEAD", ahead)
+    assert run(requests)[1] == expected
+    if ahead == 0.0:  # no look-ahead: every point drawn is consumed
+        assert sum(requests) == default.samples_used + default.samples_discarded - 6 * 50
+    for name in ("tau", "kappa"):
+        worst = default.notes[f"worst_{name}"]
+        sampler = compact_sampler(fam.group, 0.5, 42)
+        base = sampler.take(50)
+        sampler.take(worst["sampler_skip"])
+        alone = mo.verify_harmonic_morphism(
+            morphs[worst["index"]], basis, base, min_samples=50, sampler=lambda k: sampler.take(k).points
+        )
+        assert alone.residuals[name].hex() == expected[0][name]
 
 
 def test_frame_table_must_describe_the_family_members():
