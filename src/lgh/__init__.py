@@ -45,15 +45,7 @@ from .families import (
     verify_eigenfamily,
 )
 from .harness import RunConfig, run_suite
-from .jets import (
-    BasisCurves,
-    FrameOperators,
-    Jet2,
-    entry_jet,
-    frame_operators,
-    kappa,
-    tau,
-)
+from .jets import FrameOperators, frame_operators
 from .matrices import (
     SO,
     SU,

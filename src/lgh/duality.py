@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstructionError, ValidationError
-from .exprs import Entry, HomPoly, LinearTrace
+from .exprs import Expr, HomPoly
 from .families import (
     Eigenfamily,
     maximal_isotropic_basis,
@@ -175,7 +175,7 @@ def continue_function(f):
     if isinstance(f, HomPoly):
         for arg in f.args:
             continue_function(arg)
-    elif not isinstance(f, (Entry, LinearTrace)):
+    elif not isinstance(f, Expr):
         raise ValidationError(f"{type(f).__name__} is not a holomorphic member or polynomial")
     return f
 

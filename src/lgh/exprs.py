@@ -1,10 +1,11 @@
 """Family members and polynomials in them.
 
-A member is linear in the matrix entries (:class:`Entry`,
-:class:`LinearTrace`) and has one evaluation, the second-order jet along
-curves (:meth:`Expr.eval_jet`).  The value at a point is the value part of
-the jet there on an empty frame, so point values and the values of a
-batched frame walk come from the same arithmetic.
+A member is linear in the matrix entries, trace(A x^t) = sum_ij A_ij x_ij
+(:class:`Entry`, with A = E_ij, and :class:`LinearTrace`), and gives its
+coefficient matrix A (:meth:`Expr.coefficients`).  A frame table stacks
+the matrices of all its members and walks them as one
+:class:`LinearTrace` (:meth:`LinearTrace.eval_jet`), so a value, at one
+point or at many, is always read from a frame table.
 
 A :class:`HomPoly` is a polynomial in a list of members, never walked as
 a jet.  The one chain rule, tau(F(phi)) = sum_a F_a tau(phi_a) + sum_ab
@@ -25,8 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .jets import BasisCurves, FrameOperators, Jet2, entry_jet
-from .matrices import GroupId, SignedBasis
+from .jets import BasisCurves, FrameOperators, Jet2
 
 
 @lru_cache(maxsize=256)
@@ -106,27 +106,16 @@ def contract(table, coeffs):
 
 
 class Expr:
-    """Base of the members walked as jets."""
+    """Base of the linear members trace(A x^t) = sum_ij A_ij x_ij, each
+    given by its coefficient matrix A."""
 
-    def eval_jet(self, curve) -> Jet2:
+    def coefficients(self, n: int) -> np.ndarray:
+        """A for matrices of size n."""
         raise NotImplementedError
-
-    def eval_point(self, x: np.ndarray) -> complex:
-        """The value at the point x: the jet's value part on an empty frame.
-
-        x is walked as a one-sample stack, as :func:`frame_operators` walks
-        its samples, so the two agree bit for bit (numpy rounds complex
-        products of arrays and of scalars differently).
-        """
-        x = np.asarray(x, dtype=complex)
-        if x.ndim != 2:
-            raise ValidationError(f"eval_point takes one matrix, not shape {x.shape}")
-        frame = SignedBasis(GroupId("GLC-split", x.shape[-1]))
-        return complex(np.ravel(self.eval_jet(BasisCurves(x[None], frame)).f0)[0])
 
 
 class Entry(Expr):
-    """Matrix-entry coordinate x_ij, 1-based."""
+    """Matrix-entry coordinate x_ij, 1-based: A = E_ij."""
 
     def __init__(self, i: int, j: int):
         if i < 1 or j < 1:
@@ -134,38 +123,48 @@ class Entry(Expr):
         self.i = int(i)
         self.j = int(j)
 
-    def eval_jet(self, curve):
-        return entry_jet(curve, self.i, self.j)
+    def coefficients(self, n):
+        if self.i > n or self.j > n:
+            raise ValidationError(f"entry ({self.i},{self.j}) out of range for dimension {n}")
+        a = np.zeros((n, n), dtype=complex)
+        a[self.i - 1, self.j - 1] = 1.0
+        return a
 
     def __repr__(self):
         return f"Entry({self.i},{self.j})"
 
 
 class LinearTrace(Expr):
-    """trace(A x^t) = sum_ij A_ij x_ij for a fixed coefficient matrix A."""
+    """trace(A x^t) = sum_ij A_ij x_ij for a fixed coefficient matrix A, or
+    for each matrix of a stack A (m, n, n) at once."""
 
     def __init__(self, matrix: np.ndarray):
         a = np.array(matrix, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError("LinearTrace needs a square coefficient matrix")
+        if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+            raise ValidationError("LinearTrace needs a square coefficient matrix or a stack of them")
         a.setflags(write=False)
         self.matrix = a
 
-    def eval_jet(self, curve):
-        """f0 = A:x, f1_b = (A Z_b^t):x and f2_b = (A (Z_b^2)^t):x, as one
-        contraction of the base stack with [A | A Z_b^t | A (Z_b^2)^t]."""
-        a = self.matrix
-        if curve.base.shape[-2:] != a.shape:
-            raise ValidationError("dimension mismatch in LinearTrace")
-        b = curve.zs.shape[0]
-        frame = np.concatenate([curve.zs, curve.zs2]).transpose(0, 2, 1)
-        coeffs = np.concatenate([a[None], a @ frame])
-        # einsum, not BLAS: each row is reduced alone, at any stack size
-        jet = np.einsum("rij,...ij->r...", coeffs, curve.base)
-        return Jet2(jet[0], jet[1 : 1 + b], jet[1 + b :])
+    def coefficients(self, n):
+        if self.matrix.shape != (n, n):
+            raise ValidationError(f"LinearTrace of shape {self.matrix.shape} is not a member for dimension {n}")
+        return self.matrix
+
+    def eval_jet(self, curves: BasisCurves) -> Jet2:
+        """f0 = A:x, f1_b = (A Z_b^t):x and f2_b = (A (Z_b^2)^t):x at every
+        sample, with shapes (S, ...), (S, ..., B) and (S, ..., B) for A of
+        shape (..., n, n): one contraction of the base stack with
+        [A | A Z_b^t | A (Z_b^2)^t]."""
+        a = self.matrix[..., None, :, :]
+        b = curves.zs.shape[0]
+        frame = np.concatenate([curves.zs, curves.zs2]).transpose(0, 2, 1)
+        coeffs = np.concatenate([a, a @ frame], axis=-3)
+        # einsum, not BLAS: each entry is reduced alone, at any stack size
+        jet = np.einsum("...rij,sij->s...r", coeffs, curves.base)
+        return Jet2(*(np.ascontiguousarray(jet[..., k]) for k in (0, slice(1, 1 + b), slice(1 + b, None))))
 
     def __repr__(self):
-        return f"LinearTrace({self.matrix.shape[0]}x{self.matrix.shape[0]})"
+        return f"LinearTrace({self.matrix.shape[-1]}x{self.matrix.shape[-1]})"
 
 
 class HomPoly:

@@ -1,27 +1,27 @@
-"""Second-order jets along one-parameter subgroup curves.
+"""Second-order jets along one-parameter subgroup curves, and the frame
+table kernel.
 
 A jet (f0, f1, f2) holds the value and the first two derivatives of
-s -> f(x exp(sZ)) at s = 0.  Entry functions seed the arithmetic exactly:
-f0 = x_ij, f1 = (xZ)_ij, f2 = (xZ^2)_ij, and the ring operations of
-:class:`Jet2` propagate derivatives through products and quotients without
-truncation error.
+s -> f(x exp(sZ)) at s = 0.  :class:`BasisCurves` holds a stack of base
+points and the constants Z_b and Z_b^2 of a signed frame.  A linear member
+trace(A x^t) has f1_b = (A Z_b^t):x and f2_b = (A (Z_b^2)^t):x, linear in
+x with those constants as coefficients, so the jets of every member along
+every frame vector at every sample are one contraction of the stack.  The
+tension field tau and the conformality operator kappa are then signed sums
+over the frame.
 
-The components may be scalars or numpy arrays.  :class:`BasisCurves` holds
-a stack of base points and the constants Z_b and Z_b^2 of a signed frame.
-A linear member's jet along every frame vector at every sample is linear in
-x with those constants as coefficients, so one member walk is one
-contraction of the whole stack.  The tension field tau and the conformality
-operator kappa are then signed sums over the frame.
-
-:func:`frame_operators` is the batched kernel on top: one walk per linear
-member gives the member values, their tau and their signed kappa Gram at
-every sample.  Polynomials in members are not walked: the chain rule of
-:mod:`lgh.exprs` composes them from their members' table
-(:class:`lgh.exprs.MonomialTable`), which a frame table keeps in
-``derived`` so that each is built once.  Quotients P/Q are not members:
-the morphism kernel (:func:`lgh.morphisms.quotient_operators`) applies the
-quotient rule to their P and Q.  Every reduction runs per sample, so a
-row's bits do not depend on how many samples are stacked.
+:func:`frame_operators` is the batched kernel: it stacks the linear
+members' coefficient matrices and walks them once
+(:meth:`lgh.exprs.LinearTrace.eval_jet`), which gives the member values,
+their tau and their signed kappa Gram at every sample.  Polynomials in
+members are not walked: the chain rule of :mod:`lgh.exprs` composes them
+from their members' table (:class:`lgh.exprs.MonomialTable`), which a
+frame table keeps in ``derived`` so that each is built once.  Quotients
+P/Q are not members: the morphism kernel
+(:func:`lgh.morphisms.quotient_operators`) applies the quotient rule to
+their P and Q.  Every reduction runs per sample, so a row's bits do not
+depend on how many samples are stacked.  The ring operations of
+:class:`Jet2` compose jets exactly, but no kernel multiplies jets.
 """
 
 from __future__ import annotations
@@ -70,15 +70,11 @@ class Jet2:
 
 class BasisCurves:
     """Curves s -> x exp(sZ_b) along every vector Z_b of a signed frame, at
-    one base point x or at a stack of base points.
+    a stack of base points x (S, n, n).
 
     The curves are held as the base and the frame constants Z_b and Z_b^2:
     the jet of a function linear in x is linear in x again, with those
-    constants as coefficients, so no product is formed per sample.  An
-    expression jet evaluated here carries the derivatives along the whole
-    frame in its components.  A stacked base of shape (S, n, n) adds a
-    sample axis after the basis axis: jet values then have shape (S,) and
-    derivatives (B, S).
+    constants as coefficients, so no product is formed per sample.
     """
 
     def __init__(self, base: np.ndarray, basis: SignedBasis):
@@ -87,42 +83,8 @@ class BasisCurves:
         if base.shape[-2:] != zs.shape[1:]:
             raise ValidationError("base point and basis have different dimensions")
         self.base = base
-        self.basis = basis
         self.zs = zs
         self.zs2 = zs @ zs
-        self.signs = basis.signs
-
-    @property
-    def dim(self) -> int:
-        return self.base.shape[-1]
-
-
-def entry_jet(curve, i: int, j: int) -> Jet2:
-    """Jet of the matrix-entry coordinate x_ij along a curve, 1-based: row i
-    of x against column j of Z_b and of Z_b^2."""
-    n = curve.dim
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValidationError(f"entry ({i},{j}) out of range for dimension {n}")
-    row = curve.base[..., i - 1, :]
-    return Jet2(
-        curve.base[..., i - 1, j - 1],
-        np.einsum("bk,...k->b...", curve.zs[:, :, j - 1], row),
-        np.einsum("bk,...k->b...", curve.zs2[:, :, j - 1], row),
-    )
-
-
-def tau(f, x: np.ndarray, basis: SignedBasis) -> complex:
-    """Tension field of a member or a polynomial in members at the point x:
-    the signed sum of second derivatives over the frame."""
-    return complex(frame_operators([f], [x], basis).tau[0, 0])
-
-
-def kappa(f, g, x: np.ndarray, basis: SignedBasis) -> complex:
-    """Conformality operator: signed sum of first-derivative products.
-
-    Complex bilinear in both slots; no conjugation anywhere.
-    """
-    return complex(frame_operators([f, g], [x], basis).kappa[0, 0, 1])
 
 
 @dataclass
@@ -192,24 +154,24 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
     """Member values (S, m), tau (S, m) and signed kappa Gram (S, m, m) at
     the samples ``xs`` (a sequence of points or an (S, n, n) stack).
 
-    A linear member's jet is walked once, on curves seeded once for the
-    whole stack.  When some members are polynomials (``HomPoly``), their
-    arguments are measured instead, once each and recursively, and
-    :func:`lgh.exprs.compose` gives the members from that table.  Any other
-    member, a quotient included, is a :class:`ValidationError`.
-    ``xs`` may also be a table this function returned for the same members
-    and frame; it is passed through.
+    The linear members' coefficient matrices are stacked and walked once,
+    on curves seeded once for the whole stack.  When some members are
+    polynomials (``HomPoly``), their arguments are measured instead, once
+    each and recursively, and :func:`lgh.exprs.compose` gives the members
+    from that table.  Any other member, a quotient included, is a
+    :class:`ValidationError`.  ``xs`` may also be a table of these members
+    on this frame, such as this function returns; it is passed through.
     """
     # exprs builds on this module, so it is imported at first use
-    from .exprs import Expr, HomPoly, compose
+    from .exprs import Expr, HomPoly, LinearTrace, compose
 
     members = tuple(members)
-    if not all(isinstance(f, (Expr, HomPoly)) for f in members):
-        raise ValidationError("frame-table members are linear members and polynomials in them, not quotients")
     if isinstance(xs, FrameOperators):
         if not xs.describes(members, basis):
             raise ValidationError("frame table was measured for other members or another frame")
         return xs
+    if not all(isinstance(f, (Expr, HomPoly)) for f in members):
+        raise ValidationError("frame-table members are linear members and polynomials in them, not quotients")
     stack = stack_samples(xs, basis)
     if any(isinstance(f, HomPoly) for f in members):
         walked = {}
@@ -217,18 +179,11 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
             for g in f.args if isinstance(f, HomPoly) else (f,):
                 walked.setdefault(id(g), g)
         return compose(members, frame_operators(walked.values(), stack, basis))
-    count, m, b = stack.shape[0], len(members), len(basis)
-    curves = BasisCurves(stack, basis)
-    values = np.empty((count, m), dtype=complex)
-    f1 = np.empty((count, m, b), dtype=complex)
-    f2 = np.empty((count, m, b), dtype=complex)
-    for a, member in enumerate(members):
-        jet = member.eval_jet(curves)
-        values[:, a] = jet.f0
-        f1[:, a] = np.broadcast_to(jet.f1, (b, count)).T
-        f2[:, a] = np.broadcast_to(jet.f2, (b, count)).T
+    n = stack.shape[-1]
+    coeffs = np.array([f.coefficients(n) for f in members]).reshape(len(members), n, n)
+    jet = LinearTrace(coeffs).eval_jet(BasisCurves(stack, basis))
     # one product per sample, so a row's bits do not depend on the stack size
     signs = basis.signs
-    tau_vals = f2 @ signs
-    gram = (f1 * signs) @ f1.transpose(0, 2, 1)
-    return FrameOperators(members, basis, values, tau_vals, gram)
+    tau_vals = jet.f2 @ signs
+    gram = (jet.f1 * signs) @ jet.f1.transpose(0, 2, 1)
+    return FrameOperators(members, basis, jet.f0, tau_vals, gram)

@@ -1,14 +1,16 @@
-"""The full jet walk of composite expressions: the oracle the chain rule is
-checked against.
+"""The full jet walk of any expression: the oracle the kernels are checked
+against.
 
-``lgh`` walks jets only for linear members.  It gets every polynomial in
-them by the chain rule over monomial tables (:func:`lgh.exprs.compose`),
-and tau and kappa of a quotient P/Q only from the morphism kernel
-(:func:`lgh.morphisms.quotient_operators`).  The nodes here build sums,
-products and quotients of members and walk them as one jet through
-:class:`lgh.jets.Jet2` arithmetic, which shares no code with either.
-They subclass :class:`lgh.exprs.Expr`, so ``frame_operators``, ``tau``,
-``kappa`` and ``eval_point`` walk them like members.
+``lgh`` measures linear members by one contraction of the sample stack
+with ``[A | A Z_b^t | A (Z_b^2)^t]`` (:func:`lgh.jets.frame_operators`),
+gets every polynomial in them by the chain rule over monomial tables
+(:func:`lgh.exprs.compose`), and tau and kappa of a quotient P/Q only from
+the morphism kernel (:func:`lgh.morphisms.quotient_operators`).  The
+oracle shares no code with any of them.  It seeds a linear member's jet
+from the products x Z_b and x Z_b^2 (f1_b = sum_ij A_ij (x Z_b)_ij), walks
+sums, products and quotients of members as one jet through
+:class:`lgh.jets.Jet2` arithmetic, and takes value, tau and kappa as its
+own signed sums over the frame.
 """
 
 from __future__ import annotations
@@ -16,41 +18,104 @@ from __future__ import annotations
 import numpy as np
 
 from lgh.errors import DomainError
-from lgh.exprs import Expr, HomPoly
-from lgh.jets import Jet2
+from lgh.exprs import Entry, HomPoly, LinearTrace
+from lgh.jets import FrameOperators, Jet2
 
 
-class Const(Expr):
+class Curves:
+    """s -> x exp(sZ_b) for every sample x of a stack (S, n, n) and every
+    vector Z_b of a frame (none without one): x, x Z_b and x Z_b^2.  Jet
+    values have shape (S,), derivatives (B, S)."""
+
+    def __init__(self, xs, basis=None):
+        self.x = np.asarray(xs, dtype=complex)
+        count, n = self.x.shape[0], self.x.shape[-1]
+        zs = np.zeros((0, n, n), dtype=complex) if basis is None else basis.matrices
+        self.xz = self.x[:, None] @ zs
+        self.xz2 = self.xz @ zs
+        self.zeros = np.zeros((len(zs), count), dtype=complex)
+
+
+def jet(f, curves: Curves) -> Jet2:
+    """The jet of a member, a polynomial or an oracle node along the curves."""
+    if isinstance(f, (Entry, LinearTrace)):
+        if isinstance(f, LinearTrace):
+            a = f.matrix
+        else:
+            a = np.zeros(curves.x.shape[1:], dtype=complex)
+            a[f.i - 1, f.j - 1] = 1.0
+        return Jet2(
+            np.einsum("ij,sij->s", a, curves.x),
+            np.einsum("ij,sbij->bs", a, curves.xz),
+            np.einsum("ij,sbij->bs", a, curves.xz2),
+        )
+    return walk(f).jet(curves)
+
+
+def frame_table(members, xs, basis) -> FrameOperators:
+    """Values (S, m), tau (S, m) and signed kappa Gram (S, m, m) of any
+    expressions at the samples, as signed sums over the frame."""
+    curves = Curves(getattr(xs, "points", xs), basis)
+    jets = [jet(f, curves) for f in members]
+    f1 = np.array([j.f1 for j in jets])
+    f2 = np.array([j.f2 for j in jets])
+    signs = basis.signs
+    return FrameOperators(
+        tuple(members),
+        basis,
+        np.array([j.f0 for j in jets]).T,
+        np.einsum("b,abs->sa", signs, f2),
+        np.einsum("b,abs,cbs->sac", signs, f1, f1),
+    )
+
+
+def value(f, x) -> complex:
+    """The value of any expression at the point x."""
+    return complex(jet(f, Curves(np.asarray(x)[None])).f0[0])
+
+
+def tau(f, x, basis) -> complex:
+    """Tension field at the point x: sum_b eps_b f2_b."""
+    return complex(frame_table([f], [x], basis).tau[0, 0])
+
+
+def kappa(f, g, x, basis) -> complex:
+    """Conformality operator at the point x: sum_b eps_b f1_b g1_b, complex
+    bilinear, no conjugation."""
+    return complex(frame_table([f, g], [x], basis).kappa[0, 0, 1])
+
+
+class Const:
     def __init__(self, value):
         self.value = complex(value)
 
-    def eval_jet(self, curve):
-        return Jet2(self.value, 0.0, 0.0)
+    def jet(self, curves):
+        return Jet2(np.full(len(curves.x), self.value), curves.zeros, curves.zeros)
 
 
-class Sum(Expr):
+class Sum:
     def __init__(self, terms):
         self.terms = list(terms)
 
-    def eval_jet(self, curve):
-        total = self.terms[0].eval_jet(curve)
+    def jet(self, curves):
+        total = jet(self.terms[0], curves)
         for t in self.terms[1:]:
-            total = total + t.eval_jet(curve)
+            total = total + jet(t, curves)
         return total
 
 
-class Product(Expr):
+class Product:
     def __init__(self, factors):
         self.factors = list(factors)
 
-    def eval_jet(self, curve):
-        total = self.factors[0].eval_jet(curve)
+    def jet(self, curves):
+        total = jet(self.factors[0], curves)
         for f in self.factors[1:]:
-            total = total * f.eval_jet(curve)
+            total = total * jet(f, curves)
         return total
 
 
-class Quotient(Expr):
+class Quotient:
     """num/den with the implicit domain predicate |den(x)| > floor."""
 
     def __init__(self, num, den, floor: float = 1e-3):
@@ -58,11 +123,11 @@ class Quotient(Expr):
         self.den = walk(den)
         self.floor = float(floor)
 
-    def eval_jet(self, curve):
-        jd = self.den.eval_jet(curve)
-        if float(np.min(np.abs(np.asarray(jd.f0)))) <= self.floor:
+    def jet(self, curves):
+        jd = jet(self.den, curves)
+        if float(np.min(np.abs(jd.f0))) <= self.floor:
             raise DomainError("denominator below domain floor along curve", node=self, value=jd.f0)
-        return self.num.eval_jet(curve) / jd
+        return jet(self.num, curves) / jd
 
 
 def walk(f):

@@ -271,7 +271,7 @@ def test_tau_kappa_sign_convention_on_slr2():
     # tau on sl(2,R): minus the so(2) second derivative plus the symmetric
     # ones; at the identity tau(x_11) must equal +lambda* x_11 = 3/2
     pair = du.dual_pair(M.sl_r(2))
-    from lgh.jets import tau
+    from lgh.jets import frame_operators
 
-    val = tau(Entry(1, 1), np.eye(2, dtype=complex), pair.frame)
+    val = frame_operators([Entry(1, 1)], [np.eye(2)], pair.frame).tau[0, 0]
     assert abs(val - 1.5) < 1e-12

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from oracle import Const, Product, Sum
+from oracle import Const, Product, Sum, kappa, tau, value
 
 from lgh import families as fa
 from lgh import matrices as M
 from lgh.errors import ValidationError
-from lgh.jets import kappa, tau
+from lgh.jets import frame_operators
 from lgh.sampling import SplitMix64, sample_compact
 
 
@@ -102,10 +102,9 @@ def test_su_family_constants_measured():
 def test_sp_family_members():
     fam = fa.sp_family(1, _e(1))
     assert len(fam.members) == 2
-    z11, w11 = fam.members
     g = sample_compact(M.Sp(1), 1, 0.5, 3).points[0]
-    assert z11.eval_point(g) == g[0, 0]
-    assert w11.eval_point(g) == g[0, 1]
+    values = frame_operators(fam.members, [g], M.compact_basis(fam.group)).values[0]
+    assert (values[0], values[1]) == (g[0, 0], g[0, 1])
     assert fam.lam == -1.5
 
 
@@ -149,7 +148,7 @@ def test_verify_eigenfamily_negative_control():
     samples = sample_compact(fam.group, 50, 0.5, 42)
     rep = fa.verify_eigenfamily(broken, basis, samples, tol=1e-8)
     assert not rep.passed
-    peak = max(abs(m.eval_point(x)) for x in samples for m in fam.members)
+    peak = np.abs(frame_operators(fam.members, samples, basis).values).max()
     assert abs(rep.residuals["tau"] - 0.1 * peak) < 1e-10
 
 
@@ -208,9 +207,9 @@ def test_linear_combination_closure():
         combo = Sum([Product([Const(c1), phi1]), Product([Const(c2), phi2])])
         x = sample_compact(fam.group, 1, 0.5, 900 + trial).points[0]
         lhs = tau(combo, x, basis)
-        assert abs(lhs - fam.lam * combo.eval_point(x)) < 1e-9
+        assert abs(lhs - fam.lam * value(combo, x)) < 1e-9
         k = kappa(combo, phi2, x, basis)
-        assert abs(k - fam.mu * combo.eval_point(x) * phi2.eval_point(x)) < 1e-9
+        assert abs(k - fam.mu * value(combo, x) * value(phi2, x)) < 1e-9
 
 
 def test_minor_condition_exact_on_grid_vectors():

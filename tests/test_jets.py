@@ -1,54 +1,122 @@
-"""Jet arithmetic, entry seeds, finite-difference oracle, tau/kappa."""
+"""Jet arithmetic, the stacked walk of linear members, finite-difference
+oracle, tau/kappa."""
 
+import itertools
 import math
 
 import numpy as np
+import oracle
 import pytest
 from oracle import Const, Product, Sum, walk
 from scipy.linalg import expm
 
 from lgh import matrices as M
-from lgh.errors import DomainError
-from lgh.exprs import Entry, HomPoly
-from lgh.jets import BasisCurves, Jet2, entry_jet, kappa, tau
+from lgh.errors import DomainError, ValidationError
+from lgh.exprs import Entry, HomPoly, LinearTrace
+from lgh.jets import BasisCurves, Jet2, frame_operators
 from lgh.sampling import SplitMix64, sample_compact
 
 SQ2 = math.sqrt(2.0)
 
 
-def _curve(base, z, sign=1):
-    """The curve s -> base exp(sZ): curves along a one-vector frame."""
+def _walk(members, base, z):
+    """The members' jets along s -> base exp(sZ), walked as one coefficient
+    stack, as scalars (f0, f1, f2) per member."""
     base = np.asarray(base, dtype=complex)
-    vec = M.SignedBasisVector(np.asarray(z, dtype=complex), sign)
-    return BasisCurves(base, M.SignedBasis(M.U(base.shape[-1]), [vec]))
+    n = base.shape[-1]
+    frame = M.SignedBasis(M.U(n), [M.SignedBasisVector(np.asarray(z, dtype=complex), 1)])
+    jet = LinearTrace(np.stack([f.coefficients(n) for f in members])).eval_jet(BasisCurves(base[None], frame))
+    return [(jet.f0[0, a], jet.f1[0, a, 0], jet.f2[0, a, 0]) for a in range(len(members))]
 
 
-def _along(jet):
-    """The jet along the one frame vector of :func:`_curve`, as scalars."""
-    return Jet2(jet.f0, jet.f1[0], jet.f2[0])
+def _tau(f, x, basis):
+    return complex(frame_operators([f], [x], basis).tau[0, 0])
+
+
+def _kappa(f, g, x, basis):
+    return complex(frame_operators([f, g], [x], basis).kappa[0, 0, 1])
 
 
 def test_entry_jet_off_diagonal():
-    c = _curve(np.eye(2), M.generator("Y", (1, 2), 2))
-    jet = _along(entry_jet(c, 1, 2))
-    assert abs(jet.f0) == 0
-    assert abs(jet.f1 - 1 / SQ2) < 1e-15
-    assert abs(jet.f2) < 1e-15
+    [(f0, f1, f2)] = _walk([Entry(1, 2)], np.eye(2), M.generator("Y", (1, 2), 2))
+    assert abs(f0) == 0
+    assert abs(f1 - 1 / SQ2) < 1e-15
+    assert abs(f2) < 1e-15
 
 
 def test_entry_jet_diagonal():
-    c = _curve(np.eye(2), M.generator("Y", (1, 2), 2))
-    jet = _along(entry_jet(c, 1, 1))
-    assert jet.f0 == 1
-    assert abs(jet.f1) == 0
-    assert abs(jet.f2 + 0.5) < 1e-15
+    [(f0, f1, f2)] = _walk([Entry(1, 1)], np.eye(2), M.generator("Y", (1, 2), 2))
+    assert f0 == 1
+    assert abs(f1) == 0
+    assert abs(f2 + 0.5) < 1e-15
 
 
 def test_entry_jet_zero_direction():
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    c = _curve(x, np.zeros((2, 2)))
-    jet = _along(entry_jet(c, 2, 1))
-    assert (jet.f0, jet.f1, jet.f2) == (3.0, 0.0, 0.0)
+    jets = _walk([Entry(2, 1), Entry(1, 2), LinearTrace(np.ones((2, 2)))], x, np.zeros((2, 2)))
+    assert jets == [(3.0, 0.0, 0.0), (2.0, 0.0, 0.0), (10.0, 0.0, 0.0)]
+
+
+def test_frame_operators_refuse_malformed_members():
+    """Only linear members and polynomials in them are measured: anything
+    else, an entry out of range or a coefficient matrix of the wrong size
+    is a ValidationError, not an AttributeError or a shape error."""
+    from lgh import families as fa
+    from lgh import morphisms as mo
+
+    gid = M.U(2)
+    basis = M.compact_basis(gid)
+    samples = sample_compact(gid, 3, 0.5, 4)
+    fam = fa.u_family(2, np.array([1.0, 0.0]))
+    hopf = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0})
+    bad = [
+        Const(1.0),
+        walk(HomPoly({(2,): 1.0}, [Entry(1, 1)])),
+        hopf,
+        object(),
+        Entry(3, 1),
+        Entry(1, 3),
+        LinearTrace(np.eye(3)),
+        LinearTrace(np.stack([np.eye(2), np.eye(2)])),
+        HomPoly({(1,): 1.0}, [Const(1.0)]),
+        HomPoly({(1,): 1.0}, [Entry(3, 3)]),
+    ]
+    for f in bad:
+        with pytest.raises(ValidationError):
+            frame_operators([Entry(1, 1), f], samples, basis)
+    with pytest.raises(ValidationError):
+        LinearTrace(np.ones((2, 3)))
+    with pytest.raises(ValidationError):
+        Entry(0, 1)
+
+
+def _rand(rng, n):
+    return np.array([[rng.complex_uniform() for _ in range(n)] for _ in range(n)])
+
+
+def _stack_cases():
+    from lgh import duality as du
+
+    rng = SplitMix64(8)
+    gid = M.U(3)
+    members = [Entry(1, 2), LinearTrace(_rand(rng, 3)), Entry(3, 3), LinearTrace(_rand(rng, 3))]
+    yield "U(3)", members, M.compact_basis(gid), sample_compact(gid, 12, 0.5, 6)
+    pair = du.dual_pair(M.su_pq(1, 2))
+    members = [LinearTrace(_rand(rng, 3)), Entry(2, 1), Entry(1, 1), LinearTrace(_rand(rng, 3))]
+    yield "SU(1,2) frame", members, pair.frame, du.sample_noncompact(pair, 12, 0.5, 7)
+
+
+@pytest.mark.parametrize("case", list(_stack_cases()), ids=lambda c: c[0])
+def test_member_values_do_not_depend_on_the_stack(case):
+    """A member's column of values is the same bits whether it is walked
+    alone or with any subset of the other members, in any order."""
+    _, members, basis, samples = case
+    alone = [frame_operators([f], samples, basis).values[:, 0] for f in members]
+    for size in range(2, len(members) + 1):
+        for order in itertools.permutations(range(len(members)), size):
+            table = frame_operators([members[a] for a in order], samples, basis)
+            for column, a in enumerate(order):
+                assert np.array_equal(table.values[:, column], alone[a])
 
 
 def test_jet_mul_constant_identity():
@@ -107,48 +175,48 @@ def test_finite_difference_oracle():
         x = sample_compact(gid, 1, 0.5, seed=100 + trial).points[0]
         z = basis.vectors[rng.next_u64() % len(basis)]
         f = _random_poly(members, rng)
-        jet = _along(f.eval_jet(BasisCurves(x, M.SignedBasis(gid, [z]))))
+        jet = oracle.jet(f, oracle.Curves(x[None], M.SignedBasis(gid, [z])))
         vals = {}
         for s in (-h, 0.0, h):
-            vals[s] = f.eval_point(x @ expm(s * z.matrix))
+            vals[s] = oracle.value(f, x @ expm(s * z.matrix))
         fd1 = (vals[h] - vals[-h]) / (2 * h)
         fd2 = (vals[h] - 2 * vals[0.0] + vals[-h]) / (h * h)
-        assert abs(fd1 - complex(jet.f1)) < 5e-7
-        assert abs(fd2 - complex(jet.f2)) < 5e-5
+        assert abs(fd1 - complex(jet.f1[0, 0])) < 5e-7
+        assert abs(fd2 - complex(jet.f2[0, 0])) < 5e-5
 
 
 def test_tau_x11_identity_so2():
     basis = M.compact_basis(M.SO(2))
-    val = tau(Entry(1, 1), np.eye(2, dtype=complex), basis)
+    val = _tau(Entry(1, 1), np.eye(2, dtype=complex), basis)
     assert abs(val + 0.5) < 1e-14
 
 
 def test_tau_z11_identity_u2():
     basis = M.compact_basis(M.U(2))
-    val = tau(Entry(1, 1), np.eye(2, dtype=complex), basis)
+    val = _tau(Entry(1, 1), np.eye(2, dtype=complex), basis)
     assert abs(val + 2.0) < 1e-14
 
 
 def test_tau_constant_vanishes():
     basis = M.compact_basis(M.U(3))
     x = sample_compact(M.U(3), 1, 0.5, 7).points[0]
-    assert tau(Const(3.5 + 1j), x, basis) == 0
+    assert oracle.tau(Const(3.5 + 1j), x, basis) == 0
 
 
 def test_kappa_x11_with_itself_at_identity():
     basis = M.compact_basis(M.SO(2))
-    assert kappa(Entry(1, 1), Entry(1, 1), np.eye(2, dtype=complex), basis) == 0
+    assert _kappa(Entry(1, 1), Entry(1, 1), np.eye(2, dtype=complex), basis) == 0
 
 
 def test_kappa_z11_z22_at_identity():
     basis = M.compact_basis(M.U(2))
-    assert abs(kappa(Entry(1, 1), Entry(2, 2), np.eye(2, dtype=complex), basis)) < 1e-15
+    assert abs(_kappa(Entry(1, 1), Entry(2, 2), np.eye(2, dtype=complex), basis)) < 1e-15
 
 
 def test_kappa_against_constant_vanishes():
     basis = M.compact_basis(M.U(2))
     x = sample_compact(M.U(2), 1, 0.5, 8).points[0]
-    assert kappa(Entry(1, 2), Const(4.0), x, basis) == 0
+    assert oracle.kappa(Entry(1, 2), Const(4.0), x, basis) == 0
 
 
 def test_kappa_bilinearity():
@@ -160,8 +228,8 @@ def test_kappa_bilinearity():
     for trial in range(5):
         x = sample_compact(M.U(2), 1, 0.5, 300 + trial).points[0]
         alpha = rng.complex_uniform()
-        lhs = kappa(Sum([Product([Const(alpha), f]), g]), hh, x, basis)
-        rhs = alpha * kappa(f, hh, x, basis) + kappa(g, hh, x, basis)
+        lhs = oracle.kappa(Sum([Product([Const(alpha), f]), g]), hh, x, basis)
+        rhs = alpha * _kappa(f, hh, x, basis) + _kappa(g, hh, x, basis)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -189,23 +257,25 @@ def test_tau_kappa_basis_independence():
     g = Entry(1, 2)
     for trial in range(5):
         x = sample_compact(gid, 1, 0.5, 500 + trial).points[0]
-        assert abs(tau(f, x, basis) - tau(f, x, basis2)) < 1e-9
-        assert abs(kappa(f, g, x, basis) - kappa(f, g, x, basis2)) < 1e-9
+        assert abs(_tau(f, x, basis) - _tau(f, x, basis2)) < 1e-9
+        assert abs(_kappa(f, g, x, basis) - _kappa(f, g, x, basis2)) < 1e-9
 
 
 def test_basis_curves_match_single_curves():
+    """The frame table on the whole frame is the signed sum of the tables
+    on its one-vector frames: the curves along every vector at once give
+    each curve's jet."""
     gid = M.Sp(1)
     basis = M.compact_basis(gid)
-    x = sample_compact(gid, 1, 0.5, 12).points[0]
-    curves = BasisCurves(x, basis)
-    f = walk(HomPoly({(2,): 1.0}, [Entry(1, 2)]))
-    batched = f.eval_jet(curves)
+    samples = sample_compact(gid, 5, 0.5, 12)
+    members = [HomPoly({(2,): 1.0}, [Entry(1, 2)]), Entry(1, 1)]
+    whole = frame_operators(members, samples, basis)
+    singles = [frame_operators(members, samples, M.SignedBasis(gid, [vec])) for vec in basis]
     # stacked and single matrix products may take different BLAS paths, so
     # agreement is to rounding rather than bitwise
-    for b, vec in enumerate(basis):
-        single = _along(f.eval_jet(BasisCurves(x, M.SignedBasis(gid, [vec]))))
-        assert abs(batched.f1[b] - single.f1) < 1e-14
-        assert abs(batched.f2[b] - single.f2) < 1e-14
+    assert all(np.array_equal(one.values, whole.values) for one in singles)
+    assert np.abs(whole.tau - sum(one.tau for one in singles)).max() < 1e-14
+    assert np.abs(whole.kappa - sum(one.kappa for one in singles)).max() < 1e-14
 
 
 def _frame_cases():
@@ -230,8 +300,8 @@ def test_frame_operators_match_per_sample_tau_and_kappa(case):
     from lgh.jets import frame_operators
 
     _, members, basis, samples = case
-    walked = [walk(f) for f in members]
     ops = frame_operators(members, samples, basis)
+    full = oracle.frame_table(members, samples, basis)
     m = len(members)
     assert ops.values.shape == (len(samples), m)
     assert ops.tau.shape == (len(samples), m)
@@ -241,11 +311,9 @@ def test_frame_operators_match_per_sample_tau_and_kappa(case):
         assert np.array_equal(ops.values[s], one.values[0])
         assert np.array_equal(ops.tau[s], one.tau[0])
         assert np.array_equal(ops.kappa[s], one.kappa[0])
-        for a, f in enumerate(walked):
-            assert abs(ops.values[s, a] - f.eval_point(x)) <= 1e-12
-            assert abs(ops.tau[s, a] - tau(f, x, basis)) <= 1e-12
-            for c, g in enumerate(walked):
-                assert abs(ops.kappa[s, a, c] - kappa(f, g, x, basis)) <= 1e-12
+        assert np.abs(ops.values[s] - full.values[s]).max() <= 1e-12
+        assert np.abs(ops.tau[s] - full.tau[s]).max() <= 1e-12
+        assert np.abs(ops.kappa[s] - full.kappa[s]).max() <= 1e-12
 
 
 def test_frame_operators_pass_their_own_table_through_only():

@@ -1,14 +1,16 @@
 """Power families, rational morphisms, quotient condition, composition."""
 
 import numpy as np
+import oracle
 import pytest
-from oracle import Quotient, walk
+from oracle import Quotient
 
 from lgh import families as fa
 from lgh import matrices as M
 from lgh import morphisms as mo
 from lgh.errors import InconclusiveError, ValidationError
-from lgh.exprs import HomPoly
+from lgh.exprs import HomPoly, compose
+from lgh.jets import frame_operators
 from lgh.sampling import SplitMix64, compact_sampler, sample_compact
 
 
@@ -59,7 +61,7 @@ def test_quotient_morphism_hopf_members():
     m = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0})
     g = sample_compact(fam.group, 1, 0.5, 5).points[0]
     # on SU(2) in the standard block form the quotient is z/w
-    assert abs(Quotient(m.numerator, m.denominator).eval_point(g) - g[0, 0] / g[0, 1]) < 1e-14
+    assert abs(oracle.value(Quotient(m.numerator, m.denominator), g) - g[0, 0] / g[0, 1]) < 1e-14
 
 
 def test_quotient_morphism_rejects_proportional():
@@ -90,7 +92,6 @@ def test_hopf_is_harmonic_morphism():
 
 def test_morphism_at_a_pole_raises_and_the_verifier_screens_it():
     from lgh.errors import DomainError
-    from lgh.jets import frame_operators, kappa, tau
 
     fam = fa.su_family(2, _e(2))
     m = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0}, floor=0.1)
@@ -104,8 +105,8 @@ def test_morphism_at_a_pole_raises_and_the_verifier_screens_it():
     # a quotient is no frame-table member: only the morphism kernel takes it
     for call in (
         lambda: frame_operators([m], [regular], basis),
-        lambda: tau(m, regular, basis),
-        lambda: kappa(m, m, regular, basis),
+        lambda: frame_operators([m.numerator, m], [regular], basis),
+        lambda: frame_operators([HomPoly({(2,): 1.0}, [m])], [regular], basis),
     ):
         with pytest.raises(ValidationError):
             call()
@@ -159,8 +160,6 @@ def test_kernel_rows_do_not_depend_on_which_quotients_share_the_call():
     """K quotients in one kernel call, one at a time and in reverse order:
     each quotient's tau, kappa and quotient-condition arrays are the same
     bits, and a lone sample gives the bits of its row in the stack."""
-    from lgh.jets import frame_operators
-
     fam = fa.u_family(3, _e(3))
     basis = M.compact_basis(fam.group)
     table = frame_operators(fam.members, sample_compact(fam.group, 30, 0.5, 42), basis)
@@ -202,7 +201,7 @@ def test_negative_control_z11_over_one_fails():
     samples = sample_compact(gid, 50, 0.5, 42)
     rep = mo.verify_harmonic_morphism(control, basis, samples, tol=1e-8)
     assert not rep.passed
-    peak = max(abs(member.eval_point(x)) for x in samples)
+    peak = np.abs(frame_operators([member], samples, basis).values).max()
     assert abs(rep.residuals["tau"] - 2.0 * peak) < 1e-12
     assert abs(rep.residuals["kappa"] - peak * peak) < 1e-12
 
@@ -287,33 +286,35 @@ def test_mobius_rejects_singular():
 
 def _shared_denominator_orthogonal_family(den=2):
     """The quotients of the U(3) row family by its member ``den``, and the
-    samples where that member clears the floor."""
+    samples where that member clears the floor.  The quotients are oracle
+    nodes, not frame-table members: :func:`oracle.frame_table` measures
+    them."""
     fam = fa.u_family(3, _e(3))
     floor = 0.1
     quotients = [Quotient(f, fam.members[den], floor) for i, f in enumerate(fam.members) if i != den]
     orth = mo.orthogonal_family(fam.group, quotients)
-    samples = [
-        x
-        for x in sample_compact(fam.group, 80, 0.5, 42)
-        if abs(fam.members[den].eval_point(x)) > floor
-    ]
-    return orth, samples
+    samples = sample_compact(fam.group, 80, 0.5, 42)
+    table = frame_operators(fam.members, samples, M.compact_basis(fam.group))
+    return orth, [x for x, q in zip(samples, table.values[:, den]) if abs(q) > floor]
 
 
 def test_orthogonal_family_of_shared_denominator_quotients():
     orth, samples = _shared_denominator_orthogonal_family()
     basis = M.compact_basis(orth.group)
-    rep = fa.verify_eigenfamily(orth, basis, samples, tol=1e-7)
+    rep = fa.verify_eigenfamily(orth, basis, oracle.frame_table(orth.members, samples, basis), tol=1e-7)
     assert rep.passed, rep.residuals
 
 
 def test_compose_orthogonal_polynomial():
+    """A polynomial in an orthogonal family, composed by the chain rule from
+    the members' table, is again harmonic with isotropic gradient."""
     orth, samples = _shared_denominator_orthogonal_family()
     basis = M.compact_basis(orth.group)
-    assert fa.verify_eigenfamily(orth, basis, samples[:20], tol=1e-8).passed
+    table = oracle.frame_table(orth.members, samples, basis)
+    assert fa.verify_eigenfamily(orth, basis, table.rows(slice(20)), tol=1e-8).passed
     composed = mo.compose_orthogonal(orth, {(2, 0): 1.0, (1, 1): -0.5j, (0, 0): 3.0})
     rep = fa.verify_eigenfamily(
-        mo.orthogonal_family(orth.group, [composed]), basis, samples, tol=1e-7
+        mo.orthogonal_family(orth.group, [composed]), basis, compose([composed], table), tol=1e-7
     )
     assert rep.passed, rep.residuals
 
@@ -375,32 +376,30 @@ def test_chain_rule_matches_full_jet_walk(case):
     """Polynomials composed from their members' frame table, and tau(P/Q)
     and kappa(P/Q, P/Q) from the morphism kernel on the monomial table and
     domain screen the verifier builds, against the oracle's full jet walk
-    at every sample."""
-    from lgh.jets import BasisCurves, frame_operators
-
+    at every sample.  Quotients are not frame-table members, so
+    polynomials in them are composed from the oracle's table of them."""
     _, fam, polys, quotient, samples = case
     basis = M.compact_basis(fam.group)
-    signs = basis.signs
-    ops = frame_operators(polys, samples, basis)
+    if isinstance(fam.members[0], Quotient):
+        ops = compose(polys, oracle.frame_table(fam.members, samples, basis))
+    else:
+        ops = frame_operators(polys, samples, basis)
+    full = oracle.frame_table(polys, samples, basis)
     if quotient:
         m = mo.RationalMorphism(fam, *polys, floor=0.2)
         mono = mo.MonomialTable.over(frame_operators(fam.members, samples, basis), m.degrees)
         rows = mo._screen(mono.values, mo._denominators([m])) > m.floor
         q_tau, q_kappa = mo.quotient_operators([m], mono, rows)
     for s, x in enumerate(samples):
-        curves = BasisCurves(x, basis)
-        jets = [walk(f).eval_jet(curves) for f in polys]
-        for a, ja in enumerate(jets):
-            assert abs(ops.values[s, a] - ja.f0) <= 1e-12
-            assert abs(ops.tau[s, a] - np.sum(signs * ja.f2)) <= 1e-12
-            for c, jc in enumerate(jets):
-                assert abs(ops.kappa[s, a, c] - np.sum(signs * ja.f1 * jc.f1)) <= 1e-12
+        assert np.abs(ops.values[s] - full.values[s]).max() <= 1e-12
+        assert np.abs(ops.tau[s] - full.tau[s]).max() <= 1e-12
+        assert np.abs(ops.kappa[s] - full.kappa[s]).max() <= 1e-12
         if quotient:
-            assert rows[s, 0] == (abs(jets[1].f0) > 0.2)
+            assert rows[s, 0] == (abs(full.values[s, 1]) > 0.2)
         if quotient and rows[s, 0]:
-            jet = Quotient(*polys, 0.2).eval_jet(curves)
-            assert abs(q_tau[s, 0] - np.sum(signs * jet.f2)) <= 1e-12
-            assert abs(q_kappa[s, 0] - np.sum(signs * jet.f1 * jet.f1)) <= 1e-12
+            one = oracle.frame_table([Quotient(*polys, 0.2)], [x], basis)
+            assert abs(q_tau[s, 0] - one.tau[0, 0]) <= 1e-12
+            assert abs(q_kappa[s, 0] - one.kappa[0, 0, 0]) <= 1e-12
     assert not quotient or np.count_nonzero(rows) >= 10
 
 
@@ -514,8 +513,6 @@ def test_look_ahead_block_size_does_not_change_a_report(monkeypatch, block, ahea
 
 
 def test_frame_table_must_describe_the_family_members():
-    from lgh.jets import frame_operators
-
     fam = fa.u_family(2, _e(2))
     other = fa.u_family(2, _e(2, 1))
     basis = M.compact_basis(fam.group)
