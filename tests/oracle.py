@@ -38,18 +38,18 @@ class Curves:
 
 def jet(f, curves: Curves) -> Jet2:
     """The jet of a member, a polynomial or an oracle node along the curves."""
-    if isinstance(f, (Entry, LinearTrace)):
-        if isinstance(f, LinearTrace):
-            a = f.matrix
-        else:
-            a = np.zeros(curves.x.shape[1:], dtype=complex)
-            a[f.i - 1, f.j - 1] = 1.0
-        return Jet2(
-            np.einsum("ij,sij->s", a, curves.x),
-            np.einsum("ij,sbij->bs", a, curves.xz),
-            np.einsum("ij,sbij->bs", a, curves.xz2),
-        )
-    return walk(f).jet(curves)
+    if isinstance(f, LinearTrace):
+        a = f.matrix
+    elif isinstance(f, Entry):
+        a = np.zeros(curves.x.shape[1:], dtype=complex)
+        a[f.i - 1, f.j - 1] = 1.0
+    else:
+        return walk(f).jet(curves)
+    return Jet2(
+        np.einsum("ij,sij->s", a, curves.x),
+        np.einsum("ij,sbij->bs", a, curves.xz),
+        np.einsum("ij,sbij->bs", a, curves.xz2),
+    )
 
 
 def frame_table(members, xs, basis) -> FrameOperators:
