@@ -218,7 +218,7 @@ def aligned_defect(pair: DualPair, xs: np.ndarray) -> np.ndarray:
 
 
 def aligned_sampler(pair: DualPair, radius: float = 0.5, seed: int = 42) -> GroupSampler:
-    return GroupSampler(pair.frame.matrices, radius, seed, defect_fn=lambda xs: aligned_defect(pair, xs))
+    return GroupSampler(pair.frame, radius, seed, defect_fn=lambda xs: aligned_defect(pair, xs))
 
 
 def sample_noncompact(pair: DualPair, count: int, radius: float = 0.5, seed: int = 42) -> SampleSet:
@@ -260,7 +260,8 @@ def verify_dual_eigenfamily(
     tol: float = 1e-8,
 ) -> VerificationReport:
     """Verify the continued family on non-compact samples with the signed
-    frame: tau and kappa must hit the negated compact constants."""
+    frame: tau and kappa must hit the negated compact constants.  With no
+    sample, :class:`InconclusiveError`."""
     dfam = dual_family(pair, fam)
     rep = verify_eigenfamily(dfam, pair.frame, samples, tol=tol)
     rep.check = "dual-eigenfamily"

@@ -168,7 +168,7 @@ class LinearTrace(Expr):
 
 
 class HomPoly:
-    """Polynomial in a fixed argument list.
+    """Polynomial in a fixed, nonempty argument list.
 
     ``coeffs`` maps exponent multi-indices (one entry per argument) to
     complex coefficients.  Terms may have any total degree, a constant
@@ -178,6 +178,8 @@ class HomPoly:
 
     def __init__(self, coeffs, args):
         self.args = list(args)
+        if not self.args:
+            raise ValidationError("a polynomial needs at least one argument")
         items = {}
         for expo, c in coeffs.items():
             expo = tuple(int(e) for e in expo)

@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InconclusiveError, ValidationError
 from .exprs import LinearTrace
 from .jets import frame_operators, stack_samples
 from .matrices import GroupId, SignedBasis, compact_basis
@@ -189,7 +189,7 @@ def verify_eigenfamily(
     over all samples and all ordered member pairs (diagonal included).
 
     ``samples`` are group points or a :func:`frame_operators` table of the
-    family members on ``basis``.
+    family members on ``basis``; with none, :class:`InconclusiveError`.
     """
     if basis.group != fam.group:
         raise ValidationError(
@@ -197,6 +197,8 @@ def verify_eigenfamily(
         )
     with timed_report() as clock:
         ops = frame_operators(fam.members, samples, basis)
+        if not len(ops):
+            raise InconclusiveError("no samples; cannot verify the eigenfamily")
         tau_res = _maxabs(ops.tau - fam.lam * ops.values)
         outer = ops.values[:, :, None] * ops.values[:, None, :]
         kappa_res = _maxabs(ops.kappa - fam.mu * outer)
@@ -242,14 +244,42 @@ def _side_by_side(group: GroupId) -> np.ndarray:
     return side
 
 
+@cache
+def _real_tables(group: GroupId) -> tuple[np.ndarray, np.ndarray]:
+    """The side-by-side frame and the Casimir of a group whose frame has no
+    imaginary part, as contiguous float64 arrays."""
+    side = np.ascontiguousarray(_side_by_side(group).real)
+    casimir = np.ascontiguousarray(compact_basis(group).casimir.real)
+    side.setflags(write=False)
+    casimir.setflags(write=False)
+    return side, casimir
+
+
 def _coordinate_tables(x, basis: SignedBasis):
     """tau table T[s,i,j] = (x_s C)_ij, with C the frame's Casimir, and kappa
     4-tensor K[s,i,j,k,l] = sum_b eps_b (x_s Z_b)_ij (x_s Z_b)_kl over a
-    block x."""
+    block x, in the dtype of x (float64 only for a real frame)."""
     s, n, b = x.shape[0], x.shape[-1], len(basis)
-    flat = (x @ _side_by_side(basis.group)).reshape(s, n, b, n).transpose(0, 2, 1, 3).reshape(s, b, n * n)
+    if np.iscomplexobj(x):
+        side, casimir = _side_by_side(basis.group), basis.casimir
+    else:
+        side, casimir = _real_tables(basis.group)
+    flat = (x @ side).reshape(s, n, b, n).transpose(0, 2, 1, 3).reshape(s, b, n * n)
     k4 = (flat.transpose(0, 2, 1) * basis.signs) @ flat
-    return x @ basis.casimir, k4.reshape(s, n, n, n, n)
+    return x @ casimir, k4.reshape(s, n, n, n, n)
+
+
+def _outer(x) -> np.ndarray:
+    """The 4-tensor x_il x_kj at every sample of a block, laid out
+    (s, i, l, k, j): the outer product of each flattened x with itself.
+    Complex blocks keep einsum's product, real ones multiply."""
+    s, n = x.shape[0], x.shape[-1]
+    flat = x.reshape(s, n * n)
+    if np.iscomplexobj(x):
+        out = np.einsum("sa,sb->sab", flat, flat)
+    else:
+        out = np.multiply(flat[:, :, None], flat[:, None, :])
+    return out.reshape(s, n, n, n, n)
 
 
 def _cross(a, b) -> np.ndarray:
@@ -276,14 +306,20 @@ def verify_coordinate_lemmas(
     are built in place on its cross tensors x_il x_kj (one per block on
     SO(n) and U(n)): the delta terms are subtracted on diagonal slices, the
     stated factor 1/2 is applied (exactly) and the measured 4-tensor added.
-    Every step acts on each sample alone, so the residuals do not depend on
-    the block size."""
+    On SO(n) and U(n) the cross tensor is the outer product of the flattened
+    x with itself, laid out (s, i, l, k, j), and the 4-tensor is read in that
+    layout; the slices and the maxima do not depend on it.  An SO(n) stack
+    with no imaginary part, every point the sampler draws, is checked in
+    float64: each step's real part rounds as in complex arithmetic, so the
+    residuals are those of the complex stack.  Every step acts on each
+    sample alone, so the residuals do not depend on the block size.  An
+    empty stack raises :class:`InconclusiveError`."""
     if group.family not in LEMMA_FAMILIES:
         raise ValidationError(f"no coordinate relations for {group.family!r}")
     basis = compact_basis(group)
     n = group.n
-    diag = np.arange(n)  # the slices [:, :, j, :, j]
-    ii, jj = np.divmod(np.arange(n * n), n)  # the entries [:, i, j, i, j]
+    diag = np.arange(n)  # the slices [:, :, j, :, j]: axes 2 and 4 equal
+    ii, jj = np.divmod(np.arange(n * n), n)  # the entries [:, i, j, i, j]: axes 1, 3 and 2, 4 equal
     res: dict[str, float] = {}
 
     def bump(key, val):
@@ -291,12 +327,17 @@ def verify_coordinate_lemmas(
 
     with timed_report() as clock:
         stack = stack_samples(samples, basis)
+        if not len(stack):
+            raise InconclusiveError("no samples; cannot verify the coordinate lemmas")
+        if group.family == "SO" and not np.any(stack.imag):
+            stack = np.ascontiguousarray(stack.real)
         for lo in range(0, len(stack), LEMMA_BLOCK):
             x = stack[lo : lo + LEMMA_BLOCK]
             t, k4 = _coordinate_tables(x, basis)
             if group.family == "SO":
                 bump("tau", t + (n - 1) / 2.0 * x)
-                cross = _cross(x, x)
+                cross = _outer(x)
+                k4 = k4.transpose(0, 1, 4, 3, 2)
                 # k4 - general, general = -1/2 (x_il x_kj - (x x^t)_ik delta_jl)
                 general = cross.copy()
                 general[:, :, diag, :, diag] -= x @ x.transpose(0, 2, 1)
@@ -310,8 +351,8 @@ def verify_coordinate_lemmas(
                 bump("kappa_on_group", cross)
             elif group.family == "U":
                 bump("tau", t + n * x)
-                cross = _cross(x, x)
-                cross += k4
+                cross = _outer(x)
+                cross += k4.transpose(0, 1, 4, 3, 2)
                 bump("kappa", cross)
             else:
                 zb = x[:, :n, :n]

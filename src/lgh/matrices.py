@@ -217,6 +217,32 @@ class SignedBasis:
         zs = self.matrices
         return _read_only(np.tensordot(self.signs, zs @ zs, axes=1))
 
+    @cached_property
+    def real(self) -> bool:
+        """Whether no basis matrix has an imaginary part."""
+        return not np.any(self.matrices.imag)
+
+    @cached_property
+    def gather_plan(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The frame's nonzeros, rank by rank, for sums sum_b c_b Z_b that
+        skip the zero terms.
+
+        Entries are those of the float64 view of the frame: the (n, n) real
+        matrices of a :attr:`real` frame, else the (n, n, 2) interleaved real
+        and imaginary parts, flattened.  Rank r is ``(pos, js, vals)``: each
+        entry ``pos`` with more than r nonzeros, the basis index ``js`` of its
+        r-th nonzero (in ascending b) and that value."""
+        zs = self.matrices
+        parts = zs.real if self.real else zs.view(float)
+        flat = parts.reshape(len(zs), math.prod(parts.shape[1:]))
+        nonzero = flat != 0
+        rank = np.cumsum(nonzero, axis=0) - 1
+        plan = []
+        for r in range(int(nonzero.sum(axis=0).max(initial=0))):
+            pos, js = np.nonzero((nonzero & (rank == r)).T)
+            plan.append(tuple(_read_only(a) for a in (pos, js, flat[js, pos])))
+        return tuple(plan)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)

@@ -452,6 +452,7 @@ def verify_quotient_condition(
     P and Q are polynomials (or coefficient maps), or two equal-length
     lists of them, the pairs (P_k, Q_k); the residuals are then the maxima
     over all pairs.  ``samples`` may be the family members' frame table.
+    With no sample, :class:`InconclusiveError`.
     """
     single = not isinstance(P, (list, tuple))
     nums = [_as_hompoly(f, fam.members) for f in ([P] if single else P)]
@@ -461,6 +462,8 @@ def verify_quotient_condition(
     _over_members(nums + dens, fam.members)
     with timed_report() as clock:
         table = frame_operators(fam.members, samples, basis)
+        if not len(table):
+            raise InconclusiveError("no samples; cannot verify the quotient condition")
         res = {
             key: float(np.max(val, initial=0.0))
             for key, val in quotient_condition(fam, nums, dens, table).items()

@@ -9,9 +9,13 @@ one numpy build and CPU dispatch path.
 
 Points are drawn a batch at a time: :meth:`GroupSampler.take` draws the
 coefficients of the whole batch as one block of the stream, combines them
-with the basis by a fixed-order elementwise sum, exponentiates the stacked
-generators in one :func:`expm` call and multiplies the two factors with the
-same elementwise product.  No BLAS or LAPACK call touches a sample, and every
+with the basis, exponentiates the stacked generators in one :func:`expm`
+call and multiplies the two factors with an elementwise product.  The
+combination gathers only the frame's nonzero terms: each generator entry is
+the sum of only its nonzero products c_b (Z_b)_ij, added in ascending b.
+A skipped term is c 0 = +-0, and adding +-0 leaves a sum unchanged (+0 + -0
+is +0), so the entries are those of the dense sum over all b in that order,
+signs of zero included.  No BLAS or LAPACK call touches a sample, and every
 step acts on each point alone, so a point's bits do not depend on the batch
 size, and ``take(a)`` followed by ``take(b)`` gives the same points as
 ``take(a + b)``.  What is left of the platform is numpy's complex multiply,
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matrices import GroupId, symplectic_matrix
+from .matrices import GroupId, SignedBasis, symplectic_matrix
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -151,16 +155,6 @@ def compact_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
         j = symplectic_matrix(group.n)
         return _worst(unitary, _maxabs_rows(xs @ j @ xt - j))
     raise ValidationError(f"no compact defect for family {fam!r}")
-
-
-def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[..., j] * mats[j] for real arrays, added term by term in
-    the order j = 0, 1, ...  Elementwise, so every output entry is the same
-    sequence of roundings whatever the leading shape of ``coeffs``."""
-    out = np.zeros(coeffs.shape[:-1] + mats.shape[1:])
-    for j in range(mats.shape[0]):
-        out += coeffs[..., j, None, None] * mats[j]
-    return out
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -286,18 +280,16 @@ class GroupSampler:
 
     Consecutive :meth:`take` calls continue the same SplitMix64 stream, so
     oversampling is reproducible: the k-th point of a run never depends on
-    how the draws were batched.  ``defect_fn`` maps an (S, n, n) stack of
-    points to their (S,) structural defects.
+    how the draws were batched.  The generators are gathered from the
+    basis's :attr:`~lgh.matrices.SignedBasis.gather_plan`, which the basis
+    builds once for all its samplers.  ``defect_fn`` maps an (S, n, n) stack
+    of points to their (S,) structural defects.
     """
 
-    def __init__(self, basis_matrices: np.ndarray, radius: float, seed: int, defect_fn):
+    def __init__(self, basis: SignedBasis, radius: float, seed: int, defect_fn):
         if radius < 0:
             raise ValidationError("radius must be nonnegative")
-        mats = np.asarray(basis_matrices, dtype=complex)
-        # an exactly real frame (SO(n), the aligned SL(n,R) and Sp(n,R)) is
-        # exponentiated in float64; its points are those of the complex kernel
-        self._real = not np.any(mats.imag)
-        self._mats = mats.real.copy() if self._real else mats
+        self._basis = basis
         self.radius = float(radius)
         self._rng = SplitMix64(seed)
         self._defect_fn = defect_fn
@@ -307,15 +299,16 @@ class GroupSampler:
         stream, those of exp(A1) first."""
         if count < 0:
             raise ValidationError("count must be nonnegative")
-        b, n = self._mats.shape[0], self._mats.shape[-1]
+        basis = self._basis
+        b, n = basis.matrices.shape[:2]
         coeffs = self._rng.uniforms(2 * b * count, -self.radius, self.radius).reshape(count, 2, b)
-        if self._real:
-            gens = _combine(coeffs, self._mats)
-        else:
-            gens = np.empty((count, 2, n, n), dtype=complex)
-            gens.real = _combine(coeffs, self._mats.real)
-            gens.imag = _combine(coeffs, self._mats.imag)
-        factors = np.moveaxis(expm(gens, real=self._real), (0, 1), (-1, 0))
+        # an exactly real frame (SO(n), the aligned SL(n,R) and Sp(n,R)) is
+        # exponentiated in float64; its points are those of the complex kernel
+        flat = np.zeros((count, 2, n * n if basis.real else 2 * n * n))
+        for pos, js, vals in basis.gather_plan:
+            flat[..., pos] += coeffs[..., js] * vals
+        gens = (flat if basis.real else flat.view(complex)).reshape(count, 2, n, n)
+        factors = np.moveaxis(expm(gens, real=basis.real), (0, 1), (-1, 0))
         # defects are checked on the complex stack: @ and det in float64
         # would round differently and move them
         points = np.moveaxis(_matmul(*factors), -1, 0).astype(complex, order="C")
@@ -326,7 +319,7 @@ def compact_sampler(group: GroupId, radius: float = 0.5, seed: int = 42) -> Grou
     from .matrices import compact_basis  # local import keeps module load light
 
     basis = compact_basis(group)
-    return GroupSampler(basis.matrices, radius, seed, defect_fn=lambda xs: compact_defect(group, xs))
+    return GroupSampler(basis, radius, seed, defect_fn=lambda xs: compact_defect(group, xs))
 
 
 def sample_compact(group: GroupId, count: int, radius: float = 0.5, seed: int = 42) -> SampleSet:

@@ -20,6 +20,7 @@ import numpy as np
 from lgh.errors import DomainError
 from lgh.exprs import Entry, HomPoly, LinearTrace
 from lgh.jets import FrameOperators, Jet2
+from lgh.matrices import compact_basis
 
 
 class Curves:
@@ -141,3 +142,31 @@ def walk(f):
         Product([Const(c)] + [arg for arg, e in zip(args, expo) for _ in range(e)])
         for expo, c in sorted(f.coeffs.items())
     )
+
+
+def coordinate_lemma_residuals(group, xs) -> dict:
+    """The residuals of :func:`lgh.families.verify_coordinate_lemmas` on
+    SO(n) or U(n), measured in complex arithmetic on the complex stack: the
+    products x Z_b and x x^t and the signed kappa 4-tensor by complex gemm,
+    the cross tensor x_il x_kj by einsum in its (s, i, j, k, l) layout."""
+    basis = compact_basis(group)
+    x = np.asarray(xs, dtype=complex)
+    s, n, b = x.shape[0], x.shape[-1], len(basis)
+    side = basis.matrices.transpose(1, 0, 2).reshape(n, b * n)
+    flat = (x @ side).reshape(s, n, b, n).transpose(0, 2, 1, 3).reshape(s, b, n * n)
+    k4 = ((flat.transpose(0, 2, 1) * basis.signs) @ flat).reshape(s, n, n, n, n)
+    cross = np.einsum("sil,skj->sijkl", x, x)
+    eye = np.eye(n)
+    delta_jl = np.einsum("sik,jl->sijkl", x @ x.transpose(0, 2, 1), eye)
+    delta_ik_jl = np.einsum("ik,jl->ijkl", eye, eye)
+
+    def maxabs(a):
+        return float(np.max(np.abs(a)))
+
+    if group.family == "SO":
+        return {
+            "tau": maxabs(x @ basis.casimir + (n - 1) / 2.0 * x),
+            "kappa_general": maxabs((cross - delta_jl) * 0.5 + k4),
+            "kappa_on_group": maxabs((cross - delta_ik_jl) * 0.5 + k4),
+        }
+    return {"tau": maxabs(x @ basis.casimir + n * x), "kappa": maxabs(cross + k4)}

@@ -8,7 +8,7 @@ import pytest
 from lgh import duality as du
 from lgh import families as fa
 from lgh import matrices as M
-from lgh.errors import ValidationError
+from lgh.errors import InconclusiveError, ValidationError
 from lgh.exprs import Entry, LinearTrace
 from lgh.sampling import sample_compact
 
@@ -275,3 +275,10 @@ def test_tau_kappa_sign_convention_on_slr2():
 
     val = frame_operators([Entry(1, 1)], [np.eye(2)], pair.frame).tau[0, 0]
     assert abs(val - 1.5) < 1e-12
+
+
+def test_verify_dual_eigenfamily_on_no_samples_is_inconclusive():
+    pair = du.dual_pair(M.sl_r(2))
+    fam = du.default_compact_family(pair)
+    with pytest.raises(InconclusiveError):
+        du.verify_dual_eigenfamily(pair, fam, du.aligned_sampler(pair).take(0))

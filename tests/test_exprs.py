@@ -179,3 +179,11 @@ def test_hompoly_validation():
         HomPoly({(1,): 1.0}, [Entry(1, 1), Entry(1, 2)])
     with pytest.raises(ValidationError):
         HomPoly({}, [Entry(1, 1)])
+
+
+def test_hompoly_refuses_an_empty_argument_list():
+    """A constant over no arguments has no monomial table to walk."""
+    with pytest.raises(ValidationError):
+        HomPoly({(): 3}, [])
+    with pytest.raises(ValidationError):
+        frame_operators([HomPoly({(): 3}, [])], [np.eye(2)] * 3, M.compact_basis(M.U(2)))

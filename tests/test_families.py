@@ -1,14 +1,15 @@
 """Eigenfamily constructors, coordinate relations, verification."""
 
 import numpy as np
+import oracle
 import pytest
 from oracle import Const, Product, Sum, kappa, tau, value
 
 from lgh import families as fa
 from lgh import matrices as M
-from lgh.errors import ValidationError
+from lgh.errors import InconclusiveError, ValidationError
 from lgh.jets import frame_operators
-from lgh.sampling import SplitMix64, sample_compact
+from lgh.sampling import SplitMix64, compact_sampler, sample_compact
 
 
 def _e(n, k=0):
@@ -187,6 +188,32 @@ def test_side_by_side_frame_gives_the_bits_of_each_product(gid):
     assert np.array_equal(wide, x[:, None] @ zs)
 
 
+@pytest.mark.parametrize("gid", [M.SO(n) for n in range(2, 7)] + [M.U(n) for n in (2, 3, 4)], ids=str)
+def test_coordinate_lemma_residuals_are_the_complex_kernels(gid, monkeypatch):
+    """SO(n) points run in float64 and the cross tensor is one outer product,
+    yet every residual has the bits of the complex einsum-and-gemm kernel."""
+    dtypes = []
+    tables = fa._coordinate_tables
+
+    def spy(x, basis):
+        dtypes.append(x.dtype)
+        return tables(x, basis)
+
+    monkeypatch.setattr(fa, "_coordinate_tables", spy)
+    samples = sample_compact(gid, 37, 0.5, 5)
+    got = fa.verify_coordinate_lemmas(gid, samples).residuals
+    want = oracle.coordinate_lemma_residuals(gid, samples.points)
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+    assert set(dtypes) == {np.dtype(float if gid.family == "SO" else complex)}
+
+
+def test_an_so_stack_with_an_imaginary_part_stays_complex():
+    samples = sample_compact(M.SO(3), 3, 0.5, 1).points + 1e-3j
+    got = fa.verify_coordinate_lemmas(M.SO(3), samples).residuals
+    assert got == oracle.coordinate_lemma_residuals(M.SO(3), samples)
+    assert 1e-3 < got["kappa_on_group"] < 2e-3
+
+
 def test_coordinate_lemmas_tolerance_is_honored():
     gid = M.U(2)
     samples = sample_compact(gid, 20, 0.5, 42)
@@ -237,3 +264,15 @@ def test_theorem_family_data_has_vanishing_ab_product():
     A = fa.coefficient_outer(p, a)
     B = fa.coefficient_outer(p, b)
     assert np.max(np.abs(A @ B.T)) < 1e-12
+
+
+def test_verify_eigenfamily_on_no_samples_is_inconclusive():
+    fam = fa.u_family(2, _e(2))
+    with pytest.raises(InconclusiveError):
+        fa.verify_eigenfamily(fam, M.compact_basis(fam.group), compact_sampler(fam.group).take(0))
+
+
+def test_verify_coordinate_lemmas_on_no_samples_is_inconclusive():
+    for gid in (M.SO(3), M.U(2), M.Sp(1)):
+        with pytest.raises(InconclusiveError):
+            fa.verify_coordinate_lemmas(gid, compact_sampler(gid).take(0))

@@ -7,13 +7,15 @@ numeric change, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the largest residual drift of each check and every check whose
-verdict or sample counts changed; record that table in CHANGES.md.  It
-overwrites the file only when no check's ``passed`` changed, and exits 1
-otherwise.
+which prints the drift of every float field that moved (residuals, notes,
+params and tolerances, each with its path) and every check whose verdict or
+sample counts changed; record that table in CHANGES.md.  It
+overwrites the file only when something changed and no check's ``passed``
+did, and exits 1 when one did.
 """
 
 import json
+import re
 from pathlib import Path
 
 from lgh.harness import run_suite
@@ -46,14 +48,34 @@ def test_suite_matches_golden_report_exactly():
     assert doc == golden
 
 
-def residual_drift(old, new):
-    """``(check, target, max |new - old|)`` over the residuals of each check
-    of two :func:`exact` documents; a residual on one side only counts inf."""
+# float.hex of a finite float, an infinity or a NaN
+FLOAT_HEX = re.compile(r"-?(0x[01]\.[0-9a-f]+p[+-][0-9]+|inf)|nan")
+
+
+def _floats(obj, path=""):
+    """``(path, hex string)`` for every float field of an :func:`exact`
+    check, paths such as ``residuals.tau`` or ``notes.lambda[1]``."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _floats(val, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from _floats(val, f"{path}[{i}]")
+    elif isinstance(obj, str) and FLOAT_HEX.fullmatch(obj):
+        yield path, obj
+
+
+def float_drift(old, new):
+    """``(check, target, path, |new - old|)`` for every float field, residuals,
+    notes, params and tol alike, that differs between the checks of two
+    :func:`exact` documents; a field on one side only drifts by inf."""
     for was, now in zip(old["checks"], new["checks"], strict=True):
         assert (was["check"], was["target"]) == (now["check"], now["target"])
-        a, b = was["residuals"], now["residuals"]
-        drift = (abs(float.fromhex(b.get(k, "inf")) - float.fromhex(a.get(k, "inf"))) for k in a | b)
-        yield now["check"], now["target"], max(drift, default=0.0)
+        a, b = dict(_floats(was)), dict(_floats(now))
+        for path in [*a, *(p for p in b if p not in a)]:
+            if a.get(path) != b.get(path):
+                drift = abs(float.fromhex(b.get(path, "inf")) - float.fromhex(a.get(path, "inf")))
+                yield now["check"], now["target"], path, drift
 
 
 # the fields of a check that say what was judged, not how closely
@@ -83,6 +105,26 @@ def test_verdict_changes_lists_a_flipped_check():
     ]
 
 
+def test_float_drift_lists_every_moved_float_with_its_path():
+    golden = json.loads(GOLDEN.read_text())
+    assert list(float_drift(golden, golden)) == []
+    k = next(i for i, c in enumerate(golden["checks"]) if "radius" in c["params"] and "max_group_defect" in c["notes"])
+    was = golden["checks"][k]
+    defect = float.fromhex(was["notes"]["max_group_defect"])
+    assert defect > 0
+    moved = json.loads(GOLDEN.read_text())
+    row = moved["checks"][k]
+    row["params"]["radius"] = float.hex(float.fromhex(was["params"]["radius"]) + 0.25)
+    dropped = next(iter(row["residuals"]))
+    del row["residuals"][dropped]
+    row["notes"]["max_group_defect"] = float.hex(2 * defect)
+    assert list(float_drift(golden, moved)) == [
+        (row["check"], row["target"], "params.radius", 0.25),
+        (row["check"], row["target"], f"residuals.{dropped}", float("inf")),
+        (row["check"], row["target"], "notes.max_group_defect", defect),
+    ]
+
+
 def test_regeneration_refuses_a_flipped_verdict(tmp_path, capsys):
     flipped = json.loads(GOLDEN.read_text())
     flipped["checks"][0]["passed"] = not flipped["checks"][0]["passed"]
@@ -94,18 +136,31 @@ def test_regeneration_refuses_a_flipped_verdict(tmp_path, capsys):
     assert "changed: matrix-identities gl(2) passed" in capsys.readouterr().out
 
 
+def test_regeneration_leaves_an_unchanged_report_byte_for_byte(tmp_path, capsys):
+    """Equal documents are not rewritten, whatever their key order."""
+    text = json.dumps(json.loads(GOLDEN.read_text()), indent=1, sort_keys=True) + "\n"
+    copy = tmp_path / GOLDEN.name
+    copy.write_text(text)
+    assert main(copy) == 0
+    assert copy.read_text() == text
+    assert "nothing changed" in capsys.readouterr().out
+
+
 def main(golden_path=GOLDEN) -> int:
     doc = exact(run_suite(SEED))
     if golden_path.exists():
         golden = json.loads(golden_path.read_text())
-        for check, target, worst in residual_drift(golden, doc):
-            print(f"{check:<28} {target:<24} {worst:.1e}")
+        for check, target, path, drift in float_drift(golden, doc):
+            print(f"{check:<28} {target:<24} {path:<32} {drift:.1e}")
         changes = list(verdict_changes(golden, doc))
         for check, target, key, was, now in changes:
             print(f"changed: {check} {target} {key} {was} -> {now}")
         if any(key == "passed" for _, _, key, _, _ in changes):
             print(f"a verdict changed; {golden_path} is left as it was")
             return 1
+        if doc == golden:
+            print(f"nothing changed; {golden_path} is left as it was")
+            return 0
     golden_path.parent.mkdir(exist_ok=True)
     golden_path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {golden_path}")

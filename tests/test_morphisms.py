@@ -520,3 +520,11 @@ def test_frame_table_must_describe_the_family_members():
     m = mo.quotient_morphism(fam, {(1, 0): 1.0}, {(0, 1): 1.0})
     with pytest.raises(ValidationError):
         mo.verify_harmonic_morphism(m, basis, table)
+
+
+def test_verify_quotient_condition_on_no_samples_is_inconclusive():
+    fam = fa.u_family(2, _e(2))
+    with pytest.raises(InconclusiveError):
+        mo.verify_quotient_condition(
+            fam, {(1, 0): 1.0}, {(0, 1): 1.0}, M.compact_basis(fam.group), compact_sampler(fam.group).take(0)
+        )

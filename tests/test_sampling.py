@@ -2,6 +2,7 @@
 against scipy's, batch-size invariance of the drawn points and the stacked
 defect checks."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from lgh import matrices as M
 from lgh import sampling
 from lgh.errors import ValidationError
 from lgh.harness import DUALITY_PAIRS, pair_from_spec
-from lgh.sampling import _THETA13, SplitMix64, _combine, _matmul, compact_defect, compact_sampler, expm
+from lgh.sampling import _THETA13, SplitMix64, _matmul, compact_defect, compact_sampler, expm
 
 # every compact group the suite samples
 COMPACT = [M.SO(n) for n in range(2, 7)] + [M.U(n) for n in (2, 3, 4)] + [M.SU(2), M.SU(3)] + [
@@ -177,6 +178,16 @@ def test_the_cli_loads_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[..., j] * mats[j] for real arrays, added term by term in
+    the order j = 0, 1, ..., zero terms included: the dense sum the
+    sampler's gather plan skips the zeros of."""
+    out = np.zeros(coeffs.shape[:-1] + mats.shape[1:])
+    for j in range(mats.shape[0]):
+        out += coeffs[..., j, None, None] * mats[j]
+    return out
+
+
 def _complex_take(name, radius, seed, count):
     """The points of ``take(count)`` on a fresh sampler of ``name`` as the
     complex kernel gives them: complex generators, expm and factor product."""
@@ -237,3 +248,69 @@ def test_expm_of_a_real_stack_in_float64_is_the_real_part_of_the_complex_one():
     assert _bits(got) == _bits(expm(gens).real.copy())
     with pytest.raises(ValidationError):
         expm(gens.astype(complex), real=True)
+
+
+# two frames whose gather plan is several terms deep
+DEEP_PAIRS = {str(p.noncompact): p for p in map(du.dual_pair, (M.sl_r(5), M.so_pq(4, 4)))}
+# every lemma and factory group, the suite's dual frames and the deep ones
+GATHER_FRAMES = [str(g) for g in COMPACT] + list(PAIRS) + list(DEEP_PAIRS)
+
+
+def _gather_sampler(name, seed):
+    """The frame of the group or pair ``name`` and a fresh sampler on it."""
+    pair = PAIRS.get(name) or DEEP_PAIRS.get(name)
+    if pair is not None:
+        return pair.frame, du.aligned_sampler(pair, 0.5, seed)
+    group = next(g for g in COMPACT if str(g) == name)
+    return M.compact_basis(group), compact_sampler(group, 0.5, seed)
+
+
+@pytest.mark.parametrize("count", [0, 1, 37])
+@pytest.mark.parametrize("name", GATHER_FRAMES)
+def test_gathered_generators_are_the_dense_sums_bit_for_bit(name, count, monkeypatch):
+    """The generators take() gathers from the frame's nonzeros are the dense
+    fixed-order sums over all basis matrices, signs of zero included."""
+    basis, sampler = _gather_sampler(name, 9)
+    seen = []
+
+    def spy(a, **kwargs):
+        seen.append(np.array(a))
+        return expm(a, **kwargs)
+
+    monkeypatch.setattr(sampling, "expm", spy)
+    sampler.take(count)
+    (got,) = seen
+    mats = basis.matrices
+    coeffs = SplitMix64(9).uniforms(2 * len(mats) * count, -0.5, 0.5).reshape(count, 2, len(mats))
+    if basis.real:
+        want = _combine(coeffs, mats.real)
+    else:
+        want = np.empty((count, 2) + mats.shape[1:], dtype=complex)
+        want.real = _combine(coeffs, mats.real)
+        want.imag = _combine(coeffs, mats.imag)
+    assert got.shape == want.shape == (count, 2) + mats.shape[1:]
+    assert got.dtype == want.dtype
+    assert _bits(got) == _bits(want)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def test_the_plan_reaches_four_terms_deep():
+    assert len(DEEP_PAIRS["SL(5,R)"].frame.gather_plan) == 4
+
+
+def test_samplers_on_one_frame_build_its_plan_once(monkeypatch):
+    built = []
+    plan = M.SignedBasis.__dict__["gather_plan"]
+
+    def counted(basis):
+        built.append(basis)
+        return plan.func(basis)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(M.SignedBasis, "gather_plan")
+    monkeypatch.setattr(M.SignedBasis, "gather_plan", spy)
+    frame = M.SignedBasis(M.SU(3), list(M.compact_basis(M.SU(3))))
+    defect = lambda xs: compact_defect(M.SU(3), xs)  # noqa: E731
+    points = [sampling.GroupSampler(frame, 0.5, seed, defect).take(3).points for seed in range(30)]
+    assert built == [frame]
+    assert _bits(points[7]) == _bits(compact_sampler(M.SU(3), 0.5, 7).take(3).points)
