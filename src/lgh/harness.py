@@ -26,11 +26,12 @@ from .matrices import (
     FAMILY_BY_ALIAS,
     NONCOMPACT_FAMILIES,
     GroupId,
+    SignedBasis,
     compact_basis,
     verify_matrix_identities,
 )
 from .report import VerificationReport, timed_report
-from .sampling import SplitMix64, compact_sampler
+from .sampling import GroupSampler, SampleSet, SplitMix64, compact_sampler
 from .serialize import pair_to_complex, vector_from_json
 
 DEFAULT_SEED = 42
@@ -249,11 +250,92 @@ def morphism_from_spec(fam: fa.Eigenfamily, d: dict, floor: float) -> mo.Rationa
         raise ConfigError(str(exc), field="morphism") from exc
 
 
-def pair_from_spec(d: dict) -> du.DualPair:
+def pair_group_from_spec(d: dict) -> GroupId:
+    """The non-compact group of a pair spec; the run's store builds its
+    pair."""
     gid = group_from_spec(d, "pair")
     if gid.family not in NONCOMPACT_FAMILIES:
         raise ConfigError(f"{gid} is not a non-compact dual group", field="pair.family")
-    return du.dual_pair(gid)
+    return gid
+
+
+# ---------------------------------------------------------------------------
+# the sample store of a run
+# ---------------------------------------------------------------------------
+
+class _Stream:
+    """One (frame, radius, seed) stream: its sampler and the points drawn so
+    far, write-protected."""
+
+    def __init__(self, frame: SignedBasis, sampler: GroupSampler):
+        self.frame = frame  # keeps the frame, whose id keys the stream, alive
+        self.sampler = sampler
+        self.drawn = SampleSet(np.empty((0, *frame.matrices.shape[1:]), dtype=complex), np.empty(0))
+
+    def read(self, start: int, count: int) -> SampleSet:
+        """Points ``start`` to ``start + count`` of the stream, drawing the
+        shortfall in one take."""
+        end = start + count
+        if end > len(self.drawn):
+            self.drawn.extend(self.sampler.take(end - len(self.drawn)))
+            self.drawn.points.setflags(write=False)
+            self.drawn.defects.setflags(write=False)
+        return SampleSet(self.drawn.points[start:end], self.drawn.defects[start:end])
+
+
+class StreamCursor:
+    """A reader's place in a stream of the store: ``take`` gives the next
+    points, as :meth:`GroupSampler.take` does, as read-only slices of the
+    stream's one draw."""
+
+    def __init__(self, stream: _Stream):
+        self._stream = stream
+        self._used = 0
+
+    def take(self, count: int) -> SampleSet:
+        if count < 0:
+            raise ValidationError("count must be nonnegative")
+        out = self._stream.read(self._used, count)
+        self._used += count
+        return out
+
+
+class SampleStore:
+    """The samples and dual pairs of one run.
+
+    Each (frame, radius, seed) stream is drawn once, by one sampler, and
+    every row that reads it gets a :class:`StreamCursor` from its first
+    point.  As ``take(a)`` then ``take(b)`` gives the points of
+    ``take(a + b)`` bit for bit, a reader's points do not depend on which
+    reader drew them first.  Streams are keyed by the frame object, not the
+    group: an identity pair and a compact group share a group but not a
+    frame.  Dual pairs are built once per group.  A store lives for one
+    :func:`run` or one :func:`run_suite` and is never shared between
+    threads.
+    """
+
+    def __init__(self):
+        self._streams: dict[tuple, _Stream] = {}
+        self._pairs: dict[GroupId, du.DualPair] = {}
+
+    def pair(self, gid: GroupId) -> du.DualPair:
+        if gid not in self._pairs:
+            self._pairs[gid] = du.dual_pair(gid)
+        return self._pairs[gid]
+
+    def compact(self, group: GroupId, radius: float, seed: int) -> StreamCursor:
+        """A cursor on the compact group's stream."""
+        return self._cursor(compact_basis(group), radius, seed, lambda: compact_sampler(group, radius, seed))
+
+    def aligned(self, pair: du.DualPair, radius: float, seed: int) -> StreamCursor:
+        """A cursor on the stream of the pair's aligned frame."""
+        return self._cursor(pair.frame, radius, seed, lambda: du.aligned_sampler(pair, radius, seed))
+
+    def _cursor(self, frame: SignedBasis, radius: float, seed: int, sampler) -> StreamCursor:
+        key = (id(frame), radius, seed)
+        if key not in self._streams:
+            self._streams[key] = _Stream(frame, sampler())
+        return StreamCursor(self._streams[key])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +347,7 @@ def pair_from_spec(d: dict) -> du.DualPair:
 IDENTITY_TOL = 1e-12
 
 
-def run_identities(cfg: RunConfig) -> VerificationReport:
+def run_identities(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """The identities at ``IDENTITY_TOL`` or a tighter ``cfg.tol``; the
     default tol means ``IDENTITY_TOL``, and a looser one is refused."""
     if cfg.tol > IDENTITY_TOL and cfg.tol != RunConfig.tol:
@@ -274,31 +356,31 @@ def run_identities(cfg: RunConfig) -> VerificationReport:
     return verify_matrix_identities(n, tol=min(cfg.tol, IDENTITY_TOL))
 
 
-def run_lemma(cfg: RunConfig) -> VerificationReport:
+def run_lemma(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     gid = group_from_spec(cfg.group or {})
     if gid.family not in fa.LEMMA_FAMILIES:
         aliases = ", ".join(FAMILIES[f].alias for f in fa.LEMMA_FAMILIES)
         raise ConfigError(f"coordinate relations exist for {aliases}", field="group.family")
-    samples = compact_sampler(gid, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.compact(gid, cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_coordinate_lemmas(gid, samples, tol=cfg.tol)
 
 
-def run_family(cfg: RunConfig) -> VerificationReport:
+def run_family(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.family is None:
         raise ConfigError("missing family spec", field="family")
     fam = family_from_spec(cfg.family)
     basis = compact_basis(fam.group)
-    samples = compact_sampler(fam.group, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.compact(fam.group, cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_eigenfamily(fam, basis, samples, tol=cfg.tol)
 
 
-def run_morphism(cfg: RunConfig) -> VerificationReport:
+def run_morphism(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.family is None or cfg.morphism is None:
         raise ConfigError("morphism run needs family and morphism specs", field="morphism")
     fam = family_from_spec(cfg.family)
     morph = morphism_from_spec(fam, cfg.morphism, cfg.floor)
     basis = compact_basis(fam.group)
-    sampler = compact_sampler(fam.group, cfg.radius, cfg.seed)
+    sampler = store.compact(fam.group, cfg.radius, cfg.seed)
     first = sampler.take(cfg.samples)
     return mo.verify_harmonic_morphism(
         morph,
@@ -310,28 +392,28 @@ def run_morphism(cfg: RunConfig) -> VerificationReport:
     )
 
 
-def run_duality(cfg: RunConfig) -> VerificationReport:
+def run_duality(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.pair is None:
         raise ConfigError("missing pair spec", field="pair")
-    pair = pair_from_spec(cfg.pair)
+    pair = store.pair(pair_group_from_spec(cfg.pair))
     fam = family_from_spec(cfg.family) if cfg.family else du.default_compact_family(pair)
-    samples = du.sample_noncompact(pair, cfg.samples, cfg.radius, cfg.seed)
+    samples = store.aligned(pair, cfg.radius, cfg.seed).take(cfg.samples)
     rep = du.verify_dual_eigenfamily(pair, fam, samples, tol=cfg.tol)
     rep.residuals.update({f"frame_{k}": v for k, v in pair.residuals.items()})
     rep.notes["max_aligned_defect"] = rep.notes["max_group_defect"]
     return rep
 
 
-def run_probe(cfg: RunConfig) -> VerificationReport:
+def run_probe(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.pair is None:
         raise ConfigError("missing pair spec", field="pair")
-    pair = pair_from_spec(cfg.pair)
+    pair = store.pair(pair_group_from_spec(cfg.pair))
     if cfg.family:
         fam = family_from_spec(cfg.family)
     else:
         n = pair.compact.n
         fam = fa.so_family_special(n, _first_isotropic(n))
-    samples = du.sample_noncompact(pair, cfg.samples, cfg.radius, cfg.seed)
+    samples = store.aligned(pair, cfg.radius, cfg.seed).take(cfg.samples)
     return du.probe_noncontinuable(pair, fam, samples)
 
 
@@ -359,19 +441,19 @@ COMMANDS = {
 # subcommand reaches
 # ---------------------------------------------------------------------------
 
-def _frame_table(fam: fa.Eigenfamily, cfg: RunConfig):
+def _frame_table(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore):
     """The frame of the family's group, and the members' frame table on the
     config's samples."""
     basis = compact_basis(fam.group)
-    samples = compact_sampler(fam.group, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.compact(fam.group, cfg.radius, cfg.seed).take(cfg.samples)
     return basis, frame_operators(fam.members, samples, basis)
 
 
-def _deformations(cfg: RunConfig) -> VerificationReport:
+def _deformations(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """Ten seeded (z, w) deformations of the isotropic-point family on SO(4)."""
     gid = GroupId("SO", 4)
     basis = compact_basis(gid)
-    samples = compact_sampler(gid, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.compact(gid, cfg.radius, cfg.seed).take(cfg.samples)
     rng_seed = cfg.seed ^ 0x5EED5EED
     rng = SplitMix64(rng_seed)
     residuals = {"tau": 0.0, "kappa": 0.0, "isotropy": 0.0}
@@ -384,7 +466,7 @@ def _deformations(cfg: RunConfig) -> VerificationReport:
     return VerificationReport("eigenfamily-deformations", str(gid), params, residuals, cfg.tol, len(samples))
 
 
-def _constants_crosscheck(cfg: RunConfig) -> VerificationReport:
+def _constants_crosscheck(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """Sp(1) = SU(2): both tables give the constants (-3/2, -1/2)."""
     (sp_lam, sp_mu), (su_lam, su_mu) = fa.eigen_constants("Sp", 1), fa.eigen_constants("SU", 2)
     residuals = {
@@ -396,11 +478,11 @@ def _constants_crosscheck(cfg: RunConfig) -> VerificationReport:
     return VerificationReport("constants-crosscheck", "Sp(1)/SU(2)", {}, residuals, cfg.tol)
 
 
-def _family_negative_control(cfg: RunConfig) -> VerificationReport:
+def _family_negative_control(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """A wrong lambda must be detected with residual |dlambda| * max|phi|."""
     fam = family_from_spec(cfg.family)
     broken = fa.Eigenfamily(fam.group, fam.members, fam.lam + 0.1, fam.mu, "control")
-    basis, table = _frame_table(broken, cfg)
+    basis, table = _frame_table(broken, cfg, store)
     tau = fa.verify_eigenfamily(broken, basis, table, tol=cfg.tol).residuals["tau"]
     predicted = 0.1 * float(np.max(np.abs(table.values)))
     residuals = {
@@ -413,14 +495,14 @@ def _family_negative_control(cfg: RunConfig) -> VerificationReport:
     )
 
 
-def _morphism_negative_control(cfg: RunConfig) -> VerificationReport:
+def _morphism_negative_control(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """A member phi of an eigenfamily, as the 'quotient' phi/1, must fail with
     tau residual |lambda| max|phi| and kappa residual |mu| max|phi|^2: its
     residuals as an orthogonal family.  On U(2), z_11 fails with 2 max|z_11|
     and max|z_11|^2."""
     fam = family_from_spec(cfg.family)
     phi = mo.orthogonal_family(fam.group, fam.members[:1])
-    basis, table = _frame_table(phi, cfg)
+    basis, table = _frame_table(phi, cfg, store)
     rep = fa.verify_eigenfamily(phi, basis, table, tol=cfg.tol)
     tau, kappa = rep.residuals["tau"], rep.residuals["kappa"]
     peak = float(np.max(np.abs(table.values)))
@@ -436,7 +518,7 @@ def _morphism_negative_control(cfg: RunConfig) -> VerificationReport:
     )
 
 
-def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, pairs: int = 20):
+def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore, pairs: int = 20):
     """Random same-degree (P, Q) quotients of floor ``cfg.floor`` must all
     verify; the quotient condition triple equality is measured on the same
     instances.  ``fam`` may be a family no spec describes.
@@ -452,7 +534,7 @@ def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, pairs: int = 20):
     basis = compact_basis(fam.group)
     rng_seed = cfg.seed ^ 0xFAC7041
     rng = SplitMix64(rng_seed)
-    sampler = compact_sampler(fam.group, cfg.radius, cfg.seed)
+    sampler = store.compact(fam.group, cfg.radius, cfg.seed)
     base = frame_operators(fam.members, sampler.take(cfg.samples), basis)
     morphs = [mo.random_morphism(fam, int(1 + rng.next_u64() % 3), rng, floor=cfg.floor) for _ in range(pairs)]
     rep = mo.verify_harmonic_morphism(
@@ -468,11 +550,11 @@ def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, pairs: int = 20):
     )
 
 
-def _power_family(k: int, cfg: RunConfig) -> VerificationReport:
+def _power_family(k: int, cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """The degree-k monomials in the family's members, an eigenfamily with
     the power constants; the constants are measured too."""
     pfam = mo.power_family(family_from_spec(cfg.family), k)
-    basis, table = _frame_table(pfam, cfg)
+    basis, table = _frame_table(pfam, cfg, store)
     residuals = dict(fa.verify_eigenfamily(pfam, basis, table, tol=cfg.tol).residuals)
     residuals.update(fa.measure_constants_residual(pfam, basis, table))
     params = {
@@ -491,7 +573,7 @@ _SUITE_ONLY = {
     "eigenfamily-deformations": _deformations,
     "constants-crosscheck": _constants_crosscheck,
     "family-negative-control": _family_negative_control,
-    "morphism-factory": lambda cfg: _morphism_factory(family_from_spec(cfg.family), cfg),
+    "morphism-factory": lambda cfg, store: _morphism_factory(family_from_spec(cfg.family), cfg, store),
     "morphism-negative-control": _morphism_negative_control,
     **{f"power-family-k{k}": partial(_power_family, k) for k in (2, 3)},
 }
@@ -517,19 +599,22 @@ READS = {
 }
 
 
-def run(name: str, cfg: RunConfig):
+def run(name: str, cfg: RunConfig, store: SampleStore | None = None):
     """The report of check ``name`` on a config: an ``lgh`` subcommand as
     the CLI runs it, or a suite-only check.  The morphism factory gives a
     pair of reports, its own and its quotient condition's.
 
-    Every report of a check that reads ``seed`` records its sampler's seed
-    and radius in ``params``, so it replays from them; ``cfg.check``, when
-    set, names the report.  ``wall_time`` is the time of the whole run,
-    spec parsing and sampling included; of a pair, the second report
-    records 0, its time being in the first's.
+    Points are read from ``store``, a fresh one when None; the reports do
+    not depend on what the store held before.  Every report of a check that
+    reads ``seed`` records its sampler's seed and radius in ``params``, so
+    it replays from them; ``cfg.check``, when set, names the report.
+    ``wall_time`` is the time of the whole run, spec parsing included, and
+    sampling too unless another run drew the points into ``store``; of a
+    pair, the second report records 0, its time being in the first's.
     """
+    store = SampleStore() if store is None else store
     with timed_report() as clock:
-        result = (COMMANDS.get(name) or _SUITE_ONLY[name])(cfg)
+        result = (COMMANDS.get(name) or _SUITE_ONLY[name])(cfg, store)
     for i, report in enumerate(result if isinstance(result, tuple) else (result,)):
         if "seed" in READS[name]:
             report.params.update(sampler_seed=cfg.seed, radius=cfg.radius)
@@ -634,10 +719,12 @@ def suite_checks(seed: int = DEFAULT_SEED, tol: float = 1e-8):
 
 def run_suite(seed: int = DEFAULT_SEED, tol: float = 1e-8) -> dict:
     """Run every row of :func:`suite_checks`; an aggregate JSON-ready
-    document with the reports in row order."""
+    document with the reports in row order.  The rows share one
+    :class:`SampleStore`, so a stream that several rows read is drawn once."""
+    store = SampleStore()
     flat = []
     for _, name, cfg in suite_checks(seed, tol):
-        result = run(name, cfg)
+        result = run(name, cfg, store)
         flat.extend(result if isinstance(result, tuple) else (result,))
     return {
         "suite": "lgh",

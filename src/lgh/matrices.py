@@ -492,27 +492,26 @@ def gram_schmidt_indefinite(
     if group is None:
         dim = supplied[0].shape[0] if supplied else 1
         group = GroupId("GLC-split", dim)
-    remaining = [m for m in supplied if np.max(np.abs(m)) > 1e-14]
+    # each remaining vector projected off the accepted ones so far: a round
+    # subtracts only the newly accepted vector, which is the same sequence
+    # of roundings as projecting off every accepted vector in order
+    projected = [m for m in supplied if np.max(np.abs(m)) > 1e-14]
     accepted: list[SignedBasisVector] = []
-    while remaining:
-        projected = []
-        for v in remaining:
-            w = v.copy()
-            for u in accepted:
+    while projected:
+        if accepted:
+            u = accepted[-1]
+            for w in projected:
                 w -= u.sign * trace_form(w, u.matrix) * u.matrix
-            projected.append(w)
-        norms = [abs(trace_form(w, w)) for w in projected]
-        best = max(range(len(norms)), key=norms.__getitem__)
-        if norms[best] < NULL_TOL:
+        forms = [trace_form(w, w) for w in projected]
+        best = max(range(len(forms)), key=lambda i: abs(forms[i]))
+        b = forms[best]
+        if abs(b) < NULL_TOL:
             if drop_dependent:
                 break
             raise DegeneracyError(
-                f"null direction: |B(v,v)| = {norms[best]:.3e} after orthogonalization"
+                f"null direction: |B(v,v)| = {abs(b):.3e} after orthogonalization"
             )
-        w = projected[best]
-        b = trace_form(w, w)
-        w = w / math.sqrt(abs(b))
+        w = projected.pop(best) / math.sqrt(abs(b))
         w.setflags(write=False)
         accepted.append(SignedBasisVector(w, +1 if b > 0 else -1))
-        remaining.pop(best)
     return SignedBasis(group, accepted)

@@ -7,8 +7,9 @@ import pytest
 
 from lgh import duality as du
 from lgh import families as fa
+from lgh import harness as H
 from lgh import matrices as M
-from lgh.errors import InconclusiveError, ValidationError
+from lgh.errors import DegeneracyError, InconclusiveError, ValidationError
 from lgh.exprs import Entry, LinearTrace
 from lgh.sampling import sample_compact
 
@@ -43,6 +44,71 @@ def test_dual_pair_invariants(gid):
     assert pair.residuals["orthogonality"] < 1e-10
     assert all(v.sign == -1 for v in pair.k_basis)
     assert all(v.sign == +1 for v in pair.p_basis)
+
+
+def _gram_schmidt_reference(spanning, drop_dependent=False):
+    """(matrix, sign) pairs of the Gram-Schmidt loop that projects every
+    remaining vector off all accepted vectors anew in each round."""
+    remaining = [np.array(m, dtype=complex) for m in spanning]
+    remaining = [m for m in remaining if np.max(np.abs(m)) > 1e-14]
+    accepted = []
+    while remaining:
+        projected = []
+        for v in remaining:
+            w = v.copy()
+            for u, sign in accepted:
+                w -= sign * M.trace_form(w, u) * u
+            projected.append(w)
+        norms = [abs(M.trace_form(w, w)) for w in projected]
+        best = max(range(len(norms)), key=norms.__getitem__)
+        if norms[best] < M.NULL_TOL:
+            if drop_dependent:
+                break
+            raise DegeneracyError("null direction")
+        w = projected[best]
+        b = M.trace_form(w, w)
+        accepted.append((w / np.sqrt(abs(b)), +1 if b > 0 else -1))
+        remaining.pop(best)
+    return accepted
+
+
+def _bit_equal(basis, reference):
+    assert [v.sign for v in basis] == [sign for _, sign in reference]
+    assert all(v.matrix.tobytes() == u.tobytes() for v, (u, _) in zip(basis, reference))
+
+
+SUITE_PAIRS = [H.group_from_spec({"family": a, **kw}) for a, kw in H.DUALITY_PAIRS]
+
+
+@pytest.mark.parametrize(
+    "gid", SUITE_PAIRS + [M.sl_r(5), M.su_star(6), M.so_pq(4, 4), M.sp_pq(2, 1)], ids=str
+)
+def test_gram_schmidt_projects_as_the_reference_loop(gid):
+    """Each round subtracts only the newly accepted vector from the running
+    projections: the frames and signs of a dual pair are bit-equal to the
+    loop that re-projects every vector from scratch."""
+    pair = du.dual_pair(gid)
+    zs = M.compact_basis(pair.compact).matrices
+    tz = du._involution(gid)(zs)
+    fix = [(zs[i] + tz[i]) / 2.0 for i in range(len(zs))]
+    anti = [1j * ((zs[i] - tz[i]) / 2.0) for i in range(len(zs))]
+    _bit_equal(pair.k_basis, _gram_schmidt_reference(fix, drop_dependent=True))
+    _bit_equal(pair.p_basis, _gram_schmidt_reference(anti, drop_dependent=True))
+
+
+def test_gram_schmidt_of_an_indefinite_span_is_the_reference_loop():
+    """Signs of both kinds, no dependent vector, and a null direction."""
+    from lgh.sampling import SplitMix64
+
+    rng = SplitMix64(5)
+    span = [np.array([[rng.complex_uniform(1.0) for _ in range(3)] for _ in range(3)]) for _ in range(6)]
+    reference = _gram_schmidt_reference(span)
+    assert {sign for _, sign in reference} == {-1, 1}
+    _bit_equal(M.gram_schmidt_indefinite(span), reference)
+    x12, y12 = M.generator("X", (1, 2), 2), M.generator("Y", (1, 2), 2)
+    for gram_schmidt in (M.gram_schmidt_indefinite, _gram_schmidt_reference):
+        with pytest.raises(DegeneracyError):
+            gram_schmidt([x12, x12 + y12, y12 + 2 * x12])
 
 
 def test_slr_frame_matches_hand_coded_real_forms():

@@ -666,8 +666,9 @@ def test_every_suite_row_replays_through_run(suite_document):
 
 
 def test_run_times_the_whole_row(monkeypatch):
-    """A report's wall time is its whole row, sampling included; the
-    factory's quotient-condition report shares its row's time and records 0."""
+    """For a row run alone, a report's wall time is its whole row, sampling
+    included; the factory's quotient-condition report shares its row's time
+    and records 0."""
     real_sampler = H.compact_sampler
 
     def slow_sampler(*args):
@@ -679,6 +680,74 @@ def test_run_times_the_whole_row(monkeypatch):
     assert H.run(name, cfg).wall_time >= 0.05
     factory, triple = H.run(*_factory_rows()[0][1:])
     assert factory.wall_time >= 0.05 and triple.wall_time == 0.0
+
+
+def test_suite_draws_each_stream_and_pair_once(monkeypatch):
+    """A count, not a timer: the seed-42 suite draws its 33 distinct
+    (frame, radius, seed) streams in 43 takes of 4110 points, and builds
+    each of its 11 dual pairs once (5776 points in 61 takes and 12 pairs
+    when every row drew its own).  A second suite in the same process makes
+    the same counts: nothing carries over from one run to the next."""
+    from lgh import duality
+    from lgh.sampling import GroupSampler
+
+    takes, pairs = [], []
+    real_take, real_pair = GroupSampler.take, duality.dual_pair
+
+    def take(self, count):
+        takes.append(count)
+        return real_take(self, count)
+
+    def dual_pair(gid):
+        pairs.append(gid)
+        return real_pair(gid)
+
+    monkeypatch.setattr(GroupSampler, "take", take)
+    monkeypatch.setattr(duality, "dual_pair", dual_pair)
+    for _ in range(2):
+        takes.clear()
+        pairs.clear()
+        H.run_suite(seed=42, tol=1e-8)
+        assert (sum(takes), len(takes), len(pairs)) == (4110, 43, 11)
+        assert len(set(pairs)) == 11
+
+
+def test_suite_rows_read_one_store_in_any_order(suite_document):
+    """The 60 rows run in reverse order through one store give the suite's
+    reports, wall time aside: a reader's points do not depend on which row
+    drew them first."""
+    store = H.SampleStore()
+    reports = []
+    for _, name, cfg in reversed(H.suite_checks(seed=42, tol=1e-8)):
+        result = H.run(name, cfg, store)
+        reports[:0] = result if isinstance(result, tuple) else (result,)
+    reports = json.loads(json.dumps([rep.to_dict() for rep in reports]))
+    strip = lambda checks: [{k: v for k, v in c.items() if k != "wall_time"} for c in checks]  # noqa: E731
+    assert strip(reports) == strip(suite_document["checks"])
+
+
+def test_store_hands_out_read_only_slices_of_one_draw():
+    """Cursors on one stream read the sampler's points bit for bit, however
+    their takes interleave, and no reader can write into the shared draw."""
+    from lgh.matrices import U
+    from lgh.sampling import compact_sampler
+
+    store = H.SampleStore()
+    first, second = store.compact(U(2), 0.5, 42), store.compact(U(2), 0.5, 42)
+    head = first.take(3)
+    whole = second.take(10)
+    tail = first.take(7)
+    fresh = compact_sampler(U(2), 0.5, 42).take(10)
+    for got, want in ((head, slice(0, 3)), (whole, slice(0, 10)), (tail, slice(3, 10))):
+        assert got.points.tobytes() == fresh.points[want].tobytes()
+        assert got.defects.tobytes() == fresh.defects[want].tobytes()
+    for samples in (head, whole, tail):
+        with pytest.raises(ValueError):
+            samples.points[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            samples.defects[0] = 0.0
+    with pytest.raises(ValidationError):
+        first.take(-1)
 
 
 def test_config_fields_field_types_and_schema_properties_are_one_set():

@@ -412,12 +412,12 @@ def test_morphism_layer_reads_measured_not_stated_constants():
     cfg = next(cfg for _, check, cfg in H.suite_checks() if check == "morphism-factory")
     fam = fa.so_family_V(4, _e(4), fa.maximal_isotropic_basis(4))
     wrong = fa.Eigenfamily(fam.group, fam.members, fam.lam + 3.0, fam.mu - 2.0, "wrong-constants")
-    factory, _ = H._morphism_factory(wrong, cfg, pairs=6)
+    factory, _ = H._morphism_factory(wrong, cfg, H.SampleStore(), pairs=6)
     assert factory.passed, factory.residuals
     # a non-member in the member list breaks the eigenfamily, and with it
     # every quotient built from it
     broken = fa.Eigenfamily(fam.group, [fam.members[0], Entry(1, 1)], fam.lam, fam.mu, "non-member")
-    factory, _ = H._morphism_factory(broken, cfg, pairs=6)
+    factory, _ = H._morphism_factory(broken, cfg, H.SampleStore(), pairs=6)
     assert max(factory.residuals.values()) > 1e-3
 
 

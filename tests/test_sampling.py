@@ -16,14 +16,14 @@ from lgh import duality as du
 from lgh import matrices as M
 from lgh import sampling
 from lgh.errors import ValidationError
-from lgh.harness import DUALITY_PAIRS, pair_from_spec
+from lgh.harness import DUALITY_PAIRS, pair_group_from_spec
 from lgh.sampling import _THETA13, SplitMix64, _matmul, compact_defect, compact_sampler, expm
 
 # every compact group the suite samples
 COMPACT = [M.SO(n) for n in range(2, 7)] + [M.U(n) for n in (2, 3, 4)] + [M.SU(2), M.SU(3)] + [
     M.Sp(n) for n in (1, 2, 3)
 ]
-PAIRS = {str(p.noncompact): p for p in (pair_from_spec({"family": a, **kw}) for a, kw in DUALITY_PAIRS)}
+PAIRS = {str(p.noncompact): p for p in (du.dual_pair(pair_group_from_spec({"family": a, **kw})) for a, kw in DUALITY_PAIRS)}
 # the frames with no imaginary part, which take() exponentiates in float64
 REAL_FRAMES = [str(M.SO(n)) for n in range(2, 7)] + ["SL(2,R)", "SL(3,R)", "Sp(1,R)", "Sp(2,R)"]
 
