@@ -91,13 +91,16 @@ def _check_isotropic_set(V, tol: float = 1e-12):
 
 def so_family_V(n: int, p, V) -> Eigenfamily:
     """Members trace(p^t a x^t), a running over a basis of an isotropic
-    subspace V of C^n; valid on SO(n) for any nonzero p."""
+    subspace V of C^n; valid on SO(n) for any nonzero p.  Each vector of V
+    must be nonzero and of length n: a zero one would add a zero member."""
     p = np.asarray(p, dtype=complex)
     if p.shape != (n,) or not np.any(p):
         raise ValidationError("p must be a nonzero vector of length n")
     V = [np.asarray(a, dtype=complex) for a in V]
     if not V:
         raise ValidationError("V needs at least one spanning vector")
+    if any(a.shape != (n,) or not np.any(a) for a in V):
+        raise ValidationError("each V vector must be a nonzero vector of length n")
     _check_isotropic_set(V)
     lam, mu = eigen_constants("SO", n)
     members = [LinearTrace(coefficient_outer(p, a)) for a in V]
@@ -394,12 +397,14 @@ def measure_constants_residual(fam: Eigenfamily, basis: SignedBasis, samples) ->
     """Compare the stored constants against direct jet measurements.
 
     Returns max |tau(phi)/phi - lambda| and |kappa(phi,phi)/phi^2 - mu| over
-    members and samples, skipping points where |phi| <= VALUE_FLOOR.
-    ``samples`` may be a :func:`frame_operators` table, as for
-    :func:`verify_eigenfamily`.
+    members and samples, skipping points where |phi| <= VALUE_FLOOR; with
+    no value above it, :class:`InconclusiveError`.  ``samples`` may be a
+    :func:`frame_operators` table, as for :func:`verify_eigenfamily`.
     """
     ops = frame_operators(fam.members, samples, basis)
     mask = np.abs(ops.values) > VALUE_FLOOR
+    if not mask.any():
+        raise InconclusiveError(f"no member value above {VALUE_FLOOR}; cannot measure the constants")
     f0 = ops.values[mask]
     kappa_diag = np.diagonal(ops.kappa, axis1=1, axis2=2)[mask]
     return {

@@ -114,7 +114,7 @@ class RationalMorphism:
         x = np.asarray(x, dtype=complex)
         empty = SignedBasis(GroupId("GLC-split", x.shape[-1]))
         table = frame_operators(self.family.members, [x], empty)
-        return bool(_screen(_monomial_values(table, self.degrees), _denominators([self]))[0, 0] > self.floor)
+        return bool(_in_domain(table, [self], [(self.degrees, [0])])[0, 0])
 
 
 def _proportional(p: HomPoly, q: HomPoly, tol: float = 1e-12) -> bool:
@@ -199,23 +199,18 @@ def quotient_pairs(mono: MonomialTable, numerators, denominators, degrees: tuple
     return QuotientPairs(*(np.ascontiguousarray(a) for a in parts))
 
 
-def _monomial_values(table: FrameOperators, degrees: tuple) -> np.ndarray:
-    """The values (S, M) of a monomial table, without its derivatives."""
-    return monomials(table.values, _layout(len(table.members), degrees)[0], order=0)[0]
-
-
-def _denominators(morphs) -> np.ndarray:
-    """The coefficient rows (K, M) of K quotients' denominators over their
-    monomial table."""
-    return _coefficients([m.denominator for m in morphs], morphs[0].degrees)
-
-
-def _screen(values, denominators) -> np.ndarray:
-    """|Q| (S, K) from monomial values (S, M) and denominator rows: the
-    domain screen.  The values and the contraction are those of
-    :class:`MonomialTable`, so a screened row's Q is bit for bit the Q the
-    kernel divides by."""
-    return np.abs(contract(values, denominators))
+def _in_domain(table: FrameOperators, morphs, groups) -> np.ndarray:
+    """Whether |Q_k| clears the floor at each row of a member frame table,
+    (S, K), for K quotients of one floor and their monomial-table
+    ``groups`` (see :func:`_groups`).  The monomial values (order 0) and the
+    contraction are those of :class:`MonomialTable`, so a screened row's Q
+    is bit for bit the Q the kernel divides by."""
+    out = np.empty((len(table), len(morphs)), dtype=bool)
+    for degrees, ks in groups:
+        values = monomials(table.values, _layout(len(table.members), degrees)[0], order=0)[0]
+        dens = _coefficients([morphs[k].denominator for k in ks], degrees)
+        out[:, ks] = np.abs(contract(values, dens)) > morphs[0].floor
+    return out
 
 
 def quotient_operators(morphs, mono: MonomialTable, rows):
@@ -291,70 +286,60 @@ _AHEAD = 1.3
 
 def _collect_in_domain(morphs, groups, base: FrameOperators, basis, sampler, min_samples):
     """Screen the base rows for every quotient, then let each quotient in
-    turn redraw its shortfall from ``sampler`` until its target count is in
-    domain or ten times the target has been drawn for it.
+    turn consume its shortfall from ``sampler``.
 
-    The redraw runs in rounds: a round takes the shortfall, capped at the
-    budget, as the next points of the stream, and keeps those in domain.
-    The points come from ``sampler`` in look-ahead blocks, each measured by
-    one :func:`frame_operators` call, so ``sampler`` may be asked for more
-    than the shortfall.  A quotient consumes only its rounds' points; the
-    rest pass to the next quotient, and what is left at the end is
+    A quotient that still needs r in-domain points after the base rows
+    consumes the next points of the stream up to its r-th in-domain one, or
+    up to its budget (ten times the target, base rows included) when that
+    comes first.  That is what a redraw in rounds of the shortfall consumes:
+    a round ends the redraw only when all of its points are in domain.  The
+    points come from ``sampler`` in look-ahead blocks, each measured by one
+    :func:`frame_operators` call and screened once for every quotient, so
+    ``sampler`` may be asked for more than the shortfall.  What a quotient
+    does not consume passes to the next one, and what is left at the end is
     dropped, so ``sampler`` may be left advanced past the last consumed
-    point.  The counts are those of the rounds, whatever the block sizes.
+    point.  The counts do not depend on the block sizes.
 
-    Returns the base rows in each quotient's domain (S, K), each quotient's
-    redrawn in-domain member table (None when it drew nothing it kept),
-    and its (samples used, samples discarded, points of the stream the
-    quotients before it consumed).
+    Returns the base rows in each quotient's domain (S, K), the member
+    table of the consumed points (D rows) and the mask (D, K) of the points
+    each quotient consumed in its domain, and each quotient's (samples
+    used, samples discarded, points of the stream the quotients before it
+    consumed).
     """
-    kept = np.empty((len(base), len(morphs)), dtype=bool)
-    for degrees, ks in groups:
-        values = MonomialTable.over(base, degrees).values
-        kept[:, ks] = _screen(values, _denominators([morphs[k] for k in ks])) > morphs[0].floor
+    kept = _in_domain(base, morphs, groups)
     target = min_samples if min_samples is not None else len(base)
-    budget = max(10 * max(target, 1), len(base))
-    held = None  # points drawn and not yet consumed, as a member table
-    redrawn, counts = [], []
-    skipped = 0
-    for k, morph in enumerate(morphs):
-        used, drawn, taken, hits = int(np.count_nonzero(kept[:, k])), len(base), 0, None
-        row = _denominators([morph])
-
-        def screen(table):
-            return _screen(_monomial_values(table, morph.degrees), row)[:, 0] > morph.floor
-
-        while sampler is not None and used < target and drawn < budget:
-            if hits is None:
-                hits = screen(held) if held is not None else np.empty(0, dtype=bool)
-            size = min(target - used, budget - drawn)
-            if taken + size > len(hits):
-                shortfall = target - used
-                ratio = max(used / drawn if drawn else 1.0, 1 / 8)
-                want = max(shortfall, _BLOCK, math.ceil(_AHEAD * shortfall / ratio))
-                count = min(want, budget - drawn - (len(hits) - taken))
-                batch = stack_samples(sampler(count), basis)
-                if len(batch) != count:
-                    raise ValidationError(f"sampler returned {len(batch)} points when asked for {count}")
-                table = frame_operators(base.members, batch, basis)
-                held = table if held is None else FrameOperators.concat([held, table])
-                hits = np.concatenate([hits, screen(table)])
-            used += int(np.count_nonzero(hits[taken : taken + size]))
-            drawn += size
-            taken += size
+    budget = max(10 * max(target, 1), len(base)) - len(base)
+    blocks, hits = [base.rows(slice(0, 0))], kept[:0]
+    counts, taken = [], []
+    skip = 0
+    for k in range(len(morphs)):
+        used = int(np.count_nonzero(kept[:, k]))
+        need = target - used if sampler is not None else 0
+        while need > 0:
+            have, held = int(np.count_nonzero(hits[skip:, k])), len(hits) - skip
+            if have >= need or held >= budget:
+                break
+            drawn = len(base) + held
+            ratio = max((used + have) / drawn if drawn else 1.0, 1 / 8)
+            want = max(need - have, _BLOCK, math.ceil(_AHEAD * (need - have) / ratio))
+            count = min(want, budget - held)
+            batch = stack_samples(sampler(count), basis)
+            if len(batch) != count:
+                raise ValidationError(f"sampler returned {len(batch)} points when asked for {count}")
+            blocks.append(frame_operators(base.members, batch, basis))
+            hits = np.concatenate([hits, _in_domain(blocks[-1], morphs, groups)])
+        found = np.cumsum(hits[skip:, k])
+        taken.append(min(int(np.searchsorted(found, need)) + 1, budget) if need > 0 else 0)
+        used += int(found[taken[-1] - 1]) if taken[-1] else 0
         if not used:
             raise InconclusiveError(
                 "no sample cleared the domain floor; cannot verify the morphism"
             )
-        if taken:
-            hits[taken:] = False
-            redrawn.append(held.rows(hits) if hits.any() else None)
-            held = held.rows(slice(taken, None))
-        else:
-            redrawn.append(None)
-        counts.append((used, drawn - used, skipped))
-        skipped += taken
-    return kept, redrawn, counts
+        counts.append((used, len(base) + taken[-1] - used, skip))
+        skip += taken[-1]
+    owner = np.repeat(np.arange(len(morphs)), taken)
+    mask = hits[:skip] & (owner[:, None] == np.arange(len(morphs)))
+    return kept, FrameOperators.concat(blocks).rows(slice(0, skip)), mask, counts
 
 
 def verify_harmonic_morphism(
@@ -371,9 +356,10 @@ def verify_harmonic_morphism(
     family and one floor.  ``samples`` may already be the family members'
     frame table (see :func:`frame_operators`).  Each quotient screens its
     own domain: samples where its |Q| falls to the floor are discarded, and
-    when a ``sampler(count)`` callable is supplied the quotient draws its
-    shortfall again, up to ten times the requested count in all, before the
-    run is declared inconclusive.  ``sampler`` must return ``count`` points
+    when a ``sampler(count)`` callable is supplied and r in-domain samples
+    are still missing, the quotient consumes the stream up to its r-th
+    in-domain point, or up to ten times the requested count in all, before
+    the run is declared inconclusive.  ``sampler`` must return ``count`` points
     (else :class:`ValidationError`); it may be asked for more than the
     shortfall, and may be left advanced past the last point the quotients
     consumed (see :func:`_collect_in_domain`).  The quotients consume the
@@ -400,19 +386,18 @@ def verify_harmonic_morphism(
     with timed_report() as clock:
         base = frame_operators(members, samples, basis)
         groups = _groups([k.numerator for k in morphs], [k.denominator for k in morphs])
-        kept, redrawn, counts = _collect_in_domain(morphs, groups, base, basis, sampler, min_samples)
+        kept, consumed, mask, counts = _collect_in_domain(morphs, groups, base, basis, sampler, min_samples)
         tau_max = np.empty(len(morphs))
         kappa_max = np.empty(len(morphs))
         for degrees, ks in groups:
             union = MonomialTable.over(base, degrees)
-            rows = [kept[:, ks]]
-            extra = [k for k in ks if redrawn[k] is not None]
-            if extra:
-                more = FrameOperators.concat([redrawn[k] for k in extra])
-                union = MonomialTable.concat([union, MonomialTable.over(more, degrees)])
-                # a quotient's redrawn rows lie in its domain alone
-                rows += [np.repeat([np.equal(ks, k)], len(redrawn[k]), axis=0) for k in extra]
-            tau_vals, kappa_vals = quotient_operators([morphs[k] for k in ks], union, np.concatenate(rows))
+            rows = kept[:, ks]
+            # a consumed point counts only for the quotient that consumed it
+            extra = mask[:, ks].any(axis=1)
+            if extra.any():
+                union = MonomialTable.concat([union, MonomialTable.over(consumed.rows(extra), degrees)])
+                rows = np.concatenate([rows, mask[extra][:, ks]])
+            tau_vals, kappa_vals = quotient_operators([morphs[k] for k in ks], union, rows)
             tau_max[ks] = np.max(np.abs(tau_vals), axis=0)
             kappa_max[ks] = np.max(np.abs(kappa_vals), axis=0)
     if isinstance(m, RationalMorphism):

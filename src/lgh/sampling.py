@@ -242,10 +242,9 @@ def _pade13(x: np.ndarray) -> np.ndarray:
     return aug
 
 
-def expm(a, *, real: bool = False) -> np.ndarray:
+def expm(a) -> np.ndarray:
     """The matrix exponential of each (n, n) matrix of an (..., n, n) stack,
-    as a complex array of the same shape; with ``real``, the exponential of
-    a real stack computed and returned in float64.
+    an array of the same shape: complex for a complex stack, else float64.
 
     Each matrix is scaled by its own 2**-s, s >= 0 the least integer with
     ||A / 2**s||_1 < theta_13, exponentiated by the Pade approximant and
@@ -256,10 +255,8 @@ def expm(a, *, real: bool = False) -> np.ndarray:
     factors have zero imaginary parts rounds as the real product, so the
     float64 result equals the real part of the complex one bit for bit."""
     a = np.asarray(a)
-    if real and np.iscomplexobj(a):
-        raise ValidationError("expm(real=True) needs a real stack")
     shape, n = a.shape, a.shape[-1]
-    x = np.moveaxis(a.reshape(-1, n, n), 0, -1).astype(float if real else complex, order="C")
+    x = np.moveaxis(a.reshape(-1, n, n), 0, -1).astype(complex if np.iscomplexobj(a) else float, order="C")
     mag = np.abs(x)
     colsum = mag[0].copy()
     for i in range(1, n):
@@ -308,7 +305,7 @@ class GroupSampler:
         for pos, js, vals in basis.gather_plan:
             flat[..., pos] += coeffs[..., js] * vals
         gens = (flat if basis.real else flat.view(complex)).reshape(count, 2, n, n)
-        factors = np.moveaxis(expm(gens, real=basis.real), (0, 1), (-1, 0))
+        factors = np.moveaxis(expm(gens), (0, 1), (-1, 0))
         # defects are checked on the complex stack: @ and det in float64
         # would round differently and move them
         points = np.moveaxis(_matmul(*factors), -1, 0).astype(complex, order="C")

@@ -100,6 +100,16 @@ def test_su_family_constants_measured():
     assert meas["mu_measurement"] < 1e-10
 
 
+def test_constants_measurement_with_no_value_above_the_floor_is_inconclusive():
+    """At p = 0.01 e_1 no |phi| on U(2) clears VALUE_FLOOR: constants off by
+    5 and 3 must not measure 0."""
+    fam = fa.u_family(2, 0.01 * _e(2))
+    wrong = fa.Eigenfamily(fam.group, fam.members, fam.lam + 5.0, fam.mu + 3.0, "wrong-constants")
+    basis = M.compact_basis(fam.group)
+    with pytest.raises(InconclusiveError):
+        fa.measure_constants_residual(wrong, basis, sample_compact(fam.group, 40, 0.5, 42))
+
+
 def test_sp_family_members():
     fam = fa.sp_family(1, _e(1))
     assert len(fam.members) == 2

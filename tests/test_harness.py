@@ -199,6 +199,16 @@ def test_cli_missing_config_is_exit_two(capsys):
     assert "config" in err
 
 
+@pytest.mark.parametrize("V", [[[[0, 0]] * 4], [[[1, 0], [0, 1], [0, 0]]]])
+def test_cli_refuses_a_zero_or_short_v_vector(V, tmp_path, capsys):
+    """A zero V vector is isotropic, and its zero member would pass with
+    tau = kappa = 0; a vector of the wrong length names the family too."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": {"group": {"family": "so", "n": 4}, "V": V}}))
+    assert main(["verify-family", "--config", str(cfg)]) == 2
+    assert "(field: family)" in capsys.readouterr().err
+
+
 def test_cli_bad_radius_is_exit_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": {"group": {"family": "u", "n": 2}}, "radius": 2.0}))

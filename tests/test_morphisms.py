@@ -1,8 +1,12 @@
 """Power families, rational morphisms, quotient condition, composition."""
 
+from unittest import mock
+
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import Quotient
 
 from lgh import families as fa
@@ -169,7 +173,7 @@ def test_kernel_rows_do_not_depend_on_which_quotients_share_the_call():
 
         def run(ms, rows_of=table):
             mono = mo.MonomialTable.over(rows_of, (degree,))
-            rows = mo._screen(mono.values, mo._denominators(ms)) > 0.05
+            rows = mo._in_domain(rows_of, ms, [((degree,), list(range(len(ms))))])
             tau, kappa = mo.quotient_operators(ms, mono, rows)
             cond = mo.quotient_condition(fam, [m.numerator for m in ms], [m.denominator for m in ms], rows_of)
             return {
@@ -387,8 +391,9 @@ def test_chain_rule_matches_full_jet_walk(case):
     full = oracle.frame_table(polys, samples, basis)
     if quotient:
         m = mo.RationalMorphism(fam, *polys, floor=0.2)
-        mono = mo.MonomialTable.over(frame_operators(fam.members, samples, basis), m.degrees)
-        rows = mo._screen(mono.values, mo._denominators([m])) > m.floor
+        table = frame_operators(fam.members, samples, basis)
+        mono = mo.MonomialTable.over(table, m.degrees)
+        rows = mo._in_domain(table, [m], [(m.degrees, [0])])
         q_tau, q_kappa = mo.quotient_operators([m], mono, rows)
     for s, x in enumerate(samples):
         assert np.abs(ops.values[s] - full.values[s]).max() <= 1e-12
@@ -510,6 +515,51 @@ def test_look_ahead_block_size_does_not_change_a_report(monkeypatch, block, ahea
             morphs[worst["index"]], basis, base, min_samples=50, sampler=lambda k: sampler.take(k).points
         )
         assert alone.residuals[name].hex() == expected[0][name]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    block=st.integers(1, 64),
+    ahead=st.floats(0.0, 4.0),
+    floor=st.floats(0.3, 0.6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_any_look_ahead_keeps_the_redraw_contract(block, ahead, floor, seed):
+    """Whatever the look-ahead constants, three Sp(1) quotients of degrees
+    1-3 give the report of the default constants bit for bit, each one
+    alone consumes what the round rule does (inconclusive when no point of
+    its budget is in domain), and the worst quotients replay alone from
+    their ``sampler_skip``."""
+    fam = fa.sp_family(1, _e(1))
+    basis = M.compact_basis(fam.group)
+    rng = SplitMix64(seed)
+    morphs = [mo.random_morphism(fam, degree, rng, floor=floor) for degree in (1, 2, 3)]
+    target = 20
+
+    def run(m, skip=0):
+        sampler = compact_sampler(fam.group, 0.5, seed)
+        base = sampler.take(target)
+        sampler.take(skip)
+        try:
+            rep = mo.verify_harmonic_morphism(
+                m, basis, base, min_samples=target, sampler=lambda k: sampler.take(k).points
+            )
+        except InconclusiveError:
+            return None
+        residuals = {key: val.hex() for key, val in rep.residuals.items()}
+        return residuals, rep.samples_used, rep.samples_discarded, rep.notes
+
+    default = run(morphs)
+    with mock.patch.multiple(mo, _BLOCK=block, _AHEAD=ahead):
+        assert run(morphs) == default
+        for m in morphs:
+            used, discarded = _round_rule(m, seed, target, target)
+            alone = run(m)
+            assert (alone[1:3] == (used, discarded)) if used else (alone is None)
+        if default is not None:
+            for name in ("tau", "kappa"):
+                worst = default[3][f"worst_{name}"]
+                assert run(morphs[worst["index"]], worst["sampler_skip"])[0][name] == default[0][name]
 
 
 def test_frame_table_must_describe_the_family_members():
