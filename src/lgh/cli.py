@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration or
-validation error (the diagnostic names the offending field).  A flag or
+validation error (the diagnostic names the offending field), an --out
+path that cannot be written included (field ``out``).  A flag or
 config field the command does not read (``harness.READS``) is a
 configuration error.
 """
@@ -117,7 +118,7 @@ def _config_from_args(args) -> RunConfig:
         )
     reads = READS[command]
     default = RunConfig()
-    given = [key for key, value in cfg.to_dict().items() if key in flagged or value != getattr(default, key)]
+    given = [key for key, value in vars(cfg).items() if key in flagged or value != getattr(default, key)]
     for key in given:
         if key not in reads:
             raise ConfigError(f"lgh {command} reads only {', '.join(reads)}, not {key}", field=key)
@@ -129,11 +130,14 @@ def _config_from_args(args) -> RunConfig:
 
 def _emit(document: dict, out: str | None):
     text = json.dumps(document, indent=2, sort_keys=True)
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {out}: {exc.strerror}", field="out") from exc
 
 
 def main(argv=None) -> int:

@@ -94,18 +94,11 @@ def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis, fr
         coords = coords * wrong.signs
         return float(np.sqrt(np.max(np.sum(coords**2, axis=-1)))) if coords.size else 0.0
 
-    km = k.matrices
-    pm = p.matrices
+    # [k, k] in k, [k, p] in p, [p, p] in k: the component outside is wrong
     closure = 0.0
-    if len(k):
-        kk = np.einsum("aij,bjk->abik", km, km) - np.einsum("bij,ajk->abik", km, km)
-        closure = max(closure, wrong_component(kk, p))
-    if len(k) and len(p):
-        kp = np.einsum("aij,bjk->abik", km, pm) - np.einsum("bij,ajk->abik", pm, km)
-        closure = max(closure, wrong_component(kp, k))
-    if len(p):
-        pp = np.einsum("aij,bjk->abik", pm, pm) - np.einsum("bij,ajk->abik", pm, pm)
-        closure = max(closure, wrong_component(pp, p))
+    for a, b, wrong in ((k.matrices, k.matrices, p), (k.matrices, p.matrices, k), (p.matrices, p.matrices, p)):
+        ab = np.einsum("aij,bjk->abik", a, b) - np.einsum("bij,ajk->abik", b, a)
+        closure = max(closure, wrong_component(ab, wrong))
     res["bracket_closure"] = closure
 
     # Gram matrix of Re trace(Z W) over the frame k then p

@@ -247,49 +247,33 @@ def _side_by_side(group: GroupId) -> np.ndarray:
     return side
 
 
-@cache
-def _real_tables(group: GroupId) -> tuple[np.ndarray, np.ndarray]:
-    """The side-by-side frame and the Casimir of a group whose frame has no
-    imaginary part, as contiguous float64 arrays."""
-    side = np.ascontiguousarray(_side_by_side(group).real)
-    casimir = np.ascontiguousarray(compact_basis(group).casimir.real)
-    side.setflags(write=False)
-    casimir.setflags(write=False)
-    return side, casimir
-
-
 def _coordinate_tables(x, basis: SignedBasis):
     """tau table T[s,i,j] = (x_s C)_ij, with C the frame's Casimir, and kappa
     4-tensor K[s,i,j,k,l] = sum_b eps_b (x_s Z_b)_ij (x_s Z_b)_kl over a
-    block x, in the dtype of x (float64 only for a real frame)."""
+    block x, on every row of x, in the dtype of x (float64 only for a real
+    frame).  A float64 block reads float64 copies of the side-by-side frame
+    and the Casimir: the Casimir is diagonal and each side-by-side column has
+    one nonzero, so each table entry is one rounded product either way."""
     s, n, b = x.shape[0], x.shape[-1], len(basis)
-    if np.iscomplexobj(x):
-        side, casimir = _side_by_side(basis.group), basis.casimir
-    else:
-        side, casimir = _real_tables(basis.group)
+    side, casimir = _side_by_side(basis.group), basis.casimir
+    if not np.iscomplexobj(x):
+        side, casimir = np.ascontiguousarray(side.real), np.ascontiguousarray(casimir.real)
     flat = (x @ side).reshape(s, n, b, n).transpose(0, 2, 1, 3).reshape(s, b, n * n)
     k4 = (flat.transpose(0, 2, 1) * basis.signs) @ flat
     return x @ casimir, k4.reshape(s, n, n, n, n)
 
 
-def _outer(x) -> np.ndarray:
-    """The 4-tensor x_il x_kj at every sample of a block, laid out
-    (s, i, l, k, j): the outer product of each flattened x with itself.
+def _outer(q) -> np.ndarray:
+    """The 4-tensor q_il q_kj at every sample of a block of (r, c) rows, laid
+    out (s, i, l, k, j): the outer product of each flattened q with itself.
     Complex blocks keep einsum's product, real ones multiply."""
-    s, n = x.shape[0], x.shape[-1]
-    flat = x.reshape(s, n * n)
-    if np.iscomplexobj(x):
+    s, r, c = q.shape
+    flat = q.reshape(s, r * c)
+    if np.iscomplexobj(q):
         out = np.einsum("sa,sb->sab", flat, flat)
     else:
         out = np.multiply(flat[:, :, None], flat[:, None, :])
-    return out.reshape(s, n, n, n, n)
-
-
-def _cross(a, b) -> np.ndarray:
-    """The 4-tensor a_il b_kj at every sample of a block, C-ordered like the
-    kappa 4-tensor it is added to (einsum's own output order is not)."""
-    out = np.empty(a.shape[:2] + b.shape[:0:-1] + a.shape[2:], dtype=complex)
-    return np.einsum("sil,skj->sijkl", a, b, out=out)
+    return out.reshape(s, r, c, r, c)
 
 
 # The compact families whose coordinate functions have stated tau/kappa
@@ -303,20 +287,25 @@ def verify_coordinate_lemmas(
     """Check every stated tau/kappa relation of the coordinate functions on
     SO(n), U(n) or Sp(n), for all index combinations at every sample.
 
-    The tables are measured on the group's frame, never from the stated
-    constants: tau from its Casimir, kappa from the products x Z_b.  Samples
-    go through in blocks of :data:`LEMMA_BLOCK`.  A block's kappa residuals
-    are built in place on its cross tensors x_il x_kj (one per block on
-    SO(n) and U(n)): the delta terms are subtracted on diagonal slices, the
-    stated factor 1/2 is applied (exactly) and the measured 4-tensor added.
-    On SO(n) and U(n) the cross tensor is the outer product of the flattened
-    x with itself, laid out (s, i, l, k, j), and the 4-tensor is read in that
-    layout; the slices and the maxima do not depend on it.  An SO(n) stack
-    with no imaginary part, every point the sampler draws, is checked in
-    float64: each step's real part rounds as in complex arithmetic, so the
-    residuals are those of the complex stack.  Every step acts on each
-    sample alone, so the residuals do not depend on the block size.  An
-    empty stack raises :class:`InconclusiveError`."""
+    The coordinate rows q are all of x on SO(n) and U(n), and the n rows
+    [z | w] of the quaternionic embedding on Sp(n).  Every kappa relation
+    reads kappa(q_ij, q_kl) = -c (q_il q_kj - D_ik delta_jl): c = 1/2 and
+    D = x x^t (or delta_ik on the group) on SO(n); c = 1 and no D on U(n);
+    c = 1/2 on Sp(n), where D = z w^t - w z^t enters only for j on z and
+    l = j + n on w.  The tables are measured on the group's frame, never
+    from the stated constants: tau from its Casimir, kappa from the
+    products x Z_b.  Samples go through in blocks of :data:`LEMMA_BLOCK`.
+    Each block builds one cross tensor q_il q_kj, the outer product of the
+    flattened q laid out (s, i, l, k, j), and the residuals in place on it
+    (SO(n)'s kappa_general on a copy): the D terms are subtracted on
+    diagonal slices, c is applied (exactly) and the measured 4-tensor, read
+    in that layout, added.  On Sp(n) kappa_zz, kappa_ww and kappa_zw are
+    slices of the one tensor.  An SO(n) stack with no imaginary part, every
+    point the sampler draws, is checked in float64: each step's real part
+    rounds as in complex arithmetic, so the residuals are those of the
+    complex stack.  Every step acts on each sample alone, so the residuals
+    do not depend on the block size.  An empty stack raises
+    :class:`InconclusiveError`."""
     if group.family not in LEMMA_FAMILIES:
         raise ValidationError(f"no coordinate relations for {group.family!r}")
     basis = compact_basis(group)
@@ -337,10 +326,11 @@ def verify_coordinate_lemmas(
         for lo in range(0, len(stack), LEMMA_BLOCK):
             x = stack[lo : lo + LEMMA_BLOCK]
             t, k4 = _coordinate_tables(x, basis)
+            q = x[:, :n]
+            k4 = k4[:, :n, :, :n].transpose(0, 1, 4, 3, 2)  # kappa(q_ij, q_kl) at [:, i, l, k, j]
+            cross = _outer(q)
             if group.family == "SO":
                 bump("tau", t + (n - 1) / 2.0 * x)
-                cross = _outer(x)
-                k4 = k4.transpose(0, 1, 4, 3, 2)
                 # k4 - general, general = -1/2 (x_il x_kj - (x x^t)_ik delta_jl)
                 general = cross.copy()
                 general[:, :, diag, :, diag] -= x @ x.transpose(0, 2, 1)
@@ -354,29 +344,21 @@ def verify_coordinate_lemmas(
                 bump("kappa_on_group", cross)
             elif group.family == "U":
                 bump("tau", t + n * x)
-                cross = _outer(x)
-                cross += k4.transpose(0, 1, 4, 3, 2)
+                cross += k4
                 bump("kappa", cross)
             else:
-                zb = x[:, :n, :n]
-                wb = x[:, :n, n:]
-                lam = (2 * n + 1) / 2.0
-                bump("tau_z", t[:, :n, :n] + lam * zb)
-                bump("tau_w", t[:, :n, n:] + lam * wb)
-                for key, cross, block in (
-                    ("kappa_zz", _cross(zb, zb), k4[:, :n, :n, :n, :n]),
-                    ("kappa_ww", _cross(wb, wb), k4[:, :n, n:, :n, n:]),
-                ):
-                    cross *= 0.5
-                    cross += block
-                    bump(key, cross)
-                # k4 - target, target = -1/2 (w_il z_kj - anti_ik delta_jl)
-                anti = zb @ wb.transpose(0, 2, 1) - wb @ zb.transpose(0, 2, 1)
-                cross = _cross(wb, zb)
-                cross[:, :, diag, :, diag] -= anti
+                tau = t[:, :n] + (2 * n + 1) / 2.0 * q
+                bump("tau_z", tau[:, :, :n])
+                bump("tau_w", tau[:, :, n:])
+                # kappa(z_ij, w_kl) = -1/2 (w_il z_kj - anti_ik delta_jl)
+                z, w = q[:, :, :n], q[:, :, n:]
+                anti = z @ w.transpose(0, 2, 1) - w @ z.transpose(0, 2, 1)
+                cross[:, :, n + diag, :, diag] -= anti
                 cross *= 0.5
-                cross += k4[:, :n, :n, :n, n:]
-                bump("kappa_zw", cross)
+                cross += k4
+                bump("kappa_zz", cross[:, :, :n, :, :n])
+                bump("kappa_ww", cross[:, :, n:, :, n:])
+                bump("kappa_zw", cross[:, :, n:, :, :n])
                 bump("zw_antisymmetry", anti)
     notes = {}
     if isinstance(samples, SampleSet):

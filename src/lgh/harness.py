@@ -136,11 +136,13 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_float=_number, parse_constant=_number, object_pairs_hook=_object)
+        fault = _config_fault(data, "config")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}", field="config") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", field="config") from exc
-    fault = _config_fault(data, "config")
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply", field="config") from exc
     if fault:
         field, message = fault
         raise ConfigError(message, field=field.removeprefix("config."))

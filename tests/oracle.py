@@ -145,28 +145,48 @@ def walk(f):
 
 
 def coordinate_lemma_residuals(group, xs) -> dict:
-    """The residuals of :func:`lgh.families.verify_coordinate_lemmas` on
-    SO(n) or U(n), measured in complex arithmetic on the complex stack: the
-    products x Z_b and x x^t and the signed kappa 4-tensor by complex gemm,
-    the cross tensor x_il x_kj by einsum in its (s, i, j, k, l) layout."""
+    """The residuals of :func:`lgh.families.verify_coordinate_lemmas`,
+    measured in complex arithmetic on the complex stack: the products x Z_b,
+    x x^t, z w^t and w z^t and the signed kappa 4-tensor by complex gemm,
+    each cross tensor a_il b_kj by einsum in its (s, i, j, k, l) layout, and
+    each delta term as a full tensor.  On Sp(n), z and w are the blocks x[:n, :n]
+    and x[:n, n:] of the quaternionic embedding."""
     basis = compact_basis(group)
     x = np.asarray(xs, dtype=complex)
-    s, n, b = x.shape[0], x.shape[-1], len(basis)
-    side = basis.matrices.transpose(1, 0, 2).reshape(n, b * n)
-    flat = (x @ side).reshape(s, n, b, n).transpose(0, 2, 1, 3).reshape(s, b, n * n)
-    k4 = ((flat.transpose(0, 2, 1) * basis.signs) @ flat).reshape(s, n, n, n, n)
-    cross = np.einsum("sil,skj->sijkl", x, x)
+    s, m, b = x.shape[0], x.shape[-1], len(basis)
+    side = basis.matrices.transpose(1, 0, 2).reshape(m, b * m)
+    flat = (x @ side).reshape(s, m, b, m).transpose(0, 2, 1, 3).reshape(s, b, m * m)
+    k4 = ((flat.transpose(0, 2, 1) * basis.signs) @ flat).reshape(s, m, m, m, m)
+    tau = x @ basis.casimir
+    n = group.n
     eye = np.eye(n)
-    delta_jl = np.einsum("sik,jl->sijkl", x @ x.transpose(0, 2, 1), eye)
-    delta_ik_jl = np.einsum("ik,jl->ijkl", eye, eye)
+
+    def cross(a, b):
+        return np.einsum("sil,skj->sijkl", a, b)
+
+    def delta_jl(d):
+        return np.einsum("sik,jl->sijkl", d, eye)
 
     def maxabs(a):
         return float(np.max(np.abs(a)))
 
     if group.family == "SO":
+        delta_ik_jl = np.einsum("ik,jl->ijkl", eye, eye)
         return {
-            "tau": maxabs(x @ basis.casimir + (n - 1) / 2.0 * x),
-            "kappa_general": maxabs((cross - delta_jl) * 0.5 + k4),
-            "kappa_on_group": maxabs((cross - delta_ik_jl) * 0.5 + k4),
+            "tau": maxabs(tau + (n - 1) / 2.0 * x),
+            "kappa_general": maxabs((cross(x, x) - delta_jl(x @ x.transpose(0, 2, 1))) * 0.5 + k4),
+            "kappa_on_group": maxabs((cross(x, x) - delta_ik_jl) * 0.5 + k4),
         }
-    return {"tau": maxabs(x @ basis.casimir + n * x), "kappa": maxabs(cross + k4)}
+    if group.family == "U":
+        return {"tau": maxabs(tau + n * x), "kappa": maxabs(cross(x, x) + k4)}
+    z, w = x[:, :n, :n], x[:, :n, n:]
+    lam = (2 * n + 1) / 2.0
+    anti = z @ w.transpose(0, 2, 1) - w @ z.transpose(0, 2, 1)
+    return {
+        "tau_z": maxabs(tau[:, :n, :n] + lam * z),
+        "tau_w": maxabs(tau[:, :n, n:] + lam * w),
+        "kappa_zz": maxabs(cross(z, z) * 0.5 + k4[:, :n, :n, :n, :n]),
+        "kappa_ww": maxabs(cross(w, w) * 0.5 + k4[:, :n, n:, :n, n:]),
+        "kappa_zw": maxabs((cross(w, z) - delta_jl(anti)) * 0.5 + k4[:, :n, :n, :n, n:]),
+        "zw_antisymmetry": maxabs(anti),
+    }

@@ -198,7 +198,7 @@ def test_side_by_side_frame_gives_the_bits_of_each_product(gid):
     assert np.array_equal(wide, x[:, None] @ zs)
 
 
-@pytest.mark.parametrize("gid", [M.SO(n) for n in range(2, 7)] + [M.U(n) for n in (2, 3, 4)], ids=str)
+@pytest.mark.parametrize("gid", LEMMA_GROUPS, ids=str)
 def test_coordinate_lemma_residuals_are_the_complex_kernels(gid, monkeypatch):
     """SO(n) points run in float64 and the cross tensor is one outer product,
     yet every residual has the bits of the complex einsum-and-gemm kernel."""

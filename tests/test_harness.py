@@ -199,6 +199,27 @@ def test_cli_missing_config_is_exit_two(capsys):
     assert "config" in err
 
 
+@pytest.mark.parametrize("depth", [600, 100_000])
+def test_cli_refuses_a_deeply_nested_config(depth, tmp_path, capsys):
+    """600 levels overflow the stack of the config walk, 100,000 that of
+    json.load; either way the config is refused, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": ' + "[" * depth + "3" + "]" * depth + "}")
+    assert main(["verify-identities", "--config", str(cfg)]) == 2
+    assert "config error (field: config)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify-identities", "--n", "3"], ["suite"]], ids=["command", "suite"])
+def test_cli_unwritable_out_is_exit_two(argv, tmp_path, capsys):
+    """Exit 1 means a check failed; a report that cannot be written is a
+    config error naming --out and its path."""
+    out = tmp_path / "missing" / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error (field: out)" in err and str(out) in err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("V", [[[[0, 0]] * 4], [[[1, 0], [0, 1], [0, 0]]]])
 def test_cli_refuses_a_zero_or_short_v_vector(V, tmp_path, capsys):
     """A zero V vector is isotropic, and its zero member would pass with
