@@ -80,6 +80,7 @@ from .morphisms import (
     power_family,
     quotient_morphism,
     random_morphism,
+    random_morphisms,
     verify_harmonic_morphism,
     verify_quotient_condition,
 )

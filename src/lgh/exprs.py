@@ -20,7 +20,7 @@ the morphism verifiers their numerators and denominators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -172,8 +172,11 @@ class HomPoly:
 
     ``coeffs`` maps exponent multi-indices (one entry per argument) to
     complex coefficients.  Terms may have any total degree, a constant
-    included; ``degree`` is the highest, and ``homogeneous`` says whether
-    every term has it.
+    included; ``degree`` is the highest, ``term_degrees`` lists every
+    degree a term has, and ``homogeneous`` says whether every term has
+    ``degree``.  A homogeneous polynomial can also be built from its
+    coefficient row over the monomials of its degree (:meth:`from_row`);
+    it then holds that row and builds ``coeffs`` only when first read.
     """
 
     def __init__(self, coeffs, args):
@@ -192,10 +195,29 @@ class HomPoly:
             items[expo] = complex(c)
         if not items:
             raise ValidationError("empty polynomial")
-        degrees = {sum(expo) for expo in items}
-        self.degree = max(degrees)
-        self.homogeneous = len(degrees) == 1
-        self.coeffs = items
+        self.term_degrees = tuple(sorted({sum(expo) for expo in items}))
+        self.degree = self.term_degrees[-1]
+        self.homogeneous = len(self.term_degrees) == 1
+        self._coeffs, self._row = items, None
+
+    @classmethod
+    def from_row(cls, row: np.ndarray, args, degree: int) -> "HomPoly":
+        """The homogeneous polynomial of ``degree`` whose coefficients are
+        ``row`` (M,), one per monomial of ``_layout(len(args), (degree,))``
+        in its order, every one a term (zeros included, as a dict
+        :class:`HomPoly` keeps them).  The exponents are the layout's own,
+        so nothing is validated; ``row`` is held as it is, not copied."""
+        poly = cls.__new__(cls)
+        poly.args = list(args)
+        poly.term_degrees, poly.degree, poly.homogeneous = (degree,), degree, True
+        poly._coeffs, poly._row = None, row
+        return poly
+
+    @property
+    def coeffs(self) -> dict:
+        if self._coeffs is None:
+            self._coeffs = dict(zip(_layout(len(self.args), (self.degree,))[0], self._row.tolist()))
+        return self._coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +237,18 @@ def _layout(m: int, degrees: tuple):
 
 
 def _term_degrees(*polys) -> tuple:
-    return tuple(sorted({sum(expo) for poly in polys for expo in poly.coeffs}))
+    return tuple(sorted({d for poly in polys for d in poly.term_degrees}))
 
 
 def _coefficients(polys, degrees: tuple) -> np.ndarray:
     """The coefficient rows (K, M) of K polynomials over the monomials of
-    ``degrees``."""
+    ``degrees``; a polynomial built from its row over them gives that row."""
     _, row = _layout(len(polys[0].args), degrees)
     coeffs = np.zeros((len(polys), len(row)), dtype=complex)
     for k, poly in enumerate(polys):
+        if poly._row is not None and poly.term_degrees == degrees:
+            coeffs[k] = poly._row
+            continue
         for expo, c in poly.coeffs.items():
             coeffs[k, row[expo]] = c
     return coeffs
@@ -267,12 +292,6 @@ class MonomialTable:
             tau = chain_tau(grads, hess, table.tau, table.kappa)
             table.derived[key] = cls(values, tau, grads, table.kappa)
         return table.derived[key]
-
-    @staticmethod
-    def concat(tables: list) -> "MonomialTable":
-        return MonomialTable(
-            *(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(MonomialTable))
-        )
 
     def polynomials(self, coeffs):
         """Values (S, K), tau (S, K) and member gradients (S, K, m) of the K

@@ -525,10 +525,12 @@ def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore, p
     verify; the quotient condition triple equality is measured on the same
     instances.  ``fam`` may be a family no spec describes.
 
-    All quotients are drawn first, then verified together on the member
-    frame table of ``cfg.samples`` base samples, which the
-    quotient-condition check shares, so each degree's monomial table is
-    built once.  Samples come from ``cfg.seed``, the polynomials from
+    All quotients are drawn first, by :func:`lgh.morphisms.random_morphisms`
+    (per quotient a u64 for its degree 1 + u % 3, then P, then Q), then
+    verified together on the member frame table of ``cfg.samples`` base
+    samples.  The quotient-condition check shares that table, and with it
+    each degree's monomial table and the pair table the morphism check
+    built there.  Samples come from ``cfg.seed``, the polynomials from
     ``rng_seed = cfg.seed ^ 0xFAC7041``, which both reports record; the
     factory report's ``notes`` name the quotients with the worst tau and
     the worst kappa by their index in the polynomial stream.
@@ -538,7 +540,7 @@ def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore, p
     rng = SplitMix64(rng_seed)
     sampler = store.compact(fam.group, cfg.radius, cfg.seed)
     base = frame_operators(fam.members, sampler.take(cfg.samples), basis)
-    morphs = [mo.random_morphism(fam, int(1 + rng.next_u64() % 3), rng, floor=cfg.floor) for _ in range(pairs)]
+    morphs = mo.random_morphisms(fam, pairs, rng, floor=cfg.floor)
     rep = mo.verify_harmonic_morphism(
         morphs, basis, base, tol=cfg.tol, min_samples=cfg.samples, sampler=lambda k: sampler.take(k).points
     )

@@ -31,7 +31,7 @@ The member tau and kappa are measured, never taken from the family's stated
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,17 +114,25 @@ class RationalMorphism:
         x = np.asarray(x, dtype=complex)
         empty = SignedBasis(GroupId("GLC-split", x.shape[-1]))
         table = frame_operators(self.family.members, [x], empty)
-        return bool(_in_domain(table, [self], [(self.degrees, [0])])[0, 0])
+        return bool(_in_domain(table, [self], _groups([self.numerator], [self.denominator]))[0, 0])
+
+
+def _proportional_rows(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Whether row k of ``u`` (K, M) is proportional to row k of ``v``: whether
+    the Gram determinant |u|^2 |v|^2 - |<u, v>|^2 is at most tol |u|^2 |v|^2,
+    as it is when either row is zero.  Real products and one sum per row,
+    so a row's verdict does not depend on the rows beside it."""
+    ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
+    uu = (ur * ur + ui * ui).sum(axis=-1)
+    vv = (vr * vr + vi * vi).sum(axis=-1)
+    re, im = (ur * vr + ui * vi).sum(axis=-1), (ur * vi - ui * vr).sum(axis=-1)
+    scale = uu * vv
+    return scale - (re * re + im * im) <= tol * scale
 
 
 def _proportional(p: HomPoly, q: HomPoly, tol: float = 1e-12) -> bool:
     u, v = _coefficients([p, q], _term_degrees(p, q))
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return True
-    gram = (nu * nv) ** 2 - abs(np.vdot(u, v)) ** 2
-    return gram <= tol * (nu * nv) ** 2
+    return bool(_proportional_rows(u[None], v[None], tol)[0])
 
 
 def _as_hompoly(p, members) -> HomPoly:
@@ -181,13 +189,19 @@ class QuotientPairs:
     kappa_pq: np.ndarray
     kappa_qq: np.ndarray
 
+    @staticmethod
+    def concat(tables: list) -> "QuotientPairs":
+        return QuotientPairs(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(QuotientPairs)))
 
-def quotient_pairs(mono: MonomialTable, numerators, denominators, degrees: tuple) -> QuotientPairs:
-    """The pair table of K pairs over a monomial table of ``degrees``: the 2K
-    polynomials are one (2K, M) coefficient matrix, and kappa(F, G) =
-    sum_ab F_a kappa(phi_a, phi_b) G_b is summed one index at a time."""
-    k = len(numerators)
-    values, tau, grads = mono.polynomials(_coefficients([*numerators, *denominators], degrees))
+
+def quotient_pairs(mono: MonomialTable, coeffs: np.ndarray) -> QuotientPairs:
+    """The pair table of K pairs over a monomial table from their (2K, M)
+    coefficient block, the K numerator rows then the K denominator rows
+    (see :func:`_groups`).  kappa(F, G) = sum_ab F_a kappa(phi_a, phi_b)
+    G_b is summed one index at a time, and each entry is reduced alone, so
+    a row's bits depend neither on K nor on the other rows."""
+    k = len(coeffs) // 2
+    values, tau, grads = mono.polynomials(coeffs)
     pulled = np.einsum("sab,skb->ska", mono.kappa, grads)
 
     def kappa(f, g):
@@ -199,31 +213,45 @@ def quotient_pairs(mono: MonomialTable, numerators, denominators, degrees: tuple
     return QuotientPairs(*(np.ascontiguousarray(a) for a in parts))
 
 
-def _in_domain(table: FrameOperators, morphs, groups) -> np.ndarray:
+def _pair_table(table: FrameOperators, degrees: tuple, coeffs: np.ndarray) -> QuotientPairs:
+    """The pair table of a (2K, M) coefficient block over a member frame
+    table's monomials of ``degrees``, built once per table and block.  It
+    is kept in ``table.derived`` under the degrees and the block's shape and
+    bytes, never an object's id, so every verifier of the same pairs on the
+    table reads one table, and any other block gets its own."""
+    key = ("pairs", degrees, coeffs.shape, coeffs.tobytes())
+    if key not in table.derived:
+        table.derived[key] = quotient_pairs(MonomialTable.over(table, degrees), coeffs)
+    return table.derived[key]
+
+
+def _in_domain(table: FrameOperators, morphs, groups, tabled: bool = False) -> np.ndarray:
     """Whether |Q_k| clears the floor at each row of a member frame table,
     (S, K), for K quotients of one floor and their monomial-table
     ``groups`` (see :func:`_groups`).  The monomial values (order 0) and the
     contraction are those of :class:`MonomialTable`, so a screened row's Q
-    is bit for bit the Q the kernel divides by."""
+    is bit for bit the Q the kernel divides by.  With ``tabled``, the
+    values are read from the table's :class:`MonomialTable`, which the
+    kernel builds anyway."""
     out = np.empty((len(table), len(morphs)), dtype=bool)
-    for degrees, ks in groups:
-        values = monomials(table.values, _layout(len(table.members), degrees)[0], order=0)[0]
-        dens = _coefficients([morphs[k].denominator for k in ks], degrees)
-        out[:, ks] = np.abs(contract(values, dens)) > morphs[0].floor
+    for degrees, ks, coeffs in groups:
+        if tabled:
+            values = MonomialTable.over(table, degrees).values
+        else:
+            values = monomials(table.values, _layout(len(table.members), degrees)[0], order=0)[0]
+        out[:, ks] = np.abs(contract(values, coeffs[len(ks) :])) > morphs[0].floor
     return out
 
 
-def quotient_operators(morphs, mono: MonomialTable, rows):
+def quotient_operators(morphs, pairs: QuotientPairs, rows):
     """tau(P/Q) and kappa(P/Q, P/Q), (S, K) each, of K quotients of one
-    monomial table and one floor, at the entries where ``rows`` (S, K) is
-    True, and 0 elsewhere.
+    floor from their pair table (:func:`quotient_pairs`), at the entries
+    where ``rows`` (S, K) is True, and 0 elsewhere.
 
     The quotient rule (:meth:`RationalMorphism.derivatives`) runs once on all
     those entries together; each entry is reduced alone, so its bits depend
     neither on K nor on the other rows.
     """
-    nums, dens = [m.numerator for m in morphs], [m.denominator for m in morphs]
-    pairs = quotient_pairs(mono, nums, dens, morphs[0].degrees)
     _, grad, hess = morphs[0].derivatives(np.stack([pairs.p[rows], pairs.q[rows]], axis=-1))
     tau_pq = np.stack([pairs.tau_p[rows], pairs.tau_q[rows]], axis=-1)
     k_pq = pairs.kappa_pq[rows]
@@ -241,11 +269,13 @@ def quotient_condition(fam: Eigenfamily, numerators, denominators, table: FrameO
     of a member frame table, four (S, K) arrays:
     |Q^2 kappa(P,P) - PQ kappa(P,Q)|, |P^2 kappa(Q,Q) - PQ kappa(P,Q)| and
     the eigen-equation residuals |tau(P) - lambda_d P|, |tau(Q) - lambda_d Q|
-    with the power constants of each polynomial's degree."""
+    with the power constants of each polynomial's degree.  The pair tables
+    are read from ``table`` when a verifier of the same pairs built them
+    there (see :func:`_pair_table`)."""
     out = {key: np.empty((len(table), len(numerators))) for key in _CONDITION_KEYS}
-    for degrees, ks in _groups(numerators, denominators):
+    for degrees, ks, coeffs in _groups(numerators, denominators):
         nums, dens = [numerators[k] for k in ks], [denominators[k] for k in ks]
-        pairs = quotient_pairs(MonomialTable.over(table, degrees), nums, dens, degrees)
+        pairs = _pair_table(table, degrees, coeffs)
         lam_p = np.array([power_constants(fam.lam, fam.mu, f.degree)[0] for f in nums])
         lam_q = np.array([power_constants(fam.lam, fam.mu, f.degree)[0] for f in dens])
         p, q = pairs.p, pairs.q
@@ -260,12 +290,19 @@ _CONDITION_KEYS = ("triple_left", "triple_right", "tau_numerator", "tau_denomina
 
 
 def _groups(numerators, denominators):
-    """(degrees, indices) of the pairs that share a monomial table, in order
-    of first appearance."""
+    """(degrees, indices, coefficient block) of the pairs that share a
+    monomial table, in order of first appearance.  The block (2K, M) holds
+    the numerators' rows over the monomials of ``degrees``, then the
+    denominators', read-only."""
     groups: dict = {}
     for k, pair in enumerate(zip(numerators, denominators)):
         groups.setdefault(_term_degrees(*pair), []).append(k)
-    return list(groups.items())
+    out = []
+    for degrees, ks in groups.items():
+        coeffs = _coefficients([numerators[k] for k in ks] + [denominators[k] for k in ks], degrees)
+        coeffs.setflags(write=False)
+        out.append((degrees, ks, coeffs))
+    return out
 
 
 def _over_members(polys, members):
@@ -306,7 +343,7 @@ def _collect_in_domain(morphs, groups, base: FrameOperators, basis, sampler, min
     used, samples discarded, points of the stream the quotients before it
     consumed).
     """
-    kept = _in_domain(base, morphs, groups)
+    kept = _in_domain(base, morphs, groups, tabled=True)
     target = min_samples if min_samples is not None else len(base)
     budget = max(10 * max(target, 1), len(base)) - len(base)
     blocks, hits = [base.rows(slice(0, 0))], kept[:0]
@@ -365,7 +402,11 @@ def verify_harmonic_morphism(
     consumed (see :func:`_collect_in_domain`).  The quotients consume the
     stream in their order, so each one's samples are those of a run of it
     alone after the ones before it.  Every quotient of one monomial table is
-    then verified by one kernel call (:func:`quotient_operators`).
+    then verified by one kernel call (:func:`quotient_operators`).  The
+    base rows' pair table of each monomial table is built once and kept on
+    the members' frame table (:func:`_pair_table`), where
+    :func:`verify_quotient_condition` on the same pairs and table reads it;
+    the domain screen of the base rows reads the same monomial table.
 
     For a sequence the residuals are the maxima over all quotients, the
     sample counts their sums, and ``notes`` gives, for the worst tau and
@@ -389,15 +430,16 @@ def verify_harmonic_morphism(
         kept, consumed, mask, counts = _collect_in_domain(morphs, groups, base, basis, sampler, min_samples)
         tau_max = np.empty(len(morphs))
         kappa_max = np.empty(len(morphs))
-        for degrees, ks in groups:
-            union = MonomialTable.over(base, degrees)
+        for degrees, ks, coeffs in groups:
+            pairs = _pair_table(base, degrees, coeffs)
             rows = kept[:, ks]
             # a consumed point counts only for the quotient that consumed it
             extra = mask[:, ks].any(axis=1)
             if extra.any():
-                union = MonomialTable.concat([union, MonomialTable.over(consumed.rows(extra), degrees)])
+                more = quotient_pairs(MonomialTable.over(consumed.rows(extra), degrees), coeffs)
+                pairs = QuotientPairs.concat([pairs, more])
                 rows = np.concatenate([rows, mask[extra][:, ks]])
-            tau_vals, kappa_vals = quotient_operators([morphs[k] for k in ks], union, rows)
+            tau_vals, kappa_vals = quotient_operators([morphs[k] for k in ks], pairs, rows)
             tau_max[ks] = np.max(np.abs(tau_vals), axis=0)
             kappa_max[ks] = np.max(np.abs(kappa_vals), axis=0)
     if isinstance(m, RationalMorphism):
@@ -436,8 +478,10 @@ def verify_quotient_condition(
 
     P and Q are polynomials (or coefficient maps), or two equal-length
     lists of them, the pairs (P_k, Q_k); the residuals are then the maxima
-    over all pairs.  ``samples`` may be the family members' frame table.
-    With no sample, :class:`InconclusiveError`.
+    over all pairs.  ``samples`` may be the family members' frame table;
+    the pair tables a :func:`verify_harmonic_morphism` of the same pairs
+    kept on it are then read, not contracted again.  With no sample,
+    :class:`InconclusiveError`.
     """
     single = not isinstance(P, (list, tuple))
     nums = [_as_hompoly(f, fam.members) for f in ([P] if single else P)]
@@ -495,18 +539,23 @@ def compose_orthogonal(family: Eigenfamily, h: dict) -> HomPoly:
 # seeded polynomial factory for property checks
 # ---------------------------------------------------------------------------
 
+def _disc(u: np.ndarray) -> np.ndarray:
+    """Coefficients uniform on the unit disc from pairs of uniforms on the
+    last axis, (..., 2N) -> (..., N): radius sqrt(u) then angle 2 pi u', the
+    values of one :meth:`SplitMix64.complex_disc` call per pair."""
+    rad, ang = np.sqrt(u[..., 0::2]), 2.0 * math.pi * u[..., 1::2]
+    coeffs = np.empty(rad.shape, dtype=complex)
+    coeffs.real, coeffs.imag = rad * np.cos(ang), rad * np.sin(ang)
+    return coeffs
+
+
 def _random_hompolys(members, degree: int, rng: SplitMix64, count: int) -> list:
     """``count`` dense homogeneous polynomials, one after the other in the
-    stream, from one block of two uniforms per coefficient: radius sqrt(u)
-    then angle 2 pi u', the values and the stream of one
-    :meth:`SplitMix64.complex_disc` call per coefficient."""
-    expos, _ = _layout(len(members), (degree,))
-    u = rng.uniforms(2 * count * len(expos))
-    rad, ang = np.sqrt(u[0::2]), 2.0 * math.pi * u[1::2]
-    coeffs = np.empty(len(rad), dtype=complex)
-    coeffs.real, coeffs.imag = rad * np.cos(ang), rad * np.sin(ang)
-    values = coeffs.tolist()
-    return [HomPoly(dict(zip(expos, values[k * len(expos) :])), members) for k in range(count)]
+    stream, from one block of two uniforms per coefficient (:func:`_disc`)."""
+    size = len(_layout(len(members), (degree,))[0])
+    rows = _disc(rng.uniforms(2 * count * size).reshape(count, 2 * size))
+    rows.setflags(write=False)
+    return [HomPoly.from_row(row, members, degree) for row in rows]
 
 
 def random_hompoly(members, degree: int, rng: SplitMix64) -> HomPoly:
@@ -514,21 +563,88 @@ def random_hompoly(members, degree: int, rng: SplitMix64) -> HomPoly:
     return _random_hompolys(members, degree, rng, 1)[0]
 
 
+def _refuse_single_monomial(members, degree: int):
+    if len(_layout(len(members), (degree,))[0]) < 2:
+        raise ValidationError(
+            f"{len(members)} member(s) have a single monomial of degree {degree}; "
+            "every same-degree P and Q are proportional"
+        )
+
+
 def random_morphism(
     fam: Eigenfamily, degree: int, rng: SplitMix64, floor: float = 1e-3
 ) -> RationalMorphism:
-    """A random P/Q of two dense degree-``degree`` polynomials in the members.
+    """A random P/Q of two dense degree-``degree`` polynomials in the members:
+    P from the next 2M uniforms of ``rng``, then Q from the 2M after them
+    (M monomials of that degree, see :func:`_disc`), and while P and Q are
+    proportional, a vanishing-probability event, Q again from the next 2M.
 
     Raises :class:`ValidationError`, before drawing, when there is only one
     degree-``degree`` monomial (one member, or degree 0): every such P and
     Q are proportional, so no quotient exists.
     """
-    if len(_layout(len(fam.members), (degree,))[0]) < 2:
-        raise ValidationError(
-            f"{len(fam.members)} member(s) have a single monomial of degree {degree}; "
-            "every same-degree P and Q are proportional"
-        )
+    _refuse_single_monomial(fam.members, degree)
     p, q = _random_hompolys(fam.members, degree, rng, 2)
-    while _proportional(p, q):  # vanishing-probability event, retry keeps stream seeded
+    while _proportional(p, q):
         q = random_hompoly(fam.members, degree, rng)
     return RationalMorphism(fam, p, q, floor)
+
+
+# degrees a factory quotient is drawn with: 1 + (a u64 of the stream) % 3
+_FACTORY_DEGREES = 3
+
+
+def random_morphisms(fam: Eigenfamily, count: int, rng: SplitMix64, floor: float = 1e-3) -> list:
+    """``count`` random quotients, each of a degree drawn from the stream:
+    bit for bit the quotients of ``count`` rounds of
+    ``random_morphism(fam, 1 + rng.next_u64() % 3, rng, floor)``, leaving
+    ``rng`` where they would.
+
+    A quotient reads one u64 d, then P and Q of degree 1 + d % 3 as
+    :func:`random_morphism` does.  The stream is read as one block of the
+    most the quotients left could read; the degrees are walked off it, the
+    rows of each degree are made together, and the stream is set just
+    after the last u64 read.  The pairs of each degree are tested for
+    proportionality together (:func:`_proportional_rows`), and only from a
+    proportional pair on is the stream read again: its Q is redrawn as
+    :func:`random_morphism` redraws it, and the next block starts after
+    the last redraw.  A degree with a single monomial is refused as
+    :func:`random_morphism` refuses it, after its degree is read.
+    """
+    members = fam.members
+    sizes = [len(_layout(len(members), (d,))[0]) for d in range(1, _FACTORY_DEGREES + 1)]
+    out = []
+    while len(out) < count:
+        raw = rng.u64s((count - len(out)) * (1 + 4 * max(sizes)))
+        # quotient i has degree degrees[i]; its P and Q start at starts[i]
+        degrees, starts, pos = [], [], 0
+        for _ in range(count - len(out)):
+            degree = 1 + int(raw[pos]) % _FACTORY_DEGREES
+            if sizes[degree - 1] < 2:
+                rng.skip(pos + 1 - len(raw))
+                _refuse_single_monomial(members, degree)
+            degrees.append(degree)
+            starts.append(pos + 1)
+            pos += 1 + 4 * sizes[degree - 1]
+        u = SplitMix64.unit(raw)
+        polys = [None] * len(degrees)
+        first = len(degrees)  # the first proportional pair, if any
+        for degree in sorted(set(degrees)):
+            size, ks = sizes[degree - 1], [i for i, d in enumerate(degrees) if d == degree]
+            rows = _disc(u[np.add.outer([starts[i] for i in ks], np.arange(4 * size))])
+            rows.setflags(write=False)
+            for i, row in zip(ks, rows):
+                polys[i] = [HomPoly.from_row(half, members, degree) for half in (row[:size], row[size:])]
+            hits = np.flatnonzero(_proportional_rows(rows[:, :size], rows[:, size:]))
+            first = min(first, ks[hits[0]]) if len(hits) else first
+        out += [RationalMorphism(fam, p, q, floor) for p, q in polys[:first]]
+        if first == len(degrees):
+            rng.skip(pos - len(u))
+            break
+        # the pair at ``first`` tested proportional: redraw its Q after it
+        rng.skip(starts[first] + 4 * sizes[degrees[first] - 1] - len(u))
+        p, q = polys[first][0], random_hompoly(members, degrees[first], rng)
+        while _proportional(p, q):
+            q = random_hompoly(members, degrees[first], rng)
+        out.append(RationalMorphism(fam, p, q, floor))
+    return out

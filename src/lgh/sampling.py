@@ -68,11 +68,11 @@ class SplitMix64:
         u = self.next_u64() >> 11
         return lo + (hi - lo) * (u * 2.0**-53)
 
-    def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """The next ``count`` uniforms as one array, bit for bit the values of
-        ``count`` calls of :meth:`uniform`; the k-th state is s + k * golden
-        in wrapping uint64 arithmetic."""
-        s30, s27, s31, s11 = _SHIFTS_U64
+    def u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as one uint64 array, bit for bit the
+        values of ``count`` calls of :meth:`next_u64`; the k-th state is
+        s + k * golden in wrapping uint64 arithmetic."""
+        s30, s27, s31, _ = _SHIFTS_U64
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= _GOLDEN_U64
         z += np.uint64(self._state)
@@ -82,8 +82,24 @@ class SplitMix64:
         z ^= z >> s27
         z *= _MIX2_U64
         z ^= z >> s31
-        z >>= s11
-        return lo + (hi - lo) * (z * 2.0**-53)
+        return z
+
+    def skip(self, count: int):
+        """Move the stream on by ``count`` outputs, or back when ``count`` is
+        negative."""
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+
+    @staticmethod
+    def unit(raw: np.ndarray) -> np.ndarray:
+        """The 53-bit uniforms on [0, 1) that :meth:`uniform` makes of the
+        raw outputs ``raw``, which are shifted in place to make them."""
+        raw >>= _SHIFTS_U64[3]
+        return raw * 2.0**-53
+
+    def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """The next ``count`` uniforms as one array, bit for bit the values of
+        ``count`` calls of :meth:`uniform`."""
+        return lo + (hi - lo) * self.unit(self.u64s(count))
 
     def complex_uniform(self, r: float = 1.0) -> complex:
         """Re and Im independently uniform on [-r, r]."""

@@ -11,6 +11,10 @@ from the products x Z_b and x Z_b^2 (f1_b = sum_ij A_ij (x Z_b)_ij), walks
 sums, products and quotients of members as one jet through
 :class:`lgh.jets.Jet2` arithmetic, and takes value, tau and kappa as its
 own signed sums over the frame.
+
+It also keeps the morphism factory's draw one quotient at a time
+(:func:`sequential_morphisms`), the reference of the block draw
+:func:`lgh.morphisms.random_morphisms`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from lgh.errors import DomainError
 from lgh.exprs import Entry, HomPoly, LinearTrace
 from lgh.jets import FrameOperators, Jet2
 from lgh.matrices import compact_basis
+from lgh.morphisms import random_morphism
 
 
 class Curves:
@@ -84,6 +89,13 @@ def kappa(f, g, x, basis) -> complex:
     """Conformality operator at the point x: sum_b eps_b f1_b g1_b, complex
     bilinear, no conjugation."""
     return complex(frame_table([f, g], [x], basis).kappa[0, 0, 1])
+
+
+def sequential_morphisms(fam, count, rng, floor=1e-3) -> list:
+    """``count`` quotients drawn one after the other: a u64 whose value
+    mod 3 plus 1 is the degree, then :func:`lgh.morphisms.random_morphism`
+    of that degree, with its redraw of Q while P and Q are proportional."""
+    return [random_morphism(fam, int(1 + rng.next_u64() % 3), rng, floor=floor) for _ in range(count)]
 
 
 class Const:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgh import harness as H
 from lgh.cli import build_parser, main
@@ -779,6 +781,43 @@ def test_store_hands_out_read_only_slices_of_one_draw():
             samples.defects[0] = 0.0
     with pytest.raises(ValidationError):
         first.take(-1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    stream=st.sampled_from([("compact", "U(2)"), ("compact", "Sp(1)"), ("aligned", "SL(2,R)"), ("aligned", "SU(1,1)")]),
+    radius=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**64 - 1),
+    takes=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=10),
+)
+def test_store_cursors_read_the_same_bits_in_any_interleaving(stream, radius, seed, takes):
+    """Three cursors on one stream of a store, taking in any interleaving,
+    each read the stream's points from its start, bit for bit the points of
+    one fresh sampler."""
+    from lgh.duality import aligned_sampler
+    from lgh.matrices import GroupId, Sp, U
+    from lgh.sampling import compact_sampler
+
+    kind, name = stream
+    store = H.SampleStore()
+    if kind == "compact":
+        group = {"U(2)": U(2), "Sp(1)": Sp(1)}[name]
+        cursors = [store.compact(group, radius, seed) for _ in range(3)]
+        fresh = compact_sampler(group, radius, seed)
+    else:
+        gid = {"SL(2,R)": GroupId("SLR", n=2), "SU(1,1)": GroupId("SUpq", p=1, q=1)}[name]
+        cursors = [store.aligned(store.pair(gid), radius, seed) for _ in range(3)]
+        fresh = aligned_sampler(store.pair(gid), radius, seed)
+    read = [[] for _ in cursors]
+    for i, count in takes:
+        read[i].append(cursors[i].take(count))
+    want = fresh.take(max([sum(len(s) for s in got) for got in read], default=0))
+    for got in read:
+        count = sum(len(s) for s in got)
+        points = np.concatenate([s.points for s in got]) if got else want.points[:0]
+        defects = np.concatenate([s.defects for s in got]) if got else want.defects[:0]
+        assert points.tobytes() == want.points[:count].tobytes()
+        assert defects.tobytes() == want.defects[:count].tobytes()
 
 
 def test_config_fields_field_types_and_schema_properties_are_one_set():

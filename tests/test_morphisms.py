@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from oracle import Quotient
 
 from lgh import families as fa
+from lgh import harness as H
 from lgh import matrices as M
 from lgh import morphisms as mo
 from lgh.errors import InconclusiveError, ValidationError
-from lgh.exprs import HomPoly, compose
+from lgh.exprs import HomPoly, _coefficients, _layout, compose
 from lgh.jets import frame_operators
 from lgh.sampling import SplitMix64, compact_sampler, sample_compact
 
@@ -160,6 +161,174 @@ def test_random_hompoly_block_is_bit_for_bit_the_scalar_disc_stream():
     assert block.next_u64() == scalar.next_u64()
 
 
+def _hex(values) -> list:
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in values]
+
+
+def _drawn(morphs) -> list:
+    """Each quotient's degree and its P and Q as exponent -> float.hex."""
+    return [
+        (m.degree, [(e, _hex([c])) for f in (m.numerator, m.denominator) for e, c in f.coeffs.items()])
+        for m in morphs
+    ]
+
+
+# the suite's factory rows: ten families, each with its own seed
+FACTORY_CONFIGS = [cfg for _, name, cfg in H.suite_checks() if name == "morphism-factory"]
+
+
+def _family_id(cfg) -> str:
+    fam = H.family_from_spec(cfg.family)
+    return f"{fam.provenance}-{fam.group}"
+
+
+@pytest.mark.parametrize("cfg", FACTORY_CONFIGS, ids=_family_id)
+@pytest.mark.parametrize("seed", [0, 7, 42, 12345, 2**64 - 1])
+def test_factory_block_draw_is_the_sequential_stream(cfg, seed):
+    """The block draw gives the quotients of the one-at-a-time loop, with the
+    same degrees and float.hex-equal rows, and leaves the stream where the
+    loop does."""
+    fam = H.family_from_spec(cfg.family)
+    block, loop = SplitMix64(seed), SplitMix64(seed)
+    got = mo.random_morphisms(fam, 20, block, floor=cfg.floor)
+    want = oracle.sequential_morphisms(fam, 20, loop, floor=cfg.floor)
+    assert _drawn(got) == _drawn(want)
+    assert {m.degree for m in got} == {1, 2, 3}
+    assert all(m.floor == cfg.floor and m.family is fam for m in got)
+    assert block.next_u64() == loop.next_u64()
+
+
+def _force_proportional_once(monkeypatch, numerator):
+    """The first proportionality test of the pair whose P has the row
+    ``numerator`` says proportional; every other test is left alone."""
+    real, left = mo._proportional_rows, [True]
+
+    def forced(u, v, tol=1e-12):
+        out = real(u, v, tol)
+        hits = np.flatnonzero((u == numerator).all(axis=-1)) if u.shape[-1] == len(numerator) else []
+        if left[0] and len(hits):
+            out[hits[0]], left[0] = True, False
+        return out
+
+    monkeypatch.setattr(mo, "_proportional_rows", forced)
+
+
+@pytest.mark.parametrize("k", [0, 6, 19])
+@pytest.mark.parametrize("cfg", FACTORY_CONFIGS[::3], ids=_family_id)
+def test_factory_block_draw_redraws_a_proportional_pair_as_the_loop_does(monkeypatch, cfg, k):
+    """A pair found proportional at quotient k has its Q redrawn from the
+    stream right after it, as the loop's ``while _proportional`` does, and
+    every later quotient continues from there."""
+    fam = H.family_from_spec(cfg.family)
+    plain = mo.random_morphisms(fam, 20, SplitMix64(42))
+    numerator = _coefficients([plain[k].numerator], (plain[k].degree,))[0]
+    _force_proportional_once(monkeypatch, numerator)
+    block = SplitMix64(42)
+    got = mo.random_morphisms(fam, 20, block)
+    monkeypatch.undo()
+    _force_proportional_once(monkeypatch, numerator)
+    loop = SplitMix64(42)
+    want = oracle.sequential_morphisms(fam, 20, loop)
+    assert _drawn(got) == _drawn(want)
+    assert block.next_u64() == loop.next_u64()
+    assert _drawn(got[:k]) == _drawn(plain[:k])
+    assert _hex(got[k].denominator.coeffs.values()) != _hex(plain[k].denominator.coeffs.values())
+
+
+def test_factory_block_draw_refuses_a_one_member_family_after_its_degree():
+    from lgh import duality as du
+
+    fam = du.default_compact_family(du.dual_pair(M.GroupId("SOpq", p=1, q=2)))
+    block, loop = SplitMix64(7), SplitMix64(7)
+    with pytest.raises(ValidationError, match="proportional"):
+        mo.random_morphisms(fam, 20, block)
+    with pytest.raises(ValidationError, match="proportional"):
+        oracle.sequential_morphisms(fam, 20, loop)
+    assert block.next_u64() == loop.next_u64()
+    assert mo.random_morphisms(fam, 0, block) == []
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_random_morphism_draws_p_then_q_from_the_scalar_disc_stream(degree):
+    """P is the next M ``complex_disc`` values of the stream and Q the M
+    after them, and the stream is left after Q."""
+    fam = fa.so_family_V(6, _e(6), fa.maximal_isotropic_basis(6))
+    block, scalar = SplitMix64(degree), SplitMix64(degree)
+    m = mo.random_morphism(fam, degree, block)
+    size = len(_layout(len(fam.members), (degree,))[0])
+    want = [scalar.complex_disc() for _ in range(2 * size)]
+    assert _hex(m.numerator.coeffs.values()) == _hex(want[:size])
+    assert _hex(m.denominator.coeffs.values()) == _hex(want[size:])
+    assert list(m.numerator.coeffs) == list(_layout(len(fam.members), (degree,))[0])
+    assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_a_polynomial_from_its_row_is_the_polynomial_from_its_dict(degree):
+    """A polynomial built from its coefficient row and the one built from
+    the same coefficients as a dict agree in every attribute, every layout,
+    under Mobius transforms, the chain rule and the oracle's jet walk."""
+    fam = fa.u_family(3, _e(3))
+    basis = M.compact_basis(fam.group)
+    expos = _layout(len(fam.members), (degree,))[0]
+    rows = mo._disc(SplitMix64(degree).uniforms(4 * len(expos)).reshape(2, -1))
+    rows[0, 1] = 0.0  # a zero coefficient is a term all the same
+    from_rows = [HomPoly.from_row(row, fam.members, degree) for row in rows]
+    from_dicts = [HomPoly(dict(zip(expos, row.tolist())), fam.members) for row in rows]
+    for a, b in zip(from_rows, from_dicts):
+        assert list(a.coeffs) == list(b.coeffs) == list(expos)
+        assert _hex(a.coeffs.values()) == _hex(b.coeffs.values())
+        assert (a.degree, a.homogeneous, a.term_degrees) == (b.degree, b.homogeneous, b.term_degrees)
+        assert a.args == b.args
+        for degrees in ((degree,), (1, 2, 3), tuple(sorted({1, degree}))):
+            assert _coefficients([a], degrees).tobytes() == _coefficients([b], degrees).tobytes()
+    pair = [mo.RationalMorphism(fam, *polys) for polys in (from_rows, from_dicts)]
+    moved = [mo.mobius_transform(m, 2.0, 1j, 0.5, 3.0) for m in pair]
+    assert _drawn(moved[:1]) == _drawn(moved[1:])
+    samples = sample_compact(fam.group, 8, 0.5, 3)
+    table = frame_operators(fam.members, samples, basis)
+    walked = [compose(polys, table) for polys in (from_rows, from_dicts)]
+    oracle_walked = [oracle.frame_table(polys, samples, basis) for polys in (from_rows, from_dicts)]
+    for ops in (walked, oracle_walked):
+        for name in ("values", "tau", "kappa"):
+            assert getattr(ops[0], name).tobytes() == getattr(ops[1], name).tobytes()
+
+
+def test_factory_quotient_condition_reads_the_pair_table_the_morphism_check_built(monkeypatch):
+    """The factory's quotient condition is the report of a standalone check
+    on a fresh frame table, float.hex for float.hex, and it contracts
+    nothing: it reads the pair tables the morphism check kept on the table.
+    Another coefficient block on the same table gets its own pair table."""
+    cfg = FACTORY_CONFIGS[0]
+    fam = H.family_from_spec(cfg.family)
+    calls = []
+    real_pairs, real_condition = mo.quotient_pairs, mo.quotient_condition
+    monkeypatch.setattr(mo, "quotient_pairs", lambda *a: calls.append("pairs") or real_pairs(*a))
+    monkeypatch.setattr(mo, "quotient_condition", lambda *a: calls.append("condition") or real_condition(*a))
+    _, qrep = H._morphism_factory(fam, cfg, H.SampleStore())
+    assert calls[-1] == "condition" and "pairs" in calls
+    monkeypatch.undo()
+
+    basis = M.compact_basis(fam.group)
+    base = compact_sampler(fam.group, cfg.radius, cfg.seed).take(cfg.samples)
+    morphs = mo.random_morphisms(fam, 20, SplitMix64(qrep.params["rng_seed"]), floor=cfg.floor)
+    nums, dens = [m.numerator for m in morphs], [m.denominator for m in morphs]
+
+    def condition(table, p, q):
+        rep = mo.verify_quotient_condition(fam, p, q, basis, table, tol=cfg.tol)
+        return {key: val.hex() for key, val in rep.residuals.items()}
+
+    def fresh():
+        return frame_operators(fam.members, base, basis)
+
+    alone = condition(fresh(), nums, dens)
+    assert {key: val.hex() for key, val in qrep.residuals.items()} == alone
+    shared = fresh()
+    assert condition(shared, nums, dens) == alone
+    swapped = condition(shared, dens, nums)
+    assert swapped == condition(fresh(), dens, nums) != alone
+
+
 def test_kernel_rows_do_not_depend_on_which_quotients_share_the_call():
     """K quotients in one kernel call, one at a time and in reverse order:
     each quotient's tau, kappa and quotient-condition arrays are the same
@@ -172,9 +341,10 @@ def test_kernel_rows_do_not_depend_on_which_quotients_share_the_call():
         morphs = [mo.random_morphism(fam, degree, rng, floor=0.05) for _ in range(5)]
 
         def run(ms, rows_of=table):
-            mono = mo.MonomialTable.over(rows_of, (degree,))
-            rows = mo._in_domain(rows_of, ms, [((degree,), list(range(len(ms))))])
-            tau, kappa = mo.quotient_operators(ms, mono, rows)
+            groups = mo._groups([m.numerator for m in ms], [m.denominator for m in ms])
+            rows = mo._in_domain(rows_of, ms, groups)
+            pairs = mo.quotient_pairs(mo.MonomialTable.over(rows_of, (degree,)), groups[0][2])
+            tau, kappa = mo.quotient_operators(ms, pairs, rows)
             cond = mo.quotient_condition(fam, [m.numerator for m in ms], [m.denominator for m in ms], rows_of)
             return {
                 id(m): [rows[:, k], tau[:, k], kappa[:, k]] + [cond[key][:, k] for key in sorted(cond)]
@@ -392,9 +562,10 @@ def test_chain_rule_matches_full_jet_walk(case):
     if quotient:
         m = mo.RationalMorphism(fam, *polys, floor=0.2)
         table = frame_operators(fam.members, samples, basis)
-        mono = mo.MonomialTable.over(table, m.degrees)
-        rows = mo._in_domain(table, [m], [(m.degrees, [0])])
-        q_tau, q_kappa = mo.quotient_operators([m], mono, rows)
+        groups = mo._groups([m.numerator], [m.denominator])
+        rows = mo._in_domain(table, [m], groups)
+        pairs = mo.quotient_pairs(mo.MonomialTable.over(table, m.degrees), groups[0][2])
+        q_tau, q_kappa = mo.quotient_operators([m], pairs, rows)
     for s, x in enumerate(samples):
         assert np.abs(ops.values[s] - full.values[s]).max() <= 1e-12
         assert np.abs(ops.tau[s] - full.tau[s]).max() <= 1e-12

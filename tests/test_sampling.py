@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgh import duality as du
 from lgh import matrices as M
@@ -76,6 +78,26 @@ def test_take_is_independent_of_batching(name):
     assert isinstance(whole.max_defect, float)
     assert whole.max_defect == float(np.max(whole.defects)) < 1e-9
     assert all(np.array_equal(x, whole.points[k]) for k, x in enumerate(whole))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from([str(g) for g in COMPACT] + list(PAIRS) + ["identity SU(2)"]),
+    radius=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**64 - 1),
+    a=st.integers(0, 5),
+    b=st.integers(0, 5),
+)
+def test_any_take_a_then_b_is_take_a_plus_b(name, radius, seed, a, b):
+    """On any compact or aligned frame, at any radius in (0, 1] and any
+    seed, ``take(a)`` then ``take(b)`` give the points and defects of
+    ``take(a + b)`` bit for bit."""
+    whole = _defect_and_sampler(name, seed, radius)[1].take(a + b)
+    sampler = _defect_and_sampler(name, seed, radius)[1]
+    parts = sampler.take(a)
+    parts.extend(sampler.take(b))
+    assert _bits(parts.points) == _bits(whole.points)
+    assert _bits(parts.defects) == _bits(whole.defects)
 
 
 @pytest.mark.parametrize("name", [str(g) for g in COMPACT] + list(PAIRS) + ["identity SU(2)"])
