@@ -41,7 +41,7 @@ from .matrices import (
     symplectic_matrix,
 )
 from .report import VerificationReport, timed_report
-from .sampling import GroupSampler, SampleSet, _det_defect, _maxabs_rows, _worst
+from .sampling import GroupSampler, SampleSet, group_defect
 
 
 @dataclass
@@ -175,61 +175,41 @@ def continue_function(f):
 
 # ---------------------------------------------------------------------------
 # sampling the non-compact side
+#
+# A pair's frame lives on its non-compact group (an identity pair's on the
+# compact group itself), so a sampler on the frame draws and checks points
+# of that group as it does on a compact basis: see lgh.sampling.GroupSampler.
 # ---------------------------------------------------------------------------
 
 def aligned_defect(pair: DualPair, xs: np.ndarray) -> np.ndarray:
-    """Violation of the invariants of the aligned real form at each point of
-    an (S, n, n) stack."""
-    f = pair.noncompact.family
-    xs = np.asarray(xs)
-    n = xs.shape[-1]
-    xt = np.swapaxes(xs, -1, -2)
-    if f == "SLR":
-        return _worst(_maxabs_rows(xs.imag), _det_defect(xs))
-    if f == "SUstar":
-        j = symplectic_matrix(n // 2)
-        return _worst(_maxabs_rows(j @ xs.conj() @ (-j) - xs), _det_defect(xs))
-    if f == "SpR":
-        j = symplectic_matrix(n // 2)
-        return _worst(_maxabs_rows(xs.imag), _maxabs_rows(xs @ j @ xt - j))
-    if f == "SOstar":
-        j = symplectic_matrix(n // 2)
-        return _worst(_maxabs_rows(xs @ xt - np.eye(n)), _maxabs_rows(xs @ j @ xt.conj() - j))
-    if f == "SOpq":
-        return _worst(_maxabs_rows(xs @ xt - np.eye(n)), _det_defect(xs))
-    if f == "SUpq":
-        ipq = signature_matrix(pair.noncompact.p, pair.noncompact.q)
-        return _worst(_maxabs_rows(xs @ ipq @ xt.conj() - ipq), _det_defect(xs))
-    if f == "Sppq":
-        j = symplectic_matrix(n // 2)
-        k = np.kron(np.eye(2), signature_matrix(pair.noncompact.p, pair.noncompact.q))
-        return _worst(_maxabs_rows(xs @ j @ xt - j), _maxabs_rows(xs @ k @ xt.conj() - k))
-    # identity pair: the compact group itself
-    from .sampling import compact_defect
-
-    return compact_defect(pair.noncompact, xs)
-
-
-def aligned_sampler(pair: DualPair, radius: float = 0.5, seed: int = 42) -> GroupSampler:
-    return GroupSampler(pair.frame, radius, seed, defect_fn=lambda xs: aligned_defect(pair, xs))
+    """The defects of an (S, n, n) stack in the pair's non-compact group
+    (:func:`lgh.sampling.group_defect`); perfbench's layer table names it."""
+    return group_defect(pair.noncompact, xs)
 
 
 def sample_noncompact(pair: DualPair, count: int, radius: float = 0.5, seed: int = 42) -> SampleSet:
     """Seeded points exp(A1) exp(A2) with A in the aligned algebra k + i m."""
-    return aligned_sampler(pair, radius, seed).take(count)
+    return GroupSampler(pair.frame, radius, seed).take(count)
 
 
 # ---------------------------------------------------------------------------
 # dual verification
 # ---------------------------------------------------------------------------
 
-def dual_family(pair: DualPair, fam: Eigenfamily) -> Eigenfamily:
-    """Continue a compact-side family to the non-compact side: members are
-    unchanged polynomials, constants flip sign."""
+def _negated(pair: DualPair, fam: Eigenfamily, suffix: str) -> Eigenfamily:
+    """A compact-side family moved to the pair's non-compact side with its
+    constants negated and ``suffix`` on its provenance."""
     if fam.group != pair.compact:
         raise ValidationError(
             f"family lives on {fam.group}, pair expects compact side {pair.compact}"
         )
+    return replace(fam, group=pair.noncompact, lam=-fam.lam, mu=-fam.mu, provenance=fam.provenance + suffix)
+
+
+def dual_family(pair: DualPair, fam: Eigenfamily) -> Eigenfamily:
+    """Continue a compact-side family to the non-compact side: members are
+    unchanged polynomials, constants flip sign."""
+    dual = _negated(pair, fam, "-dual")
     if not fam.dual_continuable:
         raise ValidationError(
             f"family {fam.provenance!r} relies on compact-only identities and "
@@ -237,13 +217,7 @@ def dual_family(pair: DualPair, fam: Eigenfamily) -> Eigenfamily:
         )
     for member in fam.members:
         continue_function(member)
-    return replace(
-        fam,
-        group=pair.noncompact,
-        lam=-fam.lam,
-        mu=-fam.mu,
-        provenance=fam.provenance + "-dual",
-    )
+    return dual
 
 
 def verify_dual_eigenfamily(
@@ -281,17 +255,7 @@ def probe_noncontinuable(
     """
     if fam.provenance != "so-isotropic-point":
         raise ValidationError("probe expects a family built from an isotropic point")
-    if fam.group != pair.compact:
-        raise ValidationError(
-            f"family lives on {fam.group}, pair expects compact side {pair.compact}"
-        )
-    target = replace(
-        fam,
-        group=pair.noncompact,
-        lam=-fam.lam,
-        mu=-fam.mu,
-        provenance=fam.provenance + "-probe",
-    )
+    target = _negated(pair, fam, "-probe")
     with timed_report() as clock:
         points = stack_samples(samples, pair.frame)
         if len(points):

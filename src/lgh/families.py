@@ -77,13 +77,17 @@ def maximal_isotropic_basis(n: int) -> list[np.ndarray]:
     return out
 
 
-def _check_isotropic_set(V, tol: float = 1e-12):
+# largest |(a, b)| of two vectors of a subspace that counts as isotropic
+_ISOTROPY_TOL = 1e-12
+
+
+def _check_isotropic_set(V):
     for i, a in enumerate(V):
         for j, b in enumerate(V):
             if j < i:
                 continue
             val = bilinear(a, b)
-            if abs(val) > tol:
+            if abs(val) > _ISOTROPY_TOL:
                 raise ValidationError(
                     f"subspace not isotropic: (v_{i}, v_{j}) = {val:.3e}"
                 )

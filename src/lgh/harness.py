@@ -31,7 +31,7 @@ from .matrices import (
     verify_matrix_identities,
 )
 from .report import VerificationReport, timed_report
-from .sampling import GroupSampler, SampleSet, SplitMix64, compact_sampler
+from .sampling import GroupSampler, SampleSet, SplitMix64
 from .serialize import pair_to_complex, vector_from_json
 
 DEFAULT_SEED = 42
@@ -267,12 +267,12 @@ def pair_group_from_spec(d: dict) -> GroupId:
 
 class _Stream:
     """One (frame, radius, seed) stream: its sampler and the points drawn so
-    far, write-protected."""
+    far, write-protected.  The sampler keeps the frame, whose id keys the
+    stream, alive."""
 
-    def __init__(self, frame: SignedBasis, sampler: GroupSampler):
-        self.frame = frame  # keeps the frame, whose id keys the stream, alive
+    def __init__(self, sampler: GroupSampler):
         self.sampler = sampler
-        self.drawn = SampleSet(np.empty((0, *frame.matrices.shape[1:]), dtype=complex), np.empty(0))
+        self.drawn = SampleSet(np.empty((0, *sampler.frame.matrices.shape[1:]), dtype=complex), np.empty(0))
 
     def read(self, start: int, count: int) -> SampleSet:
         """Points ``start`` to ``start + count`` of the stream, drawing the
@@ -305,9 +305,11 @@ class StreamCursor:
 class SampleStore:
     """The samples and dual pairs of one run.
 
-    Each (frame, radius, seed) stream is drawn once, by one sampler, and
-    every row that reads it gets a :class:`StreamCursor` from its first
-    point.  As ``take(a)`` then ``take(b)`` gives the points of
+    Each (frame, radius, seed) stream is drawn once, by one sampler on the
+    frame, and every row that reads it gets a :class:`StreamCursor` from its
+    first point: a compact group's rows read the stream of its
+    :func:`~lgh.matrices.compact_basis`, a dual pair's rows that of the
+    pair's frame.  As ``take(a)`` then ``take(b)`` gives the points of
     ``take(a + b)`` bit for bit, a reader's points do not depend on which
     reader drew them first.  Streams are keyed by the frame object, not the
     group: an identity pair and a compact group share a group but not a
@@ -325,18 +327,11 @@ class SampleStore:
             self._pairs[gid] = du.dual_pair(gid)
         return self._pairs[gid]
 
-    def compact(self, group: GroupId, radius: float, seed: int) -> StreamCursor:
-        """A cursor on the compact group's stream."""
-        return self._cursor(compact_basis(group), radius, seed, lambda: compact_sampler(group, radius, seed))
-
-    def aligned(self, pair: du.DualPair, radius: float, seed: int) -> StreamCursor:
-        """A cursor on the stream of the pair's aligned frame."""
-        return self._cursor(pair.frame, radius, seed, lambda: du.aligned_sampler(pair, radius, seed))
-
-    def _cursor(self, frame: SignedBasis, radius: float, seed: int, sampler) -> StreamCursor:
+    def cursor(self, frame: SignedBasis, radius: float, seed: int) -> StreamCursor:
+        """A cursor on the frame's stream of ``radius`` and ``seed``."""
         key = (id(frame), radius, seed)
         if key not in self._streams:
-            self._streams[key] = _Stream(frame, sampler())
+            self._streams[key] = _Stream(GroupSampler(frame, radius, seed))
         return StreamCursor(self._streams[key])
 
 
@@ -363,7 +358,7 @@ def run_lemma(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if gid.family not in fa.LEMMA_FAMILIES:
         aliases = ", ".join(FAMILIES[f].alias for f in fa.LEMMA_FAMILIES)
         raise ConfigError(f"coordinate relations exist for {aliases}", field="group.family")
-    samples = store.compact(gid, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(compact_basis(gid), cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_coordinate_lemmas(gid, samples, tol=cfg.tol)
 
 
@@ -372,7 +367,7 @@ def run_family(cfg: RunConfig, store: SampleStore) -> VerificationReport:
         raise ConfigError("missing family spec", field="family")
     fam = family_from_spec(cfg.family)
     basis = compact_basis(fam.group)
-    samples = store.compact(fam.group, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(basis, cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_eigenfamily(fam, basis, samples, tol=cfg.tol)
 
 
@@ -382,7 +377,7 @@ def run_morphism(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     fam = family_from_spec(cfg.family)
     morph = morphism_from_spec(fam, cfg.morphism, cfg.floor)
     basis = compact_basis(fam.group)
-    sampler = store.compact(fam.group, cfg.radius, cfg.seed)
+    sampler = store.cursor(basis, cfg.radius, cfg.seed)
     first = sampler.take(cfg.samples)
     return mo.verify_harmonic_morphism(
         morph,
@@ -399,7 +394,7 @@ def run_duality(cfg: RunConfig, store: SampleStore) -> VerificationReport:
         raise ConfigError("missing pair spec", field="pair")
     pair = store.pair(pair_group_from_spec(cfg.pair))
     fam = family_from_spec(cfg.family) if cfg.family else du.default_compact_family(pair)
-    samples = store.aligned(pair, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(pair.frame, cfg.radius, cfg.seed).take(cfg.samples)
     rep = du.verify_dual_eigenfamily(pair, fam, samples, tol=cfg.tol)
     rep.residuals.update({f"frame_{k}": v for k, v in pair.residuals.items()})
     rep.notes["max_aligned_defect"] = rep.notes["max_group_defect"]
@@ -415,7 +410,7 @@ def run_probe(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     else:
         n = pair.compact.n
         fam = fa.so_family_special(n, _first_isotropic(n))
-    samples = store.aligned(pair, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(pair.frame, cfg.radius, cfg.seed).take(cfg.samples)
     return du.probe_noncontinuable(pair, fam, samples)
 
 
@@ -447,7 +442,7 @@ def _frame_table(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore):
     """The frame of the family's group, and the members' frame table on the
     config's samples."""
     basis = compact_basis(fam.group)
-    samples = store.compact(fam.group, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(basis, cfg.radius, cfg.seed).take(cfg.samples)
     return basis, frame_operators(fam.members, samples, basis)
 
 
@@ -455,7 +450,7 @@ def _deformations(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """Ten seeded (z, w) deformations of the isotropic-point family on SO(4)."""
     gid = GroupId("SO", 4)
     basis = compact_basis(gid)
-    samples = store.compact(gid, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(basis, cfg.radius, cfg.seed).take(cfg.samples)
     rng_seed = cfg.seed ^ 0x5EED5EED
     rng = SplitMix64(rng_seed)
     residuals = {"tau": 0.0, "kappa": 0.0, "isotropy": 0.0}
@@ -538,7 +533,7 @@ def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore, p
     basis = compact_basis(fam.group)
     rng_seed = cfg.seed ^ 0xFAC7041
     rng = SplitMix64(rng_seed)
-    sampler = store.compact(fam.group, cfg.radius, cfg.seed)
+    sampler = store.cursor(basis, cfg.radius, cfg.seed)
     base = frame_operators(fam.members, sampler.take(cfg.samples), basis)
     morphs = mo.random_morphisms(fam, pairs, rng, floor=cfg.floor)
     rep = mo.verify_harmonic_morphism(

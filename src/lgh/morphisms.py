@@ -117,9 +117,15 @@ class RationalMorphism:
         return bool(_in_domain(table, [self], _groups([self.numerator], [self.denominator]))[0, 0])
 
 
-def _proportional_rows(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+# relative Gram determinant at or below which two coefficient rows count as
+# proportional
+_PROPORTIONAL_TOL = 1e-12
+
+
+def _proportional_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Whether row k of ``u`` (K, M) is proportional to row k of ``v``: whether
-    the Gram determinant |u|^2 |v|^2 - |<u, v>|^2 is at most tol |u|^2 |v|^2,
+    the Gram determinant |u|^2 |v|^2 - |<u, v>|^2 is at most
+    ``_PROPORTIONAL_TOL`` |u|^2 |v|^2,
     as it is when either row is zero.  Real products and one sum per row,
     so a row's verdict does not depend on the rows beside it."""
     ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
@@ -127,12 +133,12 @@ def _proportional_rows(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> np.n
     vv = (vr * vr + vi * vi).sum(axis=-1)
     re, im = (ur * vr + ui * vi).sum(axis=-1), (ur * vi - ui * vr).sum(axis=-1)
     scale = uu * vv
-    return scale - (re * re + im * im) <= tol * scale
+    return scale - (re * re + im * im) <= _PROPORTIONAL_TOL * scale
 
 
-def _proportional(p: HomPoly, q: HomPoly, tol: float = 1e-12) -> bool:
+def _proportional(p: HomPoly, q: HomPoly) -> bool:
     u, v = _coefficients([p, q], _term_degrees(p, q))
-    return bool(_proportional_rows(u[None], v[None], tol)[0])
+    return bool(_proportional_rows(u[None], v[None])[0])
 
 
 def _as_hompoly(p, members) -> HomPoly:
@@ -225,20 +231,15 @@ def _pair_table(table: FrameOperators, degrees: tuple, coeffs: np.ndarray) -> Qu
     return table.derived[key]
 
 
-def _in_domain(table: FrameOperators, morphs, groups, tabled: bool = False) -> np.ndarray:
+def _in_domain(table: FrameOperators, morphs, groups) -> np.ndarray:
     """Whether |Q_k| clears the floor at each row of a member frame table,
     (S, K), for K quotients of one floor and their monomial-table
     ``groups`` (see :func:`_groups`).  The monomial values (order 0) and the
     contraction are those of :class:`MonomialTable`, so a screened row's Q
-    is bit for bit the Q the kernel divides by.  With ``tabled``, the
-    values are read from the table's :class:`MonomialTable`, which the
-    kernel builds anyway."""
+    is bit for bit the Q the kernel divides by."""
     out = np.empty((len(table), len(morphs)), dtype=bool)
     for degrees, ks, coeffs in groups:
-        if tabled:
-            values = MonomialTable.over(table, degrees).values
-        else:
-            values = monomials(table.values, _layout(len(table.members), degrees)[0], order=0)[0]
+        values = monomials(table.values, _layout(len(table.members), degrees)[0], order=0)[0]
         out[:, ks] = np.abs(contract(values, coeffs[len(ks) :])) > morphs[0].floor
     return out
 
@@ -321,9 +322,9 @@ _BLOCK = 16
 _AHEAD = 1.3
 
 
-def _collect_in_domain(morphs, groups, base: FrameOperators, basis, sampler, min_samples):
-    """Screen the base rows for every quotient, then let each quotient in
-    turn consume its shortfall from ``sampler``.
+def _collect_in_domain(morphs, groups, base: FrameOperators, kept, basis, sampler, min_samples):
+    """Let each quotient in turn consume from ``sampler`` its shortfall after
+    the base rows, ``kept`` (S, K) marking the base rows in its domain.
 
     A quotient that still needs r in-domain points after the base rows
     consumes the next points of the stream up to its r-th in-domain one, or
@@ -337,13 +338,11 @@ def _collect_in_domain(morphs, groups, base: FrameOperators, basis, sampler, min
     dropped, so ``sampler`` may be left advanced past the last consumed
     point.  The counts do not depend on the block sizes.
 
-    Returns the base rows in each quotient's domain (S, K), the member
-    table of the consumed points (D rows) and the mask (D, K) of the points
-    each quotient consumed in its domain, and each quotient's (samples
-    used, samples discarded, points of the stream the quotients before it
-    consumed).
+    Returns the member table of the consumed points (D rows) and the mask
+    (D, K) of the points each quotient consumed in its domain, and each
+    quotient's (samples used, samples discarded, points of the stream the
+    quotients before it consumed).
     """
-    kept = _in_domain(base, morphs, groups, tabled=True)
     target = min_samples if min_samples is not None else len(base)
     budget = max(10 * max(target, 1), len(base)) - len(base)
     blocks, hits = [base.rows(slice(0, 0))], kept[:0]
@@ -376,7 +375,7 @@ def _collect_in_domain(morphs, groups, base: FrameOperators, basis, sampler, min
         skip += taken[-1]
     owner = np.repeat(np.arange(len(morphs)), taken)
     mask = hits[:skip] & (owner[:, None] == np.arange(len(morphs)))
-    return kept, FrameOperators.concat(blocks).rows(slice(0, skip)), mask, counts
+    return FrameOperators.concat(blocks).rows(slice(0, skip)), mask, counts
 
 
 def verify_harmonic_morphism(
@@ -406,7 +405,7 @@ def verify_harmonic_morphism(
     base rows' pair table of each monomial table is built once and kept on
     the members' frame table (:func:`_pair_table`), where
     :func:`verify_quotient_condition` on the same pairs and table reads it;
-    the domain screen of the base rows reads the same monomial table.
+    the domain screen of the base rows reads its Q.
 
     For a sequence the residuals are the maxima over all quotients, the
     sample counts their sums, and ``notes`` gives, for the worst tau and
@@ -427,11 +426,15 @@ def verify_harmonic_morphism(
     with timed_report() as clock:
         base = frame_operators(members, samples, basis)
         groups = _groups([k.numerator for k in morphs], [k.denominator for k in morphs])
-        kept, consumed, mask, counts = _collect_in_domain(morphs, groups, base, basis, sampler, min_samples)
+        # the base rows are screened on the Q of the pair tables the kernel divides by
+        tables = [_pair_table(base, degrees, coeffs) for degrees, _, coeffs in groups]
+        kept = np.empty((len(base), len(morphs)), dtype=bool)
+        for (_, ks, _), pairs in zip(groups, tables):
+            kept[:, ks] = np.abs(pairs.q) > floor
+        consumed, mask, counts = _collect_in_domain(morphs, groups, base, kept, basis, sampler, min_samples)
         tau_max = np.empty(len(morphs))
         kappa_max = np.empty(len(morphs))
-        for degrees, ks, coeffs in groups:
-            pairs = _pair_table(base, degrees, coeffs)
+        for (degrees, ks, coeffs), pairs in zip(groups, tables):
             rows = kept[:, ks]
             # a consumed point counts only for the quotient that consumed it
             extra = mask[:, ks].any(axis=1)

@@ -7,6 +7,11 @@ exponential chart.  The coefficient stream comes from SplitMix64, a named
 seed pins the coefficients everywhere, and the sample list bit for bit on
 one numpy build and CPU dispatch path.
 
+A sampler is built from a frame alone: the frame's matrices give the
+generators, and its group the defining equations that each point's defect
+measures (:func:`group_defect`).  One path thus samples the compact groups
+on their bases and the non-compact duals on their aligned frames.
+
 Points are drawn a batch at a time: :meth:`GroupSampler.take` draws the
 coefficients of the whole batch as one block of the stream, combines them
 with the basis, exponentiates the stacked generators in one :func:`expm`
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matrices import GroupId, SignedBasis, symplectic_matrix
+from .matrices import FAMILIES, GroupId, SignedBasis, compact_basis, signature_matrix, symplectic_matrix
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -153,24 +158,50 @@ def _det_defect(xs: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(xs) - 1.0)
 
 
-def compact_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
-    """Largest violation of the defining equations of a compact group at
-    each point of an (S, n, n) stack."""
+def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
+    """Largest violation of the defining equations of ``group`` at each point
+    of an (S, n, n) stack.  The groups are the compact SO(n), U(n), SU(n)
+    and Sp(n), and the aligned real forms of :mod:`lgh.duality`, each inside
+    the complex matrices of its compact partner; ``GLC-split`` has no
+    equations and is refused with :class:`ValidationError`."""
     xs = np.asarray(xs)
-    eye = np.eye(xs.shape[-1])
+    n = xs.shape[-1]
+    eye = np.eye(n)
     xt = np.swapaxes(xs, -1, -2)
     fam = group.family
+    if fam in ("Sp", "SUstar", "SpR", "SOstar", "Sppq"):
+        j = symplectic_matrix(n // 2)
     if fam == "SO":
         return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(xs.imag), _det_defect(xs))
-    unitary = _maxabs_rows(xs @ xt.conj() - eye)
-    if fam == "U":
-        return unitary
-    if fam == "SU":
-        return _worst(unitary, _det_defect(xs))
-    if fam == "Sp":
-        j = symplectic_matrix(group.n)
+    if fam in ("U", "SU", "Sp"):
+        unitary = _maxabs_rows(xs @ xt.conj() - eye)
+        if fam == "U":
+            return unitary
+        if fam == "SU":
+            return _worst(unitary, _det_defect(xs))
         return _worst(unitary, _maxabs_rows(xs @ j @ xt - j))
-    raise ValidationError(f"no compact defect for family {fam!r}")
+    if fam == "SLR":
+        return _worst(_maxabs_rows(xs.imag), _det_defect(xs))
+    if fam == "SUstar":
+        return _worst(_maxabs_rows(j @ xs.conj() @ (-j) - xs), _det_defect(xs))
+    if fam == "SpR":
+        return _worst(_maxabs_rows(xs.imag), _maxabs_rows(xs @ j @ xt - j))
+    if fam == "SOstar":
+        return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(xs @ j @ xt.conj() - j))
+    if fam == "SOpq":
+        return _worst(_maxabs_rows(xs @ xt - eye), _det_defect(xs))
+    if fam == "SUpq":
+        ipq = signature_matrix(group.p, group.q)
+        return _worst(_maxabs_rows(xs @ ipq @ xt.conj() - ipq), _det_defect(xs))
+    if fam == "Sppq":
+        k = np.kron(np.eye(2), signature_matrix(group.p, group.q))
+        return _worst(_maxabs_rows(xs @ j @ xt - j), _maxabs_rows(xs @ k @ xt.conj() - k))
+    raise ValidationError(f"{group} has no defining equations to sample against")
+
+
+# GroupSampler.take checks its points through this name, which perfbench
+# times as the sampling defect layer
+compact_defect = group_defect
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,50 +320,50 @@ def expm(a) -> np.ndarray:
 
 
 class GroupSampler:
-    """Deterministic stream of group points drawn from one signed basis.
+    """Deterministic stream of points of ``frame.group`` drawn from the frame,
+    each with its defect in the group's equations (:func:`group_defect`); a
+    group with no equations is refused before the stream is read.
 
     Consecutive :meth:`take` calls continue the same SplitMix64 stream, so
     oversampling is reproducible: the k-th point of a run never depends on
     how the draws were batched.  The generators are gathered from the
-    basis's :attr:`~lgh.matrices.SignedBasis.gather_plan`, which the basis
-    builds once for all its samplers.  ``defect_fn`` maps an (S, n, n) stack
-    of points to their (S,) structural defects.
+    frame's :attr:`~lgh.matrices.SignedBasis.gather_plan`, which the frame
+    builds once for all its samplers.
     """
 
-    def __init__(self, basis: SignedBasis, radius: float, seed: int, defect_fn):
+    def __init__(self, frame: SignedBasis, radius: float, seed: int):
         if radius < 0:
             raise ValidationError("radius must be nonnegative")
-        self._basis = basis
+        # group_defect holds the equations of every group with a compact partner
+        if FAMILIES[frame.group.family].partner is None:
+            raise ValidationError(f"{frame.group} has no defining equations to sample against")
+        self.frame = frame
         self.radius = float(radius)
         self._rng = SplitMix64(seed)
-        self._defect_fn = defect_fn
 
     def take(self, count: int) -> SampleSet:
         """The next ``count`` points; each uses 2b coefficients of the
         stream, those of exp(A1) first."""
         if count < 0:
             raise ValidationError("count must be nonnegative")
-        basis = self._basis
-        b, n = basis.matrices.shape[:2]
+        frame = self.frame
+        b, n = frame.matrices.shape[:2]
         coeffs = self._rng.uniforms(2 * b * count, -self.radius, self.radius).reshape(count, 2, b)
         # an exactly real frame (SO(n), the aligned SL(n,R) and Sp(n,R)) is
         # exponentiated in float64; its points are those of the complex kernel
-        flat = np.zeros((count, 2, n * n if basis.real else 2 * n * n))
-        for pos, js, vals in basis.gather_plan:
+        flat = np.zeros((count, 2, n * n if frame.real else 2 * n * n))
+        for pos, js, vals in frame.gather_plan:
             flat[..., pos] += coeffs[..., js] * vals
-        gens = (flat if basis.real else flat.view(complex)).reshape(count, 2, n, n)
+        gens = (flat if frame.real else flat.view(complex)).reshape(count, 2, n, n)
         factors = np.moveaxis(expm(gens), (0, 1), (-1, 0))
         # defects are checked on the complex stack: @ and det in float64
         # would round differently and move them
         points = np.moveaxis(_matmul(*factors), -1, 0).astype(complex, order="C")
-        return SampleSet(points, self._defect_fn(points))
+        return SampleSet(points, compact_defect(frame.group, points))
 
 
 def compact_sampler(group: GroupId, radius: float = 0.5, seed: int = 42) -> GroupSampler:
-    from .matrices import compact_basis  # local import keeps module load light
-
-    basis = compact_basis(group)
-    return GroupSampler(basis, radius, seed, defect_fn=lambda xs: compact_defect(group, xs))
+    return GroupSampler(compact_basis(group), radius, seed)
 
 
 def sample_compact(group: GroupId, count: int, radius: float = 0.5, seed: int = 42) -> SampleSet:

@@ -11,7 +11,7 @@ from lgh import harness as H
 from lgh import matrices as M
 from lgh.errors import DegeneracyError, InconclusiveError, ValidationError
 from lgh.exprs import Entry, LinearTrace
-from lgh.sampling import sample_compact
+from lgh.sampling import GroupSampler, sample_compact
 
 
 def _e(n, k=0):
@@ -347,4 +347,4 @@ def test_verify_dual_eigenfamily_on_no_samples_is_inconclusive():
     pair = du.dual_pair(M.sl_r(2))
     fam = du.default_compact_family(pair)
     with pytest.raises(InconclusiveError):
-        du.verify_dual_eigenfamily(pair, fam, du.aligned_sampler(pair).take(0))
+        du.verify_dual_eigenfamily(pair, fam, GroupSampler(pair.frame, 0.5, 42).take(0))

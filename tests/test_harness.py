@@ -702,13 +702,13 @@ def test_run_times_the_whole_row(monkeypatch):
     """For a row run alone, a report's wall time is its whole row, sampling
     included; the factory's quotient-condition report shares its row's time
     and records 0."""
-    real_sampler = H.compact_sampler
+    real_sampler = H.GroupSampler
 
     def slow_sampler(*args):
         time.sleep(0.05)
         return real_sampler(*args)
 
-    monkeypatch.setattr(H, "compact_sampler", slow_sampler)
+    monkeypatch.setattr(H, "GroupSampler", slow_sampler)
     _, name, cfg = next(row for row in H.suite_checks() if row[0] == "eigenfamily-U(2)")
     assert H.run(name, cfg).wall_time >= 0.05
     factory, triple = H.run(*_factory_rows()[0][1:])
@@ -762,11 +762,11 @@ def test_suite_rows_read_one_store_in_any_order(suite_document):
 def test_store_hands_out_read_only_slices_of_one_draw():
     """Cursors on one stream read the sampler's points bit for bit, however
     their takes interleave, and no reader can write into the shared draw."""
-    from lgh.matrices import U
+    from lgh.matrices import U, compact_basis
     from lgh.sampling import compact_sampler
 
     store = H.SampleStore()
-    first, second = store.compact(U(2), 0.5, 42), store.compact(U(2), 0.5, 42)
+    first, second = store.cursor(compact_basis(U(2)), 0.5, 42), store.cursor(compact_basis(U(2)), 0.5, 42)
     head = first.take(3)
     whole = second.take(10)
     tail = first.take(7)
@@ -794,20 +794,18 @@ def test_store_cursors_read_the_same_bits_in_any_interleaving(stream, radius, se
     """Three cursors on one stream of a store, taking in any interleaving,
     each read the stream's points from its start, bit for bit the points of
     one fresh sampler."""
-    from lgh.duality import aligned_sampler
-    from lgh.matrices import GroupId, Sp, U
-    from lgh.sampling import compact_sampler
+    from lgh.matrices import GroupId, Sp, U, compact_basis
+    from lgh.sampling import GroupSampler
 
     kind, name = stream
     store = H.SampleStore()
     if kind == "compact":
-        group = {"U(2)": U(2), "Sp(1)": Sp(1)}[name]
-        cursors = [store.compact(group, radius, seed) for _ in range(3)]
-        fresh = compact_sampler(group, radius, seed)
+        frame = compact_basis({"U(2)": U(2), "Sp(1)": Sp(1)}[name])
     else:
         gid = {"SL(2,R)": GroupId("SLR", n=2), "SU(1,1)": GroupId("SUpq", p=1, q=1)}[name]
-        cursors = [store.aligned(store.pair(gid), radius, seed) for _ in range(3)]
-        fresh = aligned_sampler(store.pair(gid), radius, seed)
+        frame = store.pair(gid).frame
+    cursors = [store.cursor(frame, radius, seed) for _ in range(3)]
+    fresh = GroupSampler(frame, radius, seed)
     read = [[] for _ in cursors]
     for i, count in takes:
         read[i].append(cursors[i].take(count))
@@ -818,6 +816,25 @@ def test_store_cursors_read_the_same_bits_in_any_interleaving(stream, radius, se
         defects = np.concatenate([s.defects for s in got]) if got else want.defects[:0]
         assert points.tobytes() == want.points[:count].tobytes()
         assert defects.tobytes() == want.defects[:count].tobytes()
+
+
+def test_store_keys_streams_by_frame():
+    """SU(2)'s basis and the identity pair's frame share a group but not a
+    frame: a store gives them two streams, each bit for bit a fresh sampler
+    on its own frame."""
+    from lgh.duality import identity_pair
+    from lgh.matrices import SU, compact_basis
+    from lgh.sampling import GroupSampler
+
+    store = H.SampleStore()
+    frames = (compact_basis(SU(2)), identity_pair(SU(2)).frame)
+    assert frames[0].group == frames[1].group
+    got = [store.cursor(frame, 0.5, 42).take(8) for frame in frames]
+    for samples, frame in zip(got, frames):
+        want = GroupSampler(frame, 0.5, 42).take(8)
+        assert samples.points.tobytes() == want.points.tobytes()
+        assert samples.defects.tobytes() == want.defects.tobytes()
+    assert got[0].points.tobytes() != got[1].points.tobytes()
 
 
 def test_config_fields_field_types_and_schema_properties_are_one_set():

@@ -203,8 +203,8 @@ def _force_proportional_once(monkeypatch, numerator):
     ``numerator`` says proportional; every other test is left alone."""
     real, left = mo._proportional_rows, [True]
 
-    def forced(u, v, tol=1e-12):
-        out = real(u, v, tol)
+    def forced(u, v):
+        out = real(u, v)
         hits = np.flatnonzero((u == numerator).all(axis=-1)) if u.shape[-1] == len(numerator) else []
         if left[0] and len(hits):
             out[hits[0]], left[0] = True, False

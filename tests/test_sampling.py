@@ -19,7 +19,7 @@ from lgh import matrices as M
 from lgh import sampling
 from lgh.errors import ValidationError
 from lgh.harness import DUALITY_PAIRS, pair_group_from_spec
-from lgh.sampling import _THETA13, SplitMix64, _matmul, compact_defect, compact_sampler, expm
+from lgh.sampling import _THETA13, GroupSampler, SplitMix64, _matmul, compact_sampler, expm, group_defect
 
 # every compact group the suite samples
 COMPACT = [M.SO(n) for n in range(2, 7)] + [M.U(n) for n in (2, 3, 4)] + [M.SU(2), M.SU(3)] + [
@@ -52,16 +52,20 @@ def test_uniforms_block_matches_scalar_stream(seed, count):
     assert block.uniform(-1.0, 2.0) == scalar.uniform(-1.0, 2.0)
 
 
+def _frame(name):
+    """The frame of a group named by ``str``: a compact group's basis, a dual
+    pair's aligned frame, or the identity pair's frame on SU(2)."""
+    if name == "identity SU(2)":
+        return du.identity_pair(M.SU(2)).frame
+    if name in PAIRS:
+        return PAIRS[name].frame
+    return M.compact_basis(next(g for g in COMPACT if str(g) == name))
+
+
 def _defect_and_sampler(name, seed=42, radius=0.5):
     """The defect function and a fresh sampler of a group named by ``str``."""
-    if name == "identity SU(2)":
-        pair = du.identity_pair(M.SU(2))
-    elif name in PAIRS:
-        pair = PAIRS[name]
-    else:
-        group = next(g for g in COMPACT if str(g) == name)
-        return (lambda xs: compact_defect(group, xs)), compact_sampler(group, radius, seed)
-    return (lambda xs: du.aligned_defect(pair, xs)), du.aligned_sampler(pair, radius, seed)
+    frame = _frame(name)
+    return (lambda xs: group_defect(frame.group, xs)), GroupSampler(frame, radius, seed)
 
 
 @pytest.mark.parametrize("name", [str(g) for g in COMPACT] + list(PAIRS))
@@ -118,17 +122,10 @@ def test_take_rejects_a_negative_count():
     assert np.array_equal(sampler.take(3).points, compact_sampler(M.U(2), 0.5, 42).take(3).points)
 
 
-def _frame(name) -> np.ndarray:
-    """The frame the sampler of the group or pair ``name`` draws from."""
-    if name in PAIRS:
-        return PAIRS[name].frame.matrices
-    return M.compact_basis(next(g for g in COMPACT if str(g) == name)).matrices
-
-
 def _generators(name, count, radius, seed=5):
     """``count`` random real combinations of the frame the sampler of the
     group or pair ``name`` draws from, coefficients uniform in [-radius, radius]."""
-    mats = _frame(name)
+    mats = _frame(name).matrices
     coeffs = SplitMix64(seed).uniforms(count * len(mats), -radius, radius).reshape(count, len(mats))
     return np.tensordot(coeffs, mats, axes=1)
 
@@ -215,7 +212,7 @@ def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def _complex_take(name, radius, seed, count):
     """The points of ``take(count)`` on a fresh sampler of ``name`` as the
     complex kernel gives them: complex generators, expm and factor product."""
-    mats = _frame(name)
+    mats = _frame(name).matrices
     b, n = mats.shape[0], mats.shape[-1]
     coeffs = SplitMix64(seed).uniforms(2 * b * count, -radius, radius).reshape(count, 2, b)
     gens = np.empty((count, 2, n, n), dtype=complex)
@@ -280,11 +277,8 @@ GATHER_FRAMES = [str(g) for g in COMPACT] + list(PAIRS) + list(DEEP_PAIRS)
 
 def _gather_sampler(name, seed):
     """The frame of the group or pair ``name`` and a fresh sampler on it."""
-    pair = PAIRS.get(name) or DEEP_PAIRS.get(name)
-    if pair is not None:
-        return pair.frame, du.aligned_sampler(pair, 0.5, seed)
-    group = next(g for g in COMPACT if str(g) == name)
-    return M.compact_basis(group), compact_sampler(group, 0.5, seed)
+    frame = DEEP_PAIRS[name].frame if name in DEEP_PAIRS else _frame(name)
+    return frame, GroupSampler(frame, 0.5, seed)
 
 
 @pytest.mark.parametrize("count", [0, 1, 37])
@@ -332,7 +326,39 @@ def test_samplers_on_one_frame_build_its_plan_once(monkeypatch):
     spy.__set_name__(M.SignedBasis, "gather_plan")
     monkeypatch.setattr(M.SignedBasis, "gather_plan", spy)
     frame = M.SignedBasis(M.SU(3), list(M.compact_basis(M.SU(3))))
-    defect = lambda xs: compact_defect(M.SU(3), xs)  # noqa: E731
-    points = [sampling.GroupSampler(frame, 0.5, seed, defect).take(3).points for seed in range(30)]
+    points = [sampling.GroupSampler(frame, 0.5, seed).take(3).points for seed in range(30)]
     assert built == [frame]
     assert _bits(points[7]) == _bits(compact_sampler(M.SU(3), 0.5, 7).take(3).points)
+
+
+# every frame the suite samples, the deep ones and two more duals, and the
+# identity pair's frame, which lives on SU(2)
+DEFECT_FRAMES = {
+    **{name: _frame(name) for name in [str(g) for g in COMPACT] + list(PAIRS) + ["identity SU(2)"]},
+    **{name: pair.frame for name, pair in DEEP_PAIRS.items()},
+    **{str(p.noncompact): p.frame for p in map(du.dual_pair, (M.sp_pq(2, 1), M.su_star(6)))},
+}
+
+
+@pytest.mark.parametrize("name", list(DEFECT_FRAMES))
+def test_defects_come_from_the_frames_group(name):
+    """A sampler built from a frame alone checks each point against the
+    equations of the frame's group: its defects are ``group_defect`` of that
+    group at its points, bit for bit, and small."""
+    frame = DEFECT_FRAMES[name]
+    samples = GroupSampler(frame, 0.5, 3).take(9)
+    want = group_defect(frame.group, samples.points)
+    assert samples.defects.shape == (9,)
+    assert _bits(samples.defects) == _bits(want)
+    assert samples.max_defect < 1e-9
+
+
+def test_a_frame_whose_group_has_no_equations_is_refused():
+    """GL(n,C)-split, the one family with no compact partner, has no group
+    equations to check points against: no sampler is built on its frame."""
+    plus, minus = M.glc_split_basis(2)
+    frame = M.SignedBasis(plus.group, tuple(plus) + tuple(minus))
+    with pytest.raises(ValidationError, match="no defining equations"):
+        GroupSampler(frame, 0.5, 42)
+    with pytest.raises(ValidationError):
+        group_defect(frame.group, np.eye(2, dtype=complex)[None])
