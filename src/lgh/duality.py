@@ -227,15 +227,17 @@ def verify_dual_eigenfamily(
     tol: float = 1e-8,
 ) -> VerificationReport:
     """Verify the continued family on non-compact samples with the signed
-    frame: tau and kappa must hit the negated compact constants.  With no
+    frame: tau and kappa must hit the negated compact constants.  The pair's
+    frame checks are residuals too, ``frame_<check>``, gated by ``tol`` as
+    tau and kappa are (:func:`dual_pair` holds them far below it).  With no
     sample, :class:`InconclusiveError`."""
     dfam = dual_family(pair, fam)
     rep = verify_eigenfamily(dfam, pair.frame, samples, tol=tol)
     rep.check = "dual-eigenfamily"
     rep.target = f"{pair.noncompact} ~ {pair.compact}"
+    rep.residuals.update({f"frame_{k}": v for k, v in pair.residuals.items()})
     rep.notes["compact_lambda"] = [fam.lam.real, fam.lam.imag]
     rep.notes["compact_mu"] = [fam.mu.real, fam.mu.imag]
-    rep.notes.update({f"frame_{k}": v for k, v in pair.residuals.items()})
     return rep
 
 

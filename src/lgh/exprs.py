@@ -284,14 +284,10 @@ class MonomialTable:
     @classmethod
     def over(cls, table: FrameOperators, degrees: tuple) -> "MonomialTable":
         """The table of the monomials of ``degrees`` over a member frame
-        table, built once per frame table."""
-        key = ("monomials", degrees)
-        if key not in table.derived:
-            expos, _ = _layout(len(table.members), degrees)
-            values, grads, hess = monomials(table.values, expos)
-            tau = chain_tau(grads, hess, table.tau, table.kappa)
-            table.derived[key] = cls(values, tau, grads, table.kappa)
-        return table.derived[key]
+        table."""
+        expos, _ = _layout(len(table.members), degrees)
+        values, grads, hess = monomials(table.values, expos)
+        return cls(values, chain_tau(grads, hess, table.tau, table.kappa), grads, table.kappa)
 
     def polynomials(self, coeffs):
         """Values (S, K), tau (S, K) and member gradients (S, K, m) of the K

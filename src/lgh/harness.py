@@ -305,12 +305,13 @@ class StreamCursor:
 class SampleStore:
     """The samples and dual pairs of one run.
 
-    Each (frame, radius, seed) stream is drawn once, by one sampler on the
-    frame, and every row that reads it gets a :class:`StreamCursor` from its
-    first point: a compact group's rows read the stream of its
-    :func:`~lgh.matrices.compact_basis`, a dual pair's rows that of the
-    pair's frame.  As ``take(a)`` then ``take(b)`` gives the points of
-    ``take(a + b)`` bit for bit, a reader's points do not depend on which
+    :meth:`frame` is the one place that picks the frame a check on a group
+    samples and measures with: a compact group's
+    :func:`~lgh.matrices.compact_basis`, a non-compact group's aligned pair
+    frame.  Each (frame, radius, seed) stream is drawn once, by one sampler
+    on the frame, and every row that reads it gets a :class:`StreamCursor`
+    from its first point.  As ``take(a)`` then ``take(b)`` gives the points
+    of ``take(a + b)`` bit for bit, a reader's points do not depend on which
     reader drew them first.  Streams are keyed by the frame object, not the
     group: an identity pair and a compact group share a group but not a
     frame.  Dual pairs are built once per group.  A store lives for one
@@ -326,6 +327,10 @@ class SampleStore:
         if gid not in self._pairs:
             self._pairs[gid] = du.dual_pair(gid)
         return self._pairs[gid]
+
+    def frame(self, gid: GroupId) -> SignedBasis:
+        """The frame of every check on ``gid``."""
+        return self.pair(gid).frame if gid.family in NONCOMPACT_FAMILIES else compact_basis(gid)
 
     def cursor(self, frame: SignedBasis, radius: float, seed: int) -> StreamCursor:
         """A cursor on the frame's stream of ``radius`` and ``seed``."""
@@ -358,7 +363,7 @@ def run_lemma(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if gid.family not in fa.LEMMA_FAMILIES:
         aliases = ", ".join(FAMILIES[f].alias for f in fa.LEMMA_FAMILIES)
         raise ConfigError(f"coordinate relations exist for {aliases}", field="group.family")
-    samples = store.cursor(compact_basis(gid), cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(store.frame(gid), cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_coordinate_lemmas(gid, samples, tol=cfg.tol)
 
 
@@ -366,7 +371,7 @@ def run_family(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.family is None:
         raise ConfigError("missing family spec", field="family")
     fam = family_from_spec(cfg.family)
-    basis = compact_basis(fam.group)
+    basis = store.frame(fam.group)
     samples = store.cursor(basis, cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_eigenfamily(fam, basis, samples, tol=cfg.tol)
 
@@ -376,7 +381,7 @@ def run_morphism(cfg: RunConfig, store: SampleStore) -> VerificationReport:
         raise ConfigError("morphism run needs family and morphism specs", field="morphism")
     fam = family_from_spec(cfg.family)
     morph = morphism_from_spec(fam, cfg.morphism, cfg.floor)
-    basis = compact_basis(fam.group)
+    basis = store.frame(fam.group)
     sampler = store.cursor(basis, cfg.radius, cfg.seed)
     first = sampler.take(cfg.samples)
     return mo.verify_harmonic_morphism(
@@ -394,11 +399,8 @@ def run_duality(cfg: RunConfig, store: SampleStore) -> VerificationReport:
         raise ConfigError("missing pair spec", field="pair")
     pair = store.pair(pair_group_from_spec(cfg.pair))
     fam = family_from_spec(cfg.family) if cfg.family else du.default_compact_family(pair)
-    samples = store.cursor(pair.frame, cfg.radius, cfg.seed).take(cfg.samples)
-    rep = du.verify_dual_eigenfamily(pair, fam, samples, tol=cfg.tol)
-    rep.residuals.update({f"frame_{k}": v for k, v in pair.residuals.items()})
-    rep.notes["max_aligned_defect"] = rep.notes["max_group_defect"]
-    return rep
+    samples = store.cursor(store.frame(pair.noncompact), cfg.radius, cfg.seed).take(cfg.samples)
+    return du.verify_dual_eigenfamily(pair, fam, samples, tol=cfg.tol)
 
 
 def run_probe(cfg: RunConfig, store: SampleStore) -> VerificationReport:
@@ -410,7 +412,7 @@ def run_probe(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     else:
         n = pair.compact.n
         fam = fa.so_family_special(n, _first_isotropic(n))
-    samples = store.cursor(pair.frame, cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(store.frame(pair.noncompact), cfg.radius, cfg.seed).take(cfg.samples)
     return du.probe_noncontinuable(pair, fam, samples)
 
 
@@ -439,17 +441,16 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _frame_table(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore):
-    """The frame of the family's group, and the members' frame table on the
-    config's samples."""
-    basis = compact_basis(fam.group)
-    samples = store.cursor(basis, cfg.radius, cfg.seed).take(cfg.samples)
-    return basis, frame_operators(fam.members, samples, basis)
+    """The members' frame table on the config's samples, measured with the
+    store's frame of the family's group, which is ``table.basis``."""
+    frame = store.frame(fam.group)
+    return frame_operators(fam.members, store.cursor(frame, cfg.radius, cfg.seed).take(cfg.samples), frame)
 
 
 def _deformations(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """Ten seeded (z, w) deformations of the isotropic-point family on SO(4)."""
     gid = GroupId("SO", 4)
-    basis = compact_basis(gid)
+    basis = store.frame(gid)
     samples = store.cursor(basis, cfg.radius, cfg.seed).take(cfg.samples)
     rng_seed = cfg.seed ^ 0x5EED5EED
     rng = SplitMix64(rng_seed)
@@ -479,8 +480,8 @@ def _family_negative_control(cfg: RunConfig, store: SampleStore) -> Verification
     """A wrong lambda must be detected with residual |dlambda| * max|phi|."""
     fam = family_from_spec(cfg.family)
     broken = fa.Eigenfamily(fam.group, fam.members, fam.lam + 0.1, fam.mu, "control")
-    basis, table = _frame_table(broken, cfg, store)
-    tau = fa.verify_eigenfamily(broken, basis, table, tol=cfg.tol).residuals["tau"]
+    table = _frame_table(broken, cfg, store)
+    tau = fa.verify_eigenfamily(broken, table.basis, table, tol=cfg.tol).residuals["tau"]
     predicted = 0.1 * float(np.max(np.abs(table.values)))
     residuals = {
         "deviation_from_prediction": abs(tau - predicted),
@@ -499,8 +500,8 @@ def _morphism_negative_control(cfg: RunConfig, store: SampleStore) -> Verificati
     and max|z_11|^2."""
     fam = family_from_spec(cfg.family)
     phi = mo.orthogonal_family(fam.group, fam.members[:1])
-    basis, table = _frame_table(phi, cfg, store)
-    rep = fa.verify_eigenfamily(phi, basis, table, tol=cfg.tol)
+    table = _frame_table(phi, cfg, store)
+    rep = fa.verify_eigenfamily(phi, table.basis, table, tol=cfg.tol)
     tau, kappa = rep.residuals["tau"], rep.residuals["kappa"]
     peak = float(np.max(np.abs(table.values)))
     predicted = abs(fam.lam) * peak
@@ -518,19 +519,20 @@ def _morphism_negative_control(cfg: RunConfig, store: SampleStore) -> Verificati
 def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore, pairs: int = 20):
     """Random same-degree (P, Q) quotients of floor ``cfg.floor`` must all
     verify; the quotient condition triple equality is measured on the same
-    instances.  ``fam`` may be a family no spec describes.
+    instances.  ``fam`` may be a family no spec describes, a continued
+    family on a dual group among them: the store picks its frame.
 
     All quotients are drawn first, by :func:`lgh.morphisms.random_morphisms`
     (per quotient a u64 for its degree 1 + u % 3, then P, then Q), then
     verified together on the member frame table of ``cfg.samples`` base
     samples.  The quotient-condition check shares that table, and with it
-    each degree's monomial table and the pair table the morphism check
-    built there.  Samples come from ``cfg.seed``, the polynomials from
+    the pair tables the morphism check built there.  Samples come from
+    ``cfg.seed``, the polynomials from
     ``rng_seed = cfg.seed ^ 0xFAC7041``, which both reports record; the
     factory report's ``notes`` name the quotients with the worst tau and
     the worst kappa by their index in the polynomial stream.
     """
-    basis = compact_basis(fam.group)
+    basis = store.frame(fam.group)
     rng_seed = cfg.seed ^ 0xFAC7041
     rng = SplitMix64(rng_seed)
     sampler = store.cursor(basis, cfg.radius, cfg.seed)
@@ -553,9 +555,9 @@ def _power_family(k: int, cfg: RunConfig, store: SampleStore) -> VerificationRep
     """The degree-k monomials in the family's members, an eigenfamily with
     the power constants; the constants are measured too."""
     pfam = mo.power_family(family_from_spec(cfg.family), k)
-    basis, table = _frame_table(pfam, cfg, store)
-    residuals = dict(fa.verify_eigenfamily(pfam, basis, table, tol=cfg.tol).residuals)
-    residuals.update(fa.measure_constants_residual(pfam, basis, table))
+    table = _frame_table(pfam, cfg, store)
+    residuals = dict(fa.verify_eigenfamily(pfam, table.basis, table, tol=cfg.tol).residuals)
+    residuals.update(fa.measure_constants_residual(pfam, table.basis, table))
     params = {
         "k": k,
         "members": len(pfam.members),

@@ -15,8 +15,7 @@ members' coefficient matrices and walks them once
 (:meth:`lgh.exprs.LinearTrace.eval_jet`), which gives the member values,
 their tau and their signed kappa Gram at every sample.  Polynomials in
 members are not walked: the chain rule of :mod:`lgh.exprs` composes them
-from their members' table (:class:`lgh.exprs.MonomialTable`), which a
-frame table keeps in ``derived`` so that each is built once.  Quotients
+from their members' table (:class:`lgh.exprs.MonomialTable`).  Quotients
 P/Q are not members: the morphism kernel
 (:func:`lgh.morphisms.quotient_operators`) applies the quotient rule to
 their P and Q.  Every reduction runs per sample, so a row's bits do not

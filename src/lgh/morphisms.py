@@ -13,7 +13,7 @@ The verifiers work at the operator level.  The frame-operator kernel
 measures the member values phi_a, tau(phi_a) and kappa(phi_a, phi_b) once
 per sample.  For one total degree d, every degree-d monomial in the members
 gets its value, gradient and tau from those by the chain rule of
-:mod:`lgh.exprs`, once per frame table (:class:`lgh.exprs.MonomialTable`).
+:mod:`lgh.exprs` (:class:`lgh.exprs.MonomialTable`).
 A polynomial is a coefficient row over the monomials, so K quotients
 P_k/Q_k are one (2K, M) coefficient matrix, and a few contractions give P,
 Q, tau(P), tau(Q), kappa(P, P), kappa(P, Q) and kappa(Q, Q) of all of them
@@ -402,7 +402,7 @@ def verify_harmonic_morphism(
     stream in their order, so each one's samples are those of a run of it
     alone after the ones before it.  Every quotient of one monomial table is
     then verified by one kernel call (:func:`quotient_operators`).  The
-    base rows' pair table of each monomial table is built once and kept on
+    base rows' pair table of each degree group is built once and kept on
     the members' frame table (:func:`_pair_table`), where
     :func:`verify_quotient_condition` on the same pairs and table reads it;
     the domain screen of the base rows reads its Q.

@@ -9,9 +9,10 @@ from lgh import duality as du
 from lgh import families as fa
 from lgh import harness as H
 from lgh import matrices as M
+from lgh import morphisms as mo
 from lgh.errors import DegeneracyError, InconclusiveError, ValidationError
 from lgh.exprs import Entry, LinearTrace
-from lgh.sampling import GroupSampler, sample_compact
+from lgh.sampling import GroupSampler, SplitMix64, sample_compact
 
 
 def _e(n, k=0):
@@ -348,3 +349,74 @@ def test_verify_dual_eigenfamily_on_no_samples_is_inconclusive():
     fam = du.default_compact_family(pair)
     with pytest.raises(InconclusiveError):
         du.verify_dual_eigenfamily(pair, fam, GroupSampler(pair.frame, 0.5, 42).take(0))
+
+
+# the config of the suite's first factory row: seed 42, 50 samples at the
+# factory's floor and tol
+FACTORY_CFG = next(cfg for _, check, cfg in H.suite_checks() if check == "morphism-factory")
+# SO(1,2)'s default family is one member, so it has no same-degree P/Q pair
+CONTINUABLE_PAIRS = [gid for gid in SUITE_PAIRS if gid != M.so_pq(1, 2)]
+
+
+def _dual_default_family(gid):
+    pair = du.dual_pair(gid)
+    return pair, du.dual_family(pair, du.default_compact_family(pair))
+
+
+@pytest.mark.parametrize("gid", CONTINUABLE_PAIRS, ids=str)
+def test_factory_runner_serves_the_dual_side(gid):
+    """The factory verifies a continued family on its dual group with the
+    frame the store picks for that group, through the runner the compact
+    rows use.  On SL(n,R) and Sp(n,R) these quotients are degenerate maps
+    (p = e1), and they pass too."""
+    _, dfam = _dual_default_family(gid)
+    factory, triple = H._morphism_factory(dfam, FACTORY_CFG, H.SampleStore(), pairs=6)
+    for rep in (factory, triple):
+        assert rep.passed, (rep.check, rep.residuals)
+        assert rep.target == str(gid)
+        assert rep.tol == H.FACTORY_TOL
+
+
+def test_factory_runner_refuses_a_one_member_dual_family():
+    _, dfam = _dual_default_family(M.so_pq(1, 2))
+    assert len(dfam.members) == 1
+    with pytest.raises(ValidationError, match="single monomial"):
+        H._morphism_factory(dfam, FACTORY_CFG, H.SampleStore(), pairs=6)
+
+
+@pytest.mark.parametrize("gid", [M.su_pq(1, 1), M.su_pq(1, 2), M.sl_r(2)], ids=str)
+def test_dual_quotients_fail_on_the_frame_with_every_sign_plus(gid):
+    """A negative control: the factory's quotients on the same samples,
+    measured with the pair's frame but every sign set to +1, are far from
+    harmonic, so a dual pass is not vacuous."""
+    pair, dfam = _dual_default_family(gid)
+    factory, _ = H._morphism_factory(dfam, FACTORY_CFG, H.SampleStore(), pairs=6)
+    morphs = mo.random_morphisms(dfam, 6, SplitMix64(factory.params["rng_seed"]), floor=FACTORY_CFG.floor)
+    unsigned = M.SignedBasis(gid, [M.SignedBasisVector(v.matrix, +1) for v in pair.frame])
+    sampler = GroupSampler(pair.frame, FACTORY_CFG.radius, FACTORY_CFG.seed)
+    flipped = mo.verify_harmonic_morphism(
+        morphs,
+        unsigned,
+        sampler.take(FACTORY_CFG.samples),
+        tol=H.FACTORY_TOL,
+        min_samples=FACTORY_CFG.samples,
+        sampler=lambda k: sampler.take(k).points,
+    )
+    assert factory.passed and not flipped.passed
+    assert min(flipped.residuals.values()) > 1.0
+
+
+@pytest.mark.parametrize("gid", SUITE_PAIRS + [M.sl_r(5), M.so_pq(4, 4), M.sp_pq(2, 1), M.su_star(6)], ids=str)
+def test_duality_principle_negates_the_casimir_tensors(gid):
+    """The duality principle as one identity: the aligned frame's
+    T = sum_b eps_b Z_b (x) Z_b and C = sum_b eps_b Z_b^2 are minus those of
+    the compact partner's basis."""
+
+    def tensors(frame):
+        zs, signs = frame.matrices, frame.signs
+        return np.einsum("b,bij,bkl->ijkl", signs, zs, zs), np.einsum("b,bij,bjk->ik", signs, zs, zs)
+
+    pair = du.dual_pair(gid)
+    for dual, compact in zip(tensors(pair.frame), tensors(M.compact_basis(pair.compact))):
+        assert np.max(np.abs(dual + compact)) <= 1e-14
+        assert np.max(np.abs(compact)) > 0.4

@@ -837,6 +837,46 @@ def test_store_keys_streams_by_frame():
     assert got[0].points.tobytes() != got[1].points.tobytes()
 
 
+def test_store_picks_the_compact_basis_or_the_pair_frame():
+    """A compact group's frame is its compact basis, a dual group's the
+    aligned frame of the store's one pair; a group with neither is
+    refused."""
+    from lgh.matrices import GroupId, U, compact_basis
+
+    store = H.SampleStore()
+    assert store.frame(U(3)) is compact_basis(U(3))
+    for alias, sizes in H.DUALITY_PAIRS:
+        gid = H.pair_group_from_spec({"family": alias, **sizes})
+        assert store.frame(gid) is store.pair(gid).frame is store.frame(gid)
+    with pytest.raises(ValidationError):
+        store.frame(GroupId("GLC-split", 2))
+
+
+def test_every_suite_row_samples_on_a_frame_the_store_picked():
+    """No runner picks a frame of its own: every cursor of every suite row
+    is opened on a frame that ``SampleStore.frame`` returned."""
+
+    class Recording(H.SampleStore):
+        def __init__(self):
+            super().__init__()
+            self.picked = set()
+
+        def frame(self, gid):
+            frame = super().frame(gid)
+            self.picked.add(id(frame))
+            return frame
+
+        def cursor(self, frame, radius, seed):
+            assert id(frame) in self.picked, frame.group
+            return super().cursor(frame, radius, seed)
+
+    store = Recording()
+    for _, name, cfg in H.suite_checks():
+        H.run(name, cfg, store)
+    for alias, sizes in H.DUALITY_PAIRS:
+        assert id(store.pair(H.pair_group_from_spec({"family": alias, **sizes})).frame) in store.picked
+
+
 def test_config_fields_field_types_and_schema_properties_are_one_set():
     """A new config knob cannot slip in unlisted: the RunConfig fields, the
     JSON types ``validate`` checks and the schema's top-level properties
