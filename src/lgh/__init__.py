@@ -32,6 +32,7 @@ from .errors import (
 from .exprs import Entry, Expr, HomPoly, LinearTrace, compose
 from .families import (
     Eigenfamily,
+    default_family,
     eigen_constants,
     maximal_isotropic_basis,
     measure_constants_residual,

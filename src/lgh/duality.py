@@ -23,15 +23,7 @@ import numpy as np
 
 from .errors import ConstructionError, ValidationError
 from .exprs import Expr, HomPoly
-from .families import (
-    Eigenfamily,
-    maximal_isotropic_basis,
-    so_family_V,
-    sp_family,
-    su_family,
-    verify_eigenfamily,
-)
-from .jets import stack_samples
+from .families import Eigenfamily, default_family, verify_eigenfamily
 from .matrices import (
     GroupId,
     SignedBasis,
@@ -40,7 +32,7 @@ from .matrices import (
     signature_matrix,
     symplectic_matrix,
 )
-from .report import VerificationReport, timed_report
+from .report import VerificationReport
 from .sampling import GroupSampler, SampleSet, group_defect
 
 
@@ -249,33 +241,22 @@ def probe_noncontinuable(
 
     The construction of this family leans on x x^t = I, an identity of the
     compact group, so it is excluded from :func:`verify_dual_eigenfamily`.
-    The probe evaluates the dual equations anyway and reports the residual
+    The probe evaluates the dual equations anyway, through
+    :func:`verify_eigenfamily` at tol +inf, and reports the residual
     magnitudes.  Note that the aligned real form lives inside the complex
     orthogonal group, where x x^t = I continues to hold; the recorded
     residuals stay small there even though the constructing argument does
-    not transfer.  The report is informational: tol is +inf.
+    not transfer.  The report is informational.  With no sample,
+    :class:`InconclusiveError`.
     """
     if fam.provenance != "so-isotropic-point":
         raise ValidationError("probe expects a family built from an isotropic point")
-    target = _negated(pair, fam, "-probe")
-    with timed_report() as clock:
-        points = stack_samples(samples, pair.frame)
-        if len(points):
-            rep = verify_eigenfamily(target, pair.frame, points, tol=np.inf)
-            residuals = rep.residuals
-        else:
-            residuals = {}
-    out = VerificationReport(
-        check="probe-noncontinuable",
-        target=f"{pair.noncompact} ~ {pair.compact}",
-        params={"members": len(fam.members), "provenance": fam.provenance},
-        residuals=residuals,
-        tol=float("inf"),
-        samples_used=len(points),
-        wall_time=clock.elapsed,
-        notes={"informational": True},
-    )
-    return out
+    rep = verify_eigenfamily(_negated(pair, fam, "-probe"), pair.frame, samples, tol=np.inf)
+    rep.check = "probe-noncontinuable"
+    rep.target = f"{pair.noncompact} ~ {pair.compact}"
+    rep.params = {"members": len(fam.members), "provenance": fam.provenance}
+    rep.notes = {"informational": True}
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +264,5 @@ def probe_noncontinuable(
 # ---------------------------------------------------------------------------
 
 def default_compact_family(pair: DualPair) -> Eigenfamily:
-    """A canonical continuable eigenfamily on the compact partner."""
-    g = pair.compact
-    e1 = np.zeros(g.n, dtype=complex)
-    e1[0] = 1.0
-    if g.family == "SU":
-        return su_family(g.n, e1)
-    if g.family == "Sp":
-        return sp_family(g.n, e1)
-    if g.family == "SO":
-        V = maximal_isotropic_basis(g.n)
-        if not V:
-            raise ValidationError(f"no isotropic directions in C^{g.n}")
-        return so_family_V(g.n, e1, V)
-    raise ValidationError(f"no default family for compact group {g}")
+    """The compact partner's :func:`lgh.families.default_family`."""
+    return default_family(pair.compact)

@@ -2,14 +2,19 @@
 
 An eigenfamily is a set of functions with tau(phi) = lambda phi and
 kappa(phi, psi) = mu phi psi for fixed constants and all members phi, psi.
-The constructors below realize the linear families on SO(n), U(n)/SU(n) and
-Sp(n); the verifier measures both defining equations by exact jets at seeded
-group samples.
+Every family here is linear: phi_a(x) = trace(p^t a q^t) for a fixed p and
+vectors a, over the coordinate rows q of the group (all of x on SO(n) and
+U(n)/SU(n), the rows [z | w] on Sp(n)).  One private constructor builds the
+members of all of them; the public ones (so_family_V, so_family_special,
+u_family, su_family, sp_family) check their own inputs and call it, and
+default_family picks the family of a group that names nothing else.  The
+verifier measures both defining equations by exact jets at seeded group
+samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -93,22 +98,43 @@ def _check_isotropic_set(V):
                 )
 
 
+# The compact families with a linear eigenfamily: the constructors below and
+# default_family build one on each.
+LINEAR_FAMILIES = ("SO", "U", "SU", "Sp")
+
+
+def _linear_family(group: GroupId, p, vectors, provenance: str, dual_continuable: bool = True) -> Eigenfamily:
+    """Members trace(p^t a q^t) over the coordinate rows q of ``group``: for
+    each block of n columns (all of x, or z then w on Sp(n)) and each vector
+    a, the matrix outer(p, a) in that block of the first n rows, zero
+    elsewhere.  Each block is written alone, so an entry outside it is +0
+    whatever p is.  Constants from :func:`eigen_constants`."""
+    n = group.n
+    p = np.asarray(p, dtype=complex)
+    if p.shape != (n,) or not np.any(p):
+        raise ValidationError("p must be a nonzero vector of length n")
+    size = group.matrix_dim
+    members = []
+    for lo in range(0, size, n):
+        for a in vectors:
+            m = np.zeros((size, size), dtype=complex)
+            m[:n, lo : lo + n] = coefficient_outer(p, a)
+            members.append(LinearTrace(m))
+    lam, mu = eigen_constants(group.family, n)
+    return Eigenfamily(group, members, lam, mu, provenance, dual_continuable)
+
+
 def so_family_V(n: int, p, V) -> Eigenfamily:
     """Members trace(p^t a x^t), a running over a basis of an isotropic
     subspace V of C^n; valid on SO(n) for any nonzero p.  Each vector of V
     must be nonzero and of length n: a zero one would add a zero member."""
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (n,) or not np.any(p):
-        raise ValidationError("p must be a nonzero vector of length n")
     V = [np.asarray(a, dtype=complex) for a in V]
     if not V:
         raise ValidationError("V needs at least one spanning vector")
     if any(a.shape != (n,) or not np.any(a) for a in V):
         raise ValidationError("each V vector must be a nonzero vector of length n")
     _check_isotropic_set(V)
-    lam, mu = eigen_constants("SO", n)
-    members = [LinearTrace(coefficient_outer(p, a)) for a in V]
-    return Eigenfamily(GroupId("SO", n), members, lam, mu, "so-isotropic-subspace")
+    return _linear_family(GroupId("SO", n), p, V, "so-isotropic-subspace")
 
 
 def so_family_special(n: int, p) -> Eigenfamily:
@@ -119,19 +145,10 @@ def so_family_special(n: int, p) -> Eigenfamily:
     to the non-compact dual groups; it is constructed with
     ``dual_continuable=False``.
     """
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (n,):
-        raise ValidationError("p must be a vector of length n")
     pp = bilinear(p, p)
-    if abs(pp) > 1e-12:
+    if abs(pp) > _ISOTROPY_TOL:
         raise ValidationError(f"p is not isotropic: (p, p) = {pp:.3e}")
-    if not np.any(p):
-        raise ValidationError("p must be nonzero")
-    lam, mu = eigen_constants("SO", n)
-    members = [LinearTrace(coefficient_outer(p, e)) for e in np.eye(n, dtype=complex)]
-    return Eigenfamily(
-        GroupId("SO", n), members, lam, mu, "so-isotropic-point", dual_continuable=False
-    )
+    return _linear_family(GroupId("SO", n), p, np.eye(n, dtype=complex), "so-isotropic-point", dual_continuable=False)
 
 
 def so4_deformation(z: complex, w: complex) -> np.ndarray:
@@ -144,42 +161,41 @@ def so4_deformation(z: complex, w: complex) -> np.ndarray:
 def u_family(n: int, p) -> Eigenfamily:
     """Members trace(p^t a z^t) for a over the standard basis; eigenfamily
     on U(n) with constants (-n, -1)."""
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (n,) or not np.any(p):
-        raise ValidationError("p must be a nonzero vector of length n")
-    lam, mu = eigen_constants("U", n)
-    members = [LinearTrace(coefficient_outer(p, e)) for e in np.eye(n, dtype=complex)]
-    return Eigenfamily(GroupId("U", n), members, lam, mu, "u-linear")
+    return _linear_family(GroupId("U", n), p, np.eye(n, dtype=complex), "u-linear")
 
 
 def su_family(n: int, p) -> Eigenfamily:
-    """The u_family member list retargeted to SU(n).
+    """The members of :func:`u_family` on SU(n).
 
     Constants become (-(n^2-1)/n, -(n-1)/n): dropping the trace direction
     i I/sqrt(n) removes -z/n from tau and -(phi psi)/n from kappa.
     """
-    fam = u_family(n, p)
-    lam, mu = eigen_constants("SU", n)
-    return replace(fam, group=GroupId("SU", n), lam=lam, mu=mu, provenance="su-linear")
+    return _linear_family(GroupId("SU", n), p, np.eye(n, dtype=complex), "su-linear")
 
 
 def sp_family(n: int, p) -> Eigenfamily:
     """Members trace(p^t a z^t) and trace(p^t b w^t) over the two blocks of
     the quaternionic embedding, (a, b) over {(e_i, 0)} and {(0, e_i)}."""
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (n,) or not np.any(p):
-        raise ValidationError("p must be a nonzero vector of length n")
-    lam, mu = eigen_constants("Sp", n)
-    members = []
-    for e in np.eye(n, dtype=complex):
-        m = np.zeros((2 * n, 2 * n), dtype=complex)
-        m[:n, :n] = coefficient_outer(p, e)
-        members.append(LinearTrace(m))
-    for e in np.eye(n, dtype=complex):
-        m = np.zeros((2 * n, 2 * n), dtype=complex)
-        m[:n, n:] = coefficient_outer(p, e)
-        members.append(LinearTrace(m))
-    return Eigenfamily(GroupId("Sp", n), members, lam, mu, "sp-linear")
+    return _linear_family(GroupId("Sp", n), p, np.eye(n, dtype=complex), "sp-linear")
+
+
+def default_point(n: int) -> np.ndarray:
+    """The p of a linear family that no spec states: e_1 in C^n."""
+    p = np.zeros(n, dtype=complex)
+    p[0] = 1.0
+    return p
+
+
+def default_family(group: GroupId) -> Eigenfamily:
+    """The linear family of a group that names nothing else: p = e_1, and on
+    SO(n) the standard isotropic subspace (:func:`maximal_isotropic_basis`).
+    A group outside :data:`LINEAR_FAMILIES` raises :class:`ValidationError`."""
+    if group.family not in LINEAR_FAMILIES:
+        raise ValidationError(f"no linear eigenfamily on {group}")
+    n, p = group.n, default_point(group.n)
+    if group.family == "SO":
+        return so_family_V(n, p, maximal_isotropic_basis(n))
+    return {"U": u_family, "SU": su_family, "Sp": sp_family}[group.family](n, p)
 
 
 # ---------------------------------------------------------------------------

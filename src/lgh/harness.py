@@ -191,8 +191,14 @@ def group_to_spec(gid: GroupId) -> dict:
 
 
 def family_from_spec(d: dict) -> fa.Eigenfamily:
+    """The linear family of a spec block: the group's
+    :func:`lgh.families.default_family` unless the spec states p, V or an
+    SO(4) deformation; on SO(n) a p with no V gives the isotropic-point
+    family."""
     _block(d, ("group", "p", "V", "deformation"), "family")
     gid = group_from_spec(d.get("group", {}), "family.group")
+    if gid.family not in fa.LINEAR_FAMILIES:
+        raise ConfigError(f"no linear eigenfamily on {gid}", field="family.group")
     n = gid.n
     if "V" in d and gid.family != "SO":
         raise ConfigError("V picks an isotropic subspace on SO(n)", field="family.V")
@@ -203,22 +209,21 @@ def family_from_spec(d: dict) -> fa.Eigenfamily:
         p = fa.so4_deformation(pair_to_complex(zw.get("z", 0.0)), pair_to_complex(zw.get("w", 0.0)))
     elif "p" in d:
         p = vector_from_json(d["p"])
+    elif d.get("V", "standard") == "standard":
+        p = None
     else:
-        p = np.zeros(n, dtype=complex)
-        p[0] = 1.0
+        p = fa.default_point(n)
     try:
-        if gid.family in ("U", "SU", "Sp"):
+        if p is None:
+            return fa.default_family(gid)
+        if gid.family != "SO":
             return {"U": fa.u_family, "SU": fa.su_family, "Sp": fa.sp_family}[gid.family](n, p)
-        if gid.family == "SO":
-            if "V" in d and d["V"] != "standard":
-                V = [vector_from_json(v) for v in d["V"]]
-                return fa.so_family_V(n, p, V)
-            if d.get("V") == "standard" or ("p" not in d and "deformation" not in d):
-                return fa.so_family_V(n, p, fa.maximal_isotropic_basis(n))
+        if "V" not in d:
             return fa.so_family_special(n, p)
+        V = fa.maximal_isotropic_basis(n) if d["V"] == "standard" else [vector_from_json(v) for v in d["V"]]
+        return fa.so_family_V(n, p, V)
     except ValidationError as exc:
         raise ConfigError(str(exc), field="family") from exc
-    raise ConfigError(f"no family constructor for group {gid}", field="family.group")
 
 
 def _coeff_map(items, field_name: str) -> dict:
@@ -409,20 +414,13 @@ def run_probe(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     pair = store.pair(pair_group_from_spec(cfg.pair))
     if cfg.family:
         fam = family_from_spec(cfg.family)
-    else:
+    elif pair.compact.family == "SO":
         n = pair.compact.n
-        fam = fa.so_family_special(n, _first_isotropic(n))
+        fam = fa.so_family_special(n, fa.maximal_isotropic_basis(n)[0])
+    else:
+        raise ConfigError(f"the default probe family lives on SO(n), not on {pair.compact}", field="family")
     samples = store.cursor(store.frame(pair.noncompact), cfg.radius, cfg.seed).take(cfg.samples)
     return du.probe_noncontinuable(pair, fam, samples)
-
-
-def _first_isotropic(n: int) -> np.ndarray:
-    if n < 2:
-        raise ConfigError("isotropic vectors need n >= 2", field="family")
-    p = np.zeros(n, dtype=complex)
-    p[0] = 1.0
-    p[1] = 1j
-    return p
 
 
 COMMANDS = {

@@ -188,10 +188,11 @@ def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
         return _worst(_maxabs_rows(xs.imag), _maxabs_rows(xs @ j @ xt - j))
     if fam == "SOstar":
         return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(xs @ j @ xt.conj() - j))
-    if fam == "SOpq":
-        return _worst(_maxabs_rows(xs @ xt - eye), _det_defect(xs))
-    if fam == "SUpq":
+    if fam in ("SOpq", "SUpq"):
         ipq = signature_matrix(group.p, group.q)
+    if fam == "SOpq":
+        return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(ipq @ xs.conj() @ ipq - xs), _det_defect(xs))
+    if fam == "SUpq":
         return _worst(_maxabs_rows(xs @ ipq @ xt.conj() - ipq), _det_defect(xs))
     if fam == "Sppq":
         k = np.kron(np.eye(2), signature_matrix(group.p, group.q))

@@ -163,11 +163,14 @@ def test_slr_samples_are_real_unimodular():
 
 def test_sopq_samples_preserve_continued_form():
     # the aligned so(p,q) sits inside the complex orthogonal group, so the
-    # continued invariant bilinear form is the identity matrix
+    # continued invariant bilinear form is the identity matrix; the real form
+    # is cut out of it by I_pq conj(x) I_pq = x (theta fixes k, negates m)
     pair = du.dual_pair(M.so_pq(2, 2))
+    ipq = M.signature_matrix(2, 2)
     samples = du.sample_noncompact(pair, 20, 0.5, 42)
     for x in samples:
         assert np.max(np.abs(x @ x.T - np.eye(4))) < 1e-9
+        assert np.max(np.abs(ipq @ x.conj() @ ipq - x)) < 1e-9
 
 
 def test_zero_radius_gives_identity_samples():
@@ -322,9 +325,8 @@ def test_probe_on_identity_pair_matches_compact_verification():
 def test_probe_empty_sample_list():
     pair = du.dual_pair(M.so_pq(2, 2))
     fam = fa.so_family_special(4, fa.so4_deformation(0, 0))
-    rep = du.probe_noncontinuable(pair, fam, [])
-    assert rep.residuals == {}
-    assert rep.samples_used == 0
+    with pytest.raises(InconclusiveError):
+        du.probe_noncontinuable(pair, fam, [])
 
 
 def test_probe_rejects_other_provenances():

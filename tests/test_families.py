@@ -286,3 +286,61 @@ def test_verify_coordinate_lemmas_on_no_samples_is_inconclusive():
     for gid in (M.SO(3), M.U(2), M.Sp(1)):
         with pytest.raises(InconclusiveError):
             fa.verify_coordinate_lemmas(gid, compact_sampler(gid).take(0))
+
+
+def _random_vector(rng, n):
+    return np.array([rng.complex_uniform(1.0) for _ in range(n)])
+
+
+def _block_members(p, vectors, blocks):
+    """outer(p, a) in column block b of the first n rows, +0 everywhere else:
+    one matrix per (b, a), blocks outermost."""
+    n = len(p)
+    out = []
+    for b in range(blocks):
+        for a in vectors:
+            m = np.zeros((blocks * n, blocks * n), dtype=complex)
+            m[:n, b * n : (b + 1) * n] = p[:, None] * np.asarray(a)[None, :]
+            out.append(m)
+    return out
+
+
+def _linear_case(name, n, rng):
+    """(family, p, vectors, column blocks) of one public constructor on a
+    random complex p (an isotropic one for the isotropic-point family)."""
+    eye = np.eye(n, dtype=complex)
+    if name == "so_family_V":
+        p = _random_vector(rng, n)
+        V = [rng.complex_uniform(1.0) * v for v in fa.maximal_isotropic_basis(n)]
+        return fa.so_family_V(n, p, V), p, V, 1
+    if name == "so_family_special":
+        p = sum(rng.complex_uniform(1.0) * v for v in fa.maximal_isotropic_basis(n))
+        return fa.so_family_special(n, p), p, eye, 1
+    p = _random_vector(rng, n)
+    blocks = 2 if name == "sp_family" else 1
+    return getattr(fa, name)(n, p), p, eye, blocks
+
+
+LINEAR_GROUPS = {"so_family_V": "SO", "so_family_special": "SO", "u_family": "U", "su_family": "SU", "sp_family": "Sp"}
+
+
+# n = 1..6; C^1 has no nonzero isotropic vector, so SO(n) starts at 2
+@pytest.mark.parametrize(
+    "name, n", [(name, n) for name, g in LINEAR_GROUPS.items() for n in range(1 + (g == "SO"), 7)]
+)
+def test_linear_members_are_the_block_formula(name, n):
+    """Every public constructor's members are outer(p, a) written into one
+    block of n columns, z then w on Sp(n), with +0 everywhere else, byte for
+    byte; the constants are those of the group."""
+    fam, p, vectors, blocks = _linear_case(name, n, SplitMix64(100 * n + len(name)))
+    want = _block_members(p, vectors, blocks)
+    assert [m.matrix.tobytes() for m in fam.members] == [m.tobytes() for m in want]
+    assert fam.group == M.GroupId(LINEAR_GROUPS[name], n)
+    assert (fam.lam, fam.mu) == fa.eigen_constants(LINEAR_GROUPS[name], n)
+    assert fam.dual_continuable is (name != "so_family_special")
+
+
+def test_default_family_refuses_a_group_with_no_linear_family():
+    for gid in (M.so_pq(1, 2), M.su_pq(1, 1), M.sp_pq(1, 1), M.sl_r(2), M.GroupId("GLC-split", 2)):
+        with pytest.raises(ValidationError, match="no linear eigenfamily"):
+            fa.default_family(gid)

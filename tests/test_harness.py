@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgh import families as fa
 from lgh import harness as H
 from lgh.cli import build_parser, main
-from lgh.duality import dual_pair
+from lgh.duality import default_compact_family, dual_pair
 from lgh.errors import ConfigError, ValidationError
 from lgh.families import LEMMA_FAMILIES
 from lgh.matrices import FAMILIES, NONCOMPACT_FAMILIES
@@ -136,6 +137,13 @@ def test_family_from_spec_defaults_to_standard_subspace():
     assert len(fam.members) == 2
 
 
+def test_family_from_spec_takes_p_e1_with_a_stated_subspace():
+    v = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    fam = H.family_from_spec({"group": {"family": "so", "n": 4}, "V": [v]})
+    want = fa.so_family_V(4, np.eye(4)[0], [np.array([0, 0, 1, 1j])])
+    assert _family_bytes(fam) == _family_bytes(want)
+
+
 def test_family_from_spec_deformation():
     fam = H.family_from_spec(
         {"group": {"family": "so", "n": 4}, "deformation": {"z": [0.0, 0.0], "w": [0.0, 0.0]}}
@@ -147,6 +155,66 @@ def test_family_from_spec_deformation():
 def test_family_from_spec_rejects_bad_group():
     with pytest.raises(ConfigError):
         H.family_from_spec({"group": {"family": "nope", "n": 2}})
+
+
+def _family_bytes(fam):
+    return fam.group, fam.lam, fam.mu, fam.provenance, [m.matrix.tobytes() for m in fam.members]
+
+
+SUITE_GROUPS = {H.group_from_spec(spec["group"]) for spec in H.FAMILY_SPECS}
+SUITE_PAIRS = [H.pair_group_from_spec({"family": alias, **params}) for alias, params in H.DUALITY_PAIRS]
+
+
+@pytest.mark.parametrize("gid", sorted(SUITE_GROUPS, key=str) + SUITE_PAIRS, ids=str)
+def test_one_default_family_per_group(gid):
+    """A spec that names only the group, the families module's default and,
+    on a pair, the default compact family build the same members: one
+    default family, stated once."""
+    pair = dual_pair(gid) if gid.family in NONCOMPACT_FAMILIES else None
+    compact = pair.compact if pair else gid
+    want = _family_bytes(fa.default_family(compact))
+    assert _family_bytes(H.family_from_spec({"group": H.group_to_spec(compact)})) == want
+    if pair:
+        assert _family_bytes(default_compact_family(pair)) == want
+
+
+@pytest.mark.parametrize("command", ["verify-family", "verify-morphism"])
+@pytest.mark.parametrize("alias", ["so_pq", "su_pq", "sp_pq"])
+def test_cli_family_on_a_dual_group_is_a_config_error(command, alias, tmp_path, capsys):
+    """A family spec on a (p, q) group names a group with no linear family:
+    refused as a config error on its group field, before any size is read."""
+    doc = {"family": {"group": {"family": alias, "p": 1, "q": 2}}}
+    if command == "verify-morphism":
+        doc["morphism"] = H.HOPF_SPEC
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "config error (field: family.group)" in capsys.readouterr().err
+
+
+def test_schema_family_groups_are_the_linear_families():
+    """The schema takes a family spec on exactly the groups that have a
+    linear family."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
+    for family, row in FAMILIES.items():
+        group = {"family": row.alias, **({"p": 1, "q": 2} if row.pq else {"n": 2})}
+        config = {"family": {"group": group}}
+        if family in fa.LINEAR_FAMILIES:
+            jsonschema.validate(config, schema)
+        else:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(config, schema)
+
+
+@pytest.mark.parametrize("pair", [{"family": "sl_r", "n": 1}, {"family": "sl_r", "n": 2}, {"family": "sp_r", "n": 1}])
+def test_cli_default_probe_needs_an_orthogonal_partner(pair, tmp_path, capsys):
+    """The default probe family lives on SO(n): a pair whose compact partner
+    is SU(n) or Sp(n), of any size, is refused without a family spec."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair": pair}))
+    assert main(["probe-duality", "--config", str(cfg)]) == 2
+    assert "config error (field: family)" in capsys.readouterr().err
 
 
 def test_morphism_spec_requires_terms():

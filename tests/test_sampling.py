@@ -362,3 +362,23 @@ def test_a_frame_whose_group_has_no_equations_is_refused():
         GroupSampler(frame, 0.5, 42)
     with pytest.raises(ValidationError):
         group_defect(frame.group, np.eye(2, dtype=complex)[None])
+
+
+# one suite pair of each non-compact family
+ONE_PAIR_PER_FAMILY = {pair.noncompact.family: name for name, pair in reversed(PAIRS.items())}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PAIR_PER_FAMILY.values()))
+def test_group_defect_refuses_the_complexified_group(name):
+    """exp of a complex combination of a real form's frame lies in the
+    complexified group, where every complex-linear equation of the real form
+    still holds: only its reality condition tells the points apart.  The
+    real combination passes, the complex one is refused."""
+    pair = PAIRS[name]
+    zs = pair.frame.matrices
+    rng = SplitMix64(11)
+    re, im = rng.uniforms(len(zs), -0.5, 0.5), rng.uniforms(len(zs), -0.5, 0.5)
+    real = expm(np.tensordot(re, zs, 1)[None])
+    complexified = expm(np.tensordot(re + 1j * im, zs, 1)[None])
+    assert group_defect(pair.noncompact, real)[0] < 1e-12
+    assert group_defect(pair.noncompact, complexified)[0] > 0.1
