@@ -206,9 +206,10 @@ def family_from_spec(d: dict) -> fa.Eigenfamily:
         if "p" in d or (gid.family, n) != ("SO", 4):
             raise ConfigError("deformation is the point of an SO(4) family, in place of p", field="family.deformation")
         zw = _block(d["deformation"], ("z", "w"), "family.deformation")
-        p = fa.so4_deformation(pair_to_complex(zw.get("z", 0.0)), pair_to_complex(zw.get("w", 0.0)))
+        z, w = (pair_to_complex(zw.get(key, 0.0), f"family.deformation.{key}") for key in ("z", "w"))
+        p = fa.so4_deformation(z, w)
     elif "p" in d:
-        p = vector_from_json(d["p"])
+        p = vector_from_json(d["p"], "family.p")
     elif d.get("V", "standard") == "standard":
         p = None
     else:
@@ -220,7 +221,12 @@ def family_from_spec(d: dict) -> fa.Eigenfamily:
             return {"U": fa.u_family, "SU": fa.su_family, "Sp": fa.sp_family}[gid.family](n, p)
         if "V" not in d:
             return fa.so_family_special(n, p)
-        V = fa.maximal_isotropic_basis(n) if d["V"] == "standard" else [vector_from_json(v) for v in d["V"]]
+        if d["V"] == "standard":
+            V = fa.maximal_isotropic_basis(n)
+        elif isinstance(d["V"], list) and d["V"]:
+            V = [vector_from_json(v, "family.V") for v in d["V"]]
+        else:
+            raise ConfigError('V must be "standard" or a nonempty list of vectors', field="family.V")
         return fa.so_family_V(n, p, V)
     except ValidationError as exc:
         raise ConfigError(str(exc), field="family") from exc
@@ -240,10 +246,7 @@ def _coeff_map(items, field_name: str) -> dict:
         _block(item, ("exponents", "coeff"), field_name)
         if not isinstance(expo, list) or not all(_is_integer(e) for e in expo):
             raise ConfigError(f"{field_name} exponents must be a list of integers", field=field_name)
-        try:
-            out[tuple(expo)] = pair_to_complex(coeff)
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{field_name} coeff must be a number or [re, im]", field=field_name) from exc
+        out[tuple(expo)] = pair_to_complex(coeff, field_name)
     return out
 
 

@@ -26,6 +26,13 @@ size, and ``take(a)`` followed by ``take(b)`` gives the same points as
 ``take(a + b)``.  What is left of the platform is numpy's complex multiply,
 whose SIMD loops (with FMA) round differently from its scalar ones.
 
+A take makes a fixed number of numpy calls whatever its count, so a small
+one, such as a resampling draw, costs little more than its points: each
+matrix product is one multiply and one in-order ``add.reduce``
+(:func:`_matmul`), the Pade polynomials are built two at a time, and the
+constant matrices of each group's equations are built once and kept.  A
+large stack is multiplied in blocks of rows, which bounds the temporary.
+
 A frame with no imaginary part (SO(n), and the aligned frames of SL(n,R)
 and Sp(n,R)) is combined, exponentiated and multiplied in float64, and its
 points are cast to complex once at the end.  They equal the complex
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -145,8 +153,8 @@ def _maxabs(m) -> float:
 
 
 def _maxabs_rows(m: np.ndarray) -> np.ndarray:
-    """Largest |entry| of each point of a stack: (S, ...) -> (S,)."""
-    return np.max(np.abs(m), axis=tuple(range(1, m.ndim)), initial=0.0)
+    """Largest |entry| of each matrix of an (S, n, n) stack: (S,)."""
+    return np.maximum.reduce(np.abs(m), axis=(1, 2), initial=0.0)
 
 
 def _worst(*defects: np.ndarray) -> np.ndarray:
@@ -158,6 +166,22 @@ def _det_defect(xs: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(xs) - 1.0)
 
 
+@cache
+def _equation_matrices(group: GroupId, n: int) -> tuple:
+    """The constant matrices of the equations of ``group`` on n x n points:
+    I, and J, I_pq and kron(I_2, I_pq), each None where no equation reads
+    it.  Built on a group's first check and kept, read-only."""
+    fam = group.family
+    j = symplectic_matrix(n // 2) if fam in ("Sp", "SUstar", "SpR", "SOstar", "Sppq") else None
+    ipq = signature_matrix(group.p, group.q) if fam in ("SOpq", "SUpq") else None
+    k = np.kron(np.eye(2), signature_matrix(group.p, group.q)) if fam == "Sppq" else None
+    out = (np.eye(n), j, ipq, k)
+    for m in out:
+        if m is not None:
+            m.setflags(write=False)
+    return out
+
+
 def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
     """Largest violation of the defining equations of ``group`` at each point
     of an (S, n, n) stack.  The groups are the compact SO(n), U(n), SU(n)
@@ -165,12 +189,9 @@ def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
     the complex matrices of its compact partner; ``GLC-split`` has no
     equations and is refused with :class:`ValidationError`."""
     xs = np.asarray(xs)
-    n = xs.shape[-1]
-    eye = np.eye(n)
-    xt = np.swapaxes(xs, -1, -2)
+    eye, j, ipq, k = _equation_matrices(group, xs.shape[-1])
+    xt = xs.transpose(0, 2, 1)
     fam = group.family
-    if fam in ("Sp", "SUstar", "SpR", "SOstar", "Sppq"):
-        j = symplectic_matrix(n // 2)
     if fam == "SO":
         return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(xs.imag), _det_defect(xs))
     if fam in ("U", "SU", "Sp"):
@@ -188,14 +209,11 @@ def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
         return _worst(_maxabs_rows(xs.imag), _maxabs_rows(xs @ j @ xt - j))
     if fam == "SOstar":
         return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(xs @ j @ xt.conj() - j))
-    if fam in ("SOpq", "SUpq"):
-        ipq = signature_matrix(group.p, group.q)
     if fam == "SOpq":
         return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(ipq @ xs.conj() @ ipq - xs), _det_defect(xs))
     if fam == "SUpq":
         return _worst(_maxabs_rows(xs @ ipq @ xt.conj() - ipq), _det_defect(xs))
     if fam == "Sppq":
-        k = np.kron(np.eye(2), signature_matrix(group.p, group.q))
         return _worst(_maxabs_rows(xs @ j @ xt - j), _maxabs_rows(xs @ k @ xt.conj() - k))
     raise ValidationError(f"{group} has no defining equations to sample against")
 
@@ -205,47 +223,78 @@ def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
 compact_defect = group_defect
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for stacks of small matrices stored batch-last, (n, n, ...):
-    the sum over k of the elementwise products a[:, k] b[k], added in the
-    order k = 0, 1, ...  Every product entry is the same sequence of roundings
-    whatever the stack around it, which a BLAS reduction does not promise,
-    and each ufunc call runs along the whole stack."""
-    out = a[:, 0, None] * b[0]
-    term = np.empty_like(out)
-    for k in range(1, a.shape[1]):
-        np.multiply(a[:, k, None], b[k], out=term)
-        out += term
+# the bytes of products one _matmul call forms at once: a large stack is
+# multiplied in blocks of rows of about this size, which bounds the temporary
+# and keeps it in cache
+_BLOCK_BYTES = 1 << 18
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` for stacks of small square matrices stored batch-last,
+    (n, n, S): the sum over k of the elementwise products a[:, k] b[k],
+    added in the order k = 0, 1, ..., into ``out`` if given.
+
+    One multiply forms the products of a block of rows as a C-ordered
+    (k, rows, j, S) array and one ``add.reduce`` sums out its first axis:
+    two ufunc calls per block whatever n, and one block (at least one row)
+    per ``_BLOCK_BYTES`` of products.  numpy reduces an axis that is not the
+    innermost in index order: with ``initial=None`` it copies the first
+    slice (the identity 0.0 would turn a -0.0 sum into +0.0) and adds the
+    others one at a time, elementwise along the inner axes.  Each entry is
+    thus ((p_0 + p_1) + p_2) + ..., the roundings of a loop over k, signs of
+    zero included.  As k is the outermost axis of the products, and the
+    j axis beside it has n > 1 entries whenever k does, numpy never runs
+    its inner loop along k, where it would sum pairwise.  Every product
+    entry is the same sequence of roundings whatever the stack around it,
+    which a BLAS reduction does not promise."""
+    (i, k), (j, pts) = a.shape[:2], b.shape[1:]
+    if out is None:
+        out = np.empty((i, j, pts), dtype=np.result_type(a, b))
+    rows = max(1, _BLOCK_BYTES // (out.itemsize * k * j * max(pts, 1)))
+    ak, bk = a.transpose(1, 0, 2)[:, :, None], b[:, None]
+    for lo in range(0, i, rows):
+        prods = np.multiply(ak[:, lo : lo + rows], bk, order="C")
+        np.add.reduce(prods, axis=0, initial=None, out=out[lo : lo + rows])
+        del prods  # before the next block's are formed
     return out
 
 
 def _solve(aug: np.ndarray) -> np.ndarray:
     """X with ``m @ X = r`` for real or complex batch-last (n, n, S) stacks,
-    from ``aug = [m | r]`` of shape (n, 2n, S), which it overwrites:
-    Gauss-Jordan elimination with the partial pivot of each point chosen by
-    |Re| + |Im|, as LAPACK's ``izamax`` does.  A pivot row is divided by its
-    pivot p as (row conj(p)) / |p|^2, in real arithmetic for a complex stack:
-    numpy's complex division multiplies by a rounded 1 / p, so p / p need not
-    be 1 there."""
+    from ``aug = [m | r]``, a C-ordered (n, 2n, S) array, which it
+    overwrites: Gauss-Jordan elimination with the partial pivot of each point
+    chosen by |Re| + |Im|, as LAPACK's ``izamax`` does (|x| on a real stack).
+    A pivot row is divided by its pivot p as (row conj(p)) / |p|^2, the
+    complex row's real and imaginary parts divided by the real |p|^2 in one
+    call on its float64 view: numpy's complex division multiplies by a
+    rounded 1 / p, so p / p need not be 1 there."""
     n, pts = aug.shape[0], np.arange(aug.shape[-1])
+    # a complex stack as float64 (re, im) pairs along a last axis
+    parts = aug.view(float).reshape(aug.shape + (2,)) if np.iscomplexobj(aug) else None
     for j in range(n):
-        col = aug[j:, j]
-        below = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
-        if np.count_nonzero(below):
-            p = j + below
-            row = aug[p, :, pts]
-            aug[p, :, pts] = aug[j].T.copy()
-            aug[j] = row.T
-        aug[j] *= aug[j, j].conj()
-        den = aug[j, j].real.copy()
-        if np.iscomplexobj(aug):
-            aug[j].real /= den
-            aug[j].imag /= den
+        # the last column has one candidate row
+        if j < n - 1:
+            score = np.abs(aug[j:, j]) if parts is None else np.add.reduce(np.abs(parts[j:, j]), axis=-1)
+            below = score.argmax(axis=0)
+            if np.count_nonzero(below):
+                p = j + below
+                row = aug[p, :, pts]
+                aug[p, :, pts] = aug[j].T.copy()
+                aug[j] = row.T
+        # no step reads a column left of the pivot again, so only those
+        # from the pivot on are scaled, and only those right of it cleared;
+        # numpy copies an input that overlaps the output before it writes
+        row = aug[j, j:]
+        if parts is None:
+            np.multiply(row, row[0], out=row)
+            np.divide(row, row[0], out=row)
         else:
-            aug[j] /= den
+            np.multiply(row, row[0].conj(), out=row)
+            np.divide(parts[j, j:], parts[j, j, :, :1], out=parts[j, j:])
         f = aug[:, j, None].copy()
         f[j] = 0
-        aug[:, j:] -= f * aug[j, j:]
+        rest = aug[:, j + 1 :]
+        np.subtract(rest, f * row[1:], out=rest)
     return aug[:, n:]
 
 
@@ -261,32 +310,54 @@ _PADE13 = (
 )
 
 
+@cache
+def _pade13_tables(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The constants :func:`_pade13` multiplies and adds, read-only and in
+    its working dtype (a float64 table would be cast to complex in buffered
+    chunks on every call): b_k, b_(k-2) and b_(k-4) for k = 13, 12, 7, 6,
+    the coefficients of A^6, A^4 and A^2 in its four polynomials, as a
+    (3, 4, 1, 1, 1) array; and b1 I and b0 I, the constant terms of U / A
+    and V, as a (2, n, n, 1) array."""
+    coef = np.array([[_PADE13[k - d] for k in (13, 12, 7, 6)] for d in (0, 2, 4)], dtype=dtype)
+    eyes = np.multiply.outer(np.array(_PADE13[1::-1], dtype=dtype), np.eye(n))
+    coef, eyes = coef[..., None, None, None], eyes[..., None]
+    coef.setflags(write=False)
+    eyes.setflags(write=False)
+    return coef, eyes
+
+
 def _pade13(x: np.ndarray) -> np.ndarray:
     """``[V - U | V + U]`` of r13 at a batch-last (n, n, S) stack, with
     U = A (A^6 (b13 A^6 + b11 A^4 + b9 A^2) + b7 A^6 + b5 A^4 + b3 A^2 + b1 I)
-    and V = A^6 (b12 A^6 + b10 A^4 + b8 A^2) + b6 A^6 + b4 A^4 + b2 A^2 + b0 I."""
-    b, n = _PADE13, x.shape[0]
+    and V = A^6 (b12 A^6 + b10 A^4 + b8 A^2) + b6 A^6 + b4 A^4 + b2 A^2 + b0 I.
+    The four polynomials in A^6, A^4, A^2 are built two at a time, a term
+    of both per call, with the result's buffer as scratch.  The products by
+    A^6 are added into the last two polynomials (an addition rounds the same
+    either way round), so at most nine stack-sized arrays are alive besides
+    the input."""
+    n, dtype = x.shape[0], x.dtype
     x2 = _matmul(x, x)
     x4 = _matmul(x2, x2)
     x6 = _matmul(x4, x2)
-
-    def poly(k):  # b_k A^6 + b_(k-2) A^4 + b_(k-4) A^2
-        out = b[k] * x6
-        out += b[k - 2] * x4
-        out += b[k - 4] * x2
-        return out
-
-    eye = np.eye(n)[:, :, None]
-    u = _matmul(x6, poly(13))
-    u += poly(7)
-    u += b[1] * eye
-    u = _matmul(x, u)
-    v = _matmul(x6, poly(12))
-    v += poly(6)
-    v += b[0] * eye
-    aug = np.empty((n, 2 * n) + x.shape[2:], dtype=x.dtype)
-    np.subtract(v, u, out=aug[:, :n])
-    np.add(v, u, out=aug[:, n:])
+    coef, eyes = _pade13_tables(n, dtype)
+    aug = np.empty((n, 2 * n) + x.shape[2:], dtype=dtype)
+    scratch = aug.reshape((2,) + x.shape)
+    polys = np.empty((4,) + x.shape, dtype=dtype)
+    for pair in (slice(0, 2), slice(2, 4)):
+        np.multiply(coef[0, pair], x6, out=polys[pair])
+        np.multiply(coef[1, pair], x4, out=scratch)
+        polys[pair] += scratch
+        np.multiply(coef[2, pair], x2, out=scratch)
+        polys[pair] += scratch
+    del x2, x4
+    _matmul(x6, polys[0], out=scratch[0])
+    _matmul(x6, polys[1], out=scratch[1])
+    uv = polys[2:]
+    uv += scratch
+    uv += eyes
+    u = _matmul(x, uv[0], out=polys[0])
+    np.subtract(uv[1], u, out=aug[:, :n])
+    np.add(uv[1], u, out=aug[:, n:])
     return aug
 
 
@@ -297,19 +368,20 @@ def expm(a) -> np.ndarray:
     Each matrix is scaled by its own 2**-s, s >= 0 the least integer with
     ||A / 2**s||_1 < theta_13, exponentiated by the Pade approximant and
     squared s times.  Every step is elementwise across the stack (the
-    products by :func:`_matmul`, the Pade solve by :func:`_solve`), so the
-    exponential of a matrix does not depend on the other matrices of the
-    stack, and no BLAS or LAPACK routine is called.  A complex product whose
-    factors have zero imaginary parts rounds as the real product, so the
-    float64 result equals the real part of the complex one bit for bit."""
+    products by :func:`_matmul`, the Pade solve by :func:`_solve`, the
+    column sums of the norm by one in-order reduce), so the exponential of
+    a matrix does not depend on the other matrices of the stack, and no BLAS
+    or LAPACK routine is called.  A call makes a fixed number of numpy calls
+    (two per product, about ten per Gauss-Jordan column) whatever the stack
+    size, up to the blocks of a large stack's products.  A complex product
+    whose factors have zero imaginary parts rounds as the real product, so
+    the float64 result equals the real part of the complex one bit for
+    bit."""
     a = np.asarray(a)
     shape, n = a.shape, a.shape[-1]
-    x = np.moveaxis(a.reshape(-1, n, n), 0, -1).astype(complex if np.iscomplexobj(a) else float, order="C")
-    mag = np.abs(x)
-    colsum = mag[0].copy()
-    for i in range(1, n):
-        colsum += mag[i]
-    _, s = np.frexp(np.max(colsum, axis=0, initial=0.0) / _THETA13)
+    x = a.reshape(-1, n, n).transpose(1, 2, 0).astype(complex if np.iscomplexobj(a) else float, order="C")
+    colsum = np.add.reduce(np.abs(x), axis=0, initial=None)
+    _, s = np.frexp(np.maximum.reduce(colsum, axis=0, initial=0.0) / _THETA13)
     s = np.maximum(s, 0)
     x *= np.ldexp(1.0, -s)
     x = _solve(_pade13(x))
@@ -317,7 +389,7 @@ def expm(a) -> np.ndarray:
         sel = s > k
         y = x[..., sel]
         x[..., sel] = _matmul(y, y)
-    return np.ascontiguousarray(np.moveaxis(x, -1, 0)).reshape(shape)
+    return x.transpose(2, 0, 1).copy().reshape(shape)
 
 
 class GroupSampler:
@@ -356,10 +428,10 @@ class GroupSampler:
         for pos, js, vals in frame.gather_plan:
             flat[..., pos] += coeffs[..., js] * vals
         gens = (flat if frame.real else flat.view(complex)).reshape(count, 2, n, n)
-        factors = np.moveaxis(expm(gens), (0, 1), (-1, 0))
+        factors = expm(gens).transpose(1, 2, 3, 0)
         # defects are checked on the complex stack: @ and det in float64
         # would round differently and move them
-        points = np.moveaxis(_matmul(*factors), -1, 0).astype(complex, order="C")
+        points = _matmul(factors[0], factors[1]).transpose(2, 0, 1).astype(complex, order="C")
         return SampleSet(points, compact_defect(frame.group, points))
 
 

@@ -453,6 +453,12 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["verify-family", "--config", "{group_n_twice}"], "family.group.n"),
         (["verify-identities", "--n", "3", "--tol", "1e-3"], "tol"),
         (["verify-identities", "--config", "{identities_loose_tol}"], "tol"),
+        (["verify-family", "--config", "{p_number}"], "family.p"),
+        (["verify-family", "--config", "{p_text_entry}"], "family.p"),
+        (["verify-family", "--config", "{v_number_rows}"], "family.V"),
+        (["verify-family", "--config", "{v_number}"], "family.V"),
+        (["verify-family", "--config", "{deformation_text}"], "family.deformation.z"),
+        (["verify-morphism", "--config", "{coeff_text}"], "morphism.Q"),
     ],
 )
 def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
@@ -505,6 +511,12 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
         },
         "hopf": {"family": u2, "morphism": H.HOPF_SPEC},
         "identities_loose_tol": {"n": 3, "tol": 1e-6},
+        "p_number": {"family": {"group": so4, "p": 5}},
+        "p_text_entry": {"family": {"group": so4, "p": [1, ["0", 1], 0, 0]}},
+        "v_number_rows": {"family": {"group": so4, "V": [5]}},
+        "v_number": {"family": {"group": so4, "V": 5}},
+        "deformation_text": {"family": {"group": so4, "deformation": {"z": ["a", 0]}}},
+        "coeff_text": {"family": u2, "morphism": {**H.HOPF_SPEC, "Q": [{"exponents": [0, 1], "coeff": [1, "i"]}]}},
     }
     texts = {name: json.dumps(config) for name, config in configs.items()}
     # json.load keeps the last of repeated keys: tol 1e-8, and U(2)

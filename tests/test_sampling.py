@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgh import duality as du
@@ -179,6 +179,77 @@ def test_expm_of_zero_is_the_identity_and_empty_stacks_keep_their_shape():
         assert got.dtype == np.float64
         assert _bits(got) == _bits(want.real)
     assert expm(np.zeros((0, 2, 3, 3), dtype=complex)).shape == (0, 2, 3, 3)
+
+
+def _matmul_by_k(a, b):
+    """The reference product: a[:, 0] b[0], then each a[:, k] b[k] added in
+    the order k = 1, 2, ..., one term at a time."""
+    out = a[:, 0, None] * b[0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[k]
+    return out
+
+
+def _signed_stack(rng, n, pts, cplx, zeros):
+    """An (n, n, pts) stack spread over many binades, with a fraction
+    ``zeros`` of its entries, and some whole rows and columns, set to +0.0
+    or -0.0, so that products and whole sums of products are signed zeros."""
+    def part():
+        x = rng.standard_normal((n, n, pts)) * np.exp2(rng.integers(-40, 40, (n, n, pts)))
+        for shape in ((n, n, pts), (n, 1, pts), (1, n, 1)):
+            x = np.where(rng.random(shape) < zeros, 0.0, x)
+        return np.where(rng.random(x.shape) < 0.5, -x, x)
+
+    return part() + 1j * part() if cplx else part()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 8),
+    pts=st.sampled_from([0, 1, 2, 7, 300]),
+    cplx=st.booleans(),
+    zeros=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, pts=300, cplx=True, zeros=0.3, seed=1)
+def test_matmul_adds_in_k_order_bit_for_bit(n, pts, cplx, zeros, seed):
+    """The one-call product (two ufunc calls per block of rows, several
+    blocks at n = 8 on 300 points) rounds every entry as the loop over k
+    does, signs of zero included."""
+    rng = np.random.default_rng(seed)
+    a, b = _signed_stack(rng, n, pts, cplx, zeros), _signed_stack(rng, n, pts, cplx, zeros)
+    for x, y in ((a, b), (b, a), (a, a)):
+        got, want = _matmul(x, y), _matmul_by_k(x, y)
+        assert got.shape == want.shape == (n, n, pts) and got.dtype == want.dtype
+        assert _bits(got) == _bits(want)
+    # non-contiguous factors, as take() multiplies them, and an out= buffer
+    out = np.empty((n, n, pts), dtype=a.dtype)
+    at = np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+    assert _matmul(at, b, out=out) is out
+    assert _bits(out) == _bits(_matmul_by_k(a, b))
+
+
+def test_take_looks_up_expm_and_the_defect_at_call_time(monkeypatch):
+    """perfbench's layer table times ``sampling.expm`` and
+    ``sampling.compact_defect`` by patching those names: each take() calls
+    each of them once, through the module, whatever the count."""
+    calls = []
+
+    def spy(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(sampling, "expm", spy("expm", expm))
+    monkeypatch.setattr(sampling, "compact_defect", spy("defect", group_defect))
+    for name in ("SO(4)", "Sp(2)", "SU(1,2)"):
+        sampler = _defect_and_sampler(name)[1]
+        for count in (0, 1, 37):
+            calls.clear()
+            sampler.take(count)
+            assert calls == ["expm", "defect"], (name, count)
 
 
 def test_the_cli_loads_no_scipy(tmp_path):
