@@ -13,11 +13,9 @@ residual reports.
 
 from .duality import (
     DualPair,
-    continue_function,
     default_compact_family,
     dual_pair,
     identity_pair,
-    probe_noncontinuable,
     sample_noncompact,
     verify_dual_eigenfamily,
 )

@@ -15,7 +15,7 @@ import sys
 
 from .errors import ConfigError, InconclusiveError, ValidationError
 from .families import LEMMA_FAMILIES
-from .harness import DEFAULT_SEED, IDENTITY_TOL, READS, RunConfig, load_config, run, run_suite
+from .harness import DEFAULT_SEED, IDENTITY_TOL, READS, RunConfig, isotropic_point, load_config, run, run_suite
 from .matrices import FAMILIES, FAMILY_BY_ALIAS, NONCOMPACT_FAMILIES
 
 
@@ -65,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int)
     _add_common(s)
 
-    s = sub.add_parser("probe-duality", help="record dual residuals of a non-continuable family")
-    s.add_argument("--p", type=int)
-    s.add_argument("--q", type=int)
-    _add_common(s)
-
     s = sub.add_parser("suite", help="run the full verification matrix")
     _add_common(s)
     return parser
@@ -79,8 +74,8 @@ def _config_from_args(args) -> RunConfig:
     """The config file overridden by the flags.
 
     A field the command does not read, set by a flag or off its default in
-    the config file, is an error; so is a flag that refines --group, --pair
-    or --p given without it, and a verify-identities tol so set above
+    the config file, is an error; so is a flag that refines --group or
+    --pair given without it, and a verify-identities tol so set above
     IDENTITY_TOL.
     """
     command = args.command
@@ -100,7 +95,7 @@ def _config_from_args(args) -> RunConfig:
         n = refining.pop("n", None)
         spec: dict = {"group": {"family": args.group, "n": n}}
         if args.group == "so" and refining.pop("special", False):
-            spec["p"] = [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0]] * ((n or 2) - 2)
+            spec["p"] = isotropic_point(n or 2)
         elif args.group == "so":
             spec["V"] = "standard"
         cfg.family = spec
@@ -109,11 +104,9 @@ def _config_from_args(args) -> RunConfig:
         for key in ("p", "q") if FAMILIES[FAMILY_BY_ALIAS[args.pair]].pq else ("n",):
             pair[key] = refining.pop(key, None)
         cfg.pair = pair
-    if command == "probe-duality" and "p" in refining:
-        cfg.pair = {"family": "so_pq", "p": refining.pop("p"), "q": refining.pop("q", None)}
     for key in refining:
         raise ConfigError(
-            f"lgh {command} does not read --{key} here: it only refines --group, --pair or --p",
+            f"lgh {command} does not read --{key} here: it only refines --group or --pair",
             field=key,
         )
     reads = READS[command]

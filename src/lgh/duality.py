@@ -9,10 +9,11 @@ tau/kappa sums of :mod:`lgh.jets` evaluate the semi-Riemannian operators of
 G directly.
 
 Polynomial eigenfamilies continue across the duality unchanged as
-functions of the entries; their constants flip sign.  Families whose
-defining identities hold only on the compact group (those built from an
-isotropic point via x x^t = I) do not continue; the probe records how far
-off they land.
+functions of the entries; their constants flip sign.  That holds for every
+family lgh builds, those whose construction uses x x^t = I included: the
+compact group is Zariski-dense in its complexification, where a polynomial
+identity of the compact group holds too, and each aligned real form lies
+inside that complexification.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstructionError, ValidationError
-from .exprs import Expr, HomPoly
 from .families import Eigenfamily, default_family, verify_eigenfamily
 from .matrices import (
     GroupId,
@@ -147,25 +147,6 @@ def identity_pair(compact: GroupId) -> DualPair:
 
 
 # ---------------------------------------------------------------------------
-# holomorphic continuation
-# ---------------------------------------------------------------------------
-
-def continue_function(f):
-    """Holomorphic continuation of a member or of a polynomial in members.
-
-    Entry coordinates, linear traces and polynomials in continuable members
-    are their own continuation, so ``f`` is returned unchanged; anything
-    else (entrywise conjugation, say) is rejected.
-    """
-    if isinstance(f, HomPoly):
-        for arg in f.args:
-            continue_function(arg)
-    elif not isinstance(f, Expr):
-        raise ValidationError(f"{type(f).__name__} is not a holomorphic member or polynomial")
-    return f
-
-
-# ---------------------------------------------------------------------------
 # sampling the non-compact side
 #
 # A pair's frame lives on its non-compact group (an identity pair's on the
@@ -188,28 +169,16 @@ def sample_noncompact(pair: DualPair, count: int, radius: float = 0.5, seed: int
 # dual verification
 # ---------------------------------------------------------------------------
 
-def _negated(pair: DualPair, fam: Eigenfamily, suffix: str) -> Eigenfamily:
-    """A compact-side family moved to the pair's non-compact side with its
-    constants negated and ``suffix`` on its provenance."""
+def dual_family(pair: DualPair, fam: Eigenfamily) -> Eigenfamily:
+    """Continue a compact-side family to the non-compact side: members are
+    unchanged polynomials, constants flip sign.  Only polynomials in the
+    entries continue so; :func:`lgh.jets.frame_operators` refuses any other
+    member when the family is measured."""
     if fam.group != pair.compact:
         raise ValidationError(
             f"family lives on {fam.group}, pair expects compact side {pair.compact}"
         )
-    return replace(fam, group=pair.noncompact, lam=-fam.lam, mu=-fam.mu, provenance=fam.provenance + suffix)
-
-
-def dual_family(pair: DualPair, fam: Eigenfamily) -> Eigenfamily:
-    """Continue a compact-side family to the non-compact side: members are
-    unchanged polynomials, constants flip sign."""
-    dual = _negated(pair, fam, "-dual")
-    if not fam.dual_continuable:
-        raise ValidationError(
-            f"family {fam.provenance!r} relies on compact-only identities and "
-            "does not continue across the duality"
-        )
-    for member in fam.members:
-        continue_function(member)
-    return dual
+    return replace(fam, group=pair.noncompact, lam=-fam.lam, mu=-fam.mu, provenance=fam.provenance + "-dual")
 
 
 def verify_dual_eigenfamily(
@@ -233,30 +202,9 @@ def verify_dual_eigenfamily(
     return rep
 
 
-def probe_noncontinuable(
-    pair: DualPair, fam: Eigenfamily, samples
-) -> VerificationReport:
-    """Record (without judging) the dual residuals of a family built from an
-    isotropic point.
-
-    The construction of this family leans on x x^t = I, an identity of the
-    compact group, so it is excluded from :func:`verify_dual_eigenfamily`.
-    The probe evaluates the dual equations anyway, through
-    :func:`verify_eigenfamily` at tol +inf, and reports the residual
-    magnitudes.  Note that the aligned real form lives inside the complex
-    orthogonal group, where x x^t = I continues to hold; the recorded
-    residuals stay small there even though the constructing argument does
-    not transfer.  The report is informational.  With no sample,
-    :class:`InconclusiveError`.
-    """
-    if fam.provenance != "so-isotropic-point":
-        raise ValidationError("probe expects a family built from an isotropic point")
-    rep = verify_eigenfamily(_negated(pair, fam, "-probe"), pair.frame, samples, tol=np.inf)
-    rep.check = "probe-noncontinuable"
-    rep.target = f"{pair.noncompact} ~ {pair.compact}"
-    rep.params = {"members": len(fam.members), "provenance": fam.provenance}
-    rep.notes = {"informational": True}
-    return rep
+# perfbench's layer table names this alias; every dual family, the
+# isotropic-point family included, is verified by verify_dual_eigenfamily.
+probe_noncontinuable = verify_dual_eigenfamily
 
 
 # ---------------------------------------------------------------------------

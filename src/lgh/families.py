@@ -52,7 +52,6 @@ class Eigenfamily:
     lam: complex
     mu: complex
     provenance: str
-    dual_continuable: bool = True
 
     def __post_init__(self):
         if not self.members:
@@ -103,7 +102,7 @@ def _check_isotropic_set(V):
 LINEAR_FAMILIES = ("SO", "U", "SU", "Sp")
 
 
-def _linear_family(group: GroupId, p, vectors, provenance: str, dual_continuable: bool = True) -> Eigenfamily:
+def _linear_family(group: GroupId, p, vectors, provenance: str) -> Eigenfamily:
     """Members trace(p^t a q^t) over the coordinate rows q of ``group``: for
     each block of n columns (all of x, or z then w on Sp(n)) and each vector
     a, the matrix outer(p, a) in that block of the first n rows, zero
@@ -121,7 +120,7 @@ def _linear_family(group: GroupId, p, vectors, provenance: str, dual_continuable
             m[:n, lo : lo + n] = coefficient_outer(p, a)
             members.append(LinearTrace(m))
     lam, mu = eigen_constants(group.family, n)
-    return Eigenfamily(group, members, lam, mu, provenance, dual_continuable)
+    return Eigenfamily(group, members, lam, mu, provenance)
 
 
 def so_family_V(n: int, p, V) -> Eigenfamily:
@@ -141,14 +140,15 @@ def so_family_special(n: int, p) -> Eigenfamily:
     """Members trace(p^t a x^t) for a over the full standard basis of C^n,
     requiring (p, p) = 0.
 
-    The defining identities use x x^t = I, so this family does not continue
-    to the non-compact dual groups; it is constructed with
-    ``dual_continuable=False``.
+    The defining identities use x x^t = I.  That identity holds on all of
+    SO(n, C), in which SO(n) is Zariski-dense and every aligned SO(p, q) and
+    SO*(2n) lies, so the family continues to those duals as every
+    polynomial family does (:func:`lgh.duality.dual_family`).
     """
     pp = bilinear(p, p)
     if abs(pp) > _ISOTROPY_TOL:
         raise ValidationError(f"p is not isotropic: (p, p) = {pp:.3e}")
-    return _linear_family(GroupId("SO", n), p, np.eye(n, dtype=complex), "so-isotropic-point", dual_continuable=False)
+    return _linear_family(GroupId("SO", n), p, np.eye(n, dtype=complex), "so-isotropic-point")
 
 
 def so4_deformation(z: complex, w: complex) -> np.ndarray:

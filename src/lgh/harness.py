@@ -411,28 +411,12 @@ def run_duality(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     return du.verify_dual_eigenfamily(pair, fam, samples, tol=cfg.tol)
 
 
-def run_probe(cfg: RunConfig, store: SampleStore) -> VerificationReport:
-    if cfg.pair is None:
-        raise ConfigError("missing pair spec", field="pair")
-    pair = store.pair(pair_group_from_spec(cfg.pair))
-    if cfg.family:
-        fam = family_from_spec(cfg.family)
-    elif pair.compact.family == "SO":
-        n = pair.compact.n
-        fam = fa.so_family_special(n, fa.maximal_isotropic_basis(n)[0])
-    else:
-        raise ConfigError(f"the default probe family lives on SO(n), not on {pair.compact}", field="family")
-    samples = store.cursor(store.frame(pair.noncompact), cfg.radius, cfg.seed).take(cfg.samples)
-    return du.probe_noncontinuable(pair, fam, samples)
-
-
 COMMANDS = {
     "verify-identities": run_identities,
     "verify-lemma": run_lemma,
     "verify-family": run_family,
     "verify-morphism": run_morphism,
     "verify-duality": run_duality,
-    "probe-duality": run_probe,
 }
 
 
@@ -589,7 +573,6 @@ READS = {
     "verify-family": ("check", "family", "samples", "seed", "radius", "tol"),
     "verify-morphism": ("check", "family", "morphism", "samples", "seed", "radius", "tol", "floor"),
     "verify-duality": ("check", "pair", "family", "samples", "seed", "radius", "tol"),
-    "probe-duality": ("check", "pair", "family", "samples", "seed", "radius"),
     "suite": ("seed", "tol"),
     "eigenfamily-deformations": ("check", "samples", "seed", "radius", "tol"),
     "constants-crosscheck": ("check", "tol"),
@@ -639,6 +622,14 @@ FAMILY_SPECS = (
 )
 U2_SPEC = {"group": {"family": "u", "n": 2}}
 SO4_POINT_SPEC = {"group": {"family": "so", "n": 4}, "deformation": {}}
+
+
+def isotropic_point(n: int) -> list:
+    """p = e_1 + i e_2 in C^n as a JSON vector: the point of the SO(n)
+    isotropic-point family that the suite and ``verify-family --special``
+    name."""
+    return [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0]] * (n - 2)
+
 
 # The Hopf map z/w on SU(2), in the coordinates of the SU(2) family.
 HOPF_SPEC = {
@@ -712,10 +703,17 @@ def suite_checks(seed: int = DEFAULT_SEED, tol: float = 1e-8):
     for spec in (U2_SPEC, FAMILY_SPECS[0]):
         for k in (2, 3):
             rows.append(row(f"power-family-{group_from_spec(spec['group'])}-k{k}", f"power-family-k{k}", family=spec))
-    for alias, params in DUALITY_PAIRS:
-        pair = {"family": alias, **params}
+    pairs = [{"family": alias, **params} for alias, params in DUALITY_PAIRS]
+    for pair in pairs:
         rows.append(row(f"duality-{group_from_spec(pair)}", "verify-duality", check="duality", pair=pair))
-    rows.append(row("probe-noncontinuable-SO(2,2)", "probe-duality", pair={"family": "so_pq", "p": 2, "q": 2}))
+    # the isotropic-point family continues to every dual of an SO(n)
+    for pair in pairs:
+        gid = group_from_spec(pair)
+        if gid.compact_partner.family == "SO":
+            n = gid.compact_partner.n
+            family = {"group": {"family": "so", "n": n}, "p": isotropic_point(n)}
+            rows.append(row(f"duality-isotropic-point-{gid}", "verify-duality", check="duality-isotropic-point",
+                            pair=pair, family=family))
     return rows
 
 

@@ -62,7 +62,6 @@ def power_family(fam: Eigenfamily, k: int) -> Eigenfamily:
         lam=lam_k,
         mu=mu_k,
         provenance=f"{fam.provenance}-power-{k}",
-        dual_continuable=fam.dual_continuable,
     )
 
 

@@ -173,9 +173,15 @@ def test_criterion_8_duality(suite_doc):
         assert lam == -lam_c
         worst = max(worst, max(v for k, v in c["residuals"].items()))
     runtime = sum(c["wall_time"] for c in reports)
-    probe = _by_check(suite_doc, "probe-noncontinuable")[0]
-    ok = all(c["passed"] for c in reports) and runtime < 120.0 and probe["notes"]["informational"]
-    _line(8, ok, f"eleven dual pairs with negated constants: max residual {worst:.2e}, {runtime:.1f}s")
+    # the isotropic-point family continues to every dual of an SO(n)
+    isotropic = _by_check(suite_doc, "duality-isotropic-point")
+    assert {c["target"] for c in isotropic} == {"SO*(4) ~ SO(4)", "SO(1,2) ~ SO(3)", "SO(2,2) ~ SO(4)"}
+    for c in isotropic:
+        assert c["params"]["provenance"] == "so-isotropic-point-dual"
+        assert c["tol"] == 1e-8 and c["residuals"]["tau"] < 1e-8 and c["residuals"]["kappa"] < 1e-8
+    ok = all(c["passed"] for c in reports + isotropic) and runtime < 120.0
+    _line(8, ok, f"eleven dual pairs and three isotropic-point continuations with negated constants: "
+                 f"max residual {worst:.2e}, {runtime:.1f}s")
 
 
 def test_criterion_9_determinism(suite_doc):

@@ -11,7 +11,7 @@ from lgh import harness as H
 from lgh import matrices as M
 from lgh import morphisms as mo
 from lgh.errors import DegeneracyError, InconclusiveError, ValidationError
-from lgh.exprs import Entry, LinearTrace
+from lgh.exprs import Entry, HomPoly
 from lgh.sampling import GroupSampler, SplitMix64, sample_compact
 
 
@@ -187,28 +187,20 @@ def test_noncompact_samples_genuinely_leave_the_compact_group():
     assert dev > 1e-2  # not unitary: these are genuinely non-compact points
 
 
-def test_continue_function_passthrough():
-    a = LinearTrace(np.eye(2, dtype=complex))
-    assert du.continue_function(a) is a
-    fam = fa.u_family(2, _e(2))
-    from lgh.exprs import HomPoly
+@pytest.mark.parametrize("wrap", [lambda f: f, lambda f: HomPoly({(1, 1): 1.0}, [Entry(1, 1), f])],
+                         ids=["member", "polynomial-argument"])
+def test_dual_verification_refuses_a_foreign_member(wrap):
+    """Only polynomials in the entries continue: a member, or an argument of
+    a polynomial member, that is neither is refused when measured."""
 
-    h = HomPoly({(2, 0): 1.0}, fam.members)
-    assert du.continue_function(h) is h
-    nested = HomPoly({(1, 1): 2.0, (0, 0): -1.0}, [h, Entry(1, 2)])
-    assert du.continue_function(nested) is nested
-
-
-def test_continue_function_rejects_foreign_nodes():
     class ConjEntry:  # an entrywise-conjugation node is not holomorphic
         pass
 
-    from lgh.exprs import HomPoly
-
-    with pytest.raises(ValidationError):
-        du.continue_function(ConjEntry())
-    with pytest.raises(ValidationError):
-        du.continue_function(HomPoly({(1, 1): 1.0}, [Entry(1, 1), ConjEntry()]))
+    pair = du.dual_pair(M.sl_r(2))
+    fam = du.default_compact_family(pair)
+    foreign = replace(fam, members=[*fam.members, wrap(ConjEntry())])
+    with pytest.raises(ValidationError, match="frame-table members"):
+        du.verify_dual_eigenfamily(pair, foreign, du.sample_noncompact(pair, 5, 0.5, 42))
 
 
 @pytest.mark.parametrize(
@@ -275,11 +267,16 @@ def test_dual_family_rejects_wrong_group():
         du.dual_family(pair, fa.u_family(2, _e(2)))  # U(2) is not SU(2)
 
 
-def test_dual_family_rejects_noncontinuable():
+def test_dual_family_continues_the_isotropic_point_family():
+    """The family leans on x x^t = I, which holds on all of SO(4, C), so it
+    continues as every polynomial family does: same members, negated
+    constants."""
     pair = du.dual_pair(M.so_pq(2, 2))
     fam = fa.so_family_special(4, fa.so4_deformation(0, 0))
-    with pytest.raises(ValidationError):
-        du.dual_family(pair, fam)
+    dfam = du.dual_family(pair, fam)
+    assert dfam.members == fam.members
+    assert (dfam.lam, dfam.mu) == (-fam.lam, -fam.mu) == (1.5, 0.5)
+    assert dfam.group == pair.noncompact and dfam.provenance == "so-isotropic-point-dual"
 
 
 def test_identity_pair_reproduces_compact_verification():
@@ -299,22 +296,13 @@ def test_identity_pair_reproduces_compact_verification():
         assert abs(rep_dual.residuals[key] - rep_compact.residuals[key]) < 1e-15
 
 
-def test_probe_records_residuals_without_failing():
-    pair = du.dual_pair(M.so_pq(2, 2))
-    fam = fa.so_family_special(4, fa.so4_deformation(0, 0))
-    samples = du.sample_noncompact(pair, 20, 0.5, 42)
-    rep = du.probe_noncontinuable(pair, fam, samples)
-    assert rep.passed  # informational: tol is +inf
-    assert rep.notes["informational"]
-    assert set(rep.residuals) == {"tau", "kappa"}
-
-
-def test_probe_on_identity_pair_matches_compact_verification():
+def test_isotropic_point_family_on_identity_pair_matches_compact_verification():
     gid = M.SO(4)
     pair = du.identity_pair(gid)
     fam = fa.so_family_special(4, fa.so4_deformation(0, 0))
     samples = du.sample_noncompact(pair, 20, 0.5, 42)
-    rep = du.probe_noncontinuable(pair, fam, samples)
+    rep = du.verify_dual_eigenfamily(pair, fam, samples, tol=1e-8)
+    assert rep.passed
     basis = M.compact_basis(gid)
     compact_samples = sample_compact(gid, 20, 0.5, 42)
     rep_c = fa.verify_eigenfamily(fam, basis, compact_samples, tol=1e-8)
@@ -322,18 +310,41 @@ def test_probe_on_identity_pair_matches_compact_verification():
         assert abs(rep.residuals[key] - rep_c.residuals[key]) < 1e-15
 
 
-def test_probe_empty_sample_list():
-    pair = du.dual_pair(M.so_pq(2, 2))
-    fam = fa.so_family_special(4, fa.so4_deformation(0, 0))
-    with pytest.raises(InconclusiveError):
-        du.probe_noncontinuable(pair, fam, [])
+def _isotropic_points(n, seed):
+    """e_1 + i e_2 and two seeded random complex isotropic vectors of C^n,
+    the last entry of each a square root of minus the others' squares."""
+    rng = SplitMix64(seed)
+    points = [fa.maximal_isotropic_basis(n)[0]]
+    for _ in range(2):
+        head = np.array([rng.complex_uniform(1.0) for _ in range(n - 1)])
+        points.append(np.append(head, np.sqrt(-np.sum(head * head))))
+    return points
 
 
-def test_probe_rejects_other_provenances():
-    pair = du.dual_pair(M.so_pq(2, 2))
-    fam = fa.so_family_V(4, _e(4), fa.maximal_isotropic_basis(4))
-    with pytest.raises(ValidationError):
-        du.probe_noncontinuable(pair, fam, [])
+# the SO(p,q) and SO*(2n) duals of SO(3) to SO(8)
+SO_PARTNER_PAIRS = [
+    M.so_pq(1, 2), M.so_pq(1, 3), M.so_pq(2, 2), M.so_pq(2, 3), M.so_pq(3, 3), M.so_pq(4, 4),
+    M.so_star(4), M.so_star(6), M.so_star(8),
+]
+
+
+@pytest.mark.parametrize("gid", SO_PARTNER_PAIRS, ids=str)
+def test_isotropic_point_family_continues_to_every_so_dual(gid):
+    """The isotropic-point family passes the gated dual check for three
+    isotropic p at radius 0.5 and 1; with the compact constants, not negated,
+    the same members fail."""
+    pair = du.dual_pair(gid)
+    n = pair.compact.n
+    for radius in (0.5, 1.0):
+        samples = GroupSampler(pair.frame, radius, 7).take(100)
+        for p in _isotropic_points(n, 100 + n):
+            fam = fa.so_family_special(n, p)
+            rep = du.verify_dual_eigenfamily(pair, fam, samples, tol=1e-8)
+            assert rep.passed, (str(gid), radius, rep.residuals)
+            unflipped = replace(fam, lam=-fam.lam, mu=-fam.mu)
+            control = du.verify_dual_eigenfamily(pair, unflipped, samples, tol=1e-8)
+            assert not control.passed
+            assert min(control.residuals["tau"], control.residuals["kappa"]) > 1.0, (str(gid), control.residuals)
 
 
 def test_tau_kappa_sign_convention_on_slr2():

@@ -42,7 +42,6 @@ def test_so_family_v_two_members_on_so4():
     V = fa.maximal_isotropic_basis(4)
     fam = fa.so_family_V(4, _e(4), V)
     assert len(fam.members) == 2
-    assert fam.dual_continuable
 
 
 def test_so_family_v_rejects_non_isotropic():
@@ -56,7 +55,6 @@ def test_so_family_special_members():
     mats = [m.matrix for m in fam.members]
     assert np.allclose(mats[0], [[1.0, 0.0], [1j, 0.0]], atol=0)  # x11 + i x21
     assert np.allclose(mats[1], [[0.0, 1.0], [0.0, 1j]], atol=0)  # x12 + i x22
-    assert not fam.dual_continuable
 
 
 def test_so_family_special_rejects_non_isotropic_p():
@@ -337,7 +335,6 @@ def test_linear_members_are_the_block_formula(name, n):
     assert [m.matrix.tobytes() for m in fam.members] == [m.tobytes() for m in want]
     assert fam.group == M.GroupId(LINEAR_GROUPS[name], n)
     assert (fam.lam, fam.mu) == fa.eigen_constants(LINEAR_GROUPS[name], n)
-    assert fam.dual_continuable is (name != "so_family_special")
 
 
 def test_default_family_refuses_a_group_with_no_linear_family():

@@ -8,14 +8,16 @@ numeric change, regenerate the file with
     PYTHONPATH=src python tests/test_golden.py
 
 which prints the drift of every float field that moved (residuals, notes,
-params and tolerances, each with its path) and every check whose verdict or
-sample counts changed; record that table in CHANGES.md.  It
+params and tolerances, each with its path), every check whose verdict or
+sample counts changed, and every check added or removed; record that table
+in CHANGES.md.  It
 overwrites the file only when something changed and no check's ``passed``
 did, and exits 1 when one did.
 """
 
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 from lgh.harness import run_suite
@@ -65,12 +67,38 @@ def _floats(obj, path=""):
         yield path, obj
 
 
+def _keyed(doc):
+    """The checks of a document by ``(check, target, i)``, where i counts the
+    earlier checks with the same check and target."""
+    seen = Counter()
+    keyed = {}
+    for c in doc["checks"]:
+        pair = (c["check"], c["target"])
+        keyed[(*pair, seen[pair])] = c
+        seen[pair] += 1
+    return keyed
+
+
+def _shared(old, new):
+    """``(old check, new check)`` for the checks both documents hold, in the
+    new document's order."""
+    was = _keyed(old)
+    return [(was[key], now) for key, now in _keyed(new).items() if key in was]
+
+
+def row_changes(old, new):
+    """``("removed" | "added", check, target)`` for every check that only
+    one of two documents holds."""
+    a, b = _keyed(old), _keyed(new)
+    yield from (("removed", c["check"], c["target"]) for key, c in a.items() if key not in b)
+    yield from (("added", c["check"], c["target"]) for key, c in b.items() if key not in a)
+
+
 def float_drift(old, new):
     """``(check, target, path, |new - old|)`` for every float field, residuals,
-    notes, params and tol alike, that differs between the checks of two
-    :func:`exact` documents; a field on one side only drifts by inf."""
-    for was, now in zip(old["checks"], new["checks"], strict=True):
-        assert (was["check"], was["target"]) == (now["check"], now["target"])
+    notes, params and tol alike, that differs between the checks both
+    :func:`exact` documents hold; a field on one side only drifts by inf."""
+    for was, now in _shared(old, new):
         a, b = dict(_floats(was)), dict(_floats(now))
         for path in [*a, *(p for p in b if p not in a)]:
             if a.get(path) != b.get(path):
@@ -84,9 +112,8 @@ VERDICT_KEYS = ("passed", "samples_used", "samples_discarded")
 
 def verdict_changes(old, new):
     """``(check, target, key, old value, new value)`` for every field in
-    VERDICT_KEYS that differs between the checks of two documents."""
-    for was, now in zip(old["checks"], new["checks"], strict=True):
-        assert (was["check"], was["target"]) == (now["check"], now["target"])
+    VERDICT_KEYS that differs between the checks both documents hold."""
+    for was, now in _shared(old, new):
         for key in VERDICT_KEYS:
             if was.get(key) != now.get(key):
                 yield now["check"], now["target"], key, was.get(key), now.get(key)
@@ -125,6 +152,27 @@ def test_float_drift_lists_every_moved_float_with_its_path():
     ]
 
 
+def test_row_changes_list_removed_and_added_checks_apart_from_drift():
+    """A check replaced by another is one removal and one addition; the
+    drift and verdict tables compare only the checks both sides hold, a
+    repeated (check, target) by its order among its repeats."""
+    golden = json.loads(GOLDEN.read_text())
+    assert list(row_changes(golden, golden)) == []
+    pairs = [(c["check"], c["target"]) for c in golden["checks"]]
+    repeat = next(k for k, pair in enumerate(pairs) if pair in pairs[:k])
+    changed = json.loads(GOLDEN.read_text())
+    last = changed["checks"].pop()
+    changed["checks"].append({**last, "check": "another-check"})
+    del changed["checks"][repeat]
+    assert list(row_changes(golden, changed)) == [
+        ("removed", *pairs[repeat]),
+        ("removed", last["check"], last["target"]),
+        ("added", "another-check", last["target"]),
+    ]
+    assert list(float_drift(golden, changed)) == []
+    assert list(verdict_changes(golden, changed)) == []
+
+
 def test_regeneration_refuses_a_flipped_verdict(tmp_path, capsys):
     flipped = json.loads(GOLDEN.read_text())
     flipped["checks"][0]["passed"] = not flipped["checks"][0]["passed"]
@@ -152,6 +200,8 @@ def main(golden_path=GOLDEN) -> int:
         golden = json.loads(golden_path.read_text())
         for check, target, path, drift in float_drift(golden, doc):
             print(f"{check:<28} {target:<24} {path:<32} {drift:.1e}")
+        for change, check, target in row_changes(golden, doc):
+            print(f"{change}: {check} {target}")
         changes = list(verdict_changes(golden, doc))
         for check, target, key, was, now in changes:
             print(f"changed: {check} {target} {key} {was} -> {now}")

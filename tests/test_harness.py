@@ -1,6 +1,7 @@
 """Config round-trips, CLI exit codes, report format, determinism basics."""
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -207,16 +208,6 @@ def test_schema_family_groups_are_the_linear_families():
                 jsonschema.validate(config, schema)
 
 
-@pytest.mark.parametrize("pair", [{"family": "sl_r", "n": 1}, {"family": "sl_r", "n": 2}, {"family": "sp_r", "n": 1}])
-def test_cli_default_probe_needs_an_orthogonal_partner(pair, tmp_path, capsys):
-    """The default probe family lives on SO(n): a pair whose compact partner
-    is SU(n) or Sp(n), of any size, is refused without a family spec."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pair": pair}))
-    assert main(["probe-duality", "--config", str(cfg)]) == 2
-    assert "config error (field: family)" in capsys.readouterr().err
-
-
 def test_morphism_spec_requires_terms():
     fam = H.family_from_spec({"group": {"family": "u", "n": 2}})
     with pytest.raises(ConfigError):
@@ -355,10 +346,43 @@ def test_cli_duality_pair_flags(capsys):
     assert doc["residuals"]["frame_involution"] < 1e-12
 
 
-def test_cli_probe_duality(capsys):
-    assert main(["probe-duality", "--p", "2", "--q", "2", "--samples", "20"]) == 0
+def test_cli_duality_of_the_isotropic_point_family(tmp_path, capsys):
+    """The isotropic-point family continues to SO(2,2) through the gated
+    verify-duality; no probe-duality command remains."""
+    cfg = tmp_path / "cfg.json"
+    family = {"group": {"family": "so", "n": 4}, "p": [[1, 0], [0, 1], [0, 0], [0, 0]]}
+    cfg.write_text(json.dumps({"pair": {"family": "so_pq", "p": 2, "q": 2}, "family": family, "samples": 20}))
+    assert main(["verify-duality", "--config", str(cfg)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["notes"]["informational"] is True
+    assert doc["passed"] is True and math.isfinite(doc["tol"])
+    assert doc["params"]["provenance"] == "so-isotropic-point-dual"
+    with pytest.raises(SystemExit) as exit_:
+        main(["probe-duality", "--p", "2", "--q", "2"])
+    assert exit_.value.code == 2
+
+
+def _strict_json(text: str):
+    """The document of a JSON text that holds no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["suite"], ["verify-duality", "--pair", "so_pq", "--p", "2", "--q", "2", "--samples", "20"]],
+    ids=["suite", "verify-duality"],
+)
+def test_cli_output_is_strict_json_valid_against_the_report_schema(argv, tmp_path):
+    """What ``--out`` writes parses with no NaN or Infinity constant, and
+    the parsed document is valid against ``docs/schemas/report.schema.json``."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "report.schema.json").read_text())
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    jsonschema.validate(_strict_json(out.read_text()), schema)
 
 
 def test_cli_reports_are_deterministic(capsys):
@@ -416,7 +440,6 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["verify-family", "--group", "u", "--n", "2", "--floor", "0.3"], "floor"),
         (["verify-family", "--group", "u", "--n", "2", "--special"], "special"),
         (["verify-duality", "--pair", "sl_r", "--n", "2", "--q", "3"], "q"),
-        (["probe-duality", "--p", "2", "--q", "2", "--tol", "1e-30"], "tol"),
         (["verify-lemma", "--config", "{config}", "--n", "5"], "n"),
         (["verify-family", "--config", "{samples_text}"], "samples"),
         (["verify-family", "--config", "{seed_bool}"], "seed"),
@@ -721,7 +744,7 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
     jsonschema.validate(suite_document, report_schema)
     suite_reports = [{k: v for k, v in c.items() if k != "wall_time"} for c in suite_document["checks"]]
     rows = [row for row in H.suite_checks(seed=42, tol=1e-8) if row[1] in H.COMMANDS]
-    assert len(rows) == 42
+    assert len(rows) == 44
     assert {command for _, command, _ in rows} == set(H.COMMANDS)
     for i, (label, command, cfg) in enumerate(rows):
         config = {k: v for k, v in cfg.to_dict().items() if v is not None}
@@ -754,12 +777,12 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
 def test_every_suite_row_replays_through_run(suite_document):
     """Every row of the suite is a config that ``harness.run`` replays: the
     configs are valid against ``docs/schemas/config.schema.json`` and hold
-    only fields their check reads, and the 60 rows give the suite's 70
+    only fields their check reads, and the 62 rows give the suite's 72
     reports bit for bit, wall time aside."""
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
     rows = H.suite_checks(seed=42, tol=1e-8)
-    assert len(rows) == 60
+    assert len(rows) == 62
     replayed = []
     for label, name, cfg in rows:
         assert isinstance(cfg, H.RunConfig), label
@@ -771,7 +794,7 @@ def test_every_suite_row_replays_through_run(suite_document):
         replayed += result if isinstance(result, tuple) else [result]
     reports = json.loads(json.dumps([rep.to_dict() for rep in replayed]))
     suite_reports = [{k: v for k, v in c.items() if k != "wall_time"} for c in suite_document["checks"]]
-    assert len(reports) == 70
+    assert len(reports) == 72
     assert [{k: v for k, v in c.items() if k != "wall_time"} for c in reports] == suite_reports
     # the suite-only checks are no subcommand
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices

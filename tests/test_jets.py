@@ -80,6 +80,7 @@ def test_frame_operators_refuse_malformed_members():
         LinearTrace(np.stack([np.eye(2), np.eye(2)])),
         HomPoly({(1,): 1.0}, [Const(1.0)]),
         HomPoly({(1,): 1.0}, [Entry(3, 3)]),
+        HomPoly({(1, 1): 1.0}, [Entry(1, 1), object()]),
     ]
     for f in bad:
         with pytest.raises(ValidationError):
