@@ -24,7 +24,7 @@ from .exprs import LinearTrace
 from .jets import frame_operators, stack_samples
 from .matrices import GroupId, SignedBasis, compact_basis
 from .report import VerificationReport, timed_report
-from .sampling import SampleSet, _maxabs
+from .sampling import _BLOCK_BYTES, SampleSet, _maxabs
 
 # measure_constants_residual divides by phi and phi^2; it skips member values
 # at or below this magnitude.
@@ -244,11 +244,6 @@ def verify_eigenfamily(
     )
 
 
-# samples per block of verify_coordinate_lemmas: the S n^4 tables of a block
-# set its peak memory
-LEMMA_BLOCK = 16
-
-
 @cache
 def _side_by_side(group: GroupId) -> np.ndarray:
     """The compact frame of ``group`` side by side, [Z_0 | Z_1 | ...] of
@@ -267,33 +262,33 @@ def _side_by_side(group: GroupId) -> np.ndarray:
     return side
 
 
-def _coordinate_tables(x, basis: SignedBasis):
-    """tau table T[s,i,j] = (x_s C)_ij, with C the frame's Casimir, and kappa
-    4-tensor K[s,i,j,k,l] = sum_b eps_b (x_s Z_b)_ij (x_s Z_b)_kl over a
-    block x, on every row of x, in the dtype of x (float64 only for a real
+def _coordinate_tables(q, basis: SignedBasis):
+    """tau table T[s,i,j] = (q_s C)_ij, with C the frame's Casimir, and kappa
+    4-tensor K[s,i,j,k,l] = sum_b eps_b (q_s Z_b)_ij (q_s Z_b)_kl over a
+    block q of coordinate rows, in the dtype of q (float64 only for a real
     frame).  A float64 block reads float64 copies of the side-by-side frame
     and the Casimir: the Casimir is diagonal and each side-by-side column has
     one nonzero, so each table entry is one rounded product either way."""
-    s, n, b = x.shape[0], x.shape[-1], len(basis)
+    (s, r, m), b = q.shape, len(basis)
     side, casimir = _side_by_side(basis.group), basis.casimir
-    if not np.iscomplexobj(x):
+    if not np.iscomplexobj(q):
         side, casimir = np.ascontiguousarray(side.real), np.ascontiguousarray(casimir.real)
-    flat = (x @ side).reshape(s, n, b, n).transpose(0, 2, 1, 3).reshape(s, b, n * n)
+    flat = (q @ side).reshape(s, r, b, m).transpose(0, 2, 1, 3).reshape(s, b, r * m)
     k4 = (flat.transpose(0, 2, 1) * basis.signs) @ flat
-    return x @ casimir, k4.reshape(s, n, n, n, n)
+    return q @ casimir, k4.reshape(s, r, m, r, m)
 
 
-def _outer(q) -> np.ndarray:
-    """The 4-tensor q_il q_kj at every sample of a block of (r, c) rows, laid
-    out (s, i, l, k, j): the outer product of each flattened q with itself.
+def _outer(a, b) -> np.ndarray:
+    """The 4-tensor a_il b_kj at every sample of two blocks of r rows, laid
+    out (s, i, l, k, j): the outer product of the flattened a and b.
     Complex blocks keep einsum's product, real ones multiply."""
-    s, r, c = q.shape
-    flat = q.reshape(s, r * c)
-    if np.iscomplexobj(q):
-        out = np.einsum("sa,sb->sab", flat, flat)
+    (s, r, c), d = a.shape, b.shape[2]
+    fa, fb = a.reshape(s, r * c), b.reshape(s, r * d)
+    if np.iscomplexobj(a):
+        out = np.einsum("sa,sb->sab", fa, fb)
     else:
-        out = np.multiply(flat[:, :, None], flat[:, None, :])
-    return out.reshape(s, r, c, r, c)
+        out = np.multiply(fa[:, :, None], fb[:, None, :])
+    return out.reshape(s, r, c, r, d)
 
 
 # The compact families whose coordinate functions have stated tau/kappa
@@ -314,28 +309,32 @@ def verify_coordinate_lemmas(
     c = 1/2 on Sp(n), where D = z w^t - w z^t enters only for j on z and
     l = j + n on w.  The tables are measured on the group's frame, never
     from the stated constants: tau from its Casimir, kappa from the
-    products x Z_b.  Samples go through in blocks of :data:`LEMMA_BLOCK`.
-    Each block builds one cross tensor q_il q_kj, the outer product of the
-    flattened q laid out (s, i, l, k, j), and the residuals in place on it
-    (SO(n)'s kappa_general on a copy): the D terms are subtracted on
-    diagonal slices, c is applied (exactly) and the measured 4-tensor, read
-    in that layout, added.  On Sp(n) kappa_zz, kappa_ww and kappa_zw are
-    slices of the one tensor.  An SO(n) stack with no imaginary part, every
-    point the sampler draws, is checked in float64: each step's real part
-    rounds as in complex arithmetic, so the residuals are those of the
-    complex stack.  Every step acts on each sample alone, so the residuals
-    do not depend on the block size.  An empty stack raises
-    :class:`InconclusiveError`."""
+    products q Z_b, both on the coordinate rows alone.  Samples go through
+    in blocks whose largest table, (rows x matrix_dim)^2 entries a sample,
+    fills about ``_BLOCK_BYTES``.  Each block builds the cross tensor
+    q_il q_kj, an outer product of the flattened rows laid out
+    (s, i, l, k, j), and the residuals in place on it: the D terms are
+    subtracted on diagonal slices, c is applied (exactly) and the measured
+    4-tensor, read in that layout, added.  On SO(n) the two relations agree
+    off the slices j = l, so one tensor, those slices zeroed, gives the
+    largest entry of both there, and only the slices go through each D
+    term.  On Sp(n) kappa_zz is one tensor and kappa_ww and kappa_zw are
+    slices of a second, l on w; the quarter with l on z and j on w, which
+    symmetry of kappa leaves unread, is never built.  An SO(n) stack with
+    no imaginary part, every point the sampler draws, is checked in
+    float64: each step's real part rounds as in complex arithmetic, so the
+    residuals are those of the complex stack.  Every step acts on each
+    sample alone, so the residuals do not depend on the block size.  An
+    empty stack raises :class:`InconclusiveError`."""
     if group.family not in LEMMA_FAMILIES:
         raise ValidationError(f"no coordinate relations for {group.family!r}")
     basis = compact_basis(group)
     n = group.n
     diag = np.arange(n)  # the slices [:, :, j, :, j]: axes 2 and 4 equal
-    ii, jj = np.divmod(np.arange(n * n), n)  # the entries [:, i, j, i, j]: axes 1, 3 and 2, 4 equal
     res: dict[str, float] = {}
 
-    def bump(key, val):
-        res[key] = max(res.get(key, 0.0), _maxabs(val))
+    def bump(key, *peaks):
+        res[key] = max(res.get(key, 0.0), *peaks)
 
     with timed_report() as clock:
         stack = stack_samples(samples, basis)
@@ -343,43 +342,56 @@ def verify_coordinate_lemmas(
             raise InconclusiveError("no samples; cannot verify the coordinate lemmas")
         if group.family == "SO" and not np.any(stack.imag):
             stack = np.ascontiguousarray(stack.real)
-        for lo in range(0, len(stack), LEMMA_BLOCK):
-            x = stack[lo : lo + LEMMA_BLOCK]
-            t, k4 = _coordinate_tables(x, basis)
-            q = x[:, :n]
-            k4 = k4[:, :n, :, :n].transpose(0, 1, 4, 3, 2)  # kappa(q_ij, q_kl) at [:, i, l, k, j]
-            cross = _outer(q)
+        per_sample = stack.itemsize * (n * group.matrix_dim) ** 2
+        block = max(1, _BLOCK_BYTES // per_sample)
+        for lo in range(0, len(stack), block):
+            q = stack[lo : lo + block, :n]
+            t, k4 = _coordinate_tables(q, basis)
+            k4 = k4.transpose(0, 1, 4, 3, 2)  # kappa(q_ij, q_kl) at [:, i, l, k, j]
             if group.family == "SO":
-                bump("tau", t + (n - 1) / 2.0 * x)
+                bump("tau", _maxabs(t + (n - 1) / 2.0 * q))
+                cross = _outer(q, q)
+                # the slices j = l, laid out (j, s, i, k)
+                on_slices, k4_slices = cross[:, :, diag, :, diag], k4[:, :, diag, :, diag]
                 # k4 - general, general = -1/2 (x_il x_kj - (x x^t)_ik delta_jl)
-                general = cross.copy()
-                general[:, :, diag, :, diag] -= x @ x.transpose(0, 2, 1)
+                general = on_slices - q @ q.transpose(0, 2, 1)
                 general *= 0.5
-                general += k4
-                bump("kappa_general", general)
+                general += k4_slices
                 # k4 - on_group, on_group = 1/2 (delta_ik delta_jl - x_il x_kj)
-                cross[:, ii, jj, ii, jj] -= 1.0
+                on_slices[:, :, diag, diag] -= 1.0
+                on_slices *= 0.5
+                on_slices += k4_slices
+                # off the slices both are k4 + 1/2 x_il x_kj
                 cross *= 0.5
                 cross += k4
-                bump("kappa_on_group", cross)
+                cross[:, :, diag, :, diag] = 0.0
+                off = _maxabs(cross)
+                bump("kappa_general", off, _maxabs(general))
+                bump("kappa_on_group", off, _maxabs(on_slices))
             elif group.family == "U":
-                bump("tau", t + n * x)
+                bump("tau", _maxabs(t + n * q))
+                cross = _outer(q, q)
                 cross += k4
-                bump("kappa", cross)
+                bump("kappa", _maxabs(cross))
             else:
-                tau = t[:, :n] + (2 * n + 1) / 2.0 * q
-                bump("tau_z", tau[:, :, :n])
-                bump("tau_w", tau[:, :, n:])
-                # kappa(z_ij, w_kl) = -1/2 (w_il z_kj - anti_ik delta_jl)
+                tau = t + (2 * n + 1) / 2.0 * q
+                bump("tau_z", _maxabs(tau[:, :, :n]))
+                bump("tau_w", _maxabs(tau[:, :, n:]))
                 z, w = q[:, :, :n], q[:, :, n:]
+                zz = _outer(z, z)
+                zz *= 0.5
+                zz += k4[:, :, :n, :, :n]
+                bump("kappa_zz", _maxabs(zz))
+                # l on w: kappa(q_ij, w_kl) = -1/2 (w_il q_kj - anti_ik delta_jl),
+                # the delta term only for j on z
                 anti = z @ w.transpose(0, 2, 1) - w @ z.transpose(0, 2, 1)
-                cross[:, :, n + diag, :, diag] -= anti
-                cross *= 0.5
-                cross += k4
-                bump("kappa_zz", cross[:, :, :n, :, :n])
-                bump("kappa_ww", cross[:, :, n:, :, n:])
-                bump("kappa_zw", cross[:, :, n:, :, :n])
-                bump("zw_antisymmetry", anti)
+                wq = _outer(w, q)
+                wq[:, :, diag, :, diag] -= anti
+                wq *= 0.5
+                wq += k4[:, :, n:]
+                bump("kappa_ww", _maxabs(wq[:, :, :, :, n:]))
+                bump("kappa_zw", _maxabs(wq[:, :, :, :, :n]))
+                bump("zw_antisymmetry", _maxabs(anti))
     notes = {}
     if isinstance(samples, SampleSet):
         notes["max_group_defect"] = samples.max_defect

@@ -166,20 +166,49 @@ def _det_defect(xs: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(xs) - 1.0)
 
 
+class _SignedPermutation:
+    """A constant matrix m of a group's equations with one entry +-1 in each
+    row and column (J, I_pq, kron(I_2, I_pq)), and its products as moves and
+    negations of entries.  Each entry of ``x @ m`` is one product by +-1 plus
+    exact zeros, which rounds nothing: a BLAS product by m has the same
+    values but for the sign of a zero, which no defect sees."""
+
+    def __init__(self, m: np.ndarray):
+        m.setflags(write=False)
+        self.matrix = m
+        at = np.arange(len(m))
+        row_of, col_of = np.abs(m).argmax(axis=0), np.abs(m).argmax(axis=1)
+        identity = np.array_equal(col_of, at)  # a diagonal m moves nothing
+        # x @ m is x[..., cols] * col_signs
+        self._cols = slice(None) if identity else row_of
+        self._col_signs = m[row_of, at].real
+        # m @ y @ m^t is y[both] * both_signs
+        self._both = Ellipsis if identity else (Ellipsis, col_of[:, None], col_of)
+        row_signs = m[at, col_of].real
+        self._both_signs = np.outer(row_signs, row_signs)
+
+    def right(self, xs: np.ndarray) -> np.ndarray:
+        """``xs @ m`` for a stack xs."""
+        return xs[..., self._cols] * self._col_signs
+
+    def conjugate(self, ys: np.ndarray) -> np.ndarray:
+        """``m @ ys @ m^t`` for a stack ys."""
+        return ys[self._both] * self._both_signs
+
+
 @cache
 def _equation_matrices(group: GroupId, n: int) -> tuple:
     """The constant matrices of the equations of ``group`` on n x n points:
-    I, and J, I_pq and kron(I_2, I_pq), each None where no equation reads
-    it.  Built on a group's first check and kept, read-only."""
+    I, and J, I_pq and kron(I_2, I_pq) as :class:`_SignedPermutation`, each
+    None where no equation reads it.  Built on a group's first check and
+    kept, read-only."""
     fam = group.family
     j = symplectic_matrix(n // 2) if fam in ("Sp", "SUstar", "SpR", "SOstar", "Sppq") else None
     ipq = signature_matrix(group.p, group.q) if fam in ("SOpq", "SUpq") else None
     k = np.kron(np.eye(2), signature_matrix(group.p, group.q)) if fam == "Sppq" else None
-    out = (np.eye(n), j, ipq, k)
-    for m in out:
-        if m is not None:
-            m.setflags(write=False)
-    return out
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return (eye,) + tuple(None if m is None else _SignedPermutation(m) for m in (j, ipq, k))
 
 
 def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
@@ -187,7 +216,10 @@ def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
     of an (S, n, n) stack.  The groups are the compact SO(n), U(n), SU(n)
     and Sp(n), and the aligned real forms of :mod:`lgh.duality`, each inside
     the complex matrices of its compact partner; ``GLC-split`` has no
-    equations and is refused with :class:`ValidationError`."""
+    equations and is refused with :class:`ValidationError`.  Products by J,
+    I_pq and kron(I_2, I_pq) move and negate entries
+    (:class:`_SignedPermutation`); the one product of two points, x y^t or
+    x y^*, is a BLAS product."""
     xs = np.asarray(xs)
     eye, j, ipq, k = _equation_matrices(group, xs.shape[-1])
     xt = xs.transpose(0, 2, 1)
@@ -200,21 +232,21 @@ def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
             return unitary
         if fam == "SU":
             return _worst(unitary, _det_defect(xs))
-        return _worst(unitary, _maxabs_rows(xs @ j @ xt - j))
+        return _worst(unitary, _maxabs_rows(j.right(xs) @ xt - j.matrix))
     if fam == "SLR":
         return _worst(_maxabs_rows(xs.imag), _det_defect(xs))
     if fam == "SUstar":
-        return _worst(_maxabs_rows(j @ xs.conj() @ (-j) - xs), _det_defect(xs))
+        return _worst(_maxabs_rows(j.conjugate(xs.conj()) - xs), _det_defect(xs))
     if fam == "SpR":
-        return _worst(_maxabs_rows(xs.imag), _maxabs_rows(xs @ j @ xt - j))
+        return _worst(_maxabs_rows(xs.imag), _maxabs_rows(j.right(xs) @ xt - j.matrix))
     if fam == "SOstar":
-        return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(xs @ j @ xt.conj() - j))
+        return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(j.right(xs) @ xt.conj() - j.matrix))
     if fam == "SOpq":
-        return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(ipq @ xs.conj() @ ipq - xs), _det_defect(xs))
+        return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(ipq.conjugate(xs.conj()) - xs), _det_defect(xs))
     if fam == "SUpq":
-        return _worst(_maxabs_rows(xs @ ipq @ xt.conj() - ipq), _det_defect(xs))
+        return _worst(_maxabs_rows(ipq.right(xs) @ xt.conj() - ipq.matrix), _det_defect(xs))
     if fam == "Sppq":
-        return _worst(_maxabs_rows(xs @ j @ xt - j), _maxabs_rows(xs @ k @ xt.conj() - k))
+        return _worst(_maxabs_rows(j.right(xs) @ xt - j.matrix), _maxabs_rows(k.right(xs) @ xt.conj() - k.matrix))
     raise ValidationError(f"{group} has no defining equations to sample against")
 
 

@@ -14,7 +14,9 @@ own signed sums over the frame.
 
 It also keeps the morphism factory's draw one quotient at a time
 (:func:`sequential_morphisms`), the reference of the block draw
-:func:`lgh.morphisms.random_morphisms`.
+:func:`lgh.morphisms.random_morphisms`, and each group's defining
+equations as matrix products (:func:`group_defect_products`), the
+reference of :func:`lgh.sampling.group_defect`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from lgh.errors import DomainError
 from lgh.exprs import Entry, HomPoly, LinearTrace
 from lgh.jets import FrameOperators, Jet2
-from lgh.matrices import compact_basis
+from lgh.matrices import compact_basis, signature_matrix, symplectic_matrix
 from lgh.morphisms import random_morphism
 
 
@@ -157,20 +159,27 @@ def walk(f):
 
 
 def coordinate_lemma_residuals(group, xs) -> dict:
-    """The residuals of :func:`lgh.families.verify_coordinate_lemmas`,
-    measured in complex arithmetic on the complex stack: the products x Z_b,
-    x x^t, z w^t and w z^t and the signed kappa 4-tensor by complex gemm,
-    each cross tensor a_il b_kj by einsum in its (s, i, j, k, l) layout, and
-    each delta term as a full tensor.  On Sp(n), z and w are the blocks x[:n, :n]
-    and x[:n, n:] of the quaternionic embedding."""
+    """The residuals of :func:`lgh.families.verify_coordinate_lemmas`: the
+    largest |entry| of each of :func:`coordinate_lemma_tensors`."""
+    return {key: float(np.max(np.abs(t))) for key, t in coordinate_lemma_tensors(group, xs).items()}
+
+
+def coordinate_lemma_tensors(group, xs) -> dict:
+    """The residual tables of :func:`lgh.families.verify_coordinate_lemmas`,
+    measured in complex arithmetic on the complex stack: the products q Z_b
+    on the n coordinate rows q = x[:n], x x^t, z w^t and w z^t and the
+    signed kappa 4-tensor of those rows by complex gemm, each cross tensor
+    a_il b_kj by einsum in its (s, i, j, k, l) layout, and each delta term
+    as a full tensor.  On Sp(n), z and w are the blocks x[:n, :n] and
+    x[:n, n:] of the quaternionic embedding."""
     basis = compact_basis(group)
     x = np.asarray(xs, dtype=complex)
+    n = group.n
     s, m, b = x.shape[0], x.shape[-1], len(basis)
     side = basis.matrices.transpose(1, 0, 2).reshape(m, b * m)
-    flat = (x @ side).reshape(s, m, b, m).transpose(0, 2, 1, 3).reshape(s, b, m * m)
-    k4 = ((flat.transpose(0, 2, 1) * basis.signs) @ flat).reshape(s, m, m, m, m)
+    flat = (x[:, :n] @ side).reshape(s, n, b, m).transpose(0, 2, 1, 3).reshape(s, b, n * m)
+    k4 = ((flat.transpose(0, 2, 1) * basis.signs) @ flat).reshape(s, n, m, n, m)
     tau = x @ basis.casimir
-    n = group.n
     eye = np.eye(n)
 
     def cross(a, b):
@@ -179,26 +188,69 @@ def coordinate_lemma_residuals(group, xs) -> dict:
     def delta_jl(d):
         return np.einsum("sik,jl->sijkl", d, eye)
 
-    def maxabs(a):
-        return float(np.max(np.abs(a)))
-
     if group.family == "SO":
         delta_ik_jl = np.einsum("ik,jl->ijkl", eye, eye)
         return {
-            "tau": maxabs(tau + (n - 1) / 2.0 * x),
-            "kappa_general": maxabs((cross(x, x) - delta_jl(x @ x.transpose(0, 2, 1))) * 0.5 + k4),
-            "kappa_on_group": maxabs((cross(x, x) - delta_ik_jl) * 0.5 + k4),
+            "tau": tau + (n - 1) / 2.0 * x,
+            "kappa_general": (cross(x, x) - delta_jl(x @ x.transpose(0, 2, 1))) * 0.5 + k4,
+            "kappa_on_group": (cross(x, x) - delta_ik_jl) * 0.5 + k4,
         }
     if group.family == "U":
-        return {"tau": maxabs(tau + n * x), "kappa": maxabs(cross(x, x) + k4)}
+        return {"tau": tau + n * x, "kappa": cross(x, x) + k4}
     z, w = x[:, :n, :n], x[:, :n, n:]
     lam = (2 * n + 1) / 2.0
     anti = z @ w.transpose(0, 2, 1) - w @ z.transpose(0, 2, 1)
     return {
-        "tau_z": maxabs(tau[:, :n, :n] + lam * z),
-        "tau_w": maxabs(tau[:, :n, n:] + lam * w),
-        "kappa_zz": maxabs(cross(z, z) * 0.5 + k4[:, :n, :n, :n, :n]),
-        "kappa_ww": maxabs(cross(w, w) * 0.5 + k4[:, :n, n:, :n, n:]),
-        "kappa_zw": maxabs((cross(w, z) - delta_jl(anti)) * 0.5 + k4[:, :n, :n, :n, n:]),
-        "zw_antisymmetry": maxabs(anti),
+        "tau_z": tau[:, :n, :n] + lam * z,
+        "tau_w": tau[:, :n, n:] + lam * w,
+        "kappa_zz": cross(z, z) * 0.5 + k4[:, :, :n, :, :n],
+        "kappa_ww": cross(w, w) * 0.5 + k4[:, :, n:, :, n:],
+        "kappa_zw": (cross(w, z) - delta_jl(anti)) * 0.5 + k4[:, :, :n, :, n:],
+        "zw_antisymmetry": anti,
     }
+
+
+def group_defect_products(group, xs) -> np.ndarray:
+    """Largest violation of the defining equations of ``group`` at each point
+    of an (S, n, n) stack, every product by J, I_pq and kron(I_2, I_pq) a
+    matrix product."""
+    xs = np.asarray(xs)
+    n, fam = xs.shape[-1], group.family
+    eye = np.eye(n)
+    j = symplectic_matrix(n // 2)
+    ipq = signature_matrix(group.p, group.q) if fam in ("SOpq", "SUpq", "Sppq") else None
+    k = np.kron(np.eye(2), ipq) if fam == "Sppq" else None
+    xt = xs.transpose(0, 2, 1)
+
+    def rows(m):
+        return np.maximum.reduce(np.abs(m), axis=(1, 2), initial=0.0)
+
+    def det(m):
+        return np.abs(np.linalg.det(m) - 1.0)
+
+    def worst(*defects):
+        return np.maximum.reduce(defects)
+
+    if fam == "SO":
+        return worst(rows(xs @ xt - eye), rows(xs.imag), det(xs))
+    if fam in ("U", "SU", "Sp"):
+        unitary = rows(xs @ xt.conj() - eye)
+        if fam == "U":
+            return unitary
+        if fam == "SU":
+            return worst(unitary, det(xs))
+        return worst(unitary, rows(xs @ j @ xt - j))
+    if fam == "SLR":
+        return worst(rows(xs.imag), det(xs))
+    if fam == "SUstar":
+        return worst(rows(j @ xs.conj() @ (-j) - xs), det(xs))
+    if fam == "SpR":
+        return worst(rows(xs.imag), rows(xs @ j @ xt - j))
+    if fam == "SOstar":
+        return worst(rows(xs @ xt - eye), rows(xs @ j @ xt.conj() - j))
+    if fam == "SOpq":
+        return worst(rows(xs @ xt - eye), rows(ipq @ xs.conj() @ ipq - xs), det(xs))
+    if fam == "SUpq":
+        return worst(rows(xs @ ipq @ xt.conj() - ipq), det(xs))
+    assert fam == "Sppq", group
+    return worst(rows(xs @ j @ xt - j), rows(xs @ k @ xt.conj() - k))

@@ -1,5 +1,7 @@
 """Eigenfamily constructors, coordinate relations, verification."""
 
+import tracemalloc
+
 import numpy as np
 import oracle
 import pytest
@@ -173,16 +175,106 @@ def test_coordinate_lemmas_small(gid):
 LEMMA_GROUPS = [M.SO(n) for n in range(2, 7)] + [M.U(n) for n in (2, 3, 4)] + [M.Sp(n) for n in (1, 2, 3)]
 
 
+def _lemma_sample_bytes(gid) -> int:
+    """The bytes a sample adds to the largest table of a lemma block: the
+    SO(n) stack runs in float64, the others in complex128."""
+    return (8 if gid.family == "SO" else 16) * (gid.n * gid.matrix_dim) ** 2
+
+
+def _record_blocks(monkeypatch) -> list:
+    """The sample count of each block that verify_coordinate_lemmas builds
+    tables for, appended as it goes."""
+    blocks = []
+    tables = fa._coordinate_tables
+
+    def spy(q, basis):
+        blocks.append(len(q))
+        return tables(q, basis)
+
+    monkeypatch.setattr(fa, "_coordinate_tables", spy)
+    return blocks
+
+
+def _split(total: int, size: int) -> list:
+    return [size] * (total // size) + [total % size] * (total % size > 0)
+
+
+@pytest.mark.parametrize("per_block", [1, 5, 37])
 @pytest.mark.parametrize("gid", LEMMA_GROUPS, ids=str)
-def test_coordinate_lemma_residuals_do_not_depend_on_the_block(gid):
-    """The residuals over 37 samples, several blocks, are bit for bit the
-    largest of the 37 one-sample residuals."""
-    assert 37 > fa.LEMMA_BLOCK
+def test_coordinate_lemma_residuals_do_not_depend_on_the_block(gid, per_block, monkeypatch):
+    """With the byte budget set to one sample a block, five, or the whole
+    stack, the residuals over 37 samples are bit for bit the largest of the
+    37 one-sample residuals."""
     samples = sample_compact(gid, 37, 0.5, 5)
-    whole = fa.verify_coordinate_lemmas(gid, samples).residuals
     singles = [fa.verify_coordinate_lemmas(gid, samples.points[k : k + 1]).residuals for k in range(37)]
+    blocks = _record_blocks(monkeypatch)
+    monkeypatch.setattr(fa, "_BLOCK_BYTES", per_block * _lemma_sample_bytes(gid))
+    whole = fa.verify_coordinate_lemmas(gid, samples).residuals
+    assert blocks == _split(37, per_block)
     assert all(list(one) == list(whole) for one in singles)
     assert whole == {key: max(one[key] for one in singles) for key in whole}
+
+
+@pytest.mark.parametrize("gid", LEMMA_GROUPS, ids=str)
+def test_lemma_blocks_fill_the_byte_budget(gid, monkeypatch):
+    """300 samples go through in blocks of as many samples as fit in
+    ``_BLOCK_BYTES`` of the largest table, at least one: SO(2) in one
+    block, SO(6) and Sp(3) in several."""
+    blocks = _record_blocks(monkeypatch)
+    fa.verify_coordinate_lemmas(gid, sample_compact(gid, 300, 0.5, 5))
+    assert blocks == _split(300, min(300, fa._BLOCK_BYTES // _lemma_sample_bytes(gid)))
+    assert (len(blocks) == 1) == (str(gid) in ("SO(2)", "SO(3)", "U(2)", "Sp(1)"))
+
+
+@pytest.mark.parametrize("gid", LEMMA_GROUPS, ids=str)
+def test_coordinate_lemmas_peak_memory_stays_small(gid):
+    """The blocks bound the kernel's temporaries: one check of 300 samples
+    allocates at most 2 MB at its peak (tracemalloc sees numpy's buffers).
+    Blocks sized by n^4 entries a sample, not (rows x matrix_dim)^2, would
+    take Sp(3) to about 4 MB."""
+    samples = sample_compact(gid, 300, 0.5, 5)
+    fa.verify_coordinate_lemmas(gid, samples.points[:1])  # the frame's caches
+    tracemalloc.start()
+    try:
+        fa.verify_coordinate_lemmas(gid, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+def _on_the_slices(table, n) -> bool:
+    """Whether the largest |entry| of an oracle SO(n) kappa table, laid out
+    (s, i, j, k, l), lies only on the slices j = l."""
+    a = np.abs(table)
+    d = np.arange(n)
+    off = a.copy()
+    off[:, :, d, :, d] = 0.0
+    return a.max() > off.max()
+
+
+@pytest.mark.parametrize(
+    "diagonal, general_on_slices",
+    [((1.375, 1.0, 1.0), True), ((1.375, 1.0, 1.453125), False)],
+    ids=["on-the-slices", "one-entry-moved-it-off"],
+)
+def test_so_kappa_maxima_on_and_off_the_slices_j_eq_l(diagonal, general_on_slices):
+    """kappa_general and kappa_on_group share one maximum off the slices
+    j = l, whose entries are zeroed there: it must hide no largest entry.
+    On a diagonal point with few-bit entries every sum in the tables has one
+    nonzero term, so the oracle's tables round the same on any platform.
+    On diag(1.375, 1, 1) the worst kappa_general entry lies on a slice;
+    moving the last entry to 1.453125 puts it off them, while the point's
+    distance from the group keeps kappa_on_group's on a slice.  Both
+    residuals equal the oracle's bit for bit either way."""
+    gid = M.SO(3)
+    x = np.diag(diagonal)[None]
+    tables = oracle.coordinate_lemma_tensors(gid, x)
+    assert _on_the_slices(tables["kappa_general"], 3) == general_on_slices
+    assert _on_the_slices(tables["kappa_on_group"], 3)
+    got = fa.verify_coordinate_lemmas(gid, x).residuals
+    want = oracle.coordinate_lemma_residuals(gid, x)
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
 @pytest.mark.parametrize("gid", LEMMA_GROUPS, ids=str)

@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -453,3 +454,21 @@ def test_group_defect_refuses_the_complexified_group(name):
     complexified = expm(np.tensordot(re + 1j * im, zs, 1)[None])
     assert group_defect(pair.noncompact, real)[0] < 1e-12
     assert group_defect(pair.noncompact, complexified)[0] > 0.1
+
+
+# every group with equations at two sizes, and the suite's dual pairs
+DEFECT_GROUPS = {
+    **{str(g): g for f in ("SO", "U", "SU", "Sp") for g in (M.GroupId(f, 2), M.GroupId(f, 3))},
+    **{name: pair.noncompact for name, pair in PAIRS.items()},
+}
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0])
+@pytest.mark.parametrize("name", list(DEFECT_GROUPS))
+def test_group_defect_is_the_matrix_product_formula(name, radius):
+    """Products by J, I_pq and kron(I_2, I_pq) as moves and negations of
+    entries give the defects of the matrix products byte for byte."""
+    group = DEFECT_GROUPS[name]
+    frame = PAIRS[name].frame if name in PAIRS else M.compact_basis(group)
+    points = GroupSampler(frame, radius, 17).take(40).points
+    assert _bits(group_defect(group, points)) == _bits(oracle.group_defect_products(group, points))
