@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 configuration or
-validation error (the diagnostic names the offending field), an --out
-path that cannot be written included (field ``out``).  A flag or
-config field the command does not read (``harness.READS``) is a
-configuration error.
+Exit codes: 0 all checks passed, 1 a check failed or the report holds a
+number strict JSON cannot state (NaN, an infinity; then nothing is
+written), 2 configuration or validation error (the diagnostic names the
+offending field), an --out path that cannot be written included (field
+``out``).  A flag or config field the command does not read
+(``harness.READS``) is a configuration error.
 """
 
 from __future__ import annotations
@@ -121,16 +122,23 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _emit(document: dict, out: str | None):
-    text = json.dumps(document, indent=2, sort_keys=True)
+def _emit(document: dict, out: str | None) -> bool:
+    """Write the document as strict JSON to ``out`` or stdout; write nothing
+    and return False if it holds NaN or an infinity."""
+    try:
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        print(f"error: the report is not strict JSON: {exc}", file=sys.stderr)
+        return False
     if not out:
         print(text)
-        return
+        return True
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write the report to {out}: {exc.strerror}", field="out") from exc
+    return True
 
 
 def main(argv=None) -> int:
@@ -139,11 +147,9 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if args.command == "suite":
             document = run_suite(seed=cfg.seed, tol=cfg.tol)
-            _emit(document, args.out)
-            return 0 if document["passed"] else 1
-        report = run(args.command, cfg)
-        _emit(report.to_dict(), args.out)
-        return 0 if report.passed else 1
+        else:
+            document = run(args.command, cfg).to_dict()
+        return 0 if _emit(document, args.out) and document["passed"] else 1
     except ConfigError as exc:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"config error{field}: {exc}", file=sys.stderr)

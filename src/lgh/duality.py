@@ -1,9 +1,11 @@
 """Compact/non-compact duality for eigenfamilies.
 
 Each non-compact classical group G is realized as the aligned real form
-inside the ambient complex matrices of its compact partner U: a Cartan
-involution theta on the compact algebra u splits it into k = fix(theta) and
-the anti-fixed part m, and the algebra of G is k + i m.  Frames of k carry
+inside the ambient complex matrices of its compact partner U: the Cartan
+involution theta that G's real structure in ``matrices.FAMILIES`` induces
+on the compact algebra u (:func:`lgh.matrices.real_structure`) splits it
+into k = fix(theta) and the anti-fixed part m, and the algebra of G is
+k + i m.  Frames of k carry
 sign -1 and frames of i m carry sign +1 under Re trace(Z W), so the signed
 tau/kappa sums of :mod:`lgh.jets` evaluate the semi-Riemannian operators of
 G directly.
@@ -24,14 +26,7 @@ import numpy as np
 
 from .errors import ConstructionError, ValidationError
 from .families import Eigenfamily, default_family, verify_eigenfamily
-from .matrices import (
-    GroupId,
-    SignedBasis,
-    compact_basis,
-    gram_schmidt_indefinite,
-    signature_matrix,
-    symplectic_matrix,
-)
+from .matrices import NONCOMPACT_FAMILIES, GroupId, SignedBasis, compact_basis, gram_schmidt_indefinite, real_structure
 from .report import VerificationReport
 from .sampling import GroupSampler, SampleSet, group_defect
 
@@ -46,27 +41,6 @@ class DualPair:
     p_basis: SignedBasis  # i * antifix(theta), signs +1
     frame: SignedBasis  # the full signed orthonormal frame k (-1) then p (+1)
     residuals: dict
-
-
-def _involution(gid: GroupId):
-    f = gid.family
-    if f in ("SLR", "SpR"):
-        return lambda z: z.conj()
-    if f == "SUstar":
-        j = symplectic_matrix(gid.n // 2)
-        jinv = -j
-        return lambda z: j @ z.conj() @ jinv
-    if f == "SOstar":
-        j = symplectic_matrix(gid.n // 2)
-        jinv = -j
-        return lambda z: j @ z @ jinv
-    if f in ("SOpq", "SUpq"):
-        ipq = signature_matrix(gid.p, gid.q)
-        return lambda z: ipq @ z @ ipq
-    if f == "Sppq":
-        k = np.kron(np.eye(2), signature_matrix(gid.p, gid.q))
-        return lambda z: k @ z @ k
-    raise ValidationError(f"no Cartan involution for family {f!r}")
 
 
 def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis, frame: SignedBasis) -> dict:
@@ -132,8 +106,11 @@ def _build_pair(noncompact: GroupId, compact: GroupId, theta) -> DualPair:
 
 
 def dual_pair(gid: GroupId) -> DualPair:
-    """Construct the aligned dual pair for a non-compact classical group."""
-    return _build_pair(gid, gid.compact_partner, _involution(gid))
+    """Construct the aligned dual pair for a non-compact classical group,
+    theta the Cartan involution of its real structure."""
+    if gid.family not in NONCOMPACT_FAMILIES:
+        raise ValidationError(f"{gid} is not a non-compact classical group")
+    return _build_pair(gid, gid.compact_partner, real_structure(gid).theta)
 
 
 def identity_pair(compact: GroupId) -> DualPair:
@@ -143,7 +120,7 @@ def identity_pair(compact: GroupId) -> DualPair:
     compact eigenfamily 'dualizes' to itself with negated constants; used to
     cross-check sign conventions.
     """
-    return _build_pair(compact, compact, lambda z: z)
+    return _build_pair(compact, compact, real_structure(compact).theta)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ generators, orthonormal Lie-algebra bases, the quaternionic embedding, and
 Gram-Schmidt for an indefinite trace form.
 
 ``FAMILIES`` is the one table of the classical groups: for each family its
-config alias, label, sizing by ``n`` or ``(p, q)``, ambient-size factor and
-compact partner.  Other modules read names, aliases and partners from it.
+config alias, label, sizing by ``n`` or ``(p, q)``, ambient-size factor,
+compact partner and real structure.  Other modules read names, aliases,
+partners, equations and Cartan involutions (:func:`real_structure`) from it.
 
 Conventions
 -----------
@@ -36,7 +37,7 @@ from .report import VerificationReport, timed_report
 @dataclass(frozen=True)
 class GroupFamily:
     """One row of :data:`FAMILIES`: how a family of classical groups is named,
-    sized and paired."""
+    sized, paired and cut out of its compact partner's complexification."""
 
     alias: str  # spelling in config specs
     label: str  # str.format pattern over n, p, q
@@ -44,23 +45,27 @@ class GroupFamily:
     factor: int = 1  # ambient matrices are factor * size square
     even: bool = False  # n must be even
     partner: str | None = None  # compact family of the same size under the duality
+    real: str | None = None  # "conj": x = M conj(x) M^t; "unitary": x M x^* = M
+    form: str = "I"  # M: "I", "J", "Ipq" or "K" = kron(I_2, I_pq)
+    bilinear: str | None = None  # a compact row's complex equation x B x^t = B, B named as M is
+    det: bool = False  # a compact row's complex equation det x = 1
 
 
 # The classical groups, keyed by family name.  A compact family is its own
-# partner; the GL(n,C) split has none.
+# partner; the GL(n,C) split has neither partner nor real structure.
 FAMILIES = {
-    "SO": GroupFamily("so", "SO({n})", partner="SO"),
-    "U": GroupFamily("u", "U({n})", partner="U"),
-    "SU": GroupFamily("su", "SU({n})", partner="SU"),
-    "Sp": GroupFamily("sp", "Sp({n})", factor=2, partner="Sp"),
+    "SO": GroupFamily("so", "SO({n})", partner="SO", real="conj", bilinear="I", det=True),
+    "U": GroupFamily("u", "U({n})", partner="U", real="unitary"),
+    "SU": GroupFamily("su", "SU({n})", partner="SU", real="unitary", det=True),
+    "Sp": GroupFamily("sp", "Sp({n})", factor=2, partner="Sp", real="unitary", bilinear="J"),
     "GLC-split": GroupFamily("glc_split", "GL({n},C)-split"),
-    "SLR": GroupFamily("sl_r", "SL({n},R)", partner="SU"),
-    "SUstar": GroupFamily("su_star", "SU*({n})", even=True, partner="SU"),
-    "SpR": GroupFamily("sp_r", "Sp({n},R)", factor=2, partner="Sp"),
-    "SOstar": GroupFamily("so_star", "SO*({n})", even=True, partner="SO"),
-    "SOpq": GroupFamily("so_pq", "SO({p},{q})", pq=True, partner="SO"),
-    "SUpq": GroupFamily("su_pq", "SU({p},{q})", pq=True, partner="SU"),
-    "Sppq": GroupFamily("sp_pq", "Sp({p},{q})", pq=True, factor=2, partner="Sp"),
+    "SLR": GroupFamily("sl_r", "SL({n},R)", partner="SU", real="conj"),
+    "SUstar": GroupFamily("su_star", "SU*({n})", even=True, partner="SU", real="conj", form="J"),
+    "SpR": GroupFamily("sp_r", "Sp({n},R)", factor=2, partner="Sp", real="conj"),
+    "SOstar": GroupFamily("so_star", "SO*({n})", even=True, partner="SO", real="unitary", form="J"),
+    "SOpq": GroupFamily("so_pq", "SO({p},{q})", pq=True, partner="SO", real="conj", form="Ipq"),
+    "SUpq": GroupFamily("su_pq", "SU({p},{q})", pq=True, partner="SU", real="unitary", form="Ipq"),
+    "Sppq": GroupFamily("sp_pq", "Sp({p},{q})", pq=True, factor=2, partner="Sp", real="unitary", form="K"),
 }
 FAMILY_BY_ALIAS = {row.alias: name for name, row in FAMILIES.items()}
 NONCOMPACT_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.partner not in (None, name))
@@ -461,6 +466,75 @@ def symplectic_matrix(n: int) -> np.ndarray:
     eye = np.eye(n)
     zero = np.zeros((n, n))
     return np.block([[zero, eye], [-eye, zero]]).astype(complex)
+
+
+class SignedPermutation:
+    """A constant matrix m of a group's equations with one entry +-1 in each
+    row and column (I, J, I_pq, kron(I_2, I_pq)), its products as moves and
+    negations of entries: those round nothing, and equal a BLAS product by m
+    but for the sign of a zero.  The identity moves nothing."""
+
+    def __init__(self, m: np.ndarray):
+        m.setflags(write=False)
+        self.matrix = m
+        at = np.arange(len(m))
+        self._identity = np.array_equal(m, np.eye(len(m)))
+        row_of, col_of = np.abs(m).argmax(axis=0), np.abs(m).argmax(axis=1)
+        diagonal = np.array_equal(col_of, at)  # moves nothing, negates only
+        # x @ m is x[..., cols] * col_signs
+        self._cols = slice(None) if diagonal else row_of
+        self._col_signs = m[row_of, at].real
+        # m @ y @ m^t is y[both] * both_signs
+        self._both = Ellipsis if diagonal else (Ellipsis, col_of[:, None], col_of)
+        row_signs = m[at, col_of].real
+        self._both_signs = np.outer(row_signs, row_signs)
+
+    def right(self, xs: np.ndarray) -> np.ndarray:
+        """``xs @ m`` for a stack xs."""
+        return xs if self._identity else xs[..., self._cols] * self._col_signs
+
+    def conjugate(self, ys: np.ndarray) -> np.ndarray:
+        """``m @ ys @ m^t`` for a stack ys."""
+        return ys if self._identity else ys[self._both] * self._both_signs
+
+
+# the matrices a FAMILIES row names, on a group's ambient size
+_FORMS = {
+    "I": lambda g: np.eye(g.matrix_dim),
+    "J": lambda g: symplectic_matrix(g.matrix_dim // 2),
+    "Ipq": lambda g: signature_matrix(g.p, g.q),
+    "K": lambda g: np.kron(np.eye(2), signature_matrix(g.p, g.q)),
+}
+
+
+@dataclass(frozen=True)
+class RealStructure:
+    """A group's equations from its :data:`FAMILIES` row: the real form
+    x = M conj(x) M^t (``kind`` "conj") or x M x^* = M ("unitary"), and the
+    compact partner's x B x^t = B (``bilinear``) and det x = 1 (``det``)."""
+
+    kind: str
+    form: SignedPermutation  # M
+    bilinear: SignedPermutation | None
+    det: bool
+
+    def theta(self, zs: np.ndarray) -> np.ndarray:
+        """The Cartan involution it induces on the compact partner's algebra,
+        on a stack: M conj(Z) M^t ("conj") or M Z M^t ("unitary"); the
+        identity on a compact group's own algebra."""
+        return self.form.conjugate(zs.conj() if self.kind == "conj" else zs)
+
+
+@cache
+def real_structure(group: GroupId) -> RealStructure:
+    """The real structure of ``group``, built on its first use and kept;
+    ``GLC-split`` has none and is refused."""
+    row = FAMILIES[group.family]
+    if row.real is None:
+        raise ValidationError(f"{group} has no defining equations to sample against")
+    partner = FAMILIES[row.partner]
+    bilinear = None if partner.bilinear is None else SignedPermutation(_FORMS[partner.bilinear](group))
+    return RealStructure(row.real, SignedPermutation(_FORMS[row.form](group)), bilinear, partner.det)
 
 
 # ---------------------------------------------------------------------------

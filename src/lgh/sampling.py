@@ -8,9 +8,10 @@ seed pins the coefficients everywhere, and the sample list bit for bit on
 one numpy build and CPU dispatch path.
 
 A sampler is built from a frame alone: the frame's matrices give the
-generators, and its group the defining equations that each point's defect
-measures (:func:`group_defect`).  One path thus samples the compact groups
-on their bases and the non-compact duals on their aligned frames.
+generators, and its group's real structure in ``matrices.FAMILIES`` the
+defining equations that each point's defect measures (:func:`group_defect`).
+One path thus samples the compact groups on their bases and the non-compact
+duals on their aligned frames.
 
 Points are drawn a batch at a time: :meth:`GroupSampler.take` draws the
 coefficients of the whole batch as one block of the stream, combines them
@@ -30,7 +31,8 @@ A take makes a fixed number of numpy calls whatever its count, so a small
 one, such as a resampling draw, costs little more than its points: each
 matrix product is one multiply and one in-order ``add.reduce``
 (:func:`_matmul`), the Pade polynomials are built two at a time, and the
-constant matrices of each group's equations are built once and kept.  A
+constant matrices of each group's equations are built once and kept
+(:func:`lgh.matrices.real_structure`).  A
 large stack is multiplied in blocks of rows, which bounds the temporary.
 
 A frame with no imaginary part (SO(n), and the aligned frames of SL(n,R)
@@ -39,8 +41,9 @@ points are cast to complex once at the end.  They equal the complex
 kernel's bit for bit: a complex product whose factors have zero imaginary
 parts rounds as the real product, and at every radius a config allows no
 such matrix is squared (a squaring can leave a -0.0 imaginary part in the
-complex kernel, where float64 gives +0.0).  Defects are still checked on
-the complex stack, whose ``@`` and ``det`` round as before.
+complex kernel, where float64 gives +0.0).  Defects are checked on the
+complex stack, as the equations are stated; there the reality residual
+|conj(x) - x| of SO(n), SL(n,R) and Sp(n,R) is 2 |Im x|, exactly 0.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ValidationError
-from .matrices import FAMILIES, GroupId, SignedBasis, compact_basis, signature_matrix, symplectic_matrix
+from .matrices import GroupId, SignedBasis, compact_basis, real_structure
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -166,88 +169,26 @@ def _det_defect(xs: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(xs) - 1.0)
 
 
-class _SignedPermutation:
-    """A constant matrix m of a group's equations with one entry +-1 in each
-    row and column (J, I_pq, kron(I_2, I_pq)), and its products as moves and
-    negations of entries.  Each entry of ``x @ m`` is one product by +-1 plus
-    exact zeros, which rounds nothing: a BLAS product by m has the same
-    values but for the sign of a zero, which no defect sees."""
-
-    def __init__(self, m: np.ndarray):
-        m.setflags(write=False)
-        self.matrix = m
-        at = np.arange(len(m))
-        row_of, col_of = np.abs(m).argmax(axis=0), np.abs(m).argmax(axis=1)
-        identity = np.array_equal(col_of, at)  # a diagonal m moves nothing
-        # x @ m is x[..., cols] * col_signs
-        self._cols = slice(None) if identity else row_of
-        self._col_signs = m[row_of, at].real
-        # m @ y @ m^t is y[both] * both_signs
-        self._both = Ellipsis if identity else (Ellipsis, col_of[:, None], col_of)
-        row_signs = m[at, col_of].real
-        self._both_signs = np.outer(row_signs, row_signs)
-
-    def right(self, xs: np.ndarray) -> np.ndarray:
-        """``xs @ m`` for a stack xs."""
-        return xs[..., self._cols] * self._col_signs
-
-    def conjugate(self, ys: np.ndarray) -> np.ndarray:
-        """``m @ ys @ m^t`` for a stack ys."""
-        return ys[self._both] * self._both_signs
-
-
-@cache
-def _equation_matrices(group: GroupId, n: int) -> tuple:
-    """The constant matrices of the equations of ``group`` on n x n points:
-    I, and J, I_pq and kron(I_2, I_pq) as :class:`_SignedPermutation`, each
-    None where no equation reads it.  Built on a group's first check and
-    kept, read-only."""
-    fam = group.family
-    j = symplectic_matrix(n // 2) if fam in ("Sp", "SUstar", "SpR", "SOstar", "Sppq") else None
-    ipq = signature_matrix(group.p, group.q) if fam in ("SOpq", "SUpq") else None
-    k = np.kron(np.eye(2), signature_matrix(group.p, group.q)) if fam == "Sppq" else None
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return (eye,) + tuple(None if m is None else _SignedPermutation(m) for m in (j, ipq, k))
-
-
 def group_defect(group: GroupId, xs: np.ndarray) -> np.ndarray:
     """Largest violation of the defining equations of ``group`` at each point
-    of an (S, n, n) stack.  The groups are the compact SO(n), U(n), SU(n)
-    and Sp(n), and the aligned real forms of :mod:`lgh.duality`, each inside
-    the complex matrices of its compact partner; ``GLC-split`` has no
-    equations and is refused with :class:`ValidationError`.  Products by J,
-    I_pq and kron(I_2, I_pq) move and negate entries
-    (:class:`_SignedPermutation`); the one product of two points, x y^t or
-    x y^*, is a BLAS product."""
+    of an (S, n, n) stack, those of its :func:`~lgh.matrices.real_structure`:
+    the compact SO(n), U(n), SU(n) and Sp(n), and the aligned real forms of
+    :mod:`lgh.duality`; ``GLC-split`` has none and is refused with
+    :class:`ValidationError`.  Products by M and B move and negate entries
+    (:class:`~lgh.matrices.SignedPermutation`); the one product of two
+    points, x y^t or x y^*, is a BLAS product."""
     xs = np.asarray(xs)
-    eye, j, ipq, k = _equation_matrices(group, xs.shape[-1])
-    xt = xs.transpose(0, 2, 1)
-    fam = group.family
-    if fam == "SO":
-        return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(xs.imag), _det_defect(xs))
-    if fam in ("U", "SU", "Sp"):
-        unitary = _maxabs_rows(xs @ xt.conj() - eye)
-        if fam == "U":
-            return unitary
-        if fam == "SU":
-            return _worst(unitary, _det_defect(xs))
-        return _worst(unitary, _maxabs_rows(j.right(xs) @ xt - j.matrix))
-    if fam == "SLR":
-        return _worst(_maxabs_rows(xs.imag), _det_defect(xs))
-    if fam == "SUstar":
-        return _worst(_maxabs_rows(j.conjugate(xs.conj()) - xs), _det_defect(xs))
-    if fam == "SpR":
-        return _worst(_maxabs_rows(xs.imag), _maxabs_rows(j.right(xs) @ xt - j.matrix))
-    if fam == "SOstar":
-        return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(j.right(xs) @ xt.conj() - j.matrix))
-    if fam == "SOpq":
-        return _worst(_maxabs_rows(xs @ xt - eye), _maxabs_rows(ipq.conjugate(xs.conj()) - xs), _det_defect(xs))
-    if fam == "SUpq":
-        return _worst(_maxabs_rows(ipq.right(xs) @ xt.conj() - ipq.matrix), _det_defect(xs))
-    if fam == "Sppq":
-        return _worst(_maxabs_rows(j.right(xs) @ xt - j.matrix), _maxabs_rows(k.right(xs) @ xt.conj() - k.matrix))
-    raise ValidationError(f"{group} has no defining equations to sample against")
+    real = real_structure(group)
+    m, b, xt = real.form, real.bilinear, xs.transpose(0, 2, 1)
+    if real.kind == "conj":
+        defects = [_maxabs_rows(m.conjugate(xs.conj()) - xs)]
+    else:
+        defects = [_maxabs_rows(m.right(xs) @ xt.conj() - m.matrix)]
+    if b is not None:
+        defects.append(_maxabs_rows(b.right(xs) @ xt - b.matrix))
+    if real.det:
+        defects.append(_det_defect(xs))
+    return _worst(*defects)
 
 
 # GroupSampler.take checks its points through this name, which perfbench
@@ -439,9 +380,7 @@ class GroupSampler:
     def __init__(self, frame: SignedBasis, radius: float, seed: int):
         if radius < 0:
             raise ValidationError("radius must be nonnegative")
-        # group_defect holds the equations of every group with a compact partner
-        if FAMILIES[frame.group.family].partner is None:
-            raise ValidationError(f"{frame.group} has no defining equations to sample against")
+        real_structure(frame.group)  # refuses a group with no equations
         self.frame = frame
         self.radius = float(radius)
         self._rng = SplitMix64(seed)

@@ -16,7 +16,10 @@ It also keeps the morphism factory's draw one quotient at a time
 (:func:`sequential_morphisms`), the reference of the block draw
 :func:`lgh.morphisms.random_morphisms`, and each group's defining
 equations as matrix products (:func:`group_defect_products`), the
-reference of :func:`lgh.sampling.group_defect`.
+reference of :func:`lgh.sampling.group_defect`, and each dual's Cartan
+involution as matrix products (:func:`involution_products`), the reference
+of the involution :func:`lgh.matrices.real_structure` reads from the family
+table.
 """
 
 from __future__ import annotations
@@ -247,10 +250,33 @@ def group_defect_products(group, xs) -> np.ndarray:
     if fam == "SpR":
         return worst(rows(xs.imag), rows(xs @ j @ xt - j))
     if fam == "SOstar":
-        return worst(rows(xs @ xt - eye), rows(xs @ j @ xt.conj() - j))
+        return worst(rows(xs @ xt - eye), rows(xs @ j @ xt.conj() - j), det(xs))
     if fam == "SOpq":
         return worst(rows(xs @ xt - eye), rows(ipq @ xs.conj() @ ipq - xs), det(xs))
     if fam == "SUpq":
         return worst(rows(xs @ ipq @ xt.conj() - ipq), det(xs))
     assert fam == "Sppq", group
     return worst(rows(xs @ j @ xt - j), rows(xs @ k @ xt.conj() - k))
+
+
+def involution_products(gid):
+    """The Cartan involution theta of a dual pair on the compact partner's
+    algebra, stated per family, every product by J, I_pq and
+    kron(I_2, I_pq) a matrix product."""
+    f = gid.family
+    if f in ("SLR", "SpR"):
+        return lambda z: z.conj()
+    if f == "SUstar":
+        j = symplectic_matrix(gid.n // 2)
+        jinv = -j
+        return lambda z: j @ z.conj() @ jinv
+    if f == "SOstar":
+        j = symplectic_matrix(gid.n // 2)
+        jinv = -j
+        return lambda z: j @ z @ jinv
+    if f in ("SOpq", "SUpq"):
+        ipq = signature_matrix(gid.p, gid.q)
+        return lambda z: ipq @ z @ ipq
+    assert f == "Sppq", gid
+    k = np.kron(np.eye(2), signature_matrix(gid.p, gid.q))
+    return lambda z: k @ z @ k

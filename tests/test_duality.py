@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+import oracle
 import pytest
 
 from lgh import duality as du
@@ -90,11 +91,56 @@ def test_gram_schmidt_projects_as_the_reference_loop(gid):
     loop that re-projects every vector from scratch."""
     pair = du.dual_pair(gid)
     zs = M.compact_basis(pair.compact).matrices
-    tz = du._involution(gid)(zs)
+    tz = oracle.involution_products(gid)(zs)
     fix = [(zs[i] + tz[i]) / 2.0 for i in range(len(zs))]
     anti = [1j * ((zs[i] - tz[i]) / 2.0) for i in range(len(zs))]
     _bit_equal(pair.k_basis, _gram_schmidt_reference(fix, drop_dependent=True))
     _bit_equal(pair.p_basis, _gram_schmidt_reference(anti, drop_dependent=True))
+
+
+# pairs past the suite's sizes, one per family of the duality
+DEEP_PAIRS = [M.sl_r(5), M.su_star(6), M.so_star(6), M.sp_r(3), M.so_pq(4, 4), M.sp_pq(2, 1)]
+
+
+@pytest.mark.parametrize("gid", SUITE_PAIRS + DEEP_PAIRS, ids=str)
+def test_pair_frames_are_those_of_the_reference_involution(gid):
+    """theta read from the family table's real structure builds the frames,
+    signs and frame residuals of the per-family matrix-product theta byte
+    for byte."""
+    pair = du.dual_pair(gid)
+    want = du._build_pair(gid, pair.compact, oracle.involution_products(gid))
+    assert pair.frame.matrices.tobytes() == want.frame.matrices.tobytes()
+    assert pair.frame.signs.tobytes() == want.frame.signs.tobytes()
+    assert {key: val.hex() for key, val in pair.residuals.items()} == {
+        key: val.hex() for key, val in want.residuals.items()
+    }
+
+
+COMPACT_SMALL = [M.GroupId(f, n) for f in ("SO", "U", "SU", "Sp") for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("gid", SUITE_PAIRS + DEEP_PAIRS + COMPACT_SMALL, ids=str)
+def test_frames_lie_in_the_algebra_of_their_table_row(gid):
+    """Every frame matrix Z solves the Lie-algebra form of the equations the
+    family table states, each product an explicit matrix product: the row's
+    M conj(Z) M^t = Z ("conj") or Z M + M Z^* = 0 ("unitary"), and the
+    compact partner's Z B + B Z^t = 0 and trace Z = 0 where its row has
+    them.  The sampler's defects and the pair's frames thus describe one
+    group."""
+    compact = gid.family not in M.NONCOMPACT_FAMILIES
+    zs = (M.compact_basis(gid) if compact else du.dual_pair(gid).frame).matrices
+    real = M.real_structure(gid)
+    m, zt = real.form.matrix, zs.transpose(0, 2, 1)
+    if real.kind == "conj":
+        residuals = [m @ zs.conj() @ m.T - zs]
+    else:
+        residuals = [zs @ m + m @ zt.conj()]
+    if real.bilinear is not None:
+        b = real.bilinear.matrix
+        residuals.append(zs @ b + b @ zt)
+    if real.det:
+        residuals.append(np.trace(zs, axis1=1, axis2=2))
+    assert max(float(np.max(np.abs(r))) for r in residuals) <= 1e-15
 
 
 def test_gram_schmidt_of_an_indefinite_span_is_the_reference_loop():

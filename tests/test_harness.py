@@ -372,17 +372,50 @@ def _strict_json(text: str):
 
 @pytest.mark.parametrize(
     "argv",
-    [["suite"], ["verify-duality", "--pair", "so_pq", "--p", "2", "--q", "2", "--samples", "20"]],
-    ids=["suite", "verify-duality"],
+    [
+        ["suite"],
+        ["verify-duality", "--pair", "so_pq", "--p", "2", "--q", "2", "--samples", "20"],
+        ["verify-identities", "--n", "4"],
+        ["verify-lemma", "--group", "sp", "--n", "2", "--samples", "20"],
+        ["verify-family", "--group", "su", "--n", "3", "--samples", "20"],
+        ["verify-morphism", "--samples", "20"],
+    ],
+    ids=["suite", "verify-duality", "verify-identities", "verify-lemma", "verify-family", "verify-morphism"],
 )
 def test_cli_output_is_strict_json_valid_against_the_report_schema(argv, tmp_path):
     """What ``--out`` writes parses with no NaN or Infinity constant, and
-    the parsed document is valid against ``docs/schemas/report.schema.json``."""
+    the parsed document is valid against ``docs/schemas/report.schema.json``.
+    verify-morphism checks the suite's Hopf map on SU(2) from a config file."""
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "report.schema.json").read_text())
+    if argv[0] == "verify-morphism":
+        cfg = tmp_path / "hopf.json"
+        cfg.write_text(json.dumps({"family": {"group": {"family": "su", "n": 2}}, "morphism": H.HOPF_SPEC}))
+        argv = argv + ["--config", str(cfg)]
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0
     jsonschema.validate(_strict_json(out.read_text()), schema)
+
+
+def test_cli_report_with_a_non_finite_number_exits_1_and_writes_nothing(monkeypatch, tmp_path, capsys):
+    """A report holding NaN has no strict JSON text: the command exits 1
+    with a one-line diagnostic and no traceback, and writes no ``--out``."""
+    from lgh import cli
+
+    measured = cli.run
+
+    def nan_residual(command, cfg):
+        report = measured(command, cfg)
+        report.residuals["tau"] = float("nan")
+        return report
+
+    monkeypatch.setattr(cli, "run", nan_residual)
+    out = tmp_path / "out.json"
+    assert main(["verify-family", "--group", "u", "--n", "2", "--samples", "10", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert not out.exists() and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert "not strict JSON" in captured.err
 
 
 def test_cli_reports_are_deterministic(capsys):

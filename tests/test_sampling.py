@@ -440,20 +440,21 @@ def test_a_frame_whose_group_has_no_equations_is_refused():
 ONE_PAIR_PER_FAMILY = {pair.noncompact.family: name for name, pair in reversed(PAIRS.items())}
 
 
-@pytest.mark.parametrize("name", sorted(ONE_PAIR_PER_FAMILY.values()))
+@pytest.mark.parametrize("name", sorted(ONE_PAIR_PER_FAMILY.values()) + ["SO(4)", "U(3)", "SU(3)", "Sp(2)"])
 def test_group_defect_refuses_the_complexified_group(name):
-    """exp of a complex combination of a real form's frame lies in the
-    complexified group, where every complex-linear equation of the real form
-    still holds: only its reality condition tells the points apart.  The
-    real combination passes, the complex one is refused."""
-    pair = PAIRS[name]
-    zs = pair.frame.matrices
+    """exp of a complex combination of a real form's frame, a compact
+    group's basis included, lies in the complexified group, where every
+    complex-linear equation of the real form still holds: only its reality
+    condition tells the points apart.  The real combination passes, the
+    complex one is refused."""
+    frame = _frame(name)
+    zs = frame.matrices
     rng = SplitMix64(11)
     re, im = rng.uniforms(len(zs), -0.5, 0.5), rng.uniforms(len(zs), -0.5, 0.5)
     real = expm(np.tensordot(re, zs, 1)[None])
     complexified = expm(np.tensordot(re + 1j * im, zs, 1)[None])
-    assert group_defect(pair.noncompact, real)[0] < 1e-12
-    assert group_defect(pair.noncompact, complexified)[0] > 0.1
+    assert group_defect(frame.group, real)[0] < 1e-12
+    assert group_defect(frame.group, complexified)[0] > 0.1
 
 
 # every group with equations at two sizes, and the suite's dual pairs
@@ -466,8 +467,9 @@ DEFECT_GROUPS = {
 @pytest.mark.parametrize("radius", [0.5, 1.0])
 @pytest.mark.parametrize("name", list(DEFECT_GROUPS))
 def test_group_defect_is_the_matrix_product_formula(name, radius):
-    """Products by J, I_pq and kron(I_2, I_pq) as moves and negations of
-    entries give the defects of the matrix products byte for byte."""
+    """The equations read from the family table, with products by J, I_pq
+    and kron(I_2, I_pq) as moves and negations of entries, give the defects
+    of the per-family matrix products byte for byte."""
     group = DEFECT_GROUPS[name]
     frame = PAIRS[name].frame if name in PAIRS else M.compact_basis(group)
     points = GroupSampler(frame, radius, 17).take(40).points
