@@ -57,7 +57,6 @@ from .matrices import (
     generator,
     glc_split_basis,
     gram_schmidt_indefinite,
-    quaternion_embed,
     signature_matrix,
     sl_r,
     so_pq,
@@ -72,7 +71,6 @@ from .matrices import (
 )
 from .morphisms import (
     RationalMorphism,
-    compose_orthogonal,
     mobius_transform,
     orthogonal_family,
     power_constants,

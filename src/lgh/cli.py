@@ -5,7 +5,7 @@ number strict JSON cannot state (NaN, an infinity; then nothing is
 written), 2 configuration or validation error (the diagnostic names the
 offending field), an --out path that cannot be written included (field
 ``out``).  A flag or config field the command does not read
-(``harness.READS``) is a configuration error.
+(``harness.CHECKS``) is a configuration error.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import json
 import sys
 
 from .errors import ConfigError, InconclusiveError, ValidationError
-from .families import LEMMA_FAMILIES
-from .harness import DEFAULT_SEED, IDENTITY_TOL, READS, RunConfig, isotropic_point, load_config, run, run_suite
+from .families import LEMMA_FAMILIES, LINEAR_FAMILIES
+from .harness import (CHECKS, DEFAULT_SEED, IDENTITY_TOL, SUITE_READS, RunConfig, isotropic_point, load_config,
+                      run, run_suite)
 from .matrices import FAMILIES, FAMILY_BY_ALIAS, NONCOMPACT_FAMILIES
 
 
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
 
     s = sub.add_parser("verify-family", help="eigenfamily equations")
-    s.add_argument("--group", choices=["so", "u", "su", "sp"])
+    s.add_argument("--group", choices=[FAMILIES[f].alias for f in LINEAR_FAMILIES])
     s.add_argument("--n", type=int)
     s.add_argument(
         "--special",
@@ -110,7 +111,7 @@ def _config_from_args(args) -> RunConfig:
             f"lgh {command} does not read --{key} here: it only refines --group or --pair",
             field=key,
         )
-    reads = READS[command]
+    reads = SUITE_READS if command == "suite" else CHECKS[command].reads
     default = RunConfig()
     given = [key for key, value in vars(cfg).items() if key in flagged or value != getattr(default, key)]
     for key in given:

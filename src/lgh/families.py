@@ -63,13 +63,6 @@ def bilinear(u, v) -> complex:
     return complex(np.sum(np.asarray(u, dtype=complex) * np.asarray(v, dtype=complex)))
 
 
-def coefficient_outer(p, a) -> np.ndarray:
-    """The matrix p^t a with entries p_i a_j."""
-    p = np.asarray(p, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    return np.outer(p, a)
-
-
 def maximal_isotropic_basis(n: int) -> list[np.ndarray]:
     """span{ e_{2k-1} + i e_{2k} } for k = 1..floor(n/2)."""
     out = []
@@ -117,7 +110,7 @@ def _linear_family(group: GroupId, p, vectors, provenance: str) -> Eigenfamily:
     for lo in range(0, size, n):
         for a in vectors:
             m = np.zeros((size, size), dtype=complex)
-            m[:n, lo : lo + n] = coefficient_outer(p, a)
+            m[:n, lo : lo + n] = np.outer(p, a)
             members.append(LinearTrace(m))
     lam, mu = eigen_constants(group.family, n)
     return Eigenfamily(group, members, lam, mu, provenance)

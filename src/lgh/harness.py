@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -185,11 +186,6 @@ def group_from_spec(d: dict, field: str = "group") -> GroupId:
         raise ConfigError(str(exc), field=field) from exc
 
 
-def group_to_spec(gid: GroupId) -> dict:
-    sizes = {"p": gid.p, "q": gid.q} if FAMILIES[gid.family].pq else {"n": gid.n}
-    return {"family": FAMILIES[gid.family].alias, **sizes}
-
-
 def family_from_spec(d: dict) -> fa.Eigenfamily:
     """The linear family of a spec block: the group's
     :func:`lgh.families.default_family` unless the spec states p, V or an
@@ -246,6 +242,8 @@ def _coeff_map(items, field_name: str) -> dict:
         _block(item, ("exponents", "coeff"), field_name)
         if not isinstance(expo, list) or not all(_is_integer(e) for e in expo):
             raise ConfigError(f"{field_name} exponents must be a list of integers", field=field_name)
+        if tuple(expo) in out:
+            raise ConfigError(f"{field_name} repeats the exponents {expo}", field=field_name)
         out[tuple(expo)] = pair_to_complex(coeff, field_name)
     return out
 
@@ -411,15 +409,6 @@ def run_duality(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     return du.verify_dual_eigenfamily(pair, fam, samples, tol=cfg.tol)
 
 
-COMMANDS = {
-    "verify-identities": run_identities,
-    "verify-lemma": run_lemma,
-    "verify-family": run_family,
-    "verify-morphism": run_morphism,
-    "verify-duality": run_duality,
-}
-
-
 # ---------------------------------------------------------------------------
 # suite-only checks: runners of a config, like the commands, that no
 # subcommand reaches
@@ -552,36 +541,38 @@ def _power_family(k: int, cfg: RunConfig, store: SampleStore) -> VerificationRep
     return VerificationReport(f"power-family-k{k}", str(pfam.group), params, residuals, cfg.tol, len(table))
 
 
-# The suite-only checks by report name; ``run`` runs them as it runs the
-# commands.  The factory gives two reports, its own and the quotient
-# condition's.
-_SUITE_ONLY = {
-    "eigenfamily-deformations": _deformations,
-    "constants-crosscheck": _constants_crosscheck,
-    "family-negative-control": _family_negative_control,
-    "morphism-factory": lambda cfg, store: _morphism_factory(family_from_spec(cfg.family), cfg, store),
-    "morphism-negative-control": _morphism_negative_control,
-    **{f"power-family-k{k}": partial(_power_family, k) for k in (2, 3)},
+@dataclass(frozen=True)
+class Check:
+    """A check's runner, a function of (config, store), and the RunConfig
+    fields it reads; the CLI rejects any other field that a flag or a config
+    file sets.  ``run`` reads ``check`` for every check."""
+
+    runner: Callable
+    reads: tuple
+
+
+_SAMPLED = ("check", "family", "samples", "seed", "radius", "tol")
+
+# Every check by name: the ``lgh`` subcommands, then the suite-only checks.
+# The factory gives two reports, its own and the quotient condition's.
+CHECKS = {
+    "verify-identities": Check(run_identities, ("check", "n", "tol")),
+    "verify-lemma": Check(run_lemma, ("check", "group", "samples", "seed", "radius", "tol")),
+    "verify-family": Check(run_family, _SAMPLED),
+    "verify-morphism": Check(run_morphism, ("check", "family", "morphism", "samples", "seed", "radius", "tol", "floor")),
+    "verify-duality": Check(run_duality, ("check", "pair", "family", "samples", "seed", "radius", "tol")),
+    "eigenfamily-deformations": Check(_deformations, ("check", "samples", "seed", "radius", "tol")),
+    "constants-crosscheck": Check(_constants_crosscheck, ("check", "tol")),
+    "family-negative-control": Check(_family_negative_control, _SAMPLED),
+    "morphism-factory": Check(
+        lambda cfg, store: _morphism_factory(family_from_spec(cfg.family), cfg, store), (*_SAMPLED, "floor")
+    ),
+    "morphism-negative-control": Check(_morphism_negative_control, _SAMPLED),
+    **{f"power-family-k{k}": Check(partial(_power_family, k), _SAMPLED) for k in (2, 3)},
 }
 
-# The RunConfig fields each check reads; the CLI rejects any other field
-# that a flag or a config file sets.  ``run`` reads ``check`` for every
-# check; the suite runs a fixed matrix and reads only seed and tol.
-READS = {
-    "verify-identities": ("check", "n", "tol"),
-    "verify-lemma": ("check", "group", "samples", "seed", "radius", "tol"),
-    "verify-family": ("check", "family", "samples", "seed", "radius", "tol"),
-    "verify-morphism": ("check", "family", "morphism", "samples", "seed", "radius", "tol", "floor"),
-    "verify-duality": ("check", "pair", "family", "samples", "seed", "radius", "tol"),
-    "suite": ("seed", "tol"),
-    "eigenfamily-deformations": ("check", "samples", "seed", "radius", "tol"),
-    "constants-crosscheck": ("check", "tol"),
-    "morphism-factory": ("check", "family", "samples", "seed", "radius", "tol", "floor"),
-    **dict.fromkeys(
-        ("family-negative-control", "morphism-negative-control", "power-family-k2", "power-family-k3"),
-        ("check", "family", "samples", "seed", "radius", "tol"),
-    ),
-}
+# The suite runs a fixed matrix and reads only these.
+SUITE_READS = ("seed", "tol")
 
 
 def run(name: str, cfg: RunConfig, store: SampleStore | None = None):
@@ -599,9 +590,9 @@ def run(name: str, cfg: RunConfig, store: SampleStore | None = None):
     """
     store = SampleStore() if store is None else store
     with timed_report() as clock:
-        result = (COMMANDS.get(name) or _SUITE_ONLY[name])(cfg, store)
+        result = CHECKS[name].runner(cfg, store)
     for i, report in enumerate(result if isinstance(result, tuple) else (result,)):
-        if "seed" in READS[name]:
+        if "seed" in CHECKS[name].reads:
             report.params.update(sampler_seed=cfg.seed, radius=cfg.radius)
         if cfg.check is not None:
             report.check = cfg.check
@@ -664,12 +655,12 @@ def suite_checks(seed: int = DEFAULT_SEED, tol: float = 1e-8):
     ``lgh`` subcommand, that is what ``lgh <name> --config`` gives for the
     config, wall time aside; the other names are the suite-only checks,
     which no subcommand reaches.  A config holds only the fields its check
-    reads (``READS``).
+    reads (``CHECKS``).
     """
 
     def row(label, name, **fields):
         fields = {"seed": seed, "tol": tol, **fields}
-        return label, name, RunConfig(**{k: v for k, v in fields.items() if k in READS[name]})
+        return label, name, RunConfig(**{k: v for k, v in fields.items() if k in CHECKS[name].reads})
 
     rows = [row(f"identities-n{n}", "verify-identities", n=n, tol=min(tol, IDENTITY_TOL)) for n in range(2, 11)]
     for alias, sizes in (("so", range(2, 7)), ("u", range(2, 5)), ("sp", range(1, 4))):

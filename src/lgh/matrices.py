@@ -1,6 +1,6 @@
 """The classical groups and their complex dense matrices: canonical
-generators, orthonormal Lie-algebra bases, the quaternionic embedding, and
-Gram-Schmidt for an indefinite trace form.
+generators, orthonormal Lie-algebra bases, the structure matrices I_pq and
+J, and Gram-Schmidt for an indefinite trace form.
 
 ``FAMILIES`` is the one table of the classical groups: for each family its
 config alias, label, sizing by ``n`` or ``(p, q)``, ambient-size factor,
@@ -116,20 +116,6 @@ class GroupId:
         if partner is None:
             raise ValidationError(f"{self} has no compact partner")
         return GroupId(partner, self.n or self.p + self.q)
-
-    @property
-    def algebra_dim(self) -> int:
-        """Real dimension of the Lie algebra (compact families only)."""
-        n = self.n
-        if self.family == "SO":
-            return n * (n - 1) // 2
-        if self.family == "U":
-            return n * n
-        if self.family == "SU":
-            return n * n - 1
-        if self.family == "Sp":
-            return n * (2 * n + 1)
-        raise ValidationError(f"algebra_dim undefined for {self.family}")
 
     def __str__(self) -> str:
         return FAMILIES[self.family].label.format(n=self.n, p=self.p, q=self.q)
@@ -444,17 +430,8 @@ def verify_matrix_identities(n: int, tol: float = 1e-12) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# quaternionic embedding and structure matrices
+# structure matrices
 # ---------------------------------------------------------------------------
-
-def quaternion_embed(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Embed the quaternionic matrix z + jw as [[z, w], [-conj(w), conj(z)]]."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if z.shape != w.shape or z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise ValidationError("quaternion_embed needs two square blocks of equal size")
-    return np.block([[z, w], [-w.conj(), z.conj()]])
-
 
 def signature_matrix(p: int, q: int) -> np.ndarray:
     """I_pq = diag(-I_p, I_q)."""

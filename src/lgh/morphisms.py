@@ -515,26 +515,13 @@ def verify_quotient_condition(
 
 
 # ---------------------------------------------------------------------------
-# orthogonal harmonic families and composition
+# orthogonal harmonic families
 # ---------------------------------------------------------------------------
 
 def orthogonal_family(group, members) -> Eigenfamily:
     """An eigenfamily with lambda = mu = 0: every member is harmonic and all
     gradients pairwise isotropic."""
     return Eigenfamily(group, list(members), 0j, 0j, "orthogonal")
-
-
-def compose_orthogonal(family: Eigenfamily, h: dict) -> HomPoly:
-    """Compose a polynomial h (exponent map, any total degrees, a constant
-    term included) with the members of an orthogonal harmonic family.
-
-    The result is again harmonic with isotropic gradient.  Only the
-    structural lambda = mu = 0 requirement is checked here; measure the
-    family with :func:`lgh.families.verify_eigenfamily`.
-    """
-    if family.lam != 0 or family.mu != 0:
-        raise ValidationError("composition requires an orthogonal family (lambda = mu = 0)")
-    return HomPoly(h, family.members)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ ALL_PAIRS = [
 @pytest.mark.parametrize("gid", ALL_PAIRS, ids=str)
 def test_dual_pair_invariants(gid):
     pair = du.dual_pair(gid)
-    assert len(pair.k_basis) + len(pair.p_basis) == pair.compact.algebra_dim
+    assert len(pair.k_basis) + len(pair.p_basis) == len(M.compact_basis(pair.compact))
     assert pair.frame is pair.frame
     assert pair.frame.vectors == pair.k_basis.vectors + pair.p_basis.vectors
     assert pair.residuals["involution"] < 1e-12
@@ -328,7 +328,7 @@ def test_dual_family_continues_the_isotropic_point_family():
 def test_identity_pair_reproduces_compact_verification():
     gid = M.U(2)
     pair = du.identity_pair(gid)
-    assert len(pair.k_basis) == gid.algebra_dim
+    assert len(pair.k_basis) == len(M.compact_basis(gid))
     assert len(pair.p_basis) == 0
     fam = fa.u_family(2, _e(2))
     samples = du.sample_noncompact(pair, 30, 0.5, 42)

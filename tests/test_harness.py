@@ -76,7 +76,6 @@ def test_group_spec_round_trip():
     assert sorted(spec["family"] for spec, *_ in GROUP_SPECS) == sorted(row.alias for row in FAMILIES.values())
     for spec, label, dim, partner in GROUP_SPECS:
         gid = H.group_from_spec(spec)
-        assert H.group_to_spec(gid) == spec
         assert H.group_from_spec({**spec, "family": gid.family}) == gid  # the raw family name
         assert (str(gid), gid.matrix_dim) == (label, dim)
         if partner is None:
@@ -94,6 +93,9 @@ def test_schema_and_cli_aliases_are_the_table_aliases():
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
     pair = next(a for a in commands["verify-duality"]._actions if a.dest == "pair")
     assert pair.choices == [FAMILIES[f].alias for f in NONCOMPACT_FAMILIES]
+    for command, families in (("verify-lemma", LEMMA_FAMILIES), ("verify-family", fa.LINEAR_FAMILIES)):
+        group = next(a for a in commands[command]._actions if a.dest == "group")
+        assert group.choices == [FAMILIES[f].alias for f in families], command
 
 
 def test_schema_sizes_each_group_as_the_table_does():
@@ -174,7 +176,8 @@ def test_one_default_family_per_group(gid):
     pair = dual_pair(gid) if gid.family in NONCOMPACT_FAMILIES else None
     compact = pair.compact if pair else gid
     want = _family_bytes(fa.default_family(compact))
-    assert _family_bytes(H.family_from_spec({"group": H.group_to_spec(compact)})) == want
+    spec = {"family": FAMILIES[compact.family].alias, "n": compact.n}
+    assert _family_bytes(H.family_from_spec({"group": spec})) == want
     if pair:
         assert _family_bytes(default_compact_family(pair)) == want
 
@@ -515,14 +518,18 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["verify-family", "--config", "{v_number}"], "family.V"),
         (["verify-family", "--config", "{deformation_text}"], "family.deformation.z"),
         (["verify-morphism", "--config", "{coeff_text}"], "morphism.Q"),
+        (["verify-morphism", "--config", "{p_exponents_twice}"], "morphism.P"),
+        (["verify-morphism", "--config", "{q_exponents_twice}"], "morphism.Q"),
     ],
 )
 def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
     """Each config file the parser rejects is rejected by
     ``docs/schemas/config.schema.json`` too, except where the schema cannot
     tell: a field the command does not read, a verify-identities tol above
-    1e-12, number literals JSON does not have (NaN, Infinity), and a key
-    set twice in one object, which a loaded JSON object cannot hold."""
+    1e-12, number literals JSON does not have (NaN, Infinity), a key set
+    twice in one object, which a loaded JSON object cannot hold, and two
+    terms of P or Q with the same exponents, which would keep only the
+    last coefficient."""
     u2 = {"group": {"family": "u", "n": 2}}
     so4 = {"family": "so", "n": 4}
     configs = {
@@ -573,6 +580,8 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
         "v_number": {"family": {"group": so4, "V": 5}},
         "deformation_text": {"family": {"group": so4, "deformation": {"z": ["a", 0]}}},
         "coeff_text": {"family": u2, "morphism": {**H.HOPF_SPEC, "Q": [{"exponents": [0, 1], "coeff": [1, "i"]}]}},
+        "p_exponents_twice": {"family": u2, "morphism": {**H.HOPF_SPEC, "P": [*H.HOPF_SPEC["P"], {"exponents": [1, 0], "coeff": 5}]}},
+        "q_exponents_twice": {"family": u2, "morphism": {**H.HOPF_SPEC, "Q": [*H.HOPF_SPEC["Q"], {"exponents": [0, 1], "coeff": 5}]}},
     }
     texts = {name: json.dumps(config) for name, config in configs.items()}
     # json.load keeps the last of repeated keys: tol 1e-8, and U(2)
@@ -586,7 +595,7 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
     silent = {
         "config", "floor_nan", "tol_infinity", "coeff_nan", "hopf", "tol_twice", "group_n_twice",
-        "identities_loose_tol",
+        "identities_loose_tol", "p_exponents_twice", "q_exponents_twice",
     }
     for name in {arg[1:-1] for arg in argv if arg.startswith("{")} - silent:
         with pytest.raises(jsonschema.ValidationError):
@@ -776,9 +785,10 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
     report_schema = json.loads((schemas / "report.schema.json").read_text())
     jsonschema.validate(suite_document, report_schema)
     suite_reports = [{k: v for k, v in c.items() if k != "wall_time"} for c in suite_document["checks"]]
-    rows = [row for row in H.suite_checks(seed=42, tol=1e-8) if row[1] in H.COMMANDS]
+    commands = set(next(a for a in build_parser()._actions if a.dest == "command").choices) - {"suite"}
+    rows = [row for row in H.suite_checks(seed=42, tol=1e-8) if row[1] in commands]
     assert len(rows) == 44
-    assert {command for _, command, _ in rows} == set(H.COMMANDS)
+    assert {command for _, command, _ in rows} == commands
     for i, (label, command, cfg) in enumerate(rows):
         config = {k: v for k, v in cfg.to_dict().items() if v is not None}
         jsonschema.validate(config, schema)
@@ -790,7 +800,7 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
         report.pop("wall_time")
         same = [c for c in suite_reports if (c["check"], c["target"]) == (report["check"], report["target"])]
         assert same == [report], label
-        if "seed" in H.READS[command]:
+        if "seed" in H.CHECKS[command].reads:
             assert (report["params"]["sampler_seed"], report["params"]["radius"]) == (cfg.seed, cfg.radius)
     # the U(2) eigenfamily row, rebuilt from its target, params and sample count
     from lgh import families as fa
@@ -822,16 +832,17 @@ def test_every_suite_row_replays_through_run(suite_document):
         config = {k: v for k, v in cfg.to_dict().items() if v is not None}
         jsonschema.validate(config, schema)
         default = H.RunConfig()
-        assert {k for k, v in cfg.to_dict().items() if v != getattr(default, k)} <= set(H.READS[name]), label
+        assert {k for k, v in cfg.to_dict().items() if v != getattr(default, k)} <= set(H.CHECKS[name].reads), label
         result = H.run(name, cfg)
         replayed += result if isinstance(result, tuple) else [result]
     reports = json.loads(json.dumps([rep.to_dict() for rep in replayed]))
     suite_reports = [{k: v for k, v in c.items() if k != "wall_time"} for c in suite_document["checks"]]
     assert len(reports) == 72
     assert [{k: v for k, v in c.items() if k != "wall_time"} for c in reports] == suite_reports
-    # the suite-only checks are no subcommand
+    # every check is a subcommand or a suite-only check that no subcommand reaches
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
-    assert {name for _, name, _ in rows} & set(commands) == set(H.COMMANDS)
+    assert set(H.CHECKS) == {name for _, name, _ in rows}
+    assert set(H.CHECKS) & set(commands) == set(commands) - {"suite"}
 
 
 def test_run_times_the_whole_row(monkeypatch):

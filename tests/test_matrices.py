@@ -73,7 +73,9 @@ def test_sp1_basis_matches_diagonal_set():
 )
 def test_compact_basis_orthonormal(gid):
     basis = M.compact_basis(gid)
-    assert len(basis) == gid.algebra_dim
+    n = gid.n
+    dims = {"SO": n * (n - 1) // 2, "U": n * n, "SU": n * n - 1, "Sp": n * (2 * n + 1)}
+    assert len(basis) == dims[gid.family]
     mats = basis.matrices
     gram = np.einsum("aij,bij->ab", mats, mats.conj()).real
     assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-12
@@ -149,34 +151,6 @@ def test_identity_d_sandwich_off_diagonal_vanishes():
         M.generator("D", t, n) @ e23 @ M.generator("D", t, n).T for t in range(1, n + 1)
     )
     assert np.max(np.abs(total)) == 0.0
-
-
-def test_quaternion_embed_units():
-    assert np.array_equal(M.quaternion_embed([[1]], [[0]]), np.eye(2, dtype=complex))
-    assert np.array_equal(
-        M.quaternion_embed([[0]], [[1]]), np.array([[0, 1], [-1, 0]], dtype=complex)
-    )
-    assert np.array_equal(
-        M.quaternion_embed([[1j]], [[0]]), np.array([[1j, 0], [0, -1j]], dtype=complex)
-    )
-
-
-def test_quaternion_embed_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        M.quaternion_embed(np.eye(2), np.eye(3))
-
-
-def test_quaternion_embed_preserves_symplectic_form():
-    from lgh.sampling import sample_compact
-
-    for n in (1, 2):
-        j = M.symplectic_matrix(n)
-        for g in sample_compact(M.Sp(n), 10, 0.5, seed=11):
-            z = g[:n, :n]
-            w = g[:n, n:]
-            q = M.quaternion_embed(z, w)
-            assert np.max(np.abs(q - g)) < 1e-12
-            assert np.max(np.abs(q @ j @ q.T - j)) < 1e-10
 
 
 def test_structure_matrices():
