@@ -75,13 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     """The config file overridden by the flags.
 
-    A field the command does not read, set by a flag or off its default in
-    the config file, is an error; so is a flag that refines --group or
+    A field the command does not read, set by a flag or by the config file
+    (whatever its value), is an error; so is a flag that refines --group or
     --pair given without it, and a verify-identities tol so set above
     IDENTITY_TOL.
     """
     command = args.command
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg, in_file = load_config(args.config) if args.config else (RunConfig(), ())
     flagged = [key for key in ("samples", "seed", "radius", "tol", "floor")
                if getattr(args, key) is not None]
     for key in flagged:
@@ -112,8 +112,7 @@ def _config_from_args(args) -> RunConfig:
             field=key,
         )
     reads = SUITE_READS if command == "suite" else CHECKS[command].reads
-    default = RunConfig()
-    given = [key for key, value in vars(cfg).items() if key in flagged or value != getattr(default, key)]
+    given = [key for key in vars(cfg) if key in flagged or key in in_file]
     for key in given:
         if key not in reads:
             raise ConfigError(f"lgh {command} reads only {', '.join(reads)}, not {key}", field=key)

@@ -61,22 +61,18 @@ def _monomial_plan(exponents: tuple):
     return plan
 
 
-def monomials(values, exponents: tuple, order: int = 2) -> tuple:
+def monomials(values, exponents: tuple) -> tuple:
     """Values (S, M), gradients (S, M, m) and Hessians (S, M, m, m) of the
     monomials x^e, one per exponent tuple e of ``exponents`` (M of them), at
-    stacked argument values x of shape (S, m); the first ``order + 1`` of
-    the three.
+    stacked argument values x of shape (S, m).
 
     Each monomial and each of its derivatives is one product of powers of
     the arguments, taken once per exponent vector, times the integer that
-    differentiation brings down, so a row's bits depend only on that row,
-    whatever the order.
+    differentiation brings down, so a row's bits depend only on that row.
     """
     values = np.asarray(values, dtype=complex)
     count, m = values.shape
     needed, grad_rows, factor, hess_rows, factor2 = _monomial_plan(tuple(exponents))
-    if order == 0:
-        needed = needed[: len(exponents)]
     top = int(needed.max(initial=0))
     powers = [np.ones_like(values)]
     for _ in range(top):
@@ -86,12 +82,11 @@ def monomials(values, exponents: tuple, order: int = 2) -> tuple:
     # take() keeps the factors C-ordered, so prod() multiplies each
     # monomial's factors alone, the same way at any stack size
     products = table.take(np.arange(m) * (top + 1) + needed, axis=1).prod(axis=-1)
-    out = [products[:, : len(exponents)]]
-    if order >= 1:
-        out.append(products.take(grad_rows, axis=1) * factor)
-    if order >= 2:
-        out.append(products.take(hess_rows, axis=1) * factor2)
-    return tuple(out)
+    return (
+        products[:, : len(exponents)],
+        products.take(grad_rows, axis=1) * factor,
+        products.take(hess_rows, axis=1) * factor2,
+    )
 
 
 def contract(table, coeffs):

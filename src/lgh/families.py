@@ -179,13 +179,14 @@ def default_point(n: int) -> np.ndarray:
     return p
 
 
-def default_family(group: GroupId) -> Eigenfamily:
-    """The linear family of a group that names nothing else: p = e_1, and on
-    SO(n) the standard isotropic subspace (:func:`maximal_isotropic_basis`).
-    A group outside :data:`LINEAR_FAMILIES` raises :class:`ValidationError`."""
+def default_family(group: GroupId, p=None) -> Eigenfamily:
+    """The linear family of a group at ``p`` (e_1 when None), on SO(n) over
+    the standard isotropic subspace (:func:`maximal_isotropic_basis`): with
+    no p, the family of a group that names nothing else.  A group outside
+    :data:`LINEAR_FAMILIES` raises :class:`ValidationError`."""
     if group.family not in LINEAR_FAMILIES:
         raise ValidationError(f"no linear eigenfamily on {group}")
-    n, p = group.n, default_point(group.n)
+    n, p = group.n, default_point(group.n) if p is None else p
     if group.family == "SO":
         return so_family_V(n, p, maximal_isotropic_basis(n))
     return {"U": u_family, "SU": su_family, "Sp": sp_family}[group.family](n, p)

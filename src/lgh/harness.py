@@ -133,7 +133,8 @@ def _config_fault(data, path: str):
     return next(filter(None, (_config_fault(v, f"{path}.{k}") for k, v in items)), None)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str) -> tuple[RunConfig, tuple]:
+    """The config of a JSON file, and the keys the file sets."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_float=_number, parse_constant=_number, object_pairs_hook=_object)
@@ -149,7 +150,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(message, field=field.removeprefix("config."))
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object", field="config")
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict(data), tuple(data)
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +205,17 @@ def family_from_spec(d: dict) -> fa.Eigenfamily:
         zw = _block(d["deformation"], ("z", "w"), "family.deformation")
         z, w = (pair_to_complex(zw.get(key, 0.0), f"family.deformation.{key}") for key in ("z", "w"))
         p = fa.so4_deformation(z, w)
-    elif "p" in d:
-        p = vector_from_json(d["p"], "family.p")
-    elif d.get("V", "standard") == "standard":
-        p = None
     else:
-        p = fa.default_point(n)
+        p = vector_from_json(d["p"], "family.p") if "p" in d else None
     try:
-        if p is None:
-            return fa.default_family(gid)
-        if gid.family != "SO":
-            return {"U": fa.u_family, "SU": fa.su_family, "Sp": fa.sp_family}[gid.family](n, p)
-        if "V" not in d:
+        if gid.family == "SO" and "V" not in d and p is not None:
             return fa.so_family_special(n, p)
-        if d["V"] == "standard":
-            V = fa.maximal_isotropic_basis(n)
-        elif isinstance(d["V"], list) and d["V"]:
-            V = [vector_from_json(v, "family.V") for v in d["V"]]
-        else:
+        if d.get("V", "standard") == "standard":
+            return fa.default_family(gid, p)
+        if not isinstance(d["V"], list) or not d["V"]:
             raise ConfigError('V must be "standard" or a nonempty list of vectors', field="family.V")
-        return fa.so_family_V(n, p, V)
+        V = [vector_from_json(v, "family.V") for v in d["V"]]
+        return fa.so_family_V(n, fa.default_point(n) if p is None else p, V)
     except ValidationError as exc:
         raise ConfigError(str(exc), field="family") from exc
 

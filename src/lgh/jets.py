@@ -16,10 +16,11 @@ members' coefficient matrices and walks them once
 their tau and their signed kappa Gram at every sample.  Polynomials in
 members are not walked: the chain rule of :mod:`lgh.exprs` composes them
 from their members' table (:class:`lgh.exprs.MonomialTable`).  Quotients
-P/Q are not members: the morphism kernel
-(:func:`lgh.morphisms.quotient_operators`) applies the quotient rule to
-their P and Q.  Every reduction runs per sample, so a row's bits do not
-depend on how many samples are stacked.  The ring operations of
+P/Q are not members: the morphism verifier screens and reduces them on
+one pair table of their P and Q per frame table
+(:func:`lgh.morphisms._screen`, :func:`lgh.morphisms.quotient_operators`).
+Every reduction runs per sample, so a row's bits do not depend on how
+many samples are stacked.  The ring operations of
 :class:`Jet2` compose jets exactly, but no kernel multiplies jets.
 """
 
@@ -106,22 +107,6 @@ class FrameOperators:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    def rows(self, index) -> "FrameOperators":
-        return FrameOperators(
-            self.members, self.basis, self.values[index], self.tau[index], self.kappa[index]
-        )
-
-    @staticmethod
-    def concat(tables: list) -> "FrameOperators":
-        first = tables[0]
-        return FrameOperators(
-            first.members,
-            first.basis,
-            np.concatenate([t.values for t in tables]),
-            np.concatenate([t.tau for t in tables]),
-            np.concatenate([t.kappa for t in tables]),
-        )
 
     def describes(self, members, basis: SignedBasis) -> bool:
         """True when the table holds exactly these members on this frame."""

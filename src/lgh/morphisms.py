@@ -22,7 +22,8 @@ directly.  The quotient rule runs here only, once on every in-domain
 (sample, quotient) entry (:func:`quotient_operators`): F(P, Q) = P/Q has
 gradient (1/Q, -P/Q^2) and Hessian [[0, -1/Q^2], [-1/Q^2, 2P/Q^3]] in
 (P, Q) (:meth:`RationalMorphism.derivatives`).  A quotient is never a
-frame-table member.
+frame-table member.  The domain screen reads Q from the same pair tables
+(:func:`_screen`), so no Q is computed twice.
 
 The member tau and kappa are measured, never taken from the family's stated
 (lambda, mu), so a wrong member list shows up as a failing residual.
@@ -36,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, InconclusiveError, ValidationError
-from .exprs import HomPoly, MonomialTable, _coefficients, _layout, _term_degrees, chain_tau, contract, monomials
+from .exprs import HomPoly, MonomialTable, _coefficients, _layout, _term_degrees, chain_tau
 from .families import Eigenfamily
 from .jets import FrameOperators, frame_operators, stack_samples
 from .matrices import GroupId, SignedBasis
@@ -84,12 +85,6 @@ class RationalMorphism:
     def degree(self) -> int:
         return self.numerator.degree
 
-    @property
-    def degrees(self) -> tuple:
-        """The total degrees of the terms of P and Q: the monomial table the
-        quotient is verified on."""
-        return _term_degrees(self.numerator, self.denominator)
-
     def derivatives(self, values):
         """Value p/q (S,), gradient (S, 2) and Hessian (S, 2, 2) in (p, q),
         at stacked argument values of shape (S, 2).
@@ -113,7 +108,7 @@ class RationalMorphism:
         x = np.asarray(x, dtype=complex)
         empty = SignedBasis(GroupId("GLC-split", x.shape[-1]))
         table = frame_operators(self.family.members, [x], empty)
-        return bool(_in_domain(table, [self], _groups([self.numerator], [self.denominator]))[0, 0])
+        return bool(_screen(table, _groups([self.numerator], [self.denominator]), 1, self.floor)[1][0, 0])
 
 
 # relative Gram determinant at or below which two coefficient rows count as
@@ -230,17 +225,16 @@ def _pair_table(table: FrameOperators, degrees: tuple, coeffs: np.ndarray) -> Qu
     return table.derived[key]
 
 
-def _in_domain(table: FrameOperators, morphs, groups) -> np.ndarray:
-    """Whether |Q_k| clears the floor at each row of a member frame table,
-    (S, K), for K quotients of one floor and their monomial-table
-    ``groups`` (see :func:`_groups`).  The monomial values (order 0) and the
-    contraction are those of :class:`MonomialTable`, so a screened row's Q
-    is bit for bit the Q the kernel divides by."""
-    out = np.empty((len(table), len(morphs)), dtype=bool)
-    for degrees, ks, coeffs in groups:
-        values = monomials(table.values, _layout(len(table.members), degrees)[0], order=0)[0]
-        out[:, ks] = np.abs(contract(values, coeffs[len(ks) :])) > morphs[0].floor
-    return out
+def _screen(table: FrameOperators, groups, count: int, floor: float):
+    """The pair table of each of the degree ``groups`` (:func:`_groups`) over
+    a member frame table (:func:`_pair_table`), and the mask (S, ``count``)
+    of the rows where each of the ``count`` quotients has |Q| > ``floor``:
+    the one domain screen, on the Q the kernel divides by."""
+    tables = [_pair_table(table, degrees, coeffs) for degrees, _, coeffs in groups]
+    mask = np.empty((len(table), count), dtype=bool)
+    for (_, ks, _), pairs in zip(groups, tables):
+        mask[:, ks] = np.abs(pairs.q) > floor
+    return tables, mask
 
 
 def quotient_operators(morphs, pairs: QuotientPairs, rows):
@@ -331,20 +325,21 @@ def _collect_in_domain(morphs, groups, base: FrameOperators, kept, basis, sample
     comes first.  That is what a redraw in rounds of the shortfall consumes:
     a round ends the redraw only when all of its points are in domain.  The
     points come from ``sampler`` in look-ahead blocks, each measured by one
-    :func:`frame_operators` call and screened once for every quotient, so
-    ``sampler`` may be asked for more than the shortfall.  What a quotient
-    does not consume passes to the next one, and what is left at the end is
-    dropped, so ``sampler`` may be left advanced past the last consumed
-    point.  The counts do not depend on the block sizes.
+    :func:`frame_operators` call and screened once for every quotient on
+    its own pair tables (:func:`_screen`), so ``sampler`` may be asked for
+    more than the shortfall.  What a quotient does not consume passes to
+    the next one, and what is left at the end is dropped, so ``sampler``
+    may be left advanced past the last consumed point.  The counts do not
+    depend on the block sizes.
 
-    Returns the member table of the consumed points (D rows) and the mask
-    (D, K) of the points each quotient consumed in its domain, and each
-    quotient's (samples used, samples discarded, points of the stream the
-    quotients before it consumed).
+    Returns each block's pair tables, one per degree group, the mask (D, K)
+    of the D drawn points that each quotient consumed in its domain, and
+    each quotient's (samples used, samples discarded, points of the stream
+    the quotients before it consumed).
     """
     target = min_samples if min_samples is not None else len(base)
     budget = max(10 * max(target, 1), len(base)) - len(base)
-    blocks, hits = [base.rows(slice(0, 0))], kept[:0]
+    blocks, hits = [], kept[:0]
     counts, taken = [], []
     skip = 0
     for k in range(len(morphs)):
@@ -361,8 +356,10 @@ def _collect_in_domain(morphs, groups, base: FrameOperators, kept, basis, sample
             batch = stack_samples(sampler(count), basis)
             if len(batch) != count:
                 raise ValidationError(f"sampler returned {len(batch)} points when asked for {count}")
-            blocks.append(frame_operators(base.members, batch, basis))
-            hits = np.concatenate([hits, _in_domain(blocks[-1], morphs, groups)])
+            block = frame_operators(base.members, batch, basis)
+            tables, screened = _screen(block, groups, len(morphs), morphs[0].floor)
+            blocks.append(tables)
+            hits = np.concatenate([hits, screened])
         found = np.cumsum(hits[skip:, k])
         taken.append(min(int(np.searchsorted(found, need)) + 1, budget) if need > 0 else 0)
         used += int(found[taken[-1] - 1]) if taken[-1] else 0
@@ -372,9 +369,9 @@ def _collect_in_domain(morphs, groups, base: FrameOperators, kept, basis, sample
             )
         counts.append((used, len(base) + taken[-1] - used, skip))
         skip += taken[-1]
-    owner = np.repeat(np.arange(len(morphs)), taken)
-    mask = hits[:skip] & (owner[:, None] == np.arange(len(morphs)))
-    return FrameOperators.concat(blocks).rows(slice(0, skip)), mask, counts
+    owner = np.repeat(np.arange(len(morphs) + 1), taken + [len(hits) - skip])
+    mask = hits & (owner[:, None] == np.arange(len(morphs)))
+    return blocks, mask, counts
 
 
 def verify_harmonic_morphism(
@@ -393,18 +390,20 @@ def verify_harmonic_morphism(
     own domain: samples where its |Q| falls to the floor are discarded, and
     when a ``sampler(count)`` callable is supplied and r in-domain samples
     are still missing, the quotient consumes the stream up to its r-th
-    in-domain point, or up to ten times the requested count in all, before
-    the run is declared inconclusive.  ``sampler`` must return ``count`` points
-    (else :class:`ValidationError`); it may be asked for more than the
-    shortfall, and may be left advanced past the last point the quotients
-    consumed (see :func:`_collect_in_domain`).  The quotients consume the
-    stream in their order, so each one's samples are those of a run of it
-    alone after the ones before it.  Every quotient of one monomial table is
-    then verified by one kernel call (:func:`quotient_operators`).  The
-    base rows' pair table of each degree group is built once and kept on
-    the members' frame table (:func:`_pair_table`), where
-    :func:`verify_quotient_condition` on the same pairs and table reads it;
-    the domain screen of the base rows reads its Q.
+    in-domain point, or up to ten times the requested count in all.  A
+    quotient that exhausts that budget is verified on the in-domain samples
+    it found, however few (``samples_used`` says how many); only one with
+    no in-domain sample at all raises :class:`InconclusiveError`.
+    ``sampler`` must return ``count`` points (else
+    :class:`ValidationError`); it may be asked for more than the shortfall,
+    and may be left advanced past the last point the quotients consumed
+    (see :func:`_collect_in_domain`).  The quotients consume the stream in
+    their order, so each one's samples are those of a run of it alone after
+    the ones before it.  The base rows and each look-ahead block are
+    screened on their own pair tables (:func:`_screen`), and one kernel call
+    per monomial table reduces those same tables (:func:`quotient_operators`).
+    :func:`verify_quotient_condition` on the same pairs and frame table
+    reads the base rows' tables (:func:`_pair_table`).
 
     For a sequence the residuals are the maxima over all quotients, the
     sample counts their sums, and ``notes`` gives, for the worst tau and
@@ -425,23 +424,15 @@ def verify_harmonic_morphism(
     with timed_report() as clock:
         base = frame_operators(members, samples, basis)
         groups = _groups([k.numerator for k in morphs], [k.denominator for k in morphs])
-        # the base rows are screened on the Q of the pair tables the kernel divides by
-        tables = [_pair_table(base, degrees, coeffs) for degrees, _, coeffs in groups]
-        kept = np.empty((len(base), len(morphs)), dtype=bool)
-        for (_, ks, _), pairs in zip(groups, tables):
-            kept[:, ks] = np.abs(pairs.q) > floor
-        consumed, mask, counts = _collect_in_domain(morphs, groups, base, kept, basis, sampler, min_samples)
+        tables, kept = _screen(base, groups, len(morphs), floor)
+        blocks, mask, counts = _collect_in_domain(morphs, groups, base, kept, basis, sampler, min_samples)
+        # a consumed point counts only for the quotient that consumed it
+        rows = np.concatenate([kept, mask])
         tau_max = np.empty(len(morphs))
         kappa_max = np.empty(len(morphs))
-        for (degrees, ks, coeffs), pairs in zip(groups, tables):
-            rows = kept[:, ks]
-            # a consumed point counts only for the quotient that consumed it
-            extra = mask[:, ks].any(axis=1)
-            if extra.any():
-                more = quotient_pairs(MonomialTable.over(consumed.rows(extra), degrees), coeffs)
-                pairs = QuotientPairs.concat([pairs, more])
-                rows = np.concatenate([rows, mask[extra][:, ks]])
-            tau_vals, kappa_vals = quotient_operators([morphs[k] for k in ks], pairs, rows)
+        for g, (_, ks, _) in enumerate(groups):
+            pairs = QuotientPairs.concat([tables[g]] + [block[g] for block in blocks])
+            tau_vals, kappa_vals = quotient_operators([morphs[k] for k in ks], pairs, rows[:, ks])
             tau_max[ks] = np.max(np.abs(tau_vals), axis=0)
             kappa_max[ks] = np.max(np.abs(kappa_vals), axis=0)
     if isinstance(m, RationalMorphism):
@@ -574,9 +565,16 @@ def random_morphism(
     """
     _refuse_single_monomial(fam.members, degree)
     p, q = _random_hompolys(fam.members, degree, rng, 2)
-    while _proportional(p, q):
-        q = random_hompoly(fam.members, degree, rng)
-    return RationalMorphism(fam, p, q, floor)
+    return _redrawn(fam, p, rng, floor) if _proportional(p, q) else RationalMorphism(fam, p, q, floor)
+
+
+def _redrawn(fam: Eigenfamily, p: HomPoly, rng: SplitMix64, floor: float) -> RationalMorphism:
+    """P over a Q drawn from the next 2M uniforms of ``rng``, and drawn again
+    while it is proportional to P: the redraw of a proportional pair."""
+    while True:
+        q = random_hompoly(fam.members, p.degree, rng)
+        if not _proportional(p, q):
+            return RationalMorphism(fam, p, q, floor)
 
 
 # degrees a factory quotient is drawn with: 1 + (a u64 of the stream) % 3
@@ -632,8 +630,5 @@ def random_morphisms(fam: Eigenfamily, count: int, rng: SplitMix64, floor: float
             break
         # the pair at ``first`` tested proportional: redraw its Q after it
         rng.skip(starts[first] + 4 * sizes[degrees[first] - 1] - len(u))
-        p, q = polys[first][0], random_hompoly(members, degrees[first], rng)
-        while _proportional(p, q):
-            q = random_hompoly(members, degrees[first], rng)
-        out.append(RationalMorphism(fam, p, q, floor))
+        out.append(_redrawn(fam, polys[first][0], rng, floor))
     return out

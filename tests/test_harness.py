@@ -128,12 +128,6 @@ def test_schema_sizes_each_group_as_the_table_does():
             H.group_from_spec({"family": alias, "n": 3})
 
 
-def test_cli_lemma_groups_are_the_lemma_families():
-    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
-    group = next(a for a in commands["verify-lemma"]._actions if a.dest == "group")
-    assert group.choices == [FAMILIES[f].alias for f in LEMMA_FAMILIES]
-
-
 def test_family_from_spec_defaults_to_standard_subspace():
     fam = H.family_from_spec({"group": {"family": "so", "n": 4}})
     assert fam.provenance == "so-isotropic-subspace"
@@ -520,16 +514,18 @@ def test_cli_suite_rejects_flags_it_does_not_read(flags, field, capsys):
         (["verify-morphism", "--config", "{coeff_text}"], "morphism.Q"),
         (["verify-morphism", "--config", "{p_exponents_twice}"], "morphism.P"),
         (["verify-morphism", "--config", "{q_exponents_twice}"], "morphism.Q"),
+        (["verify-family", "--config", "{floor_at_default}"], "floor"),
+        (["verify-identities", "--config", "{sampling_at_default}"], "seed"),
     ],
 )
 def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp_path, capsys):
     """Each config file the parser rejects is rejected by
     ``docs/schemas/config.schema.json`` too, except where the schema cannot
-    tell: a field the command does not read, a verify-identities tol above
-    1e-12, number literals JSON does not have (NaN, Infinity), a key set
-    twice in one object, which a loaded JSON object cannot hold, and two
-    terms of P or Q with the same exponents, which would keep only the
-    last coefficient."""
+    tell: a field the command does not read, at its default value or not,
+    a verify-identities tol above 1e-12, number literals JSON does not have
+    (NaN, Infinity), a key set twice in one object, which a loaded JSON
+    object cannot hold, and two terms of P or Q with the same exponents,
+    which would keep only the last coefficient."""
     u2 = {"group": {"family": "u", "n": 2}}
     so4 = {"family": "so", "n": 4}
     configs = {
@@ -582,6 +578,8 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
         "coeff_text": {"family": u2, "morphism": {**H.HOPF_SPEC, "Q": [{"exponents": [0, 1], "coeff": [1, "i"]}]}},
         "p_exponents_twice": {"family": u2, "morphism": {**H.HOPF_SPEC, "P": [*H.HOPF_SPEC["P"], {"exponents": [1, 0], "coeff": 5}]}},
         "q_exponents_twice": {"family": u2, "morphism": {**H.HOPF_SPEC, "Q": [*H.HOPF_SPEC["Q"], {"exponents": [0, 1], "coeff": 5}]}},
+        "floor_at_default": {"family": u2, "floor": 0.001},
+        "sampling_at_default": {"seed": 42, "radius": 0.5},
     }
     texts = {name: json.dumps(config) for name, config in configs.items()}
     # json.load keeps the last of repeated keys: tol 1e-8, and U(2)
@@ -595,7 +593,8 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
     silent = {
         "config", "floor_nan", "tol_infinity", "coeff_nan", "hopf", "tol_twice", "group_n_twice",
-        "identities_loose_tol", "p_exponents_twice", "q_exponents_twice",
+        "identities_loose_tol", "p_exponents_twice", "q_exponents_twice", "floor_at_default",
+        "sampling_at_default",
     }
     for name in {arg[1:-1] for arg in argv if arg.startswith("{")} - silent:
         with pytest.raises(jsonschema.ValidationError):
@@ -728,10 +727,9 @@ def test_factory_composes_nothing_and_builds_each_degree_table_once(monkeypatch)
         bases.append(real_frame(*args, **kwargs))
         return bases[-1]
 
-    def monomials(values, exponents, order=2):
-        if order == 2:
-            builds.append((id(values), len(exponents)))
-        return real_monomials(values, exponents, order)
+    def monomials(values, exponents):
+        builds.append((id(values), len(exponents)))
+        return real_monomials(values, exponents)
 
     monkeypatch.setattr(exprs, "compose", compose)
     monkeypatch.setattr(H, "frame_operators", frame_operators)
@@ -790,7 +788,8 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
     assert len(rows) == 44
     assert {command for _, command, _ in rows} == commands
     for i, (label, command, cfg) in enumerate(rows):
-        config = {k: v for k, v in cfg.to_dict().items() if v is not None}
+        # the fields the command reads: the CLI refuses any other a file sets
+        config = {k: v for k, v in cfg.to_dict().items() if v is not None and k in H.CHECKS[command].reads}
         jsonschema.validate(config, schema)
         path, out = tmp_path / f"row{i}.json", tmp_path / f"report{i}.json"
         path.write_text(json.dumps(config))

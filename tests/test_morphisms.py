@@ -335,15 +335,15 @@ def test_kernel_rows_do_not_depend_on_which_quotients_share_the_call():
     bits, and a lone sample gives the bits of its row in the stack."""
     fam = fa.u_family(3, _e(3))
     basis = M.compact_basis(fam.group)
-    table = frame_operators(fam.members, sample_compact(fam.group, 30, 0.5, 42), basis)
+    samples = sample_compact(fam.group, 30, 0.5, 42)
+    table = frame_operators(fam.members, samples, basis)
     rng = SplitMix64(5)
     for degree in (1, 2, 3):
         morphs = [mo.random_morphism(fam, degree, rng, floor=0.05) for _ in range(5)]
 
         def run(ms, rows_of=table):
             groups = mo._groups([m.numerator for m in ms], [m.denominator for m in ms])
-            rows = mo._in_domain(rows_of, ms, groups)
-            pairs = mo.quotient_pairs(mo.MonomialTable.over(rows_of, (degree,)), groups[0][2])
+            (pairs,), rows = mo._screen(rows_of, groups, len(ms), ms[0].floor)
             tau, kappa = mo.quotient_operators(ms, pairs, rows)
             cond = mo.quotient_condition(fam, [m.numerator for m in ms], [m.denominator for m in ms], rows_of)
             return {
@@ -357,7 +357,8 @@ def test_kernel_rows_do_not_depend_on_which_quotients_share_the_call():
         together = run(morphs)
         alone = {key: val for m in morphs for key, val in run([m]).items()}
         assert bits(together) == bits(alone) == bits(run(morphs[::-1]))
-        lone = {key: val for m in morphs for key, val in run([m], table.rows(slice(0, 1))).items()}
+        one = frame_operators(fam.members, samples.points[:1], basis)
+        lone = {key: val for m in morphs for key, val in run([m], one).items()}
         assert bits(together, 1) == bits(lone)
         assert all(arrays[0].any() for arrays in together.values())
 
@@ -485,7 +486,8 @@ def test_compose_orthogonal_polynomial():
     orth, samples = _shared_denominator_orthogonal_family()
     basis = M.compact_basis(orth.group)
     table = oracle.frame_table(orth.members, samples, basis)
-    assert fa.verify_eigenfamily(orth, basis, table.rows(slice(20)), tol=1e-8).passed
+    head = oracle.frame_table(orth.members, samples[:20], basis)
+    assert fa.verify_eigenfamily(orth, basis, head, tol=1e-8).passed
     composed = HomPoly({(2, 0): 1.0, (1, 1): -0.5j, (0, 0): 3.0}, orth.members)
     rep = fa.verify_eigenfamily(
         mo.orthogonal_family(orth.group, [composed]), basis, compose([composed], table), tol=1e-7
@@ -557,8 +559,7 @@ def test_chain_rule_matches_full_jet_walk(case):
         m = mo.RationalMorphism(fam, *polys, floor=0.2)
         table = frame_operators(fam.members, samples, basis)
         groups = mo._groups([m.numerator], [m.denominator])
-        rows = mo._in_domain(table, [m], groups)
-        pairs = mo.quotient_pairs(mo.MonomialTable.over(table, m.degrees), groups[0][2])
+        (pairs,), rows = mo._screen(table, groups, 1, m.floor)
         q_tau, q_kappa = mo.quotient_operators([m], pairs, rows)
     for s, x in enumerate(samples):
         assert np.abs(ops.values[s] - full.values[s]).max() <= 1e-12
@@ -680,6 +681,39 @@ def test_look_ahead_block_size_does_not_change_a_report(monkeypatch, block, ahea
             morphs[worst["index"]], basis, base, min_samples=50, sampler=lambda k: sampler.take(k).points
         )
         assert alone.residuals[name].hex() == expected[0][name]
+
+
+def test_resampling_builds_one_monomial_table_per_frame_table_and_degree_group(monkeypatch):
+    """Q has one path: every frame table a resampling verifier measures,
+    the base rows and each look-ahead block alike, gets exactly one
+    monomial table per degree group, which screens its rows and feeds the
+    kernel."""
+    from lgh import exprs
+
+    fam = fa.sp_family(1, _e(1))
+    basis = M.compact_basis(fam.group)
+    rng = SplitMix64(3)
+    morphs = [mo.random_morphism(fam, 1 + k % 3, rng, floor=0.5) for k in range(6)]
+    tables, builds = [], []
+    real_frame, real_monomials = mo.frame_operators, exprs.monomials
+
+    def frame_operators(*args):
+        tables.append(real_frame(*args))
+        return tables[-1]
+
+    def monomials(values, exponents):
+        builds.append((id(values), tuple(exponents)))
+        return real_monomials(values, exponents)
+
+    monkeypatch.setattr(mo, "frame_operators", frame_operators)
+    monkeypatch.setattr(exprs, "monomials", monomials)
+    sampler = compact_sampler(fam.group, 0.5, 42)
+    rep = mo.verify_harmonic_morphism(
+        morphs, basis, sampler.take(50), min_samples=50, sampler=lambda k: sampler.take(k).points
+    )
+    assert rep.samples_discarded > 100 and len(tables) > 2
+    layouts = [_layout(len(fam.members), (d,))[0] for d in (1, 2, 3)]
+    assert sorted(builds) == sorted((id(t.values), e) for t in tables for e in layouts)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
