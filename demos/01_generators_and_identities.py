@@ -35,8 +35,8 @@ x12 = M.generator("X", (1, 2), 2)
 y12 = M.generator("Y", (1, 2), 2)
 print("input span: X_12 and X_12 + Y_12 (the second vector is isotropic)")
 out = M.gram_schmidt_indefinite([x12, x12 + y12])
-for v in out:
-    print(f"  sign {v.sign:+d}:\n{np.round(v.matrix.real, 4)}")
+for z, sign in zip(out.matrices, out.signs):
+    print(f"  sign {sign:+.0f}:\n{np.round(z.real, 4)}")
 print("pivoting on max |B(v,v)| avoided the isotropic direction;")
 print("the result is the signed frame {(X_12, +1), (Y_12, -1)}.")
 

@@ -41,11 +41,11 @@ def f_value(y):
 
 
 print("=== jet vs central differences along one frame vector ===")
-z = basis.vectors[4]
-jet = f_jet(z.matrix[None])  # a one-vector frame
+z = basis.matrices[4]
+jet = f_jet(z[None])  # a one-vector frame
 f1, f2 = complex(jet.f1[0]), complex(jet.f2[0])
 h = 1e-4
-vals = {s: f_value(x @ expm(s * z.matrix)) for s in (-h, 0.0, h)}
+vals = {s: f_value(x @ expm(s * z)) for s in (-h, 0.0, h)}
 fd1 = (vals[h] - vals[-h]) / (2 * h)
 fd2 = (vals[h] - 2 * vals[0.0] + vals[-h]) / h**2
 print(f"first derivative   jet {f1:+.12f}")

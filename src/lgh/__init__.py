@@ -15,6 +15,7 @@ from .duality import (
     DualPair,
     default_compact_family,
     dual_pair,
+    group_frame,
     identity_pair,
     sample_noncompact,
     verify_dual_eigenfamily,
@@ -52,7 +53,6 @@ from .matrices import (
     U,
     GroupId,
     SignedBasis,
-    SignedBasisVector,
     compact_basis,
     generator,
     glc_split_basis,

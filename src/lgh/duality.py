@@ -8,7 +8,9 @@ into k = fix(theta) and the anti-fixed part m, and the algebra of G is
 k + i m.  Frames of k carry
 sign -1 and frames of i m carry sign +1 under Re trace(Z W), so the signed
 tau/kappa sums of :mod:`lgh.jets` evaluate the semi-Riemannian operators of
-G directly.
+G directly.  The group alone fixes that frame: :func:`dual_pair` builds it
+once per group, and :func:`group_frame` gives every check the frame of its
+group, compact or not.
 
 Polynomial eigenfamilies continue across the duality unchanged as
 functions of the entries; their constants flip sign.  That holds for every
@@ -21,6 +23,8 @@ inside that complexification.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,22 +35,23 @@ from .report import VerificationReport
 from .sampling import GroupSampler, SampleSet, group_defect
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualPair:
-    """A non-compact group, its compact partner, and the aligned frames."""
+    """A non-compact group, its compact partner, the aligned frames and the
+    frame checks, read-only."""
 
     noncompact: GroupId
     compact: GroupId
     k_basis: SignedBasis  # fix(theta), signs -1
     p_basis: SignedBasis  # i * antifix(theta), signs +1
     frame: SignedBasis  # the full signed orthonormal frame k (-1) then p (+1)
-    residuals: dict
+    residuals: MappingProxyType
 
 
 def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis, frame: SignedBasis) -> dict:
     zs = base.matrices
     res = {}
-    res["involution"] = float(np.max(np.abs(theta(theta(zs)) - zs))) if len(base) else 0.0
+    res["involution"] = float(np.max(np.abs(theta(theta(zs)) - zs), initial=0.0))
     # automorphism on all compact basis pairs: theta[Z, W] = [theta Z, theta W]
     tz = theta(zs)
     brackets = zs[:, None] @ zs - zs @ zs[:, None]
@@ -54,11 +59,8 @@ def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis, fr
     res["automorphism"] = float(np.max(np.abs(theta(brackets) - theta_brackets), initial=0.0))
 
     def wrong_component(brackets, wrong: SignedBasis) -> float:
-        if not len(wrong) or not brackets.size:
-            return 0.0
-        coords = np.einsum("...ij,cji->...c", brackets, wrong.matrices).real
-        coords = coords * wrong.signs
-        return float(np.sqrt(np.max(np.sum(coords**2, axis=-1)))) if coords.size else 0.0
+        coords = np.einsum("...ij,cji->...c", brackets, wrong.matrices).real * wrong.signs
+        return float(np.sqrt(np.max(np.sum(coords**2, axis=-1), initial=0.0)))
 
     # [k, k] in k, [k, p] in p, [p, p] in k: the component outside is wrong
     closure = 0.0
@@ -87,30 +89,37 @@ def _build_pair(noncompact: GroupId, compact: GroupId, theta) -> DualPair:
     base = compact_basis(compact)
     zs = base.matrices
     tz = theta(zs)
-    fix = [(zs[i] + tz[i]) / 2.0 for i in range(len(base))]
-    anti = [(zs[i] - tz[i]) / 2.0 for i in range(len(base))]
-    k = gram_schmidt_indefinite(fix, noncompact, drop_dependent=True)
-    p = gram_schmidt_indefinite([1j * m for m in anti], noncompact, drop_dependent=True)
+    k = gram_schmidt_indefinite((zs + tz) / 2.0, noncompact, drop_dependent=True)
+    p = gram_schmidt_indefinite(1j * ((zs - tz) / 2.0), noncompact, drop_dependent=True)
     if len(k) + len(p) != len(base):
         raise ConstructionError(
             f"{noncompact}: dim k + dim p = {len(k)} + {len(p)} != dim u = {len(base)}"
         )
-    if any(v.sign != -1 for v in k) or any(v.sign != +1 for v in p):
+    if np.any(k.signs != -1) or np.any(p.signs != +1):
         raise ConstructionError(f"{noncompact}: unexpected frame signs")
-    frame = SignedBasis(noncompact, k.vectors + p.vectors)
+    frame = SignedBasis(noncompact, np.concatenate([k.matrices, p.matrices]), np.concatenate([k.signs, p.signs]))
     res = _pair_residuals(theta, base, k, p, frame)
     bad = {key: val for key, val in res.items() if val >= _TOLERANCES[key]}
     if bad:
         raise ConstructionError(f"{noncompact}: frame checks out of tolerance: {bad}")
-    return DualPair(noncompact, compact, k, p, frame, res)
+    return DualPair(noncompact, compact, k, p, frame, MappingProxyType(res))
 
 
+@cache
 def dual_pair(gid: GroupId) -> DualPair:
-    """Construct the aligned dual pair for a non-compact classical group,
-    theta the Cartan involution of its real structure."""
+    """The aligned dual pair of a non-compact classical group, theta the
+    Cartan involution of its real structure.  Built once per group: every
+    call with the same group returns the same (shared, read-only) pair."""
     if gid.family not in NONCOMPACT_FAMILIES:
         raise ValidationError(f"{gid} is not a non-compact classical group")
     return _build_pair(gid, gid.compact_partner, real_structure(gid).theta)
+
+
+def group_frame(group: GroupId) -> SignedBasis:
+    """The frame every check on ``group`` samples and measures with: a
+    compact group's :func:`~lgh.matrices.compact_basis`, a non-compact
+    group's :func:`dual_pair` frame; either is built once per process."""
+    return dual_pair(group).frame if group.family in NONCOMPACT_FAMILIES else compact_basis(group)
 
 
 def identity_pair(compact: GroupId) -> DualPair:

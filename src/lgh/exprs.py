@@ -20,6 +20,7 @@ the morphism verifiers their numerators and denominators.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -219,10 +220,20 @@ class HomPoly:
 # the chain rule: monomial tables over a frame table of members
 # ---------------------------------------------------------------------------
 
+# the most bytes of monomial Hessians, (M, m, m) complex128, that a layout
+# may need a sample; every suite and benchmark layout needs at most 5 KB
+HESSIAN_BUDGET = 1 << 16
+
+
 @lru_cache(maxsize=None)
 def _layout(m: int, degrees: tuple):
     """The monomials of the given total degrees in m arguments: their
-    exponent tuples and the row of each in that list."""
+    exponent tuples and the row of each in that list.  A layout over
+    ``HESSIAN_BUDGET`` is refused, counted before it is enumerated."""
+    count = sum(math.comb(m + d - 1, d) for d in degrees) if m else 0
+    if 16 * count * m * m > HESSIAN_BUDGET:
+        raise ValidationError(f"{count} monomials of degrees {list(degrees)} in {m} members need "
+                              f"{16 * count * m * m} bytes of Hessians a sample, over {HESSIAN_BUDGET}")
     expos = tuple(
         tuple(combo.count(i) for i in range(m))
         for d in degrees

@@ -28,7 +28,6 @@ from .matrices import (
     NONCOMPACT_FAMILIES,
     GroupId,
     SignedBasis,
-    compact_basis,
     verify_matrix_identities,
 )
 from .report import VerificationReport, timed_report
@@ -251,8 +250,7 @@ def morphism_from_spec(fam: fa.Eigenfamily, d: dict, floor: float) -> mo.Rationa
 
 
 def pair_group_from_spec(d: dict) -> GroupId:
-    """The non-compact group of a pair spec; the run's store builds its
-    pair."""
+    """The non-compact group of a pair spec."""
     gid = group_from_spec(d, "pair")
     if gid.family not in NONCOMPACT_FAMILIES:
         raise ConfigError(f"{gid} is not a non-compact dual group", field="pair.family")
@@ -265,8 +263,7 @@ def pair_group_from_spec(d: dict) -> GroupId:
 
 class _Stream:
     """One (frame, radius, seed) stream: its sampler and the points drawn so
-    far, write-protected.  The sampler keeps the frame, whose id keys the
-    stream, alive."""
+    far, write-protected."""
 
     def __init__(self, sampler: GroupSampler):
         self.sampler = sampler
@@ -301,38 +298,26 @@ class StreamCursor:
 
 
 class SampleStore:
-    """The samples and dual pairs of one run.
+    """The sample streams of one run.
 
-    :meth:`frame` is the one place that picks the frame a check on a group
-    samples and measures with: a compact group's
-    :func:`~lgh.matrices.compact_basis`, a non-compact group's aligned pair
-    frame.  Each (frame, radius, seed) stream is drawn once, by one sampler
-    on the frame, and every row that reads it gets a :class:`StreamCursor`
-    from its first point.  As ``take(a)`` then ``take(b)`` gives the points
-    of ``take(a + b)`` bit for bit, a reader's points do not depend on which
-    reader drew them first.  Streams are keyed by the frame object, not the
-    group: an identity pair and a compact group share a group but not a
-    frame.  Dual pairs are built once per group.  A store lives for one
-    :func:`run` or one :func:`run_suite` and is never shared between
-    threads.
+    Each (frame, radius, seed) stream is drawn once, by one sampler on the
+    frame, and every row that reads it gets a :class:`StreamCursor` from its
+    first point.  As ``take(a)`` then ``take(b)`` gives the points of
+    ``take(a + b)`` bit for bit, a reader's points do not depend on which
+    reader drew them first.  A frame keys its streams by identity, not by
+    its group or its values: an identity pair and a compact group share a
+    group but not a frame, and an equal copy of a frame has streams of its
+    own.  The runners read every frame from :func:`lgh.duality.group_frame`.
+    A store lives for one :func:`run` or one :func:`run_suite` and is never
+    shared between threads.
     """
 
     def __init__(self):
         self._streams: dict[tuple, _Stream] = {}
-        self._pairs: dict[GroupId, du.DualPair] = {}
-
-    def pair(self, gid: GroupId) -> du.DualPair:
-        if gid not in self._pairs:
-            self._pairs[gid] = du.dual_pair(gid)
-        return self._pairs[gid]
-
-    def frame(self, gid: GroupId) -> SignedBasis:
-        """The frame of every check on ``gid``."""
-        return self.pair(gid).frame if gid.family in NONCOMPACT_FAMILIES else compact_basis(gid)
 
     def cursor(self, frame: SignedBasis, radius: float, seed: int) -> StreamCursor:
         """A cursor on the frame's stream of ``radius`` and ``seed``."""
-        key = (id(frame), radius, seed)
+        key = (frame, radius, seed)
         if key not in self._streams:
             self._streams[key] = _Stream(GroupSampler(frame, radius, seed))
         return StreamCursor(self._streams[key])
@@ -361,7 +346,7 @@ def run_lemma(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if gid.family not in fa.LEMMA_FAMILIES:
         aliases = ", ".join(FAMILIES[f].alias for f in fa.LEMMA_FAMILIES)
         raise ConfigError(f"coordinate relations exist for {aliases}", field="group.family")
-    samples = store.cursor(store.frame(gid), cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(du.group_frame(gid), cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_coordinate_lemmas(gid, samples, tol=cfg.tol)
 
 
@@ -369,7 +354,7 @@ def run_family(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.family is None:
         raise ConfigError("missing family spec", field="family")
     fam = family_from_spec(cfg.family)
-    basis = store.frame(fam.group)
+    basis = du.group_frame(fam.group)
     samples = store.cursor(basis, cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_eigenfamily(fam, basis, samples, tol=cfg.tol)
 
@@ -379,7 +364,7 @@ def run_morphism(cfg: RunConfig, store: SampleStore) -> VerificationReport:
         raise ConfigError("morphism run needs family and morphism specs", field="morphism")
     fam = family_from_spec(cfg.family)
     morph = morphism_from_spec(fam, cfg.morphism, cfg.floor)
-    basis = store.frame(fam.group)
+    basis = du.group_frame(fam.group)
     sampler = store.cursor(basis, cfg.radius, cfg.seed)
     first = sampler.take(cfg.samples)
     return mo.verify_harmonic_morphism(
@@ -395,9 +380,9 @@ def run_morphism(cfg: RunConfig, store: SampleStore) -> VerificationReport:
 def run_duality(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.pair is None:
         raise ConfigError("missing pair spec", field="pair")
-    pair = store.pair(pair_group_from_spec(cfg.pair))
+    pair = du.dual_pair(pair_group_from_spec(cfg.pair))
     fam = family_from_spec(cfg.family) if cfg.family else du.default_compact_family(pair)
-    samples = store.cursor(store.frame(pair.noncompact), cfg.radius, cfg.seed).take(cfg.samples)
+    samples = store.cursor(du.group_frame(pair.noncompact), cfg.radius, cfg.seed).take(cfg.samples)
     return du.verify_dual_eigenfamily(pair, fam, samples, tol=cfg.tol)
 
 
@@ -408,15 +393,15 @@ def run_duality(cfg: RunConfig, store: SampleStore) -> VerificationReport:
 
 def _frame_table(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore):
     """The members' frame table on the config's samples, measured with the
-    store's frame of the family's group, which is ``table.basis``."""
-    frame = store.frame(fam.group)
+    frame of the family's group, which is ``table.basis``."""
+    frame = du.group_frame(fam.group)
     return frame_operators(fam.members, store.cursor(frame, cfg.radius, cfg.seed).take(cfg.samples), frame)
 
 
 def _deformations(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """Ten seeded (z, w) deformations of the isotropic-point family on SO(4)."""
     gid = GroupId("SO", 4)
-    basis = store.frame(gid)
+    basis = du.group_frame(gid)
     samples = store.cursor(basis, cfg.radius, cfg.seed).take(cfg.samples)
     rng_seed = cfg.seed ^ 0x5EED5EED
     rng = SplitMix64(rng_seed)
@@ -486,7 +471,7 @@ def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore, p
     """Random same-degree (P, Q) quotients of floor ``cfg.floor`` must all
     verify; the quotient condition triple equality is measured on the same
     instances.  ``fam`` may be a family no spec describes, a continued
-    family on a dual group among them: the store picks its frame.
+    family on a dual group among them: its group picks the frame.
 
     All quotients are drawn first, by :func:`lgh.morphisms.random_morphisms`
     (per quotient a u64 for its degree 1 + u % 3, then P, then Q), then
@@ -498,7 +483,7 @@ def _morphism_factory(fam: fa.Eigenfamily, cfg: RunConfig, store: SampleStore, p
     factory report's ``notes`` name the quotients with the worst tau and
     the worst kappa by their index in the polynomial stream.
     """
-    basis = store.frame(fam.group)
+    basis = du.group_frame(fam.group)
     rng_seed = cfg.seed ^ 0xFAC7041
     rng = SplitMix64(rng_seed)
     sampler = store.cursor(basis, cfg.radius, cfg.seed)

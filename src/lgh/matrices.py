@@ -16,15 +16,14 @@ appear throughout:
 * the Riemannian form      ``Re trace(Z W*)``  (positive definite),
 * the semi-Riemannian form ``Re trace(Z W)``   (indefinite in general).
 
-A basis vector carries the sign of the semi-Riemannian form on itself, so a
-``SignedBasis`` describes an orthonormal frame of a possibly semi-Riemannian
-metric Lie algebra.
+A ``SignedBasis`` holds its basis matrices and the sign of the
+semi-Riemannian form on each, so it describes an orthonormal frame of a
+possibly semi-Riemannian metric Lie algebra.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -165,42 +164,30 @@ def sp_pq(p: int, q: int) -> GroupId:
     return GroupId("Sppq", p=p, q=q)
 
 
-@dataclass(frozen=True)
-class SignedBasisVector:
-    """A basis matrix together with the sign of Re trace(Z Z) on it."""
-
-    matrix: np.ndarray
-    sign: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedBasis:
-    """Orthonormal frame of a metric Lie algebra, one sign per vector.
+    """Orthonormal frame of a metric Lie algebra: the basis matrices stacked
+    (B, n, n) and the sign of Re trace(Z Z) on each, (B,).
 
-    A basis is frozen, and its stacked arrays are built once and are
-    read-only, so it can be shared (as :func:`compact_basis` shares its
-    results)."""
+    The arrays are copied and read-only, and a frame compares and hashes by
+    identity, so it can be shared (as :func:`compact_basis` shares its
+    results) and can key a dict."""
 
     group: GroupId
-    vectors: Sequence[SignedBasisVector] = ()
+    matrices: np.ndarray
+    signs: np.ndarray
+
+    def __post_init__(self):
+        n = self.group.matrix_dim
+        zs, signs = np.array(self.matrices, dtype=complex), np.array(self.signs, dtype=float)
+        zs = zs.reshape(0, n, n) if zs.shape == (0,) else zs
+        if zs.ndim != 3 or zs.shape[1:] != (n, n) or signs.shape != zs.shape[:1]:
+            raise ValidationError(f"a frame of {self.group} needs (B, {n}, {n}) matrices and B signs, not {zs.shape}")
+        object.__setattr__(self, "matrices", _read_only(zs))
+        object.__setattr__(self, "signs", _read_only(signs))
 
     def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    @cached_property
-    def matrices(self) -> np.ndarray:
-        """Basis matrices stacked along the leading axis, shape (B, n, n)."""
-        if not self.vectors:
-            n = self.group.matrix_dim
-            return _read_only(np.zeros((0, n, n), dtype=complex))
-        return _read_only(np.stack([v.matrix for v in self.vectors]))
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        return _read_only(np.array([float(v.sign) for v in self.vectors]))
+        return len(self.signs)
 
     @cached_property
     def casimir(self) -> np.ndarray:
@@ -351,7 +338,7 @@ def compact_basis(group: GroupId) -> SignedBasis:
         mats = _sp_basis_matrices(n)
     else:
         raise ValidationError(f"no compact basis for family {group.family!r}")
-    return SignedBasis(group, tuple(SignedBasisVector(_read_only(m), +1) for m in mats))
+    return SignedBasis(group, mats, np.ones(len(mats)))
 
 
 def glc_split_basis(n: int) -> tuple[SignedBasis, SignedBasis]:
@@ -367,15 +354,8 @@ def glc_split_basis(n: int) -> tuple[SignedBasis, SignedBasis]:
     plus = [generator("X", p, n) for p in _pairs(n)]
     plus += [generator("D", t, n) for t in range(1, n + 1)]
     plus += [1j * generator("Y", p, n) for p in _pairs(n)]
-    minus = [generator("Y", p, n) for p in _pairs(n)]
-    minus += [1j * generator("X", p, n) for p in _pairs(n)]
-    minus += [1j * generator("D", t, n) for t in range(1, n + 1)]
-    for m in plus + minus:
-        m.setflags(write=False)
-    return (
-        SignedBasis(gid, [SignedBasisVector(m, +1) for m in plus]),
-        SignedBasis(gid, [SignedBasisVector(m, -1) for m in minus]),
-    )
+    minus = compact_basis(GroupId("U", n)).matrices
+    return SignedBasis(gid, plus, np.ones(len(plus))), SignedBasis(gid, minus, -np.ones(len(minus)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +527,12 @@ def gram_schmidt_indefinite(
     # subtracts only the newly accepted vector, which is the same sequence
     # of roundings as projecting off every accepted vector in order
     projected = [m for m in supplied if np.max(np.abs(m)) > 1e-14]
-    accepted: list[SignedBasisVector] = []
+    accepted, signs = [], []
     while projected:
         if accepted:
-            u = accepted[-1]
+            u, sign = accepted[-1], signs[-1]
             for w in projected:
-                w -= u.sign * trace_form(w, u.matrix) * u.matrix
+                w -= sign * trace_form(w, u) * u
         forms = [trace_form(w, w) for w in projected]
         best = max(range(len(forms)), key=lambda i: abs(forms[i]))
         b = forms[best]
@@ -562,7 +542,6 @@ def gram_schmidt_indefinite(
             raise DegeneracyError(
                 f"null direction: |B(v,v)| = {abs(b):.3e} after orthogonalization"
             )
-        w = projected.pop(best) / math.sqrt(abs(b))
-        w.setflags(write=False)
-        accepted.append(SignedBasisVector(w, +1 if b > 0 else -1))
-    return SignedBasis(group, accepted)
+        accepted.append(projected.pop(best) / math.sqrt(abs(b)))
+        signs.append(+1 if b > 0 else -1)
+    return SignedBasis(group, accepted, signs)

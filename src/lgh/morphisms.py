@@ -40,9 +40,9 @@ from .errors import DomainError, InconclusiveError, ValidationError
 from .exprs import HomPoly, MonomialTable, _coefficients, _layout, _term_degrees, chain_tau
 from .families import Eigenfamily
 from .jets import FrameOperators, frame_operators, stack_samples
-from .matrices import GroupId, SignedBasis
+from .matrices import SignedBasis
 from .report import VerificationReport, timed_report
-from .sampling import SampleSet, SplitMix64
+from .sampling import SplitMix64
 
 
 def power_constants(lam: complex, mu: complex, k: int) -> tuple[complex, complex]:
@@ -105,8 +105,7 @@ class RationalMorphism:
 
     def in_domain(self, x) -> bool:
         """|Q(x)| > floor, with Q evaluated as the verifier screens samples."""
-        x = np.asarray(x, dtype=complex)
-        empty = SignedBasis(GroupId("GLC-split", x.shape[-1]))
+        empty = SignedBasis(self.family.group, (), ())
         table = frame_operators(self.family.members, [x], empty)
         return bool(_screen(table, _groups([self.numerator], [self.denominator]), 1, self.floor)[1][0, 0])
 
@@ -419,8 +418,6 @@ def verify_harmonic_morphism(
         raise ValidationError("the quotients of one call need one family and one floor")
     members = family.members
     _over_members([f for k in morphs for f in (k.numerator, k.denominator)], members)
-    if not isinstance(samples, (FrameOperators, SampleSet, np.ndarray)):
-        samples = list(samples)
     with timed_report() as clock:
         base = frame_operators(members, samples, basis)
         groups = _groups([k.numerator for k in morphs], [k.denominator for k in morphs])

@@ -38,10 +38,13 @@ large stack is multiplied in blocks of rows, which bounds the temporary.
 A frame with no imaginary part (SO(n), and the aligned frames of SL(n,R)
 and Sp(n,R)) is combined, exponentiated and multiplied in float64, and its
 points are cast to complex once at the end.  They equal the complex
-kernel's bit for bit: a complex product whose factors have zero imaginary
-parts rounds as the real product, and at every radius a config allows no
-such matrix is squared (a squaring can leave a -0.0 imaginary part in the
-complex kernel, where float64 gives +0.0).  Defects are checked on the
+kernel's: a complex product whose factors have zero imaginary parts rounds
+as the real product.  Only a squaring step can leave a -0.0 imaginary part
+in the complex kernel where float64 gives +0.0, so the real parts are equal
+bit for bit and the imaginary parts are zero on both.  No frame the suite
+samples squares a matrix at a radius in (0, 1], but larger ones do: at
+radius 1, SO(11) squares 7 of 600 generators and SO(12) 80 (seed 1).
+Defects are checked on the
 complex stack, as the equations are stated; there the reality residual
 |conj(x) - x| of SO(n), SL(n,R) and Sp(n,R) is 2 |Im x|, exactly 0.
 """

@@ -38,14 +38,25 @@ def test_dual_pair_invariants(gid):
     pair = du.dual_pair(gid)
     assert len(pair.k_basis) + len(pair.p_basis) == len(M.compact_basis(pair.compact))
     assert pair.frame is pair.frame
-    assert pair.frame.vectors == pair.k_basis.vectors + pair.p_basis.vectors
+    for name in ("matrices", "signs"):
+        joined = np.concatenate([getattr(pair.k_basis, name), getattr(pair.p_basis, name)])
+        assert getattr(pair.frame, name).tobytes() == joined.tobytes()
     assert pair.residuals["involution"] < 1e-12
     assert pair.residuals["automorphism"] < 1e-10
     assert pair.residuals["bracket_closure"] < 1e-9
     assert pair.residuals["sign_normalization"] < 1e-10
     assert pair.residuals["orthogonality"] < 1e-10
-    assert all(v.sign == -1 for v in pair.k_basis)
-    assert all(v.sign == +1 for v in pair.p_basis)
+    assert all(pair.k_basis.signs == -1)
+    assert all(pair.p_basis.signs == +1)
+
+
+def test_dual_pair_is_built_once_and_read_only():
+    pair = du.dual_pair(M.su_pq(1, 2))
+    assert du.dual_pair(M.GroupId("SUpq", p=1, q=2)) is pair
+    with pytest.raises(TypeError):
+        pair.residuals["orthogonality"] = 0.0
+    with pytest.raises(AttributeError):
+        pair.frame = pair.k_basis
 
 
 def _gram_schmidt_reference(spanning, drop_dependent=False):
@@ -75,8 +86,8 @@ def _gram_schmidt_reference(spanning, drop_dependent=False):
 
 
 def _bit_equal(basis, reference):
-    assert [v.sign for v in basis] == [sign for _, sign in reference]
-    assert all(v.matrix.tobytes() == u.tobytes() for v, (u, _) in zip(basis, reference))
+    assert basis.signs.tolist() == [sign for _, sign in reference]
+    assert all(z.tobytes() == u.tobytes() for z, (u, _) in zip(basis.matrices, reference))
 
 
 SUITE_PAIRS = [H.group_from_spec({"family": a, **kw}) for a, kw in H.DUALITY_PAIRS]
@@ -165,12 +176,10 @@ def test_slr_frame_matches_hand_coded_real_forms():
         pair = du.dual_pair(M.sl_r(n))
         assert len(pair.k_basis) == n * (n - 1) // 2
         assert len(pair.p_basis) == n * (n + 1) // 2 - 1
-        for v in pair.k_basis:
-            m = v.matrix
+        for m in pair.k_basis.matrices:
             assert np.max(np.abs(m.imag)) < 1e-12
             assert np.max(np.abs(m + m.T)) < 1e-12
-        for v in pair.p_basis:
-            m = v.matrix
+        for m in pair.p_basis.matrices:
             assert np.max(np.abs(m.imag)) < 1e-12
             assert np.max(np.abs(m - m.T)) < 1e-12
             assert abs(np.trace(m)) < 1e-12
@@ -193,8 +202,7 @@ def test_sustar_compact_part_is_quaternionic():
     pair = du.dual_pair(M.su_star(4))
     assert len(pair.k_basis) == 10  # sp(2)
     j = M.symplectic_matrix(2)
-    for v in pair.k_basis:
-        m = v.matrix
+    for m in pair.k_basis.matrices:
         assert np.max(np.abs(j @ m.conj() @ (-j) - m)) < 1e-12
 
 
@@ -270,9 +278,7 @@ def test_dual_eigenfamily_round_trip(gid):
 
 
 def _without(basis, index):
-    vectors = list(basis.vectors)
-    del vectors[index]
-    return M.SignedBasis(basis.group, vectors)
+    return M.SignedBasis(basis.group, np.delete(basis.matrices, index, axis=0), np.delete(basis.signs, index))
 
 
 @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
@@ -451,7 +457,7 @@ def test_dual_quotients_fail_on_the_frame_with_every_sign_plus(gid):
     pair, dfam = _dual_default_family(gid)
     factory, _ = H._morphism_factory(dfam, FACTORY_CFG, H.SampleStore(), pairs=6)
     morphs = mo.random_morphisms(dfam, 6, SplitMix64(factory.params["rng_seed"]), floor=FACTORY_CFG.floor)
-    unsigned = M.SignedBasis(gid, [M.SignedBasisVector(v.matrix, +1) for v in pair.frame])
+    unsigned = M.SignedBasis(gid, pair.frame.matrices, np.ones(len(pair.frame)))
     sampler = GroupSampler(pair.frame, FACTORY_CFG.radius, FACTORY_CFG.seed)
     flipped = mo.verify_harmonic_morphism(
         morphs,

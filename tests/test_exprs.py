@@ -21,13 +21,13 @@ def _rand_matrix(rng, n):
 
 def _y12_frame():
     """The one-vector frame of the curve s -> exp(s Y_12) of U(2)."""
-    return M.SignedBasis(M.U(2), [M.SignedBasisVector(M.generator("Y", (1, 2), 2), 1)])
+    return M.SignedBasis(M.U(2), [M.generator("Y", (1, 2), 2)], [1])
 
 
 def _value(f, x) -> complex:
     """A member's or a polynomial's value at x: the value of its one-point
     table on an empty frame."""
-    frame = M.SignedBasis(M.GroupId("GLC-split", x.shape[-1]))
+    frame = M.SignedBasis(M.GroupId("GLC-split", x.shape[-1]), (), ())
     return complex(frame_operators([f], [x], frame).values[0, 0])
 
 

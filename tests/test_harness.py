@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lgh import families as fa
 from lgh import harness as H
 from lgh.cli import build_parser, main
-from lgh.duality import default_compact_family, dual_pair
+from lgh.duality import default_compact_family, dual_pair, group_frame
 from lgh.errors import ConfigError, ValidationError
 from lgh.families import LEMMA_FAMILIES
 from lgh.matrices import FAMILIES, NONCOMPACT_FAMILIES
@@ -334,6 +334,43 @@ def test_cli_morphism_config_file(tmp_path, capsys):
     )
     assert main(["verify-morphism", "--config", str(cfg)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("degree", [120, 10**6])
+def test_cli_refuses_a_monomial_layout_past_the_hessian_budget(degree, tmp_path, capsys):
+    """P = z_1^d, Q = z_2^d on U(3) would need every degree-d monomial in 3
+    members: 7381 of them at d = 120, whose Hessians take 1 MB a sample
+    (2.5 GB over 100 samples), and about 5e11 at d = 1e6.  The layout is
+    counted, not enumerated, and refused at once, small in time and memory."""
+    import tracemalloc
+
+    from lgh.exprs import HESSIAN_BUDGET
+
+    cfg = tmp_path / "morphism.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "family": {"group": {"family": "u", "n": 3}},
+                "morphism": {
+                    "P": [{"exponents": [degree, 0, 0], "coeff": [1.0, 0.0]}],
+                    "Q": [{"exponents": [0, degree, 0], "coeff": [1.0, 0.0]}],
+                },
+                "samples": 100,
+            }
+        )
+    )
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["verify-morphism", "--config", str(cfg)])
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = math.comb(degree + 2, 2)
+    err = capsys.readouterr().err
+    assert code == 2 and "(field: morphism)" in err
+    assert f"{count} monomials" in err and f"{count * 9 * 16} bytes" in err and str(HESSIAN_BUDGET) in err
+    assert elapsed < 1.0 and peak < 4 << 20
 
 
 def test_cli_duality_pair_flags(capsys):
@@ -863,32 +900,38 @@ def test_run_times_the_whole_row(monkeypatch):
 
 def test_suite_draws_each_stream_and_pair_once(monkeypatch):
     """A count, not a timer: the seed-42 suite draws its 33 distinct
-    (frame, radius, seed) streams in 43 takes of 4110 points, and builds
-    each of its 11 dual pairs once (5776 points in 61 takes and 12 pairs
-    when every row drew its own).  A second suite in the same process makes
-    the same counts: nothing carries over from one run to the next."""
+    (frame, radius, seed) streams in 43 takes of 4110 points (5776 points
+    in 61 takes when every row drew its own), and on a process with no
+    pair built yet builds each of its 11 dual pairs once.  A second suite
+    in the same process draws its streams again, as nothing of one run's
+    store carries over, and builds no pair: each group's pair is built
+    once per process."""
+    import functools
+
     from lgh import duality
     from lgh.sampling import GroupSampler
 
     takes, pairs = [], []
-    real_take, real_pair = GroupSampler.take, duality.dual_pair
+    real_take, real_build = GroupSampler.take, duality._build_pair
 
     def take(self, count):
         takes.append(count)
         return real_take(self, count)
 
-    def dual_pair(gid):
-        pairs.append(gid)
-        return real_pair(gid)
+    def build(noncompact, compact, theta):
+        pairs.append(noncompact)
+        return real_build(noncompact, compact, theta)
 
     monkeypatch.setattr(GroupSampler, "take", take)
-    monkeypatch.setattr(duality, "dual_pair", dual_pair)
-    for _ in range(2):
+    monkeypatch.setattr(duality, "_build_pair", build)
+    # a cache of its own, empty, so that the first run builds every pair
+    monkeypatch.setattr(duality, "dual_pair", functools.cache(duality.dual_pair.__wrapped__))
+    for built in (11, 0):
         takes.clear()
         pairs.clear()
         H.run_suite(seed=42, tol=1e-8)
-        assert (sum(takes), len(takes), len(pairs)) == (4110, 43, 11)
-        assert len(set(pairs)) == 11
+        assert (sum(takes), len(takes), len(pairs)) == (4110, 43, built)
+        assert len(set(pairs)) == built
 
 
 def test_suite_rows_read_one_store_in_any_order(suite_document):
@@ -949,7 +992,7 @@ def test_store_cursors_read_the_same_bits_in_any_interleaving(stream, radius, se
         frame = compact_basis({"U(2)": U(2), "Sp(1)": Sp(1)}[name])
     else:
         gid = {"SL(2,R)": GroupId("SLR", n=2), "SU(1,1)": GroupId("SUpq", p=1, q=1)}[name]
-        frame = store.pair(gid).frame
+        frame = group_frame(gid)
     cursors = [store.cursor(frame, radius, seed) for _ in range(3)]
     fresh = GroupSampler(frame, radius, seed)
     read = [[] for _ in cursors]
@@ -983,44 +1026,60 @@ def test_store_keys_streams_by_frame():
     assert got[0].points.tobytes() != got[1].points.tobytes()
 
 
-def test_store_picks_the_compact_basis_or_the_pair_frame():
+def test_store_gives_an_equal_copy_of_a_frame_its_own_stream(monkeypatch):
+    """Streams are keyed by the frame itself: an equal copy of a frame is
+    another key, so the store draws it a stream of its own, whose points
+    are bit for bit those of the original's."""
+    from lgh.matrices import SU, SignedBasis, compact_basis
+    from lgh.sampling import GroupSampler
+
+    takes = []
+    real_take = GroupSampler.take
+    monkeypatch.setattr(GroupSampler, "take", lambda self, count: takes.append(count) or real_take(self, count))
+    store = H.SampleStore()
+    frame = compact_basis(SU(2))
+    copy = SignedBasis(frame.group, frame.matrices, frame.signs)
+    got = [store.cursor(f, 0.5, 42).take(4) for f in (frame, copy, frame)]
+    assert takes == [4, 4]
+    assert got[0].points.tobytes() == got[1].points.tobytes() == got[2].points.tobytes()
+
+
+def test_group_frame_is_the_compact_basis_or_the_pair_frame():
     """A compact group's frame is its compact basis, a dual group's the
-    aligned frame of the store's one pair; a group with neither is
-    refused."""
+    aligned frame of its one pair; a group with neither is refused."""
     from lgh.matrices import GroupId, U, compact_basis
 
-    store = H.SampleStore()
-    assert store.frame(U(3)) is compact_basis(U(3))
+    assert group_frame(U(3)) is compact_basis(U(3))
     for alias, sizes in H.DUALITY_PAIRS:
         gid = H.pair_group_from_spec({"family": alias, **sizes})
-        assert store.frame(gid) is store.pair(gid).frame is store.frame(gid)
+        assert group_frame(gid) is dual_pair(gid).frame is group_frame(gid)
     with pytest.raises(ValidationError):
-        store.frame(GroupId("GLC-split", 2))
+        group_frame(GroupId("GLC-split", 2))
 
 
-def test_every_suite_row_samples_on_a_frame_the_store_picked():
+def test_every_suite_row_samples_on_its_groups_frame(monkeypatch):
     """No runner picks a frame of its own: every cursor of every suite row
-    is opened on a frame that ``SampleStore.frame`` returned."""
+    is opened on a frame that ``duality.group_frame`` returned."""
+    from lgh import duality
 
-    class Recording(H.SampleStore):
-        def __init__(self):
-            super().__init__()
-            self.picked = set()
+    picked = set()
 
-        def frame(self, gid):
-            frame = super().frame(gid)
-            self.picked.add(id(frame))
-            return frame
+    def recording(gid):
+        frame = group_frame(gid)
+        picked.add(frame)
+        return frame
 
+    class Checking(H.SampleStore):
         def cursor(self, frame, radius, seed):
-            assert id(frame) in self.picked, frame.group
+            assert frame in picked, frame.group
             return super().cursor(frame, radius, seed)
 
-    store = Recording()
+    monkeypatch.setattr(duality, "group_frame", recording)
+    store = Checking()
     for _, name, cfg in H.suite_checks():
         H.run(name, cfg, store)
     for alias, sizes in H.DUALITY_PAIRS:
-        assert id(store.pair(H.pair_group_from_spec({"family": alias, **sizes})).frame) in store.picked
+        assert dual_pair(H.pair_group_from_spec({"family": alias, **sizes})).frame in picked
 
 
 def test_config_fields_field_types_and_schema_properties_are_one_set():

@@ -24,7 +24,7 @@ def _walk(members, base, z):
     stack, as scalars (f0, f1, f2) per member."""
     base = np.asarray(base, dtype=complex)
     n = base.shape[-1]
-    frame = M.SignedBasis(M.U(n), [M.SignedBasisVector(np.asarray(z, dtype=complex), 1)])
+    frame = M.SignedBasis(M.U(n), [z], [1])
     jet = LinearTrace(np.stack([f.coefficients(n) for f in members])).eval_jet(BasisCurves(base[None], frame))
     return [(jet.f0[0, a], jet.f1[0, a, 0], jet.f2[0, a, 0]) for a in range(len(members))]
 
@@ -174,12 +174,13 @@ def test_finite_difference_oracle():
     h = 1e-4
     for trial in range(10):
         x = sample_compact(gid, 1, 0.5, seed=100 + trial).points[0]
-        z = basis.vectors[rng.next_u64() % len(basis)]
+        b = rng.next_u64() % len(basis)
+        z = basis.matrices[b]
         f = _random_poly(members, rng)
-        jet = oracle.jet(f, oracle.Curves(x[None], M.SignedBasis(gid, [z])))
+        jet = oracle.jet(f, oracle.Curves(x[None], M.SignedBasis(gid, [z], basis.signs[b : b + 1])))
         vals = {}
         for s in (-h, 0.0, h):
-            vals[s] = oracle.value(f, x @ expm(s * z.matrix))
+            vals[s] = oracle.value(f, x @ expm(s * z))
         fd1 = (vals[h] - vals[-h]) / (2 * h)
         fd2 = (vals[h] - 2 * vals[0.0] + vals[-h]) / (h * h)
         assert abs(fd1 - complex(jet.f1[0, 0])) < 5e-7
@@ -253,7 +254,7 @@ def test_tau_kappa_basis_independence():
     o, _ = np.linalg.qr(rng.normal(size=(len(basis), len(basis))))
     mixed = np.einsum("ab,bij->aij", o, mats)
     mixed = _hermitian_gs(list(mixed))
-    basis2 = M.SignedBasis(gid, [M.SignedBasisVector(m, 1) for m in mixed])
+    basis2 = M.SignedBasis(gid, mixed, np.ones(len(mixed)))
     f = Entry(1, 1)
     g = Entry(1, 2)
     for trial in range(5):
@@ -271,7 +272,9 @@ def test_basis_curves_match_single_curves():
     samples = sample_compact(gid, 5, 0.5, 12)
     members = [HomPoly({(2,): 1.0}, [Entry(1, 2)]), Entry(1, 1)]
     whole = frame_operators(members, samples, basis)
-    singles = [frame_operators(members, samples, M.SignedBasis(gid, [vec])) for vec in basis]
+    singles = [
+        frame_operators(members, samples, M.SignedBasis(gid, [z], [sign])) for z, sign in zip(basis.matrices, basis.signs)
+    ]
     # stacked and single matrix products may take different BLAS paths, so
     # agreement is to rounding rather than bitwise
     assert all(np.array_equal(one.values, whole.values) for one in singles)

@@ -45,9 +45,9 @@ def test_so3_basis_is_three_rotations():
     basis = M.compact_basis(M.SO(3))
     assert len(basis) == 3
     expected = [M.generator("Y", p, 3) for p in [(1, 2), (1, 3), (2, 3)]]
-    for vec, exp in zip(basis, expected):
-        assert vec.sign == 1
-        assert np.allclose(vec.matrix, exp, atol=0)
+    for z, sign, exp in zip(basis.matrices, basis.signs, expected):
+        assert sign == 1
+        assert np.allclose(z, exp, atol=0)
 
 
 def test_u2_basis_size():
@@ -62,8 +62,8 @@ def test_sp1_basis_matches_diagonal_set():
         np.array([[0, 1j], [1j, 0]]) / SQ2,
         np.array([[0, 1], [-1, 0]]) / SQ2,
     ]
-    for vec, target in zip(basis, exp):
-        assert np.allclose(vec.matrix, target, atol=0)
+    for z, target in zip(basis.matrices, exp):
+        assert np.allclose(z, target, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -79,19 +79,55 @@ def test_compact_basis_orthonormal(gid):
     mats = basis.matrices
     gram = np.einsum("aij,bij->ab", mats, mats.conj()).real
     assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-12
-    assert all(v.sign == 1 for v in basis)
+    assert all(basis.signs == 1)
 
 
 def test_compact_basis_is_shared_per_group_and_read_only():
     basis = M.compact_basis(M.Sp(2))
     assert M.compact_basis(M.GroupId("Sp", 2)) is basis
-    for array in (basis.matrices, basis.signs, basis.casimir, basis.vectors[0].matrix):
+    for array in (basis.matrices, basis.signs, basis.casimir, basis.matrices[0]):
         with pytest.raises(ValueError):
             array[...] = 0
-    with pytest.raises((AttributeError, TypeError)):
-        basis.vectors.append(basis.vectors[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.matrices = basis.matrices[:1]
     with pytest.raises(dataclasses.FrozenInstanceError):
         basis.group = M.Sp(3)
+
+
+def test_a_frame_holds_read_only_copies_of_its_arrays():
+    zs, signs = np.array([M.generator("Y", (1, 2), 2)]), [1]
+    frame = M.SignedBasis(M.SO(2), zs, signs)
+    zs[0, 0, 1] = 5.0
+    assert frame.matrices[0, 0, 1] == 1 / SQ2
+    assert frame.signs.dtype == float and frame.signs.tolist() == [1.0]
+    assert not frame.matrices.flags.writeable and not frame.signs.flags.writeable
+    empty = M.SignedBasis(M.Sp(2), (), ())
+    assert empty.matrices.shape == (0, 4, 4) and empty.signs.shape == (0,) and len(empty) == 0
+
+
+@pytest.mark.parametrize(
+    "matrices, signs",
+    [
+        (np.zeros((1, 3, 3)), [1]),  # SO(2) matrices are 2 x 2
+        (np.zeros((2, 2)), [1, 1]),  # one matrix, not a stack
+        (np.zeros((2, 2, 2)), [1]),  # one sign short
+        (np.zeros((1, 2, 2)), [[1]]),  # signs not a vector
+        ((), [1]),
+    ],
+    ids=["matrix-size", "no-stack", "sign-count", "sign-shape", "empty-with-sign"],
+)
+def test_a_frame_of_the_wrong_shape_is_refused(matrices, signs):
+    with pytest.raises(ValidationError, match="needs"):
+        M.SignedBasis(M.SO(2), matrices, signs)
+
+
+def test_frames_compare_and_hash_by_identity():
+    basis = M.compact_basis(M.SO(3))
+    copy = M.SignedBasis(basis.group, basis.matrices, basis.signs)
+    keys = {basis: "shared", copy: "copy"}
+    assert len(keys) == 2 and keys[basis] == "shared" and keys[copy] == "copy"
+    assert basis == basis and basis != copy
+    assert np.array_equal(copy.matrices, basis.matrices) and np.array_equal(copy.signs, basis.signs)
 
 
 @pytest.mark.parametrize("gid", [M.SO(2), M.SO(5), M.U(3), M.SU(4), M.Sp(1), M.Sp(3)], ids=str)
@@ -109,21 +145,21 @@ def test_casimir_is_the_signed_sum_of_squares(gid):
 def test_glc_split_n1():
     plus, minus = M.glc_split_basis(1)
     assert len(plus) == 1 and len(minus) == 1
-    assert np.allclose(plus.vectors[0].matrix, [[1.0]], atol=0)
-    assert np.allclose(minus.vectors[0].matrix, [[1j]], atol=0)
+    assert np.allclose(plus.matrices[0], [[1.0]], atol=0)
+    assert np.allclose(minus.matrices[0], [[1j]], atol=0)
 
 
 def test_glc_split_n2_counts_and_norms():
     plus, minus = M.glc_split_basis(2)
     assert len(plus) == 4 and len(minus) == 4
     for basis in (plus, minus):
-        for v in basis:
-            assert abs(v.sign * M.trace_form(v.matrix, v.matrix) - 1.0) < 1e-12
+        for z, sign in zip(basis.matrices, basis.signs):
+            assert abs(sign * M.trace_form(z, z) - 1.0) < 1e-12
     # cross-orthogonality of the joint frame under the trace form
-    frame = list(plus) + list(minus)
+    frame = np.concatenate([plus.matrices, minus.matrices])
     for a in range(len(frame)):
         for b in range(a + 1, len(frame)):
-            assert abs(M.trace_form(frame[a].matrix, frame[b].matrix)) < 1e-12
+            assert abs(M.trace_form(frame[a], frame[b])) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -165,15 +201,15 @@ def test_gram_schmidt_already_normalized():
     x12 = M.generator("X", (1, 2), 2)
     out = M.gram_schmidt_indefinite([x12])
     assert len(out) == 1
-    assert out.vectors[0].sign == 1
-    assert np.allclose(out.vectors[0].matrix, x12, atol=1e-15)
+    assert out.signs[0] == 1
+    assert np.allclose(out.matrices[0], x12, atol=1e-15)
 
 
 def test_gram_schmidt_negative_vector():
     y12 = M.generator("Y", (1, 2), 2)
     out = M.gram_schmidt_indefinite([y12])
-    assert out.vectors[0].sign == -1
-    assert np.allclose(out.vectors[0].matrix, y12, atol=1e-15)
+    assert out.signs[0] == -1
+    assert np.allclose(out.matrices[0], y12, atol=1e-15)
 
 
 def test_gram_schmidt_pivots_past_isotropic_combination():
@@ -182,9 +218,9 @@ def test_gram_schmidt_pivots_past_isotropic_combination():
     x12 = M.generator("X", (1, 2), 2)
     y12 = M.generator("Y", (1, 2), 2)
     out = M.gram_schmidt_indefinite([x12, x12 + y12])
-    assert [v.sign for v in out] == [1, -1]
-    assert np.allclose(out.vectors[0].matrix, x12, atol=1e-14)
-    assert np.allclose(out.vectors[1].matrix, y12, atol=1e-14)
+    assert out.signs.tolist() == [1, -1]
+    assert np.allclose(out.matrices[0], x12, atol=1e-14)
+    assert np.allclose(out.matrices[1], y12, atol=1e-14)
 
 
 def test_gram_schmidt_null_direction_raises():
@@ -208,10 +244,10 @@ def test_gram_schmidt_random_span_orthogonality():
     out = M.gram_schmidt_indefinite(span)
     assert len(out) == 6
     for a in range(6):
-        va = out.vectors[a]
-        assert abs(M.trace_form(va.matrix, va.matrix) - va.sign) < 1e-10
+        za = out.matrices[a]
+        assert abs(M.trace_form(za, za) - out.signs[a]) < 1e-10
         for b in range(a + 1, 6):
-            assert abs(M.trace_form(va.matrix, out.vectors[b].matrix)) < 1e-10
+            assert abs(M.trace_form(za, out.matrices[b])) < 1e-10
 
 
 def test_group_id_validation():

@@ -60,7 +60,7 @@ def _frame(name):
         return du.identity_pair(M.SU(2)).frame
     if name in PAIRS:
         return PAIRS[name].frame
-    return M.compact_basis(next(g for g in COMPACT if str(g) == name))
+    return M.compact_basis(next(g for g in COMPACT + [M.SO(12)] if str(g) == name))
 
 
 def _defect_and_sampler(name, seed=42, radius=0.5):
@@ -312,19 +312,36 @@ def _generator_dtypes(monkeypatch, name) -> list:
 def test_real_frames_are_sampled_in_float64_with_the_complex_kernels_bits(name, radius, monkeypatch):
     """A complex product of factors with zero imaginary parts rounds as the
     real product, so the float64 points are the complex kernel's, down to the
-    sign of every zero.  No matrix is squared at a radius a config allows."""
+    sign of every zero.  None of these frames squares a matrix at a radius in
+    (0, 1]."""
     assert _generator_dtypes(monkeypatch, name) == [np.float64]
     got = _defect_and_sampler(name, 11, radius)[1].take(60).points
     assert got.dtype == complex
     assert _bits(got) == _bits(_complex_take(name, radius, 11, 60))
 
 
-@pytest.mark.parametrize("name", ["SO(3)", "Sp(2,R)"])
-def test_squared_real_frames_keep_the_complex_kernels_values(name):
+# the radius at which each frame squares some of its 120 generators (seed
+# 11): SO(12) does at a radius a config allows
+SQUARING_RADIUS = {"SO(3)": 8.0, "Sp(2,R)": 8.0, "SO(12)": 1.0}
+
+
+@pytest.mark.parametrize("name", list(SQUARING_RADIUS))
+def test_squared_real_frames_keep_the_complex_kernels_values(name, monkeypatch):
     """Where matrices are squared, the complex kernel can leave -0.0 in an
     imaginary part that float64 returns as +0.0: the values are equal, the
     real parts bit for bit."""
-    got, want = _defect_and_sampler(name, 11, 8.0)[1].take(60).points, _complex_take(name, 8.0, 11, 60)
+    radius, squared = SQUARING_RADIUS[name], []
+    real_expm = sampling.expm
+
+    def spy(a):
+        _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
+        squared.append(int(np.count_nonzero(s > 0)))
+        return real_expm(a)
+
+    monkeypatch.setattr(sampling, "expm", spy)
+    got = _defect_and_sampler(name, 11, radius)[1].take(60).points
+    want = _complex_take(name, radius, 11, 60)
+    assert squared[0] > 0
     assert _bits(got.real) == _bits(want.real)
     assert not want.imag.any() and np.array_equal(got, want)
 
@@ -397,7 +414,8 @@ def test_samplers_on_one_frame_build_its_plan_once(monkeypatch):
     spy = functools.cached_property(counted)
     spy.__set_name__(M.SignedBasis, "gather_plan")
     monkeypatch.setattr(M.SignedBasis, "gather_plan", spy)
-    frame = M.SignedBasis(M.SU(3), list(M.compact_basis(M.SU(3))))
+    basis = M.compact_basis(M.SU(3))
+    frame = M.SignedBasis(M.SU(3), basis.matrices, basis.signs)
     points = [sampling.GroupSampler(frame, 0.5, seed).take(3).points for seed in range(30)]
     assert built == [frame]
     assert _bits(points[7]) == _bits(compact_sampler(M.SU(3), 0.5, 7).take(3).points)
@@ -429,7 +447,9 @@ def test_a_frame_whose_group_has_no_equations_is_refused():
     """GL(n,C)-split, the one family with no compact partner, has no group
     equations to check points against: no sampler is built on its frame."""
     plus, minus = M.glc_split_basis(2)
-    frame = M.SignedBasis(plus.group, tuple(plus) + tuple(minus))
+    frame = M.SignedBasis(
+        plus.group, np.concatenate([plus.matrices, minus.matrices]), np.concatenate([plus.signs, minus.signs])
+    )
     with pytest.raises(ValidationError, match="no defining equations"):
         GroupSampler(frame, 0.5, 42)
     with pytest.raises(ValidationError):
