@@ -8,20 +8,21 @@ the matrices of all its members and walks them as one
 point or at many, is always read from a frame table.
 
 A :class:`HomPoly` is a polynomial in a list of members, never walked as
-a jet.  The one chain rule, tau(F(phi)) = sum_a F_a tau(phi_a) + sum_ab
-F_ab kappa(phi_a, phi_b) and kappa(F, G) = sum_ab F_a G_b kappa(phi_a,
-phi_b), lives here.  A :class:`MonomialTable` applies it once to every
-monomial of some total degrees over a frame table of members, and K
-polynomials are then K coefficient rows over it (:func:`contract`).
-:func:`compose` gives the frame table of polynomial members this way, and
-the morphism verifiers their numerators and denominators.
+a jet.  Every polynomial is over the members of one frame table, the same
+objects in the same order (:func:`_over_members`, the one check).  The one
+chain rule, tau(F(phi)) = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a,
+phi_b) and kappa(F, G) = sum_ab F_a G_b kappa(phi_a, phi_b), lives here.
+:func:`polynomials` applies it once to every monomial of some total
+degrees in a table's members, and K polynomials are then K coefficient
+rows over those monomials (:func:`contract`).  :func:`compose` gives the
+frame table of polynomial members this way, and the morphism verifiers
+their numerators and denominators.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -272,59 +273,36 @@ def chain_tau(grad, hess, tau_vals, kappa_vals):
     return np.einsum("s...a,sa->s...", grad, tau_vals) + np.einsum("s...ab,sab->s...", hess, kappa_vals)
 
 
-@dataclass
-class MonomialTable:
-    """Every monomial of some total degrees in the members of a frame table:
-    values and tau (S, M) and gradients in the members (S, M, m), beside the
-    members' kappa Gram (S, m, m).
-
-    K polynomials in the members are K coefficient rows over the monomials,
-    so :meth:`polynomials` gives all of them by one contraction per table.
-    """
-
-    values: np.ndarray
-    tau: np.ndarray
-    grads: np.ndarray
-    kappa: np.ndarray
-
-    @classmethod
-    def over(cls, table: FrameOperators, degrees: tuple) -> "MonomialTable":
-        """The table of the monomials of ``degrees`` over a member frame
-        table."""
-        expos, _ = _layout(len(table.members), degrees)
-        values, grads, hess = monomials(table.values, expos)
-        return cls(values, chain_tau(grads, hess, table.tau, table.kappa), grads, table.kappa)
-
-    def polynomials(self, coeffs):
-        """Values (S, K), tau (S, K) and member gradients (S, K, m) of the K
-        polynomials with coefficient rows ``coeffs`` (K, M)."""
-        return contract(self.values, coeffs), contract(self.tau, coeffs), contract(self.grads, coeffs)
+def _over_members(polys, members):
+    """The one membership check: every polynomial is a :class:`HomPoly`
+    over exactly ``members``, the same objects in the same order."""
+    for poly in polys:
+        same = isinstance(poly, HomPoly) and len(poly.args) == len(members)
+        if not same or any(a is not b for a, b in zip(poly.args, members)):
+            raise ValidationError("a polynomial is not a polynomial in the family members")
 
 
-def compose(members, table: FrameOperators) -> FrameOperators:
-    """The frame table of ``members``, each one of the table's members or a
-    polynomial in some of them: each is a coefficient row over the
-    monomials of the table's members (a member its monomial of degree 1),
-    and kappa(F, G) = sum_ab F_a kappa(phi_a, phi_b) G_b."""
-    members = tuple(members)
-    if not members:
+def polynomials(table: FrameOperators, degrees: tuple, coeffs):
+    """Values (S, K), tau (S, K) and member gradients (S, K, m) of the K
+    polynomials in a frame table's members with coefficient rows ``coeffs``
+    (K, M) over the monomials of ``degrees``: every monomial's value,
+    gradient and tau by the chain rule, then one contraction each."""
+    expos, _ = _layout(len(table.members), degrees)
+    values, grads, hess = monomials(table.values, expos)
+    tau = chain_tau(grads, hess, table.tau, table.kappa)
+    return contract(values, coeffs), contract(tau, coeffs), contract(grads, coeffs)
+
+
+def compose(polys, table: FrameOperators) -> FrameOperators:
+    """The frame table of ``polys``, polynomials over exactly the table's
+    members: each is a coefficient row over the members' monomials, and
+    kappa(F, G) = sum_ab F_a kappa(phi_a, phi_b) G_b."""
+    polys = tuple(polys)
+    if not polys:
         return FrameOperators((), table.basis, table.values[:, :0], table.tau[:, :0], table.kappa[:, :0, :0])
-    position = {id(g): a for a, g in enumerate(table.members)}
-    polys = []
-    for f in members:
-        poly = f if isinstance(f, HomPoly) else HomPoly({(1,): 1.0}, [f])
-        if any(id(g) not in position for g in poly.args):
-            raise ValidationError("a member is neither in the frame table nor a polynomial in its members")
-        coeffs = {}
-        for expo, c in poly.coeffs.items():
-            moved = [0] * len(position)
-            for g, e in zip(poly.args, expo):
-                moved[position[id(g)]] += e
-            key = tuple(moved)
-            coeffs[key] = coeffs[key] + c if key in coeffs else c
-        polys.append(HomPoly(coeffs, table.members))
+    _over_members(polys, table.members)
     degrees = _term_degrees(*polys)
-    values, tau, grads = MonomialTable.over(table, degrees).polynomials(_coefficients(polys, degrees))
+    values, tau, grads = polynomials(table, degrees, _coefficients(polys, degrees))
     # one three-operand sum, samples outermost, so each row is reduced alone
     gram = np.einsum("sal,slk,sck->sac", grads, table.kappa, grads)
-    return FrameOperators(members, table.basis, values, tau, gram)
+    return FrameOperators(polys, table.basis, values, tau, gram)

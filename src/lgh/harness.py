@@ -172,8 +172,23 @@ def _block(d, keys: tuple, field: str) -> dict:
     return d
 
 
+# the most bytes the largest arrays of a config's sizes may take, counted
+# from the spec before anything is built.  An N x N group's jet coefficient
+# stack holds at most N members on at most N^2 frame vectors, 16 N (2 N^2 +
+# 1) N^2 bytes (Sp(10), N = 20: 103 MB; U(32): 1.1 GB); a non-compact
+# group's pair checks bracket every two frame vectors, 16 N^6 bytes; and
+# verify-identities at n keeps eight n^4 complex tables, 128 n^4 bytes.
+SIZE_BUDGET = 1 << 27
+
+
+def _within_budget(size: int, what: str, field: str):
+    if size > SIZE_BUDGET:
+        raise ConfigError(f"{what} needs {size} bytes, over {SIZE_BUDGET}", field=field)
+
+
 def group_from_spec(d: dict, field: str = "group") -> GroupId:
-    """The group of a spec block; ``field`` names the block in errors."""
+    """The group of a spec block; ``field`` names the block in errors.  A
+    group past ``SIZE_BUDGET`` is refused."""
     if not isinstance(d, dict) or not isinstance(d.get("family"), str):
         raise ConfigError("group spec needs a 'family' name", field=f"{field}.family")
     _block(d, ("family", "n", "p", "q"), field)
@@ -181,9 +196,13 @@ def group_from_spec(d: dict, field: str = "group") -> GroupId:
         if d.get(key) is not None and not _is_integer(d[key]):
             raise ConfigError(f"{key} must be an integer", field=f"{field}.{key}")
     try:
-        return GroupId(FAMILY_BY_ALIAS.get(d["family"], d["family"]), d.get("n"), d.get("p"), d.get("q"))
+        gid = GroupId(FAMILY_BY_ALIAS.get(d["family"], d["family"]), d.get("n"), d.get("p"), d.get("q"))
     except ValidationError as exc:
         raise ConfigError(str(exc), field=field) from exc
+    n = gid.matrix_dim
+    size = 16 * n**6 if gid.family in NONCOMPACT_FAMILIES else 16 * n * (2 * n * n + 1) * n * n
+    _within_budget(size, str(gid), field)
+    return gid
 
 
 def family_from_spec(d: dict) -> fa.Eigenfamily:
@@ -334,10 +353,12 @@ IDENTITY_TOL = 1e-12
 
 def run_identities(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     """The identities at ``IDENTITY_TOL`` or a tighter ``cfg.tol``; the
-    default tol means ``IDENTITY_TOL``, and a looser one is refused."""
+    default tol means ``IDENTITY_TOL``, and a looser one is refused, as is
+    an ``n`` past ``SIZE_BUDGET``."""
     if cfg.tol > IDENTITY_TOL and cfg.tol != RunConfig.tol:
         raise ConfigError(f"verify-identities takes a tol of at most {IDENTITY_TOL:g}", field="tol")
     n = cfg.n if cfg.n is not None else 5
+    _within_budget(128 * n**4, f"verify-identities at n = {n}", "n")
     return verify_matrix_identities(n, tol=min(cfg.tol, IDENTITY_TOL))
 
 
@@ -436,7 +457,7 @@ def _family_negative_control(cfg: RunConfig, store: SampleStore) -> Verification
     predicted = 0.1 * float(np.max(np.abs(table.values)))
     residuals = {
         "deviation_from_prediction": abs(tau - predicted),
-        "control_must_fail": 0.0 if tau > cfg.tol else 1.0,
+        "control_must_fail": 0.0 if tau > cfg.tol else max(1.0, cfg.tol),
     }
     return VerificationReport(
         "family-negative-control", str(fam.group), {"lambda_shift": 0.1}, residuals, cfg.tol, len(table),
@@ -459,7 +480,7 @@ def _morphism_negative_control(cfg: RunConfig, store: SampleStore) -> Verificati
     residuals = {
         "tau_deviation_from_prediction": abs(tau - predicted),
         "kappa_deviation_from_prediction": abs(kappa - abs(fam.mu) * peak * peak),
-        "control_must_fail": 0.0 if tau > cfg.tol and kappa > cfg.tol else 1.0,
+        "control_must_fail": 0.0 if tau > cfg.tol and kappa > cfg.tol else max(1.0, cfg.tol),
     }
     return VerificationReport(
         "morphism-negative-control", str(fam.group), {}, residuals, cfg.tol, len(table),

@@ -14,11 +14,12 @@ over the frame.
 members' coefficient matrices and walks them once
 (:meth:`lgh.exprs.LinearTrace.eval_jet`), which gives the member values,
 their tau and their signed kappa Gram at every sample.  Polynomials in
-members are not walked: the chain rule of :mod:`lgh.exprs` composes them
-from their members' table (:class:`lgh.exprs.MonomialTable`).  Quotients
-P/Q are not members: the morphism verifier screens and reduces them on
-one pair table of their P and Q per frame table
-(:func:`lgh.morphisms._screen`, :func:`lgh.morphisms.quotient_operators`).
+members are not walked: they share one argument list, and the chain rule
+of :mod:`lgh.exprs` composes them from its table
+(:func:`lgh.exprs.compose`).  Quotients P/Q are not members: the
+morphism verifier screens and reduces them on one pair table of their P
+and Q per frame table (:func:`lgh.morphisms._screen`,
+:func:`lgh.morphisms.quotient_operators`).
 Every reduction runs per sample, so a row's bits do not depend on how
 many samples are stacked.  The ring operations of
 :class:`Jet2` compose jets exactly, but no kernel multiplies jets.
@@ -138,11 +139,13 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
     """Member values (S, m), tau (S, m) and signed kappa Gram (S, m, m) at
     the samples ``xs`` (a sequence of points or an (S, n, n) stack).
 
-    The linear members' coefficient matrices are stacked and walked once,
-    on curves seeded once for the whole stack.  When some members are
-    polynomials (``HomPoly``), their arguments are measured instead, once
-    each and recursively, and :func:`lgh.exprs.compose` gives the members
-    from that table.  Any other member, a quotient included, is a
+    The members are all linear or all polynomials (``HomPoly``) over one
+    argument list.  Linear members' coefficient matrices are stacked and
+    walked once, on curves seeded once for the whole stack.  For
+    polynomials, the first one's arguments are measured instead, by this
+    function, and :func:`lgh.exprs.compose` gives the members from that
+    table.  A list mixing the two kinds, a polynomial over another argument
+    list, or any other member, a quotient included, is a
     :class:`ValidationError`.  ``xs`` may also be a table of these members
     on this frame, such as this function returns; it is passed through.
     """
@@ -156,13 +159,11 @@ def frame_operators(members, xs, basis: SignedBasis) -> FrameOperators:
         return xs
     if not all(isinstance(f, (Expr, HomPoly)) for f in members):
         raise ValidationError("frame-table members are linear members and polynomials in them, not quotients")
+    if len({isinstance(f, HomPoly) for f in members}) > 1:
+        raise ValidationError("frame-table members are all linear or all polynomials, not both")
     stack = stack_samples(xs, basis)
-    if any(isinstance(f, HomPoly) for f in members):
-        walked = {}
-        for f in members:
-            for g in f.args if isinstance(f, HomPoly) else (f,):
-                walked.setdefault(id(g), g)
-        return compose(members, frame_operators(walked.values(), stack, basis))
+    if members and isinstance(members[0], HomPoly):
+        return compose(members, frame_operators(members[0].args, stack, basis))
     n = stack.shape[-1]
     coeffs = np.array([f.coefficients(n) for f in members]).reshape(len(members), n, n)
     jet = LinearTrace(coeffs).eval_jet(BasisCurves(stack, basis))

@@ -13,15 +13,16 @@ The verifiers work at the operator level.  The frame-operator kernel
 measures the member values phi_a, tau(phi_a) and kappa(phi_a, phi_b) once
 per sample.  For one total degree d, every degree-d monomial in the members
 gets its value, gradient and tau from those by the chain rule of
-:mod:`lgh.exprs` (:class:`lgh.exprs.MonomialTable`).
-A polynomial is a coefficient row over the monomials, so K quotients
-P_k/Q_k are one (2K, M) coefficient matrix, and a few contractions give P,
-Q, tau(P), tau(Q), kappa(P, P), kappa(P, Q) and kappa(Q, Q) of all of them
-(:func:`quotient_pairs`).  The quotient condition reduces those tables
-directly.  The quotient rule runs here only, once on every in-domain
-(sample, quotient) entry (:func:`quotient_operators`): F(P, Q) = P/Q has
-gradient (1/Q, -P/Q^2) and Hessian [[0, -1/Q^2], [-1/Q^2, 2P/Q^3]] in
-(P, Q) (:meth:`RationalMorphism.derivatives`).  A quotient is never a
+:mod:`lgh.exprs` (:func:`lgh.exprs.polynomials`).  Every polynomial is a
+:class:`HomPoly` over exactly the family's members, and a coefficient row
+over their monomials, so K quotients P_k/Q_k are one (2K, M) coefficient
+matrix, and a few contractions give P, Q, tau(P), tau(Q), kappa(P, P),
+kappa(P, Q) and kappa(Q, Q) of all of them (:func:`quotient_pairs`).  The
+quotient condition reduces those tables directly.  The quotient rule runs
+here only, once on every in-domain (sample, quotient) entry
+(:func:`quotient_operators`): F(P, Q) = P/Q has gradient (1/Q, -P/Q^2)
+and Hessian [[0, -1/Q^2], [-1/Q^2, 2P/Q^3]] in (P, Q)
+(:meth:`RationalMorphism.derivatives`).  A quotient is never a
 frame-table member.  The domain screen reads Q from the same pair tables
 (:func:`_screen`), so no Q is computed twice.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, InconclusiveError, ValidationError
-from .exprs import HomPoly, MonomialTable, _coefficients, _layout, _term_degrees, chain_tau
+from .exprs import HomPoly, _coefficients, _layout, _over_members, _term_degrees, chain_tau, polynomials
 from .families import Eigenfamily
 from .jets import FrameOperators, frame_operators, stack_samples
 from .matrices import SignedBasis
@@ -71,7 +72,7 @@ class RationalMorphism:
     """Quotient P/Q of equal-degree homogeneous polynomials in a family.
 
     It is not a member: :func:`frame_operators` rejects it.  Its P and Q
-    are coefficient rows over a :class:`MonomialTable`, and
+    are coefficient rows over the members' monomials, and
     :meth:`derivatives`, the quotient rule in (P, Q), runs only in the
     morphism kernel (:func:`quotient_operators`).
     """
@@ -134,17 +135,10 @@ def _proportional(p: HomPoly, q: HomPoly) -> bool:
     return bool(_proportional_rows(u[None], v[None])[0])
 
 
-def _as_hompoly(p, members) -> HomPoly:
-    if isinstance(p, HomPoly):
-        return p
-    return HomPoly(p, members)
-
-
 def quotient_morphism(fam: Eigenfamily, P, Q, floor: float = 1e-3) -> RationalMorphism:
     """Build P/Q over the family members; P, Q may be coefficient maps
     (exponent tuple -> coefficient) or ready HomPoly nodes."""
-    pn = _as_hompoly(P, fam.members)
-    qn = _as_hompoly(Q, fam.members)
+    pn, qn = (f if isinstance(f, HomPoly) else HomPoly(f, fam.members) for f in (P, Q))
     for name, poly in (("numerator", pn), ("denominator", qn)):
         if not poly.homogeneous:
             raise ValidationError(f"{name} mixes total degrees; P/Q needs homogeneous P and Q")
@@ -193,15 +187,16 @@ class QuotientPairs:
         return QuotientPairs(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(QuotientPairs)))
 
 
-def quotient_pairs(mono: MonomialTable, coeffs: np.ndarray) -> QuotientPairs:
-    """The pair table of K pairs over a monomial table from their (2K, M)
-    coefficient block, the K numerator rows then the K denominator rows
-    (see :func:`_groups`).  kappa(F, G) = sum_ab F_a kappa(phi_a, phi_b)
-    G_b is summed one index at a time, and each entry is reduced alone, so
-    a row's bits depend neither on K nor on the other rows."""
+def quotient_pairs(table: FrameOperators, degrees: tuple, coeffs: np.ndarray) -> QuotientPairs:
+    """The pair table of K pairs in a member frame table's members from
+    their (2K, M) coefficient block over the monomials of ``degrees``, the
+    K numerator rows then the K denominator rows (see :func:`_groups`).
+    kappa(F, G) = sum_ab F_a kappa(phi_a, phi_b) G_b is summed one index at
+    a time, and each entry is reduced alone, so a row's bits depend neither
+    on K nor on the other rows."""
     k = len(coeffs) // 2
-    values, tau, grads = mono.polynomials(coeffs)
-    pulled = np.einsum("sab,skb->ska", mono.kappa, grads)
+    values, tau, grads = polynomials(table, degrees, coeffs)
+    pulled = np.einsum("sab,skb->ska", table.kappa, grads)
 
     def kappa(f, g):
         return np.einsum("ska,ska->sk", grads[:, f], pulled[:, g])
@@ -220,7 +215,7 @@ def _pair_table(table: FrameOperators, degrees: tuple, coeffs: np.ndarray) -> Qu
     table reads one table, and any other block gets its own."""
     key = ("pairs", degrees, coeffs.shape, coeffs.tobytes())
     if key not in table.derived:
-        table.derived[key] = quotient_pairs(MonomialTable.over(table, degrees), coeffs)
+        table.derived[key] = quotient_pairs(table, degrees, coeffs)
     return table.derived[key]
 
 
@@ -296,12 +291,6 @@ def _groups(numerators, denominators):
         coeffs.setflags(write=False)
         out.append((degrees, ks, coeffs))
     return out
-
-
-def _over_members(polys, members):
-    for poly in polys:
-        if len(poly.args) != len(members) or any(a is not b for a, b in zip(poly.args, members)):
-            raise ValidationError("a polynomial is not a polynomial in the family members")
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +455,15 @@ def verify_quotient_condition(
     plus the eigen-equations tau(P) = lambda_d P and tau(Q) = lambda_d Q with
     the degree-d power constants (see :func:`quotient_condition`).
 
-    P and Q are polynomials (or coefficient maps), or two equal-length
-    lists of them, the pairs (P_k, Q_k); the residuals are then the maxima
-    over all pairs.  ``samples`` may be the family members' frame table;
-    the pair tables a :func:`verify_harmonic_morphism` of the same pairs
-    kept on it are then read, not contracted again.  With no sample,
+    P and Q are :class:`HomPoly` over the family members, or two
+    equal-length lists of them, the pairs (P_k, Q_k); the residuals are then
+    the maxima over all pairs.  ``samples`` may be the family members' frame
+    table; the pair tables a :func:`verify_harmonic_morphism` of the same
+    pairs kept on it are then read, not contracted again.  With no sample,
     :class:`InconclusiveError`.
     """
     single = not isinstance(P, (list, tuple))
-    nums = [_as_hompoly(f, fam.members) for f in ([P] if single else P)]
-    dens = [_as_hompoly(f, fam.members) for f in ([Q] if single else Q)]
+    nums, dens = ([P], [Q]) if single else (list(P), list(Q))
     if len(nums) != len(dens) or not nums:
         raise ValidationError("the quotient condition needs as many numerators as denominators")
     _over_members(nums + dens, fam.members)

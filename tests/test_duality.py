@@ -241,18 +241,21 @@ def test_noncompact_samples_genuinely_leave_the_compact_group():
     assert dev > 1e-2  # not unitary: these are genuinely non-compact points
 
 
-@pytest.mark.parametrize("wrap", [lambda f: f, lambda f: HomPoly({(1, 1): 1.0}, [Entry(1, 1), f])],
-                         ids=["member", "polynomial-argument"])
-def test_dual_verification_refuses_a_foreign_member(wrap):
+@pytest.mark.parametrize(
+    "listed",
+    [lambda members, f: [*members, f], lambda members, f: [HomPoly({(1, 1): 1.0}, [Entry(1, 1), f])]],
+    ids=["member", "polynomial-argument"],
+)
+def test_dual_verification_refuses_a_foreign_member(listed):
     """Only polynomials in the entries continue: a member, or an argument of
-    a polynomial member, that is neither is refused when measured."""
+    the polynomial members, that is neither is refused when measured."""
 
     class ConjEntry:  # an entrywise-conjugation node is not holomorphic
         pass
 
     pair = du.dual_pair(M.sl_r(2))
     fam = du.default_compact_family(pair)
-    foreign = replace(fam, members=[*fam.members, wrap(ConjEntry())])
+    foreign = replace(fam, members=listed(fam.members, ConjEntry()))
     with pytest.raises(ValidationError, match="frame-table members"):
         du.verify_dual_eigenfamily(pair, foreign, du.sample_noncompact(pair, 5, 0.5, 42))
 

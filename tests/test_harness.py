@@ -373,6 +373,35 @@ def test_cli_refuses_a_monomial_layout_past_the_hessian_budget(degree, tmp_path,
     assert elapsed < 1.0 and peak < 4 << 20
 
 
+@pytest.mark.parametrize(
+    "argv, field, size",
+    [
+        (["verify-family", "--group", "u", "--n", "32"], "family.group", 16 * 32 * (2 * 32**2 + 1) * 32**2),
+        (["verify-lemma", "--group", "so", "--n", "40"], "group", 16 * 40 * (2 * 40**2 + 1) * 40**2),
+        (["verify-duality", "--pair", "sl_r", "--n", "15"], "pair", 16 * 15**6),
+        (["verify-identities", "--n", "60"], "n", 128 * 60**4),
+    ],
+    ids=["family", "lemma", "pair", "identities"],
+)
+def test_cli_refuses_a_size_past_the_budget(argv, field, size, capsys):
+    """U(32) would need a 1.1 GB jet stack, SL(15,R)'s pair checks 182 MB of
+    brackets, and the identities at n = 60 1.7 GB of n^4 tables: each size
+    is counted from the spec and refused before anything is built."""
+    import tracemalloc
+
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and f"(field: {field})" in err
+    assert f"{size} bytes" in err and str(H.SIZE_BUDGET) in err
+    assert elapsed < 1.0 and peak < 4 << 20
+
+
 def test_cli_duality_pair_flags(capsys):
     assert main(["verify-duality", "--pair", "su_pq", "--p", "1", "--q", "1", "--samples", "30"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -643,6 +672,19 @@ def test_cli_suite_reads_seed_tol_and_out(tmp_path, capsys):
     assert main(["suite", "--seed", "3", "--tol", "1e-8", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert (doc["seed"], doc["tol"], doc["passed"]) == (3, 1e-8, True)
+
+
+def test_cli_suite_fails_its_controls_at_a_tol_above_one(tmp_path):
+    """At tol 2 neither control detects its defect (the lambda shift shows
+    as a tau residual of about 0.1, phi/1 as one of about 2), so both must
+    fail, and the suite with them: an undetected control's residual is
+    never below the tol it is gated by."""
+    out = tmp_path / "suite.json"
+    assert main(["suite", "--tol", "2", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    controls = [c for c in doc["checks"] if c["check"].endswith("negative-control")]
+    assert len(controls) == 2 and not any(c["passed"] for c in controls)
+    assert all(c["residuals"]["control_must_fail"] >= 2 for c in controls)
 
 
 def test_cli_suite_rejects_config_fields_it_does_not_read(tmp_path, capsys):

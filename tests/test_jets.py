@@ -60,7 +60,8 @@ def test_entry_jet_zero_direction():
 def test_frame_operators_refuse_malformed_members():
     """Only linear members and polynomials in them are measured: anything
     else, an entry out of range or a coefficient matrix of the wrong size
-    is a ValidationError, not an AttributeError or a shape error."""
+    is a ValidationError, not an AttributeError or a shape error, alone or
+    beside a linear member."""
     from lgh import families as fa
     from lgh import morphisms as mo
 
@@ -83,8 +84,9 @@ def test_frame_operators_refuse_malformed_members():
         HomPoly({(1, 1): 1.0}, [Entry(1, 1), object()]),
     ]
     for f in bad:
-        with pytest.raises(ValidationError):
-            frame_operators([Entry(1, 1), f], samples, basis)
+        for members in ([f], [Entry(1, 1), f]):
+            with pytest.raises(ValidationError):
+                frame_operators(members, samples, basis)
     with pytest.raises(ValidationError):
         LinearTrace(np.ones((2, 3)))
     with pytest.raises(ValidationError):
@@ -270,7 +272,8 @@ def test_basis_curves_match_single_curves():
     gid = M.Sp(1)
     basis = M.compact_basis(gid)
     samples = sample_compact(gid, 5, 0.5, 12)
-    members = [HomPoly({(2,): 1.0}, [Entry(1, 2)]), Entry(1, 1)]
+    args = [Entry(1, 2), Entry(1, 1)]
+    members = [HomPoly({(2, 0): 1.0}, args), HomPoly({(0, 1): 1.0}, args)]
     whole = frame_operators(members, samples, basis)
     singles = [
         frame_operators(members, samples, M.SignedBasis(gid, [z], [sign])) for z, sign in zip(basis.matrices, basis.signs)
@@ -288,11 +291,11 @@ def _frame_cases():
     from lgh import morphisms as mo
 
     fam = fa.u_family(2, np.array([1.0, 0.5j]))
-    members = fam.members + mo.power_family(fam, 2).members
+    members = mo.power_family(fam, 1).members + mo.power_family(fam, 2).members
     yield "U(2)+powers", members, M.compact_basis(fam.group), sample_compact(fam.group, 40, 0.5, 21)
     pair = du.dual_pair(M.su_pq(1, 2))
     dfam = du.default_compact_family(pair)
-    members = dfam.members + mo.power_family(dfam, 2).members[:3]
+    members = mo.power_family(dfam, 1).members + mo.power_family(dfam, 2).members[:3]
     yield "SU(1,2) frame", members, pair.frame, du.sample_noncompact(pair, 40, 0.5, 22)
 
 
@@ -341,3 +344,36 @@ def test_frame_operators_pass_their_own_table_through_only():
     assert empty.values.shape == (0, 2) and empty.kappa.shape == (0, 2, 2)
     none = compose([], table)
     assert none.values.shape == (5, 0) and none.kappa.shape == (5, 0, 0)
+
+
+def test_frame_operators_refuse_a_list_mixing_linear_members_and_polynomials():
+    """A frame table's members are all linear, or all polynomials over one
+    member list: a linear member beside a polynomial is refused, in either
+    order, even when the polynomial is over that very member."""
+    from lgh import families as fa
+
+    fam = fa.u_family(2, np.array([1.0, 0.0]))
+    basis = M.compact_basis(fam.group)
+    samples = sample_compact(fam.group, 3, 0.5, 3)
+    square = HomPoly({(2, 0): 1.0}, fam.members)
+    for members in ([fam.members[0], square], [square, fam.members[0]]):
+        with pytest.raises(ValidationError, match="frame-table members"):
+            frame_operators(members, samples, basis)
+
+
+def test_compose_refuses_a_polynomial_over_a_reordered_member_list():
+    """compose takes polynomials over exactly the table's members, the same
+    objects in the same order: a polynomial over a reordered copy of the
+    list, or over a sublist, is refused, not re-keyed."""
+    from lgh import families as fa
+    from lgh.exprs import compose
+
+    fam = fa.u_family(2, np.array([1.0, 0.0]))
+    table = frame_operators(fam.members, sample_compact(fam.group, 3, 0.5, 3), M.compact_basis(fam.group))
+    over = HomPoly({(2, 1): 1.0}, fam.members)
+    assert compose([over], table).members == (over,)
+    for args in (fam.members[::-1], fam.members[:1]):
+        with pytest.raises(ValidationError):
+            compose([HomPoly({(2,) + (1,) * (len(args) - 1): 1.0}, args)], table)
+    with pytest.raises(ValidationError):
+        compose([fam.members[0]], table)

@@ -773,7 +773,6 @@ def test_frame_table_must_describe_the_family_members():
 
 def test_verify_quotient_condition_on_no_samples_is_inconclusive():
     fam = fa.u_family(2, _e(2))
+    p, q = HomPoly({(1, 0): 1.0}, fam.members), HomPoly({(0, 1): 1.0}, fam.members)
     with pytest.raises(InconclusiveError):
-        mo.verify_quotient_condition(
-            fam, {(1, 0): 1.0}, {(0, 1): 1.0}, M.compact_basis(fam.group), compact_sampler(fam.group).take(0)
-        )
+        mo.verify_quotient_condition(fam, p, q, M.compact_basis(fam.group), compact_sampler(fam.group).take(0))
