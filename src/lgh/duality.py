@@ -49,14 +49,16 @@ class DualPair:
 
 
 def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis, frame: SignedBasis) -> dict:
+    """The frame checks of a pair.  Brackets are formed one frame vector at
+    a time, B of them, never all B^2 at once."""
     zs = base.matrices
     res = {}
     res["involution"] = float(np.max(np.abs(theta(theta(zs)) - zs), initial=0.0))
     # automorphism on all compact basis pairs: theta[Z, W] = [theta Z, theta W]
     tz = theta(zs)
-    brackets = zs[:, None] @ zs - zs @ zs[:, None]
-    theta_brackets = tz[:, None] @ tz - tz @ tz[:, None]
-    res["automorphism"] = float(np.max(np.abs(theta(brackets) - theta_brackets), initial=0.0))
+    res["automorphism"] = max(
+        (float(np.max(np.abs(theta(z @ zs - zs @ z) - (t @ tz - tz @ t)))) for z, t in zip(zs, tz)), default=0.0
+    )
 
     def wrong_component(brackets, wrong: SignedBasis) -> float:
         coords = np.einsum("...ij,cji->...c", brackets, wrong.matrices).real * wrong.signs
@@ -65,8 +67,9 @@ def _pair_residuals(theta, base: SignedBasis, k: SignedBasis, p: SignedBasis, fr
     # [k, k] in k, [k, p] in p, [p, p] in k: the component outside is wrong
     closure = 0.0
     for a, b, wrong in ((k.matrices, k.matrices, p), (k.matrices, p.matrices, k), (p.matrices, p.matrices, p)):
-        ab = np.einsum("aij,bjk->abik", a, b) - np.einsum("bij,ajk->abik", b, a)
-        closure = max(closure, wrong_component(ab, wrong))
+        for x in a:
+            ab = np.einsum("ij,bjk->bik", x, b) - np.einsum("bij,jk->bik", b, x)
+            closure = max(closure, wrong_component(ab, wrong))
     res["bracket_closure"] = closure
 
     # Gram matrix of Re trace(Z W) over the frame k then p

@@ -8,13 +8,15 @@ the matrices of all its members and walks them as one
 point or at many, is always read from a frame table.
 
 A :class:`HomPoly` is a polynomial in a list of members, never walked as
-a jet.  Every polynomial is over the members of one frame table, the same
-objects in the same order (:func:`_over_members`, the one check).  The one
-chain rule, tau(F(phi)) = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a,
-phi_b) and kappa(F, G) = sum_ab F_a G_b kappa(phi_a, phi_b), lives here.
+a jet: the exponent tuples of its terms and one coefficient row.  Every
+polynomial is over the members of one frame table, the same objects in the
+same order (:func:`_over_members`, the one check).  The one chain rule,
+tau(F(phi)) = sum_a F_a tau(phi_a) + sum_ab F_ab kappa(phi_a, phi_b) and
+kappa(F, G) = sum_ab F_a G_b kappa(phi_a, phi_b), lives here.
 :func:`polynomials` applies it once to every monomial of some total
-degrees in a table's members, and K polynomials are then K coefficient
-rows over those monomials (:func:`contract`).  :func:`compose` gives the
+degrees in a table's members, enumerated once per member count and degrees
+with its gather plan (:func:`_layout`), and K polynomials are then K
+coefficient rows over those monomials (:func:`contract`).  :func:`compose` gives the
 frame table of polynomial members this way, and the morphism verifiers
 their numerators and denominators.
 """
@@ -31,41 +33,9 @@ from .errors import ValidationError
 from .jets import BasisCurves, FrameOperators, Jet2
 
 
-@lru_cache(maxsize=256)
-def _monomial_plan(exponents: tuple):
-    """The gather plan of :func:`monomials` for the monomials x^e, e in
-    ``exponents`` (a tuple of M exponent tuples).
-
-    It holds every exponent vector the monomials and their derivatives
-    read, (N, m) with the M monomials first.  For the gradient
-    e_a x^(e - e_a) and the Hessian e_a (e_b - delta_ab) x^(e - e_a - e_b) it
-    holds the row each entry reads and the integer factor.  Where an
-    exponent would be negative the factor is 0 and the entry reads row 0.
-    The arrays are shared by every caller, so they are read-only.
-    """
-    m = len(exponents[0])
-    expos = np.array(exponents, dtype=np.intp).reshape(len(exponents), m)
-    eye = np.eye(m, dtype=np.intp)
-    lowered = expos[:, None, :] - eye  # e - e_a at [j, a]
-    lowered2 = lowered[:, :, None, :] - eye  # e - e_a - e_b at [j, a, b]
-    rows = {e: j for j, e in enumerate(exponents)}
-
-    def index(vectors):
-        flat = [tuple(v) if min(v) >= 0 else exponents[0] for v in vectors.reshape(-1, m).tolist()]
-        return np.array([rows.setdefault(v, len(rows)) for v in flat], dtype=np.intp).reshape(vectors.shape[:-1])
-
-    grad_rows, hess_rows = index(lowered), index(lowered2)
-    factor = expos.astype(float)
-    needed = np.array(list(rows), dtype=np.intp).reshape(len(rows), m)
-    plan = (needed, grad_rows, factor, hess_rows, factor[:, :, None] * lowered)
-    for array in plan:
-        array.setflags(write=False)
-    return plan
-
-
-def monomials(values, exponents: tuple) -> tuple:
-    """Values (S, M), gradients (S, M, m) and Hessians (S, M, m, m) of the
-    monomials x^e, one per exponent tuple e of ``exponents`` (M of them), at
+def monomials(values, plan: tuple) -> tuple:
+    """Values (S, M), gradients (S, M, m) and Hessians (S, M, m, m) of the M
+    monomials of a layout, from its gather ``plan`` (:func:`_layout`), at
     stacked argument values x of shape (S, m).
 
     Each monomial and each of its derivatives is one product of powers of
@@ -74,7 +44,7 @@ def monomials(values, exponents: tuple) -> tuple:
     """
     values = np.asarray(values, dtype=complex)
     count, m = values.shape
-    needed, grad_rows, factor, hess_rows, factor2 = _monomial_plan(tuple(exponents))
+    needed, grad_rows, factor, hess_rows, factor2 = plan
     top = int(needed.max(initial=0))
     powers = [np.ones_like(values)]
     for _ in range(top):
@@ -85,7 +55,7 @@ def monomials(values, exponents: tuple) -> tuple:
     # monomial's factors alone, the same way at any stack size
     products = table.take(np.arange(m) * (top + 1) + needed, axis=1).prod(axis=-1)
     return (
-        products[:, : len(exponents)],
+        products[:, : len(grad_rows)],
         products.take(grad_rows, axis=1) * factor,
         products.take(hess_rows, axis=1) * factor2,
     )
@@ -165,15 +135,14 @@ class LinearTrace(Expr):
 
 
 class HomPoly:
-    """Polynomial in a fixed, nonempty argument list.
-
-    ``coeffs`` maps exponent multi-indices (one entry per argument) to
-    complex coefficients.  Terms may have any total degree, a constant
-    included; ``degree`` is the highest, ``term_degrees`` lists every
-    degree a term has, and ``homogeneous`` says whether every term has
-    ``degree``.  A homogeneous polynomial can also be built from its
-    coefficient row over the monomials of its degree (:meth:`from_row`);
-    it then holds that row and builds ``coeffs`` only when first read.
+    """Polynomial in a fixed, nonempty argument list: the exponent tuples of
+    its terms, ``exponents``, and their coefficients, the read-only complex
+    ``row``.  A coefficient map (exponent tuple -> coefficient) is
+    validated and converted when the polynomial is built, every term kept,
+    zeros included; :meth:`from_row` takes a row over a layout instead.
+    Terms may have any total degree, a constant included; ``degree`` is the
+    highest, ``term_degrees`` lists every degree a term has, and
+    ``homogeneous`` says whether every term has ``degree``.
     """
 
     def __init__(self, coeffs, args):
@@ -192,29 +161,29 @@ class HomPoly:
             items[expo] = complex(c)
         if not items:
             raise ValidationError("empty polynomial")
+        self.exponents = tuple(items)
+        self.row = np.array(list(items.values()), dtype=complex)
+        self.row.setflags(write=False)
         self.term_degrees = tuple(sorted({sum(expo) for expo in items}))
         self.degree = self.term_degrees[-1]
         self.homogeneous = len(self.term_degrees) == 1
-        self._coeffs, self._row = items, None
 
     @classmethod
-    def from_row(cls, row: np.ndarray, args, degree: int) -> "HomPoly":
-        """The homogeneous polynomial of ``degree`` whose coefficients are
-        ``row`` (M,), one per monomial of ``_layout(len(args), (degree,))``
-        in its order, every one a term (zeros included, as a dict
-        :class:`HomPoly` keeps them).  The exponents are the layout's own,
-        so nothing is validated; ``row`` is held as it is, not copied."""
+    def from_row(cls, row: np.ndarray, args, exponents: tuple) -> "HomPoly":
+        """The homogeneous polynomial with the coefficients ``row`` (M,) over
+        ``exponents``, the layout's own tuple of the monomials of one degree
+        in ``len(args)`` arguments (:func:`_layout`).  Nothing is validated,
+        and ``row`` is held as it is, not copied."""
         poly = cls.__new__(cls)
-        poly.args = list(args)
+        poly.args, poly.exponents, poly.row = list(args), exponents, row
+        degree = sum(exponents[0])
         poly.term_degrees, poly.degree, poly.homogeneous = (degree,), degree, True
-        poly._coeffs, poly._row = None, row
         return poly
 
     @property
     def coeffs(self) -> dict:
-        if self._coeffs is None:
-            self._coeffs = dict(zip(_layout(len(self.args), (self.degree,))[0], self._row.tolist()))
-        return self._coeffs
+        """Exponent tuple -> coefficient of every term, in order."""
+        return dict(zip(self.exponents, self.row.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +198,17 @@ HESSIAN_BUDGET = 1 << 16
 @lru_cache(maxsize=None)
 def _layout(m: int, degrees: tuple):
     """The monomials of the given total degrees in m arguments: their
-    exponent tuples and the row of each in that list.  A layout over
-    ``HESSIAN_BUDGET`` is refused, counted before it is enumerated."""
+    exponent tuples, the row of each in that list, and the gather plan of
+    :func:`monomials` for them.  A layout over ``HESSIAN_BUDGET`` is
+    refused, counted before it is enumerated.
+
+    The plan holds every exponent vector the monomials and their
+    derivatives read, (N, m) with the M monomials first.  For the gradient
+    e_a x^(e - e_a) and the Hessian e_a (e_b - delta_ab) x^(e - e_a - e_b)
+    it holds the row each entry reads and the integer factor.  Where an
+    exponent would be negative the factor is 0 and the entry reads row 0.
+    The arrays are shared by every caller, so they are read-only.
+    """
     count = sum(math.comb(m + d - 1, d) for d in degrees) if m else 0
     if 16 * count * m * m > HESSIAN_BUDGET:
         raise ValidationError(f"{count} monomials of degrees {list(degrees)} in {m} members need "
@@ -240,7 +218,24 @@ def _layout(m: int, degrees: tuple):
         for d in degrees
         for combo in itertools.combinations_with_replacement(range(m), d)
     )
-    return expos, {e: j for j, e in enumerate(expos)}
+    index = {e: j for j, e in enumerate(expos)}
+    vectors = np.array(expos, dtype=np.intp).reshape(len(expos), m)
+    eye = np.eye(m, dtype=np.intp)
+    lowered = vectors[:, None, :] - eye  # e - e_a at [j, a]
+    lowered2 = lowered[:, :, None, :] - eye  # e - e_a - e_b at [j, a, b]
+    rows = dict(index)
+
+    def gather(vecs):
+        flat = [tuple(v) if min(v) >= 0 else expos[0] for v in vecs.reshape(-1, m).tolist()]
+        return np.array([rows.setdefault(v, len(rows)) for v in flat], dtype=np.intp).reshape(vecs.shape[:-1])
+
+    grad_rows, hess_rows = gather(lowered), gather(lowered2)
+    factor = vectors.astype(float)
+    needed = np.array(list(rows), dtype=np.intp).reshape(len(rows), m)
+    plan = (needed, grad_rows, factor, hess_rows, factor[:, :, None] * lowered)
+    for array in plan:
+        array.setflags(write=False)
+    return expos, index, plan
 
 
 def _term_degrees(*polys) -> tuple:
@@ -249,15 +244,15 @@ def _term_degrees(*polys) -> tuple:
 
 def _coefficients(polys, degrees: tuple) -> np.ndarray:
     """The coefficient rows (K, M) of K polynomials over the monomials of
-    ``degrees``; a polynomial built from its row over them gives that row."""
-    _, row = _layout(len(polys[0].args), degrees)
-    coeffs = np.zeros((len(polys), len(row)), dtype=complex)
+    ``degrees``: a polynomial over the layout's own exponent tuple gives its
+    row whole, any other has each coefficient placed at its monomial."""
+    expos, index, _ = _layout(len(polys[0].args), degrees)
+    coeffs = np.zeros((len(polys), len(expos)), dtype=complex)
     for k, poly in enumerate(polys):
-        if poly._row is not None and poly.term_degrees == degrees:
-            coeffs[k] = poly._row
-            continue
-        for expo, c in poly.coeffs.items():
-            coeffs[k, row[expo]] = c
+        if poly.exponents is expos:
+            coeffs[k] = poly.row
+        else:
+            coeffs[k, [index[e] for e in poly.exponents]] = poly.row
     return coeffs
 
 
@@ -287,8 +282,7 @@ def polynomials(table: FrameOperators, degrees: tuple, coeffs):
     polynomials in a frame table's members with coefficient rows ``coeffs``
     (K, M) over the monomials of ``degrees``: every monomial's value,
     gradient and tau by the chain rule, then one contraction each."""
-    expos, _ = _layout(len(table.members), degrees)
-    values, grads, hess = monomials(table.values, expos)
+    values, grads, hess = monomials(table.values, _layout(len(table.members), degrees)[2])
     tau = chain_tau(grads, hess, table.tau, table.kappa)
     return contract(values, coeffs), contract(tau, coeffs), contract(grads, coeffs)
 

@@ -69,8 +69,8 @@ class RunConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, kinds[0]):
                 raise ConfigError(f"{key} must be {kinds[1]}", field=key)
-        if self.n is not None and self.n < 1:
-            raise ConfigError("n must be >= 1", field="n")
+        if self.n is not None and self.n < 2:
+            raise ConfigError("n must be >= 2", field="n")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1", field="samples")
         if not (0.0 < self.radius <= 1.0):
@@ -175,15 +175,26 @@ def _block(d, keys: tuple, field: str) -> dict:
 # the most bytes the largest arrays of a config's sizes may take, counted
 # from the spec before anything is built.  An N x N group's jet coefficient
 # stack holds at most N members on at most N^2 frame vectors, 16 N (2 N^2 +
-# 1) N^2 bytes (Sp(10), N = 20: 103 MB; U(32): 1.1 GB); a non-compact
-# group's pair checks bracket every two frame vectors, 16 N^6 bytes; and
+# 1) N^2 bytes (Sp(10), N = 20: 103 MB; U(32): 1.1 GB), compact or not (a
+# dual pair's frame checks bracket one frame vector at a time); and
 # verify-identities at n keeps eight n^4 complex tables, 128 n^4 bytes.
+# The samples are counted apart from the group: each point is an N x N
+# matrix of the sampler's stack and a row of the frame table, at most N
+# members' jets on N^2 frame vectors, 16 N (2 N^2 + N + 1) bytes.
 SIZE_BUDGET = 1 << 27
 
 
 def _within_budget(size: int, what: str, field: str):
     if size > SIZE_BUDGET:
         raise ConfigError(f"{what} needs {size} bytes, over {SIZE_BUDGET}", field=field)
+
+
+def _samples_within_budget(cfg: RunConfig, gid: GroupId, draws: int = 1):
+    """Refuse ``draws`` times ``cfg.samples`` points of ``gid`` past
+    ``SIZE_BUDGET``, before any is drawn; a check that may redraw counts
+    its budget of ten times its samples."""
+    n, points = gid.matrix_dim, draws * cfg.samples
+    _within_budget(16 * n * (2 * n * n + n + 1) * points, f"{points} samples of {gid}", "samples")
 
 
 def group_from_spec(d: dict, field: str = "group") -> GroupId:
@@ -200,8 +211,7 @@ def group_from_spec(d: dict, field: str = "group") -> GroupId:
     except ValidationError as exc:
         raise ConfigError(str(exc), field=field) from exc
     n = gid.matrix_dim
-    size = 16 * n**6 if gid.family in NONCOMPACT_FAMILIES else 16 * n * (2 * n * n + 1) * n * n
-    _within_budget(size, str(gid), field)
+    _within_budget(16 * n * (2 * n * n + 1) * n * n, str(gid), field)
     return gid
 
 
@@ -367,6 +377,7 @@ def run_lemma(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if gid.family not in fa.LEMMA_FAMILIES:
         aliases = ", ".join(FAMILIES[f].alias for f in fa.LEMMA_FAMILIES)
         raise ConfigError(f"coordinate relations exist for {aliases}", field="group.family")
+    _samples_within_budget(cfg, gid)
     samples = store.cursor(du.group_frame(gid), cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_coordinate_lemmas(gid, samples, tol=cfg.tol)
 
@@ -375,6 +386,7 @@ def run_family(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.family is None:
         raise ConfigError("missing family spec", field="family")
     fam = family_from_spec(cfg.family)
+    _samples_within_budget(cfg, fam.group)
     basis = du.group_frame(fam.group)
     samples = store.cursor(basis, cfg.radius, cfg.seed).take(cfg.samples)
     return fa.verify_eigenfamily(fam, basis, samples, tol=cfg.tol)
@@ -384,6 +396,7 @@ def run_morphism(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.family is None or cfg.morphism is None:
         raise ConfigError("morphism run needs family and morphism specs", field="morphism")
     fam = family_from_spec(cfg.family)
+    _samples_within_budget(cfg, fam.group, draws=10)
     morph = morphism_from_spec(fam, cfg.morphism, cfg.floor)
     basis = du.group_frame(fam.group)
     sampler = store.cursor(basis, cfg.radius, cfg.seed)
@@ -401,7 +414,9 @@ def run_morphism(cfg: RunConfig, store: SampleStore) -> VerificationReport:
 def run_duality(cfg: RunConfig, store: SampleStore) -> VerificationReport:
     if cfg.pair is None:
         raise ConfigError("missing pair spec", field="pair")
-    pair = du.dual_pair(pair_group_from_spec(cfg.pair))
+    gid = pair_group_from_spec(cfg.pair)
+    _samples_within_budget(cfg, gid)
+    pair = du.dual_pair(gid)
     fam = family_from_spec(cfg.family) if cfg.family else du.default_compact_family(pair)
     samples = store.cursor(du.group_frame(pair.noncompact), cfg.radius, cfg.seed).take(cfg.samples)
     return du.verify_dual_eigenfamily(pair, fam, samples, tol=cfg.tol)

@@ -28,6 +28,10 @@ frame-table member.  The domain screen reads Q from the same pair tables
 
 The member tau and kappa are measured, never taken from the family's stated
 (lambda, mu), so a wrong member list shows up as a failing residual.
+
+The seeded factory (:func:`random_morphisms`) reads its stream as one block
+and hands every rare case, a proportional pair or a one-member family, to
+the one-quotient draw (:func:`random_morphism`), which redraws or refuses.
 """
 
 from __future__ import annotations
@@ -157,11 +161,12 @@ def mobius_transform(m: RationalMorphism, a, b, c, d) -> RationalMorphism:
     (aP + bQ, cP + dQ)."""
     if abs(a * d - b * c) < 1e-12:
         raise ValidationError("singular Mobius coefficients")
-    keys = sorted(set(m.numerator.coeffs) | set(m.denominator.coeffs))
-    pc = {k: a * m.numerator.coeffs.get(k, 0.0) + b * m.denominator.coeffs.get(k, 0.0) for k in keys}
-    qc = {k: c * m.numerator.coeffs.get(k, 0.0) + d * m.denominator.coeffs.get(k, 0.0) for k in keys}
-    pc = {k: v for k, v in pc.items() if v != 0.0}
-    qc = {k: v for k, v in qc.items() if v != 0.0}
+    degrees = _term_degrees(m.numerator, m.denominator)
+    p, q = _coefficients([m.numerator, m.denominator], degrees).tolist()
+    # Python's complex products, not numpy's, whose SIMD loops round otherwise
+    rows = ([x * s + y * t for s, t in zip(p, q)] for x, y in ((a, b), (c, d)))
+    expos = _layout(len(m.family.members), degrees)[0]
+    pc, qc = ({e: v for e, v in sorted(zip(expos, row)) if v != 0.0} for row in rows)
     return quotient_morphism(m.family, pc, qc, m.floor)
 
 
@@ -517,23 +522,15 @@ def _disc(u: np.ndarray) -> np.ndarray:
 def _random_hompolys(members, degree: int, rng: SplitMix64, count: int) -> list:
     """``count`` dense homogeneous polynomials, one after the other in the
     stream, from one block of two uniforms per coefficient (:func:`_disc`)."""
-    size = len(_layout(len(members), (degree,))[0])
-    rows = _disc(rng.uniforms(2 * count * size).reshape(count, 2 * size))
+    expos = _layout(len(members), (degree,))[0]
+    rows = _disc(rng.uniforms(2 * count * len(expos)).reshape(count, 2 * len(expos)))
     rows.setflags(write=False)
-    return [HomPoly.from_row(row, members, degree) for row in rows]
+    return [HomPoly.from_row(row, members, expos) for row in rows]
 
 
 def random_hompoly(members, degree: int, rng: SplitMix64) -> HomPoly:
     """Dense homogeneous polynomial with coefficients uniform on the unit disc."""
     return _random_hompolys(members, degree, rng, 1)[0]
-
-
-def _refuse_single_monomial(members, degree: int):
-    if len(_layout(len(members), (degree,))[0]) < 2:
-        raise ValidationError(
-            f"{len(members)} member(s) have a single monomial of degree {degree}; "
-            "every same-degree P and Q are proportional"
-        )
 
 
 def random_morphism(
@@ -548,18 +545,16 @@ def random_morphism(
     degree-``degree`` monomial (one member, or degree 0): every such P and
     Q are proportional, so no quotient exists.
     """
-    _refuse_single_monomial(fam.members, degree)
-    p, q = _random_hompolys(fam.members, degree, rng, 2)
-    return _redrawn(fam, p, rng, floor) if _proportional(p, q) else RationalMorphism(fam, p, q, floor)
-
-
-def _redrawn(fam: Eigenfamily, p: HomPoly, rng: SplitMix64, floor: float) -> RationalMorphism:
-    """P over a Q drawn from the next 2M uniforms of ``rng``, and drawn again
-    while it is proportional to P: the redraw of a proportional pair."""
-    while True:
-        q = random_hompoly(fam.members, p.degree, rng)
-        if not _proportional(p, q):
-            return RationalMorphism(fam, p, q, floor)
+    members = fam.members
+    if len(_layout(len(members), (degree,))[0]) < 2:
+        raise ValidationError(
+            f"{len(members)} member(s) have a single monomial of degree {degree}; "
+            "every same-degree P and Q are proportional"
+        )
+    p, q = _random_hompolys(members, degree, rng, 2)
+    while _proportional(p, q):
+        q = random_hompoly(members, degree, rng)
+    return RationalMorphism(fam, p, q, floor)
 
 
 # degrees a factory quotient is drawn with: 1 + (a u64 of the stream) % 3
@@ -574,46 +569,35 @@ def random_morphisms(fam: Eigenfamily, count: int, rng: SplitMix64, floor: float
 
     A quotient reads one u64 d, then P and Q of degree 1 + d % 3 as
     :func:`random_morphism` does.  The stream is read as one block of the
-    most the quotients left could read; the degrees are walked off it, the
-    rows of each degree are made together, and the stream is set just
-    after the last u64 read.  The pairs of each degree are tested for
-    proportionality together (:func:`_proportional_rows`), and only from a
-    proportional pair on is the stream read again: its Q is redrawn as
-    :func:`random_morphism` redraws it, and the next block starts after
-    the last redraw.  A degree with a single monomial is refused as
-    :func:`random_morphism` refuses it, after its degree is read.
+    most the quotients could read; the degrees are walked off it, the rows
+    of each degree are made and tested for proportionality together
+    (:func:`_proportional_rows`), and the stream is set just after the last
+    u64 read.  A pair that tests proportional, which no suite draw meets
+    and every pair of a one-member family is, sets the stream back to where
+    the call began, and the ``count`` rounds of :func:`random_morphism` are
+    run as they are: they redraw that Q, or refuse the family.
     """
     members = fam.members
-    sizes = [len(_layout(len(members), (d,))[0]) for d in range(1, _FACTORY_DEGREES + 1)]
-    out = []
-    while len(out) < count:
-        raw = rng.u64s((count - len(out)) * (1 + 4 * max(sizes)))
-        # quotient i has degree degrees[i]; its P and Q start at starts[i]
-        degrees, starts, pos = [], [], 0
-        for _ in range(count - len(out)):
-            degree = 1 + int(raw[pos]) % _FACTORY_DEGREES
-            if sizes[degree - 1] < 2:
-                rng.skip(pos + 1 - len(raw))
-                _refuse_single_monomial(members, degree)
-            degrees.append(degree)
-            starts.append(pos + 1)
-            pos += 1 + 4 * sizes[degree - 1]
-        u = SplitMix64.unit(raw)
-        polys = [None] * len(degrees)
-        first = len(degrees)  # the first proportional pair, if any
-        for degree in sorted(set(degrees)):
-            size, ks = sizes[degree - 1], [i for i, d in enumerate(degrees) if d == degree]
-            rows = _disc(u[np.add.outer([starts[i] for i in ks], np.arange(4 * size))])
-            rows.setflags(write=False)
-            for i, row in zip(ks, rows):
-                polys[i] = [HomPoly.from_row(half, members, degree) for half in (row[:size], row[size:])]
-            hits = np.flatnonzero(_proportional_rows(rows[:, :size], rows[:, size:]))
-            first = min(first, ks[hits[0]]) if len(hits) else first
-        out += [RationalMorphism(fam, p, q, floor) for p, q in polys[:first]]
-        if first == len(degrees):
-            rng.skip(pos - len(u))
-            break
-        # the pair at ``first`` tested proportional: redraw its Q after it
-        rng.skip(starts[first] + 4 * sizes[degrees[first] - 1] - len(u))
-        out.append(_redrawn(fam, polys[first][0], rng, floor))
-    return out
+    layouts = [_layout(len(members), (d,))[0] for d in range(1, _FACTORY_DEGREES + 1)]
+    raw = rng.u64s(count * (1 + 4 * max(map(len, layouts))))
+    # quotient i has degree degrees[i]; its P and Q start at starts[i]
+    degrees, starts, pos = [], [], 0
+    for _ in range(count):
+        degrees.append(1 + int(raw[pos]) % _FACTORY_DEGREES)
+        starts.append(pos + 1)
+        pos += 1 + 4 * len(layouts[degrees[-1] - 1])
+    u = SplitMix64.unit(raw)
+    polys, proportional = [None] * count, False
+    for degree in sorted(set(degrees)):
+        expos, ks = layouts[degree - 1], [i for i, d in enumerate(degrees) if d == degree]
+        size = len(expos)
+        rows = _disc(u[np.add.outer([starts[i] for i in ks], np.arange(4 * size))])
+        rows.setflags(write=False)
+        for i, row in zip(ks, rows):
+            polys[i] = [HomPoly.from_row(half, members, expos) for half in (row[:size], row[size:])]
+        proportional |= bool(_proportional_rows(rows[:, :size], rows[:, size:]).any())
+    if proportional:
+        rng.skip(-len(raw))
+        return [random_morphism(fam, 1 + rng.next_u64() % _FACTORY_DEGREES, rng, floor) for _ in range(count)]
+    rng.skip(pos - len(raw))
+    return [RationalMorphism(fam, p, q, floor) for p, q in polys]

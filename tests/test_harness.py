@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,34 @@ from lgh.duality import default_compact_family, dual_pair, group_frame
 from lgh.errors import ConfigError, ValidationError
 from lgh.families import LEMMA_FAMILIES
 from lgh.matrices import FAMILIES, NONCOMPACT_FAMILIES
+
+
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import lgh.cli
+from lgh import duality, exprs, families, matrices, sampling
+caches = [duality.dual_pair, exprs._layout, families._side_by_side, matrices.compact_basis,
+          matrices.real_structure, sampling._pade13_tables]
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps({
+    "filled": [fn.__name__ for fn in caches if fn.cache_info().currsize],
+    "third_party": sorted(loaded - set(sys.stdlib_module_names) - {"lgh", "numpy"}),
+}))
+"""
+
+
+def test_importing_the_cli_builds_nothing_and_loads_numpy_alone():
+    """A fresh process that imports ``lgh.cli``, the set-up every command
+    pays, fills none of lgh's caches (no frame, pair, real structure,
+    monomial layout or Pade table is built) and loads no third-party
+    module but numpy."""
+    root = Path(__file__).parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"filled": [], "third_party": []}
 
 
 def test_config_round_trip():
@@ -101,7 +133,6 @@ def test_schema_and_cli_aliases_are_the_table_aliases():
 def test_schema_sizes_each_group_as_the_table_does():
     """One if/then per family says which of n, p, q it takes; even n for
     the families the table marks even."""
-    jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
     rules = {r["if"]["properties"]["family"]["const"]: r["then"] for r in schema["$defs"]["group"]["allOf"]}
     assert list(rules) == [row.alias for row in FAMILIES.values()]
@@ -193,7 +224,6 @@ def test_cli_family_on_a_dual_group_is_a_config_error(command, alias, tmp_path, 
 def test_schema_family_groups_are_the_linear_families():
     """The schema takes a family spec on exactly the groups that have a
     linear family."""
-    jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
     for family, row in FAMILIES.items():
         group = {"family": row.alias, **({"p": 1, "q": 2} if row.pq else {"n": 2})}
@@ -233,6 +263,18 @@ def test_cli_verify_identities_reads_n_from_config(tmp_path, capsys):
 def test_cli_verify_identities_honours_a_tighter_tol(capsys):
     assert main(["verify-identities", "--n", "3", "--tol", "1e-13"]) == 0
     assert json.loads(capsys.readouterr().out)["tol"] == 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_cli_verify_identities_refuses_n_below_two_naming_the_field(n, capsys):
+    """The identities need n >= 2; the config, the schema and the CLI all
+    say so, and the diagnostic names the field."""
+    assert main(["verify-identities", "--n", str(n)]) == 2
+    assert "field: n" in capsys.readouterr().err
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
+    jsonschema.validate({"n": 2}, schema)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({"n": n}, schema)
 
 
 def test_config_check_names_the_report(tmp_path, capsys):
@@ -378,15 +420,15 @@ def test_cli_refuses_a_monomial_layout_past_the_hessian_budget(degree, tmp_path,
     [
         (["verify-family", "--group", "u", "--n", "32"], "family.group", 16 * 32 * (2 * 32**2 + 1) * 32**2),
         (["verify-lemma", "--group", "so", "--n", "40"], "group", 16 * 40 * (2 * 40**2 + 1) * 40**2),
-        (["verify-duality", "--pair", "sl_r", "--n", "15"], "pair", 16 * 15**6),
+        (["verify-duality", "--pair", "sl_r", "--n", "22"], "pair", 16 * 22 * (2 * 22**2 + 1) * 22**2),
         (["verify-identities", "--n", "60"], "n", 128 * 60**4),
     ],
     ids=["family", "lemma", "pair", "identities"],
 )
 def test_cli_refuses_a_size_past_the_budget(argv, field, size, capsys):
-    """U(32) would need a 1.1 GB jet stack, SL(15,R)'s pair checks 182 MB of
-    brackets, and the identities at n = 60 1.7 GB of n^4 tables: each size
-    is counted from the spec and refused before anything is built."""
+    """U(32) would need a 1.1 GB jet stack, SL(22,R) a 165 MB one, and the
+    identities at n = 60 1.7 GB of n^4 tables: each size is counted from
+    the spec and refused before anything is built."""
     import tracemalloc
 
     tracemalloc.start()
@@ -400,6 +442,60 @@ def test_cli_refuses_a_size_past_the_budget(argv, field, size, capsys):
     assert code == 2 and f"(field: {field})" in err
     assert f"{size} bytes" in err and str(H.SIZE_BUDGET) in err
     assert elapsed < 1.0 and peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, config, points, n",
+    [
+        (["verify-family", "--group", "sp", "--n", "3"], {"samples": 100_000}, 100_000, 6),
+        (["verify-lemma", "--group", "so", "--n", "6"], {"samples": 10**7}, 10**7, 6),
+        (["verify-duality", "--pair", "su_pq", "--p", "10", "--q", "11"], {"samples": 1000}, 1000, 21),
+        (
+            ["verify-morphism"],
+            {"family": {"group": {"family": "su", "n": 2}}, "morphism": H.HOPF_SPEC, "samples": 40_000},
+            400_000,
+            2,
+        ),
+    ],
+    ids=["family", "lemma", "pair", "morphism"],
+)
+def test_cli_refuses_samples_past_the_budget(argv, config, points, n, tmp_path, capsys):
+    """Each point holds an N x N matrix and a frame-table row of at most N
+    members on N^2 frame vectors: 100,000 samples of Sp(3) would need 758
+    MB, SU(10,11) 1000 samples 304 MB, and the Hopf morphism 40,000 samples
+    141 MB counted over its redraw budget of ten times the samples.  The
+    count is made from the spec, apart from the group's, and refused before
+    any point is drawn or the dual pair is built."""
+    import tracemalloc
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main([*argv, "--config", str(path)])
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and "(field: samples)" in err
+    assert f"{points} samples" in err and f"{16 * n * (2 * n * n + n + 1) * points} bytes" in err
+    assert elapsed < 1.0 and peak < 4 << 20
+
+
+def test_samples_budget_admits_300_samples_of_every_admitted_size():
+    """The samples are counted apart from the group: 300 samples of the
+    largest groups and duals the group count admits stay admitted."""
+    from lgh.matrices import GroupId
+
+    for spec in ({"family": "u", "n": 21}, {"family": "sp", "n": 10}, {"family": "sl_r", "n": 21},
+                 {"family": "su_pq", "p": 10, "q": 11}, {"family": "so_pq", "p": 10, "q": 11}):
+        gid = H.group_from_spec(spec)
+        H._samples_within_budget(H.RunConfig(samples=300), gid)
+        with pytest.raises(ConfigError):
+            H.group_from_spec({**spec, "n": 22} if "n" in spec else {**spec, "q": 12})
+    with pytest.raises(ConfigError):
+        H._samples_within_budget(H.RunConfig(samples=300), GroupId("U", 21), draws=10)
 
 
 def test_cli_duality_pair_flags(capsys):
@@ -449,7 +545,6 @@ def test_cli_output_is_strict_json_valid_against_the_report_schema(argv, tmp_pat
     """What ``--out`` writes parses with no NaN or Infinity constant, and
     the parsed document is valid against ``docs/schemas/report.schema.json``.
     verify-morphism checks the suite's Hopf map on SU(2) from a config file."""
-    jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "report.schema.json").read_text())
     if argv[0] == "verify-morphism":
         cfg = tmp_path / "hopf.json"
@@ -655,7 +750,6 @@ def test_cli_rejects_flags_and_fields_the_command_does_not_read(argv, field, tmp
         (tmp_path / f"{name}.json").write_text(text)
     assert main([arg.format(**{name: tmp_path / f"{name}.json" for name in texts}) for arg in argv]) == 2
     assert f"field: {field}" in capsys.readouterr().err
-    jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
     silent = {
         "config", "floor_nan", "tol_infinity", "coeff_nan", "hopf", "tol_twice", "group_n_twice",
@@ -806,9 +900,9 @@ def test_factory_composes_nothing_and_builds_each_degree_table_once(monkeypatch)
         bases.append(real_frame(*args, **kwargs))
         return bases[-1]
 
-    def monomials(values, exponents):
-        builds.append((id(values), len(exponents)))
-        return real_monomials(values, exponents)
+    def monomials(values, plan):
+        builds.append((id(values), id(plan)))
+        return real_monomials(values, plan)
 
     monkeypatch.setattr(exprs, "compose", compose)
     monkeypatch.setattr(H, "frame_operators", frame_operators)
@@ -856,7 +950,6 @@ def test_every_cli_suite_row_replays_through_the_cli(suite_document, tmp_path):
     are valid against ``docs/schemas``.  Every sampled report records its
     sampler's seed and radius, and an eigenfamily row replays from its
     report alone."""
-    jsonschema = pytest.importorskip("jsonschema")
     schemas = Path(__file__).parents[1] / "docs" / "schemas"
     schema = json.loads((schemas / "config.schema.json").read_text())
     report_schema = json.loads((schemas / "report.schema.json").read_text())
@@ -900,7 +993,6 @@ def test_every_suite_row_replays_through_run(suite_document):
     configs are valid against ``docs/schemas/config.schema.json`` and hold
     only fields their check reads, and the 62 rows give the suite's 72
     reports bit for bit, wall time aside."""
-    jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((Path(__file__).parents[1] / "docs" / "schemas" / "config.schema.json").read_text())
     rows = H.suite_checks(seed=42, tol=1e-8)
     assert len(rows) == 62

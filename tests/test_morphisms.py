@@ -1,5 +1,6 @@
 """Power families, rational morphisms, quotient condition, composition."""
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -198,16 +199,17 @@ def test_factory_block_draw_is_the_sequential_stream(cfg, seed):
     assert block.next_u64() == loop.next_u64()
 
 
-def _force_proportional_once(monkeypatch, numerator):
-    """The first proportionality test of the pair whose P has the row
-    ``numerator`` says proportional; every other test is left alone."""
-    real, left = mo._proportional_rows, [True]
+def _force_proportional(monkeypatch, pair):
+    """Every proportionality test of the one pair whose P and Q have the
+    rows ``pair`` says proportional, as the real test would say each time
+    for a truly proportional pair; every other test is left alone."""
+    real = mo._proportional_rows
+    numerator, denominator = pair
 
     def forced(u, v):
         out = real(u, v)
-        hits = np.flatnonzero((u == numerator).all(axis=-1)) if u.shape[-1] == len(numerator) else []
-        if left[0] and len(hits):
-            out[hits[0]], left[0] = True, False
+        if u.shape[-1] == len(numerator):
+            out[((u == numerator) & (v == denominator)).all(axis=-1)] = True
         return out
 
     monkeypatch.setattr(mo, "_proportional_rows", forced)
@@ -221,18 +223,45 @@ def test_factory_block_draw_redraws_a_proportional_pair_as_the_loop_does(monkeyp
     every later quotient continues from there."""
     fam = H.family_from_spec(cfg.family)
     plain = mo.random_morphisms(fam, 20, SplitMix64(42))
-    numerator = _coefficients([plain[k].numerator], (plain[k].degree,))[0]
-    _force_proportional_once(monkeypatch, numerator)
+    pair = _coefficients([plain[k].numerator, plain[k].denominator], (plain[k].degree,))
+    _force_proportional(monkeypatch, pair)
     block = SplitMix64(42)
     got = mo.random_morphisms(fam, 20, block)
-    monkeypatch.undo()
-    _force_proportional_once(monkeypatch, numerator)
     loop = SplitMix64(42)
     want = oracle.sequential_morphisms(fam, 20, loop)
     assert _drawn(got) == _drawn(want)
     assert block.next_u64() == loop.next_u64()
     assert _drawn(got[:k]) == _drawn(plain[:k])
     assert _hex(got[k].denominator.coeffs.values()) != _hex(plain[k].denominator.coeffs.values())
+
+
+def test_factory_block_draw_hands_only_a_rare_case_to_random_morphism(monkeypatch):
+    """The suite's factory families draw their quotients with no call of
+    :func:`random_morphism` at any tested seed; a pair forced proportional
+    sets the stream back to where the call began and hands all ``count``
+    rounds to it, each after its degree's u64 (the stream moves from the
+    redraw on, and with it the later degrees)."""
+    real, calls = mo.random_morphism, []
+
+    def counted(fam, degree, rng, floor):
+        calls.append((degree, copy.copy(rng).next_u64()))
+        return real(fam, degree, rng, floor)
+
+    monkeypatch.setattr(mo, "random_morphism", counted)
+    for cfg in FACTORY_CONFIGS:
+        fam = H.family_from_spec(cfg.family)
+        for seed in (0, 7, 42, 12345, 2**64 - 1):
+            mo.random_morphisms(fam, 20, SplitMix64(seed), floor=cfg.floor)
+    assert calls == []
+    fam = H.family_from_spec(FACTORY_CONFIGS[0].family)
+    plain = mo.random_morphisms(fam, 20, SplitMix64(42))
+    _force_proportional(monkeypatch, _coefficients([plain[6].numerator, plain[6].denominator], (plain[6].degree,)))
+    mo.random_morphisms(fam, 20, SplitMix64(42))
+    assert len(calls) == 20
+    assert [degree for degree, _ in calls[:7]] == [m.degree for m in plain[:7]]
+    fresh = SplitMix64(42)
+    fresh.next_u64()
+    assert calls[0][1] == fresh.next_u64()
 
 
 def test_factory_block_draw_refuses_a_one_member_family_after_its_degree():
@@ -273,7 +302,7 @@ def test_a_polynomial_from_its_row_is_the_polynomial_from_its_dict(degree):
     expos = _layout(len(fam.members), (degree,))[0]
     rows = mo._disc(SplitMix64(degree).uniforms(4 * len(expos)).reshape(2, -1))
     rows[0, 1] = 0.0  # a zero coefficient is a term all the same
-    from_rows = [HomPoly.from_row(row, fam.members, degree) for row in rows]
+    from_rows = [HomPoly.from_row(row, fam.members, expos) for row in rows]
     from_dicts = [HomPoly(dict(zip(expos, row.tolist())), fam.members) for row in rows]
     for a, b in zip(from_rows, from_dicts):
         assert list(a.coeffs) == list(b.coeffs) == list(expos)
@@ -701,9 +730,9 @@ def test_resampling_builds_one_monomial_table_per_frame_table_and_degree_group(m
         tables.append(real_frame(*args))
         return tables[-1]
 
-    def monomials(values, exponents):
-        builds.append((id(values), tuple(exponents)))
-        return real_monomials(values, exponents)
+    def monomials(values, plan):
+        builds.append((id(values), id(plan)))
+        return real_monomials(values, plan)
 
     monkeypatch.setattr(mo, "frame_operators", frame_operators)
     monkeypatch.setattr(exprs, "monomials", monomials)
@@ -712,8 +741,8 @@ def test_resampling_builds_one_monomial_table_per_frame_table_and_degree_group(m
         morphs, basis, sampler.take(50), min_samples=50, sampler=lambda k: sampler.take(k).points
     )
     assert rep.samples_discarded > 100 and len(tables) > 2
-    layouts = [_layout(len(fam.members), (d,))[0] for d in (1, 2, 3)]
-    assert sorted(builds) == sorted((id(t.values), e) for t in tables for e in layouts)
+    plans = [id(_layout(len(fam.members), (d,))[2]) for d in (1, 2, 3)]
+    assert sorted(builds) == sorted((id(t.values), p) for t in tables for p in plans)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -14,6 +14,7 @@ import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from lgh import duality as du
 from lgh import matrices as M
@@ -138,7 +139,6 @@ def _squarings(gens):
 
 
 def _assert_close_to_scipy(gens, rel):
-    linalg = pytest.importorskip("scipy.linalg")
     got, want = expm(gens), linalg.expm(gens)
     assert got.shape == want.shape == gens.shape
     err = np.max(np.abs(got - want), axis=(-2, -1))
